@@ -1,15 +1,18 @@
 """Exact probability computation on discrete-time Markov chains.
 
-Qualitative reachability sets by graph analysis, unbounded until via an
-exact rational linear system (Gaussian elimination), bounded until by
-finite recursion, one-step probabilities, and a value-iteration oracle
-used only for cross-checking.
+Qualitative reachability sets by graph analysis; unbounded until by Prob0
+and Prob1 precomputation followed by an exact solve of the remaining
+states one strongly connected component at a time, sinks first; bounded
+until by iterating a pair of vectors; one-step probabilities; and a
+value-iteration oracle used only for cross-checking.  Every result is an
+exact ``Fraction``; nothing is computed in floating point.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Dict, FrozenSet, Mapping, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Tuple
 
 from .errors import BoundError, SingularSystem
 from .model import Dtmc
@@ -30,8 +33,9 @@ def qualitative_sets(d: Dtmc, phi1: Predicate, phi2: Predicate) -> Tuple[FrozenS
     """
     preds: Dict = {s: [] for s in d.states}
     for s in d.states:
-        for t, _ in d.trans[s]:
-            preds[t].append(s)
+        for t, p in d.trans[s]:
+            if p:
+                preds[t].append(s)
     s_yes = frozenset(s for s in d.states if phi2[s])
     reach = set(s_yes)
     frontier = list(s_yes)
@@ -48,8 +52,14 @@ def qualitative_sets(d: Dtmc, phi1: Predicate, phi2: Predicate) -> Tuple[FrozenS
 def until_probs(d: Dtmc, phi1: Predicate, phi2: Predicate) -> ProbVector:
     """Exact least-fixed-point solution of ``P(phi1 U phi2)`` per state.
 
-    1 on S_yes, 0 on S_zero (which covers the not-phi1-nor-phi2 states);
-    the remaining states form a uniquely solvable linear system.
+    1 on S_yes and 0 on S_zero (which covers the not-phi1-nor-phi2
+    states).  Of the other states, those that cannot reach S_zero without
+    passing a phi2 state reach phi2 almost surely and get exactly 1
+    (Prob1).  The rest are solved per strongly connected component in
+    reverse topological order, so every successor outside a component is
+    known when the component is solved: a singleton is one dot product, a
+    self-loop of probability p divides it by 1 - p, and a larger component
+    is an exact linear system of its own size.
     """
     s_zero, s_yes = qualitative_sets(d, phi1, phi2)
     result: ProbVector = {}
@@ -64,23 +74,111 @@ def until_probs(d: Dtmc, phi1: Predicate, phi2: Predicate) -> ProbVector:
     if not unknown:
         return result
 
-    index = {s: i for i, s in enumerate(unknown)}
-    m = len(unknown)
-    # p_s - sum_{s' unknown} P(s,s') p_s' = sum_{s' in S_yes} P(s,s')
-    matrix = [[_ZERO] * m for _ in range(m)]
-    rhs = [_ZERO] * m
+    # Prob1: an unknown state is below 1 iff it reaches S_zero through
+    # unknown states; backward reachability from the states next to S_zero
+    succ: Dict = {s: [] for s in unknown}
+    preds: Dict = {s: [] for s in unknown}
+    below = set()
     for s in unknown:
-        i = index[s]
-        matrix[i][i] = _ONE
         for t, p in d.trans[s]:
-            if t in index:
-                matrix[i][index[t]] -= p
-            elif t in s_yes:
-                rhs[i] += p
-    solution = _solve_linear(matrix, rhs)
-    for s, value in zip(unknown, solution):
-        result[s] = value
+            if not p:
+                continue
+            if t in succ:
+                succ[s].append(t)
+                preds[t].append(s)
+            elif t in s_zero:
+                below.add(s)
+    frontier = list(below)
+    while frontier:
+        t = frontier.pop()
+        for s in preds[t]:
+            if s not in below:
+                below.add(s)
+                frontier.append(s)
+    for s in unknown:
+        if s not in below:
+            result[s] = _ONE
+
+    for comp in _sccs([s for s in unknown if s in below], succ):
+        if len(comp) == 1:
+            s = comp[0]
+            loop = _ZERO
+            acc = _ZERO
+            for t, p in d.trans[s]:
+                if t == s:
+                    loop += p
+                else:
+                    v = result[t]
+                    if v:
+                        acc += p * v
+            if loop:
+                if loop == _ONE:
+                    raise SingularSystem(f"self-loop of probability 1 at {s!r}")
+                acc /= _ONE - loop
+            result[s] = acc
+            continue
+        # p_s - sum_{s' in comp} P(s,s') p_s' = sum_{s' outside comp} P(s,s') p_s'
+        index = {s: i for i, s in enumerate(comp)}
+        m = len(comp)
+        matrix = [[_ZERO] * m for _ in range(m)]
+        rhs = [_ZERO] * m
+        for s, i in index.items():
+            row = matrix[i]
+            row[i] = _ONE
+            for t, p in d.trans[s]:
+                j = index.get(t)
+                if j is not None:
+                    row[j] -= p
+                else:
+                    v = result[t]
+                    if v:
+                        rhs[i] += p * v
+        for s, value in zip(comp, _solve_linear(matrix, rhs)):
+            result[s] = value
     return result
+
+
+def _sccs(nodes, succ: Mapping) -> Iterator[List]:
+    """Strongly connected components of the graph ``succ`` on ``nodes``,
+    each one yielded after every component it can reach (Tarjan, with an
+    explicit stack instead of recursion)."""
+    index: Dict = {}
+    low: Dict = {}
+    stack: List = []
+    on_stack = set()
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w in on_stack and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    yield comp
 
 
 def _solve_linear(matrix, rhs):
@@ -113,30 +211,37 @@ def _solve_linear(matrix, rhs):
 
 
 def bounded_until_probs(d: Dtmc, phi1: Predicate, phi2: Predicate, k1: int, k2: int) -> ProbVector:
-    """``P(phi1 U[k1,k2] phi2)`` by the three-case bound recursion."""
+    """``P(phi1 U[k1,k2] phi2)``, iterated from the phi2 indicator.
+
+    The first k2 - k1 steps are windowed: phi2 states stay 1, the other
+    states outside phi1 stay 0.  The last k1 steps are plain: states
+    outside phi1 are 0 and every other state takes the one-step
+    expectation, phi2 or not, since phi2 before step k1 does not count.
+
+    The arithmetic is exact over integers: with D the common denominator
+    of the transition probabilities, the vector after j steps times D^j
+    is integral, and it is divided by D^k2 once at the end.
+    """
     if k1 < 0 or k2 < 0 or k1 > k2:
         raise BoundError(f"bad bounds [{k1},{k2}]")
-    if k2 == 0:
-        return {s: (_ONE if phi2[s] else _ZERO) for s in d.states}
-    if k1 == 0:
-        prev = bounded_until_probs(d, phi1, phi2, 0, k2 - 1)
-        out = {}
+    scale = math.lcm(*(p.denominator for s in d.states for _, p in d.trans[s]))
+    rows = {s: [(t, p.numerator * (scale // p.denominator)) for t, p in d.trans[s]]
+            for s in d.states if phi1[s]}
+    vec = {s: (1 if phi2[s] else 0) for s in d.states}
+    unit = 1  # the integer that stands for probability 1 after this step
+    for step in range(k2):
+        windowed = step < k2 - k1
+        unit *= scale
+        nxt = {}
         for s in d.states:
-            if phi2[s]:
-                out[s] = _ONE
+            if windowed and phi2[s]:
+                nxt[s] = unit
             elif not phi1[s]:
-                out[s] = _ZERO
+                nxt[s] = 0
             else:
-                out[s] = sum((p * prev[t] for t, p in d.trans[s]), _ZERO)
-        return out
-    prev = bounded_until_probs(d, phi1, phi2, k1 - 1, k2 - 1)
-    out = {}
-    for s in d.states:
-        if not phi1[s]:
-            out[s] = _ZERO
-        else:
-            out[s] = sum((p * prev[t] for t, p in d.trans[s]), _ZERO)
-    return out
+                nxt[s] = sum([w * vec[t] for t, w in rows[s] if vec[t]])
+        vec = nxt
+    return {s: Fraction(v, unit) for s, v in vec.items()}
 
 
 def next_probs(d: Dtmc, phi: Predicate) -> ProbVector:

@@ -1,6 +1,7 @@
 """Command-line front-end: check, encode, gen, stats.
 
-Exit codes: 0 verdict true, 1 verdict false, 2 usage or validation error.
+Exit codes: 0 verdict true, 1 verdict false, 2 anything else: a usage or
+validation error, an undecided external solver, or an internal error.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from typing import Optional
 
 from . import cases
@@ -95,11 +97,16 @@ def subformula_census(f: Formula):
             elif isinstance(path, BoundedUntil):
                 walk(path.left)
                 walk(path.right)
-                if path.k2 > 0:
-                    if path.k1 == 0:
-                        walk(ProbOf(BoundedUntil(path.left, path.right, 0, path.k2 - 1)))
-                    else:
-                        walk(ProbOf(BoundedUntil(path.left, path.right, path.k1 - 1, path.k2 - 1)))
+                # the reduced-bound windows, in a loop: a deep bound must
+                # not recurse once per step
+                k1, k2 = path.k1, path.k2
+                while k2 > 0:
+                    k1, k2 = max(k1 - 1, 0), k2 - 1
+                    window = ProbOf(BoundedUntil(path.left, path.right, k1, k2))
+                    if window in seen:
+                        break
+                    seen.add(window)
+                    pexpr_nodes.append(window)
         else:
             raise AssertionError(node)
 
@@ -315,8 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "all-init tuples (sound only for init-guarded bodies)")
     p_check.add_argument("--max-sched-vars", type=int, default=3)
     p_check.add_argument("--max-state-vars", type=int, default=3)
-    p_check.add_argument("--jobs", type=int, default=os.cpu_count(),
-                         help="parallel scheduler-branch evaluation")
+    p_check.add_argument("--jobs", type=int, default=1,
+                         help="threads for scheduler-branch evaluation (smt-eager); "
+                              "the work holds the interpreter lock, so 1 is fastest")
     p_check.add_argument("--seed", type=int, help="reserved; no randomness on the verdict path")
 
     p_encode = sub.add_parser("encode", help="emit the SMT-LIB2 encoding")
@@ -357,6 +365,11 @@ def main(argv: Optional[list] = None, out=None) -> int:
         return handlers[args.command](args, out)
     except (HyperMdpError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # RecursionError and MemoryError included
+        # exit code 1 means "false"; a crash must never be read as a verdict
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

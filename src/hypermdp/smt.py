@@ -17,6 +17,7 @@ least) is decoded into a witness or counterexample.
 from __future__ import annotations
 
 import itertools
+import os
 import re
 import subprocess
 import tempfile
@@ -544,30 +545,9 @@ class VectorEvaluator:
 
     def _bounded(self, node) -> dict:
         path = node.path
-        phi1, phi2 = self.holds(path.left), self.holds(path.right)
-        if path.k2 == 0:
-            return {r: (ONE if phi2[r] else ZERO) for r in self.d.states}
-        if path.k1 == 0:
-            child = ProbOf(BoundedUntil(path.left, path.right, 0, path.k2 - 1))
-            prev = self.value(child)
-            out = {}
-            for r in self.d.states:
-                if phi2[r]:
-                    out[r] = ONE
-                elif not phi1[r]:
-                    out[r] = ZERO
-                else:
-                    out[r] = sum((p * prev[t] for t, p in self.d.trans[r]), ZERO)
-            return out
-        child = ProbOf(BoundedUntil(path.left, path.right, path.k1 - 1, path.k2 - 1))
-        prev = self.value(child)
-        out = {}
-        for r in self.d.states:
-            if not phi1[r]:
-                out[r] = ZERO
-            else:
-                out[r] = sum((p * prev[t] for t, p in self.d.trans[r]), ZERO)
-        return out
+        return analysis.bounded_until_probs(
+            self.d, self.holds(path.left), self.holds(path.right), path.k1, path.k2
+        )
 
     def distances(self, phi2_node) -> dict:
         """BFS distance (in induced steps) to the nearest phi2 state;
@@ -872,13 +852,22 @@ def parse_solver_model(text: str) -> dict:
 
 
 def run_external_solver(solver_path: str, smt_text: str, timeout: float = 600.0):
-    """Run ``solver_path <file.smt2>``; returns ('sat'|'unsat'|'unknown', model)."""
+    """Run ``solver_path <file.smt2>``; returns ('sat'|'unsat'|'unknown', model).
+
+    The script file is removed afterwards; a solver still running after
+    ``timeout`` seconds is killed and reported as IncompleteModel.
+    """
     with tempfile.NamedTemporaryFile("w", suffix=".smt2", delete=False) as fh:
         fh.write(smt_text)
         path = fh.name
-    proc = subprocess.run(
-        [solver_path, path], capture_output=True, text=True, timeout=timeout, check=False
-    )
+    try:
+        proc = subprocess.run(
+            [solver_path, path], capture_output=True, text=True, timeout=timeout, check=False
+        )
+    except subprocess.TimeoutExpired as exc:
+        raise IncompleteModel(f"external solver gave no answer within {timeout} s") from exc
+    finally:
+        os.unlink(path)
     output = proc.stdout.strip()
     first = output.splitlines()[0].strip() if output else "unknown"
     if first not in ("sat", "unsat"):

@@ -106,6 +106,53 @@ def prob0_states(d: Dtmc, phi1, phi2) -> frozenset:
     return frozenset(s for s in d.states if s not in can_reach)
 
 
+def dense_until(d: Dtmc, phi1, phi2):
+    """P(phi1 U phi2) by one dense exact linear system over every state
+    outside Prob0 and phi2 (Gaussian elimination with partial pivoting),
+    as the library solved it before its SCC-ordered solver."""
+    zero = prob0_states(d, phi1, phi2)
+    result = {}
+    unknown = []
+    for s in d.states:
+        if phi2[s]:
+            result[s] = ONE
+        elif s in zero:
+            result[s] = ZERO
+        else:
+            unknown.append(s)
+    index = {s: i for i, s in enumerate(unknown)}
+    m = len(unknown)
+    # p_s - sum_{s' unknown} P(s,s') p_s' = sum_{s' phi2} P(s,s')
+    matrix = [[ZERO] * m for _ in range(m)]
+    rhs = [ZERO] * m
+    for s in unknown:
+        i = index[s]
+        matrix[i][i] = ONE
+        for t, p in d.trans[s]:
+            if t in index:
+                matrix[i][index[t]] -= p
+            elif phi2[t]:
+                rhs[i] += p
+    for col in range(m):
+        pivot = max(range(col, m), key=lambda r: abs(matrix[r][col]))
+        if matrix[pivot][col] == 0:
+            raise ArithmeticError(f"singular system: no pivot in column {col}")
+        matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
+        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
+        for r in range(col + 1, m):
+            factor = matrix[r][col] / matrix[col][col]
+            if factor:
+                for c in range(col, m):
+                    matrix[r][c] -= factor * matrix[col][c]
+                rhs[r] -= factor * rhs[col]
+    solution = [ZERO] * m
+    for r in range(m - 1, -1, -1):
+        acc = rhs[r] - sum((matrix[r][c] * solution[c] for c in range(r + 1, m)), ZERO)
+        solution[r] = acc / matrix[r][r]
+    result.update(zip(unknown, solution))
+    return result
+
+
 def until_step(d: Dtmc, phi1, phi2, vec):
     """One value-iteration step for P(phi1 U phi2): phi2 states stay 1,
     states outside phi1 stay 0, the rest take the one-step expectation."""

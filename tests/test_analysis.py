@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from hypermdp import analysis
 from hypermdp.analysis import (
     bounded_until_probs,
     next_probs,
@@ -10,9 +12,16 @@ from hypermdp.analysis import (
     until_probs,
     until_probs_vi,
 )
-from hypermdp.errors import BoundError
-from hypermdp.model import SchedulerAssignment, enumerate_schedulers, induce_dtmc, parse_mdp
-from .helpers import bottom_sccs, brute_bounded_until, brute_until, random_acyclic_mdp, random_mdp
+from hypermdp.errors import BoundError, SingularSystem
+from hypermdp.model import Dtmc, SchedulerAssignment, enumerate_schedulers, induce_dtmc, parse_mdp
+from .helpers import (
+    bottom_sccs,
+    brute_bounded_until,
+    brute_until,
+    dense_until,
+    random_acyclic_mdp,
+    random_mdp,
+)
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -29,6 +38,29 @@ def pred(d, prop):
 
 def true_pred(d):
     return {s: True for s in d.states}
+
+
+def raw_chain(rows, targets):
+    """A chain built directly, without the model validation: ``rows`` maps
+    each state to its (target, probability) row, ``targets`` are the states
+    labelled ``a``."""
+    return Dtmc(states=tuple(rows),
+                trans={s: tuple((t, Fraction(p)) for t, p in row) for s, row in rows.items()},
+                ap=("a",), labels={s: frozenset({"a"} if s in targets else ()) for s in rows})
+
+
+@pytest.fixture
+def linear_solves(monkeypatch):
+    """Sizes of the systems handed to the in-component elimination."""
+    sizes = []
+    solve = analysis._solve_linear
+
+    def counting(matrix, rhs):
+        sizes.append(len(matrix))
+        return solve(matrix, rhs)
+
+    monkeypatch.setattr(analysis, "_solve_linear", counting)
+    return sizes
 
 
 @pytest.fixture
@@ -119,6 +151,106 @@ class TestUntil:
         assert checked > 20
 
 
+class TestSccSolver:
+    """until_probs against the dense elimination it replaced, and one
+    hand-built chain for each way it settles a state."""
+
+    def test_matches_dense_oracle_on_random_corpora(self, linear_solves):
+        chains = 0
+        for seed, make in ((6, random_mdp), (8, random_mdp), (13, random_mdp), (5, random_acyclic_mdp)):
+            rng = random.Random(seed)
+            for _ in range(60):
+                mdp = make(rng)
+                for sched in enumerate_schedulers(mdp):
+                    d = induce_dtmc(mdp, sched)
+                    a, b = pred(d, "a"), pred(d, "b")
+                    not_a = {s: not v for s, v in a.items()}
+                    for phi1, phi2 in ((a, b), (true_pred(d), b), (not_a, b), (b, a)):
+                        assert until_probs(d, phi1, phi2) == dense_until(d, phi1, phi2)
+                        chains += 1
+        assert chains > 1000
+        # the corpora reach the elimination inside components of 2+ states
+        assert linear_solves and min(linear_solves) >= 2
+
+    def test_matches_dense_oracle_on_acceptance_4a_corpus(self):
+        # the corpus, schedulers and predicates of acceptance check 4a
+        rng = random.Random(20200901)
+        chains = 0
+        for mdp in [random_mdp(rng) for _ in range(200)]:
+            for sched in itertools.islice(enumerate_schedulers(mdp), 4):
+                d = induce_dtmc(mdp, sched)
+                phi1, phi2 = pred(d, "a"), pred(d, "b")
+                assert until_probs(d, phi1, phi2) == dense_until(d, phi1, phi2)
+                chains += 1
+        assert chains == 554
+
+    def test_three_state_cycle_is_eliminated_as_one_component(self, linear_solves):
+        d = raw_chain({"c0": (("c1", "1/2"), ("z", "1/2")),
+                       "c1": (("c2", "1/2"), ("g", "1/2")),
+                       "c2": (("c0", "1/2"), ("g", "1/4"), ("z", "1/4")),
+                       "g": (("g", 1),),
+                       "z": (("z", 1),)}, {"g"})
+        vec = until_probs(d, true_pred(d), pred(d, "a"))
+        assert vec == {"c0": Fraction(5, 14), "c1": Fraction(5, 7), "c2": Fraction(3, 7),
+                       "g": ONE, "z": ZERO}
+        assert vec == dense_until(d, true_pred(d), pred(d, "a"))
+        assert linear_solves == [3]
+
+    def test_self_loop_divides_by_one_minus_p(self, linear_solves):
+        d = raw_chain({"s1": (("s0", 1),),
+                       "s0": (("s0", "3/4"), ("g", "1/8"), ("z", "1/8")),
+                       "g": (("g", 1),),
+                       "z": (("z", 1),)}, {"g"})
+        vec = until_probs(d, true_pred(d), pred(d, "a"))
+        # x = 3/4 x + 1/8; s1 is a singleton without a loop: one dot product
+        assert vec["s0"] == vec["s1"] == Fraction(1, 2)
+        assert linear_solves == []
+
+    def test_almost_sure_loop_is_exactly_one_without_a_solve(self, linear_solves):
+        # s0 and s1 loop, and the only way out is to the phi2 state g
+        d = raw_chain({"s0": (("s1", "1/2"), ("g", "1/2")),
+                       "s1": (("s0", 1),),
+                       "g": (("g", 1),),
+                       "z": (("z", 1),)}, {"g"})
+        vec = until_probs(d, true_pred(d), pred(d, "a"))
+        assert vec == {"s0": ONE, "s1": ONE, "g": ONE, "z": ZERO}
+        assert linear_solves == []
+
+    def test_long_chain_needs_no_recursion(self):
+        n = 5000
+        rows = {f"q{i}": ((f"q{i + 1}", "1/2"), ("z", "1/2")) for i in range(n)}
+        rows[f"q{n}"] = (("g", "1/2"), ("z", "1/2"))
+        rows.update({"g": (("g", 1),), "z": (("z", 1),)})
+        d = raw_chain(rows, {"g"})
+        # the component search walks a path of n + 1 states deep
+        vec = until_probs(d, true_pred(d), pred(d, "a"))
+        assert vec["q0"] == Fraction(1, 2) ** (n + 1)
+
+    def test_zero_probability_edge_is_not_a_path(self):
+        d = raw_chain({"s0": (("s0", 1), ("g", 0)), "g": (("g", 1),)}, {"g"})
+        s_zero, _ = qualitative_sets(d, true_pred(d), pred(d, "a"))
+        assert s_zero == frozenset({"s0"})
+        assert until_probs(d, true_pred(d), pred(d, "a"))["s0"] == ZERO
+
+    def test_singular_system_needs_rows_that_are_not_distributions(self):
+        """When every row is a distribution, each component left to solve has
+        an edge out of it (its states reach S_zero), so I - P restricted to
+        it is invertible and SingularSystem cannot be raised.  Chains built
+        by hand without validation can still reach it, in a component and
+        in a self-loop."""
+        cycle = raw_chain({"s0": (("s1", 2), ("z", 1)),
+                           "s1": (("s0", "1/2"), ("g", "1/2")),
+                           "g": (("g", 1),),
+                           "z": (("z", 1),)}, {"g"})
+        with pytest.raises(SingularSystem):
+            until_probs(cycle, true_pred(cycle), pred(cycle, "a"))
+        loop = raw_chain({"s0": (("s0", 1), ("g", "1/2"), ("z", "1/2")),
+                          "g": (("g", 1),),
+                          "z": (("z", 1),)}, {"g"})
+        with pytest.raises(SingularSystem):
+            until_probs(loop, true_pred(loop), pred(loop, "a"))
+
+
 class TestBounded:
     def test_zero_window_is_indicator(self):
         rng = random.Random(9)
@@ -162,6 +294,21 @@ class TestBounded:
             d = induce_dtmc(mdp, next(enumerate_schedulers(mdp)))
             phi = pred(d, "a")
             assert bounded_until_probs(d, true_pred(d), phi, 1, 1) == next_probs(d, phi)
+
+    def test_deep_bound_is_exact_without_recursion(self):
+        # a holds only in s1, which is left after one step; s0 first moves
+        # to s1 at step j with probability (1/2)^j
+        d = chain(parse_mdp("states: s0 s1 s2\n"
+                            "labels: s1: a\n"
+                            "action s0 tau: s0 1/2, s1 1/2\n"
+                            "action s1 tau: s2 1\n"
+                            "action s2 tau: s2 1\n"),
+                  s0="tau", s1="tau", s2="tau")
+        vec = bounded_until_probs(d, true_pred(d), pred(d, "a"), 0, 3000)
+        assert vec["s0"] == ONE - Fraction(1, 2) ** 3000
+        # sum of (1/2)^j over j in [1000, 3000]
+        late = bounded_until_probs(d, true_pred(d), pred(d, "a"), 1000, 3000)
+        assert late["s0"] == Fraction(1, 2) ** 999 - Fraction(1, 2) ** 3000
 
     def test_bound_error(self, half):
         with pytest.raises(BoundError):

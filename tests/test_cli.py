@@ -1,13 +1,19 @@
+import functools
 import io
 import json
 import os
 import stat
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 
 import pytest
 
+from hypermdp import cli, smt
 from hypermdp.cli import main
+from hypermdp.enumcheck import check
+from hypermdp.errors import IncompleteModel
 from hypermdp.formula import parse_formula
 from hypermdp.model import parse_mdp
 from hypermdp.smt import solve_eager
@@ -105,6 +111,49 @@ class TestCheck:
         assert plain_code == pruned_code == 0
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize("error", [RuntimeError, RecursionError, MemoryError])
+    def test_internal_error_exits_two_not_false(self, coin_path, monkeypatch, capsys, error):
+        def broken(*args, **kwargs):
+            raise error("engine broke")
+
+        monkeypatch.setattr(cli, "check", broken)
+        code, out = run_cli("check", coin_path, "--formula", REACH_ONE, "--engine", "enum")
+        assert code == 2
+        assert f"internal error: {error.__name__}: engine broke" in capsys.readouterr().err
+        assert "verdict" not in out
+
+
+class TestDeepBound:
+    """A bound far deeper than the interpreter's recursion limit."""
+
+    MODEL = ("states: s0 s1\n"
+             "labels: s0: init; s1: a\n"
+             "action s0 tau: s0 1/2, s1 1/2\n"
+             "action s1 tau: s1 1\n")
+    EXACT = 1 - Fraction(1, 2) ** 3000
+
+    def formula(self, value):
+        return parse_formula(f"forall sched s. forall st x(s). init(x) -> "
+                             f"P(F<=3000 a(x)) = {value.numerator}/{value.denominator}")
+
+    def test_both_engines_get_the_exact_value(self):
+        mdp = parse_mdp(self.MODEL)
+        for value, truth in ((self.EXACT, True), (1 - Fraction(1, 2) ** 2999, False)):
+            f = self.formula(value)
+            assert check(mdp, f).truth is truth
+            assert solve_eager(mdp, f).decoded.truth is truth
+
+    def test_cli_exits_zero(self, tmp_path):
+        path = tmp_path / "deep.mdpx"
+        path.write_text(self.MODEL)
+        for engine in ("enum", "smt-eager"):
+            code, out = run_cli("check", str(path), "--engine", engine, "--formula",
+                                "forall sched s. forall st x(s). P(F<=3000 a(x)) > 0")
+            assert code == 0
+            assert "verdict: true" in out
+
+
 class TestEncode:
     def test_writes_file_and_prints_counts(self, coin_path, tmp_path):
         out_path = tmp_path / "coin.smt2"
@@ -177,17 +226,26 @@ class TestStats:
 
 
 class TestExternalSolver:
-    def _write_fake_solver(self, tmp_path, response: str) -> str:
+    def _write_fake_solver(self, tmp_path, response: str, sleep: float = 0) -> str:
         answer = tmp_path / "answer.txt"
         answer.write_text(response)
         script = tmp_path / "fakesolver.py"
         script.write_text(
             "#!/usr/bin/env python3\n"
-            "import sys\n"
+            "import sys, time\n"
+            f"time.sleep({sleep})\n"
             f"sys.stdout.write(open({str(answer)!r}).read())\n"
         )
         script.chmod(script.stat().st_mode | stat.S_IEXEC)
         return str(script)
+
+    @pytest.fixture
+    def private_tmp(self, tmp_path, monkeypatch):
+        """A temp directory of its own for the solver script files."""
+        path = tmp_path / "tmp"
+        path.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(path))
+        return path
 
     def test_sat_model_is_decoded(self, coin_path, tmp_path):
         # canned response built from the eager engine's own model
@@ -203,6 +261,25 @@ class TestExternalSolver:
                             "--engine", "smt-external", "--solver", solver)
         assert code == 0
         assert "s0: alpha" in out
+
+    def test_script_file_is_removed(self, coin_path, tmp_path, private_tmp):
+        solver = self._write_fake_solver(tmp_path, "unsat\n")
+        code, _ = run_cli("check", coin_path, "--formula", REACH_HALF,
+                          "--engine", "smt-external", "--solver", solver)
+        assert code == 1
+        assert list(private_tmp.iterdir()) == []
+
+    def test_timeout_is_incomplete_and_cleans_up(self, coin_path, tmp_path, private_tmp,
+                                                 monkeypatch):
+        solver = self._write_fake_solver(tmp_path, "unsat\n", sleep=30)
+        with pytest.raises(IncompleteModel):
+            smt.run_external_solver(solver, "(check-sat)\n", timeout=0.5)
+        monkeypatch.setattr(smt, "run_external_solver",
+                            functools.partial(smt.run_external_solver, timeout=0.5))
+        code, _ = run_cli("check", coin_path, "--formula", REACH_HALF,
+                          "--engine", "smt-external", "--solver", solver)
+        assert code == 2
+        assert list(private_tmp.iterdir()) == []
 
     def test_unsat_response(self, coin_path, tmp_path):
         solver = self._write_fake_solver(tmp_path, "unsat\n")
