@@ -3,9 +3,10 @@
 Qualitative reachability sets by graph analysis; unbounded until by Prob0
 and Prob1 precomputation followed by an exact solve of the remaining
 states one strongly connected component at a time, sinks first; bounded
-until by iterating a pair of vectors; one-step probabilities; and a
-value-iteration oracle used only for cross-checking.  Every result is an
-exact ``Fraction``; nothing is computed in floating point.
+until by one iteration that passes through every reduced-bound window;
+one-step probabilities; and a value-iteration oracle used only for
+cross-checking.  Every result is an exact ``Fraction``; nothing is
+computed in floating point.
 """
 
 from __future__ import annotations
@@ -210,17 +211,20 @@ def _solve_linear(matrix, rhs):
     return solution
 
 
-def bounded_until_probs(d: Dtmc, phi1: Predicate, phi2: Predicate, k1: int, k2: int) -> ProbVector:
-    """``P(phi1 U[k1,k2] phi2)``, iterated from the phi2 indicator.
+def _bounded_steps(d: Dtmc, phi1: Predicate, phi2: Predicate, k1: int, k2: int):
+    """The iteration behind ``P(phi1 U[k1,k2] phi2)``, from the phi2 indicator.
 
     The first k2 - k1 steps are windowed: phi2 states stay 1, the other
     states outside phi1 stay 0.  The last k1 steps are plain: states
     outside phi1 are 0 and every other state takes the one-step
     expectation, phi2 or not, since phi2 before step k1 does not count.
+    After j steps the vector is that of the window
+    ``(max(j - (k2 - k1), 0), j)``, so the steps pass through every
+    reduced-bound window from (0, 0) up to (k1, k2).
 
     The arithmetic is exact over integers: with D the common denominator
     of the transition probabilities, the vector after j steps times D^j
-    is integral, and it is divided by D^k2 once at the end.
+    is integral.  Yields ``(window, unit, vec)`` with ``unit = D^j``.
     """
     if k1 < 0 or k2 < 0 or k1 > k2:
         raise BoundError(f"bad bounds [{k1},{k2}]")
@@ -229,6 +233,7 @@ def bounded_until_probs(d: Dtmc, phi1: Predicate, phi2: Predicate, k1: int, k2: 
             for s in d.states if phi1[s]}
     vec = {s: (1 if phi2[s] else 0) for s in d.states}
     unit = 1  # the integer that stands for probability 1 after this step
+    yield (0, 0), unit, vec
     for step in range(k2):
         windowed = step < k2 - k1
         unit *= scale
@@ -241,6 +246,21 @@ def bounded_until_probs(d: Dtmc, phi1: Predicate, phi2: Predicate, k1: int, k2: 
             else:
                 nxt[s] = sum([w * vec[t] for t, w in rows[s] if vec[t]])
         vec = nxt
+        yield (max(step + 1 - (k2 - k1), 0), step + 1), unit, vec
+
+
+def bounded_until_windows(d: Dtmc, phi1: Predicate, phi2: Predicate, k1: int, k2: int):
+    """``((k1', k2'), P(phi1 U[k1',k2'] phi2))`` for every reduced-bound
+    window of ``[k1, k2]``, innermost (0, 0) first, all from one iteration."""
+    for window, unit, vec in _bounded_steps(d, phi1, phi2, k1, k2):
+        yield window, {s: Fraction(v, unit) for s, v in vec.items()}
+
+
+def bounded_until_probs(d: Dtmc, phi1: Predicate, phi2: Predicate, k1: int, k2: int) -> ProbVector:
+    """``P(phi1 U[k1,k2] phi2)``: the last vector of the iteration, divided
+    by D^k2 once at the end."""
+    for _, unit, vec in _bounded_steps(d, phi1, phi2, k1, k2):
+        pass
     return {s: Fraction(v, unit) for s, v in vec.items()}
 
 

@@ -19,24 +19,25 @@ from .constraints import emit_smtlib2
 from .enumcheck import Verdict, check
 from .errors import HyperMdpError, MixedSchedulerBlock
 from .formula import (
-    And,
-    Arith,
-    BoundedUntil,
-    Const,
     Formula,
-    Less,
     Next,
-    NotF,
     ProbOf,
-    Prop,
-    SchedQuant,
-    TrueF,
     Until,
+    check_well_formed,
     count_quantifiers,
     parse_formula,
+    state_var_index,
 )
 from .model import Mdp, load_mdp
-from .smt import check_external, encode_main, solve_eager, transform_for_encoding
+from .smt import (
+    check_external,
+    encode_main,
+    plan_encoding,
+    projected_domain,
+    solve_eager,
+    subformula_supports,
+    transform_for_encoding,
+)
 
 REPORT_SCHEMA = "hypermdp-report/1"
 
@@ -50,86 +51,26 @@ def _load_formula(args) -> Formula:
         return parse_formula(fh.read())
 
 
-def subformula_census(f: Formula):
-    """Distinct subformulas of the encoded body, counting the reduced-bound
-    windows that the bounded-until encoding introduces; also reports how
-    many probability variables, step indicators and distance families the
-    encoding declares per composed state."""
-    seen = set()
-    bool_nodes = []
-    pexpr_nodes = []
-    next_operands = set()
-    until_targets = set()
-
-    def walk(node):
-        if node in seen:
-            return
-        seen.add(node)
-        if isinstance(node, (TrueF, Prop)):
-            bool_nodes.append(node)
-        elif isinstance(node, And):
-            bool_nodes.append(node)
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, NotF):
-            bool_nodes.append(node)
-            walk(node.operand)
-        elif isinstance(node, Less):
-            bool_nodes.append(node)
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, (Arith,)):
-            pexpr_nodes.append(node)
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Const):
-            pexpr_nodes.append(node)
-        elif isinstance(node, ProbOf):
-            pexpr_nodes.append(node)
-            path = node.path
-            if isinstance(path, Next):
-                next_operands.add(path.operand)
-                walk(path.operand)
-            elif isinstance(path, Until):
-                until_targets.add(path.right)
-                walk(path.left)
-                walk(path.right)
-            elif isinstance(path, BoundedUntil):
-                walk(path.left)
-                walk(path.right)
-                # the reduced-bound windows, in a loop: a deep bound must
-                # not recurse once per step
-                k1, k2 = path.k1, path.k2
-                while k2 > 0:
-                    k1, k2 = max(k1 - 1, 0), k2 - 1
-                    window = ProbOf(BoundedUntil(path.left, path.right, k1, k2))
-                    if window in seen:
-                        break
-                    seen.add(window)
-                    pexpr_nodes.append(window)
-        else:
-            raise AssertionError(node)
-
-    walk(f.body)
-    return {
-        "subformulas": len(bool_nodes) + len(pexpr_nodes),
-        "bool": len(bool_nodes),
-        "pexpr": len(pexpr_nodes),
-        "next_operands": len(next_operands),
-        "until_targets": len(until_targets),
-    }
+def subformula_count(f: Formula) -> int:
+    """Distinct subformulas of the body, counting the reduced-bound windows
+    that the bounded-until encoding introduces."""
+    return len(subformula_supports(f.body, state_var_index(f)))
 
 
-def encoding_variable_count(mdp: Mdp, f: Formula) -> int:
-    """Declared-variable count of the encoding, without materializing it."""
-    f_enc, _ = transform_for_encoding(f)
-    census = subformula_census(f_enc)
-    _, n = count_quantifiers(f_enc)
-    tuples = len(mdp.states) ** n if n else 1
-    m = sum(1 for q in f_enc.prefix if isinstance(q, SchedQuant))
-    one_hot = m * sum(len(mdp.enabled[s]) for s in mdp.states)
-    per_tuple = census["bool"] + census["pexpr"] + census["next_operands"] + census["until_targets"]
-    return one_hot + tuples * per_tuple
+def encoding_variable_count(mdp: Mdp, f: Formula, prune: bool = False) -> int:
+    """Declared-variable count of the encoding, without materializing it:
+    each subformula declares one truth or probability variable per point
+    of its projected domain, plus a step indicator (next) or a distance
+    (until) per point."""
+    meta = plan_encoding(mdp, f, prune=prune)
+    total = len(meta.sched_names) * sum(len(mdp.enabled[s]) for s in mdp.states)
+    domain_sizes = {}
+    for node, support in meta.supports.items():
+        if support not in domain_sizes:
+            domain_sizes[support] = len(projected_domain(meta.tuples, support))
+        per_point = 2 if isinstance(node, ProbOf) and isinstance(node.path, (Next, Until)) else 1
+        total += per_point * domain_sizes[support]
+    return total
 
 
 def _verdict_json(verdict: Verdict) -> dict:
@@ -174,7 +115,7 @@ def cmd_check(args, out) -> int:
                 if args.emit:
                     with open(args.emit, "w", encoding="utf-8") as fh:
                         fh.write(smt_text)
-                result = check_external(mdp, f, solver, prune=args.prune)
+                result = check_external(cs, smt_text, solver)
                 verdict = result.decoded
             else:
                 if args.emit:
@@ -218,10 +159,10 @@ def cmd_check(args, out) -> int:
         "formula": {
             "scheduler_vars": m,
             "state_vars": n,
-            "subformulas": subformula_census(transform_for_encoding(f)[0] if engine != "enum" else f)["subformulas"],
+            "subformulas": subformula_count(transform_for_encoding(f)[0] if engine != "enum" else f),
         },
         "encoding": (
-            {"variables": encoding_variable_count(mdp, f)}
+            {"variables": encoding_variable_count(mdp, f, prune=args.prune)}
             if engine in ("smt-eager", "smt-external") else None
         ),
         "timings_ms": {"encode": round(encode_ms, 3), "solve": round(solve_ms, 3)},
@@ -291,9 +232,9 @@ def cmd_stats(args, out) -> int:
           f"scheduler-space={mdp.scheduler_space_size()}", file=out)
     if args.formula or args.formula_file:
         f = _load_formula(args)
+        check_well_formed(f)
         m, n = count_quantifiers(f)
-        census = subformula_census(f)
-        print(f"scheduler-vars={m} state-vars={n} subformulas={census['subformulas']} "
+        print(f"scheduler-vars={m} state-vars={n} subformulas={subformula_count(f)} "
               f"composed-states={len(mdp.states) ** n if n else 1}", file=out)
     return 0
 

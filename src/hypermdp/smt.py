@@ -1,11 +1,15 @@
 """Constraint encoding of formulas and the eager internal decision procedure.
 
-The encoding builds, per composed state and subformula, Boolean truth
-variables, real probability variables, pseudo-Boolean step indicators and
-ordering-only distance variables; scheduler choices become enumerated
-variables guarded into the probability equations.  A universal scheduler
-block is encoded as the existential encoding of the negated body with
-flipped state quantifiers and the final verdict inverted.
+The encoding builds, per subformula, Boolean truth variables, real
+probability variables, pseudo-Boolean step indicators and ordering-only
+distance variables; scheduler choices become enumerated variables guarded
+into the probability equations.  Each subformula is encoded over the
+states of the components it mentions (its support), not over every
+composed state: its domain is the projection of the composed tuples onto
+the support, since the components of a self-composition move
+independently.  A universal scheduler block is encoded as the existential
+encoding of the negated body with flipped state quantifiers and the final
+verdict inverted.
 
 Solving is eager: scheduler-choice assignments are enumerated; under a
 fixed assignment the guarded equations collapse to the exact linear
@@ -16,6 +20,7 @@ least) is decoded into a witness or counterexample.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import re
@@ -71,6 +76,10 @@ from .model import Dtmc, Mdp, SchedulerAssignment, enumerate_schedulers
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+BOOL_KINDS = (TrueF, Prop, And, NotF, Less)
+
+Support = Tuple[int, ...]  # sorted 0-based composition components
+
 
 # -- formula-level transformation (main algorithm) ------------------------------
 
@@ -102,6 +111,60 @@ def transform_for_encoding(f: Formula) -> Tuple[Formula, str]:
     return Formula(prefix=tuple(prefix), body=NotF(f.body)), "negated"
 
 
+def reduced_windows(node: ProbOf):
+    """The reduced-bound windows below a bounded until ``[k1,k2]``, which
+    its encoding steps through, outermost first:
+    ``[max(k1-1,0), k2-1]``, ..., ``[0,0]``."""
+    path = node.path
+    k1, k2 = path.k1, path.k2
+    while k2 > 0:
+        k1, k2 = max(k1 - 1, 0), k2 - 1
+        yield ProbOf(BoundedUntil(path.left, path.right, k1, k2))
+
+
+def subformula_supports(body, var_index: Dict[str, int]) -> Dict[object, Support]:
+    """Every subformula the encoding declares, with its support.
+
+    A proposition on x has support (x,); ``true`` and constants have the
+    empty one; every other node takes the union of its operands'.  The
+    dict's order is the registration order: a node comes before its
+    operands, and a bounded until before its reduced-bound windows, which
+    are walked in a loop so that a deep bound does not recurse.
+    """
+    support: Dict[object, Support] = {}
+
+    def visit(node) -> Support:
+        if node in support:
+            return support[node]
+        support[node] = ()  # holds the node's place in registration order
+        if isinstance(node, Prop):
+            result = (var_index[node.var] - 1,)
+        elif isinstance(node, (TrueF, Const)):
+            result = ()
+        elif isinstance(node, NotF):
+            result = visit(node.operand)
+        elif isinstance(node, (And, Less, Arith)):
+            result = tuple(sorted(set(visit(node.left)) | set(visit(node.right))))
+        elif isinstance(node.path, Next):
+            result = visit(node.path.operand)
+        else:
+            windows = []
+            if isinstance(node.path, BoundedUntil):
+                for window in reduced_windows(node):
+                    if window in support:
+                        break
+                    support[window] = ()
+                    windows.append(window)
+            result = tuple(sorted(set(visit(node.path.left)) | set(visit(node.path.right))))
+            for window in windows:
+                support[window] = result
+        support[node] = result
+        return result
+
+    visit(body)
+    return support
+
+
 @dataclass
 class EncodingMeta:
     """Everything needed to decode a model back into a verdict."""
@@ -116,10 +179,7 @@ class EncodingMeta:
     states: Tuple[str, ...]
     tuples: Tuple[Tuple[str, ...], ...]
     body_index: int
-
-
-def _tuple_name(r: Tuple[str, ...]) -> str:
-    return ".".join(r)
+    supports: Dict[object, Support]  # in registration order: index i is the i-th key
 
 
 def reachable_tuples(mdp: Mdp, n: int, starts) -> Tuple[Tuple[str, ...], ...]:
@@ -147,92 +207,143 @@ def _init_tuples(mdp: Mdp, n: int):
     return list(itertools.product(inits, repeat=n))
 
 
+def project(r: tuple, support: Support) -> tuple:
+    """The components of composed tuple ``r`` that ``support`` names."""
+    return tuple(r[c] for c in support)
+
+
+def projected_domain(tuples, support: Support) -> Tuple[tuple, ...]:
+    """The projection of ``tuples`` onto ``support``, deduplicated in tuple
+    order.  A projection of a successor-closed set (``--prune``) is closed
+    under successors again, since the other components always move."""
+    return tuple(dict.fromkeys(project(r, support) for r in tuples))
+
+
+def plan_encoding(mdp: Mdp, f: Formula, prune: bool = False) -> EncodingMeta:
+    """What the encoding fixes before any constraint: polarity, scheduler
+    families, composed tuples and every subformula's support."""
+    f_enc, polarity = transform_for_encoding(f)
+    sched_names = tuple(q.name for q in f_enc.prefix if isinstance(q, SchedQuant))
+    state_quants = tuple(q for q in f_enc.prefix if isinstance(q, StateQuant))
+    n = len(state_quants)
+    if prune and n > 0:
+        tuples = reachable_tuples(mdp, n, _init_tuples(mdp, n))
+    else:
+        tuples = tuple(itertools.product(mdp.states, repeat=n))
+    var_index = state_var_index(f_enc)
+    return EncodingMeta(
+        polarity=polarity,
+        original=f,
+        encoded=f_enc,
+        sched_names=sched_names,
+        state_quants=state_quants,
+        fam_of_component=tuple(sched_names.index(q.sched) for q in state_quants),
+        var_index=var_index,
+        states=mdp.states,
+        tuples=tuples,
+        body_index=0,  # the body is registered first
+        supports=subformula_supports(f_enc.body, var_index),
+    )
+
+
+# -- variable naming shared by encoder, eager solver and decoder -------------------
+
+
+def symbol(kind: str, point: tuple, idx: int) -> str:
+    """``<kind>_<s1.s2...>_<idx>``: subformula ``idx``'s variable at a point of
+    its domain.  An index fixes its support, so names cannot collide."""
+    return f"{kind}_{'.'.join(point)}_{idx}"
+
+
+holds_sym = functools.partial(symbol, "h")
+prob_sym = functools.partial(symbol, "pr")
+toint_sym = functools.partial(symbol, "ti")
+dist_sym = functools.partial(symbol, "d")  # indexed by the until node
+
+
+def choice_sym(family: int, state: str, action: str) -> str:
+    return f"ch_{family}_{state}_{action}"
+
+
 # -- encoder (semantics, until, bounded until, truth) ----------------------------
 
 
 class Encoder:
-    def __init__(self, mdp: Mdp, f_enc: Formula, polarity: str, prune: bool = False):
+    """Declares and constrains each subformula once per point of its domain.
+
+    A point is a tuple of states of the subformula's support components.
+    Guards, action tuples and joint successors range over those
+    components only, and an operand is read at the point's projection
+    onto the operand's support.
+    """
+
+    def __init__(self, mdp: Mdp, meta: EncodingMeta):
         self.mdp = mdp
-        self.f = f_enc
+        self.meta = meta
         self.cs = ConstraintSystem()
-        self.var_index = state_var_index(f_enc)
-        sched_quants = [q for q in f_enc.prefix if isinstance(q, SchedQuant)]
-        self.sched_names = tuple(q.name for q in sched_quants)
-        fam = {name: j for j, name in enumerate(self.sched_names)}
-        self.state_quants = tuple(q for q in f_enc.prefix if isinstance(q, StateQuant))
-        self.fam_of_component = tuple(fam[q.sched] for q in self.state_quants)
-        self.n = len(self.state_quants)
-        if prune and self.n > 0:
-            self.tuples = reachable_tuples(mdp, self.n, _init_tuples(mdp, self.n))
-        else:
-            self.tuples = tuple(itertools.product(mdp.states, repeat=self.n))
-        self.polarity = polarity
+        self.support = meta.supports
+        for node in meta.supports:
+            text = format_body(node) if isinstance(node, BOOL_KINDS) else format_pexpr(node)
+            self.cs.index_of(node, text)
+        self._domains: Dict[Support, Tuple[tuple, ...]] = {}
         self._done = set()
+
+    def domain(self, support: Support) -> Tuple[tuple, ...]:
+        points = self._domains.get(support)
+        if points is None:
+            points = self._domains[support] = projected_domain(self.meta.tuples, support)
+        return points
 
     # naming ---------------------------------------------------------------
 
-    def holds_name(self, r, node) -> str:
-        idx = self.cs.subformula_index[node]
-        return f"h_{_tuple_name(r)}_{idx}"
+    def ref(self, node, outer: Support):
+        """How a point of support ``outer`` names ``node``'s variables:
+        (node index, positions of the node's support within ``outer``)."""
+        return self.cs.subformula_index[node], tuple(outer.index(c) for c in self.support[node])
 
-    def prob_name(self, r, node) -> str:
-        idx = self.cs.subformula_index[node]
-        return f"pr_{_tuple_name(r)}_{idx}"
+    @staticmethod
+    def name(kind: str, ref, p) -> str:
+        idx, positions = ref
+        return symbol(kind, tuple(p[i] for i in positions), idx)
 
-    def toint_name(self, r, node) -> str:
-        idx = self.cs.subformula_index[node]
-        return f"ti_{_tuple_name(r)}_{idx}"
+    def holds(self, ref, p) -> BoolRef:
+        return BoolRef(self.cs.declare(self.name("h", ref, p), "holds"))
 
-    def dist_name(self, r, target_node) -> str:
-        idx = self.cs.subformula_index[target_node]
-        return f"d_{_tuple_name(r)}_{idx}"
-
-    def holds(self, r, node) -> BoolRef:
-        return BoolRef(self.cs.declare(self.holds_name(r, node), "holds"))
+    def declare(self, kind: str, ref, p, var_kind: str) -> Lin:
+        return var(self.cs.declare(self.name(kind, ref, p), var_kind))
 
     # guards -----------------------------------------------------------------
 
-    def action_tuples(self, r):
-        return itertools.product(*(self.mdp.enabled[s] for s in r))
+    def action_tuples(self, p):
+        return itertools.product(*(self.mdp.enabled[s] for s in p))
 
-    def guard(self, r, alpha) -> Term:
+    def guard(self, support: Support, p, alpha) -> AndT:
         atoms = dict.fromkeys(
-            ChoiceIs(self.fam_of_component[i], s, a)
-            for i, (s, a) in enumerate(zip(r, alpha))
+            ChoiceIs(self.meta.fam_of_component[c], s, a)
+            for c, s, a in zip(support, p, alpha)
         )
         return AndT(tuple(atoms))
 
-    def joint_successors(self, r, alpha):
+    def joint_successors(self, p, alpha):
         """Support product with joint probabilities."""
-        rows = [self.mdp.trans[(s, a)] for s, a in zip(r, alpha)]
+        rows = [self.mdp.trans[(s, a)] for s, a in zip(p, alpha)]
         for combo in itertools.product(*rows):
             prob = ONE
-            for _, p in combo:
-                prob *= p
+            for _, q in combo:
+                prob *= q
             yield tuple(t for t, _ in combo), prob
 
     # entry point ---------------------------------------------------------------
 
     def encode(self) -> ConstraintSystem:
         # scheduler choice: every state picks one enabled action, per family
-        for family, _ in enumerate(self.sched_names):
+        for family, _ in enumerate(self.meta.sched_names):
             for s in self.mdp.states:
                 self.cs.choice_domains[(family, s)] = self.mdp.enabled[s]
                 self.cs.add(OrT(tuple(ChoiceIs(family, s, a) for a in self.mdp.enabled[s])))
-        self.encode_semantics(self.f.body)
+        self.encode_semantics(self.meta.encoded.body)
         self.encode_truth()
-        self.cs.meta = EncodingMeta(
-            polarity=self.polarity,
-            original=self.f,  # replaced by encode_main
-            encoded=self.f,
-            sched_names=self.sched_names,
-            state_quants=self.state_quants,
-            fam_of_component=self.fam_of_component,
-            var_index=self.var_index,
-            states=self.mdp.states,
-            tuples=self.tuples,
-            body_index=self.cs.subformula_index[self.f.body],
-        )
+        self.cs.meta = self.meta
         return self.cs
 
     # structural recursion (meaning of the input formula) -------------------------
@@ -241,41 +352,44 @@ class Encoder:
         if node in self._done:
             return
         self._done.add(node)
-        if isinstance(node, (TrueF, Prop, And, NotF, Less)):
-            self.cs.index_of(node, format_body(node))
+        if isinstance(node, BOOL_KINDS):
             self._encode_boolean(node)
         else:
-            self.cs.index_of(node, format_pexpr(node))
             self._encode_prob(node)
 
     def _encode_boolean(self, node):
+        support = self.support[node]
+        own = self.ref(node, support)
+        points = self.domain(support)
         if isinstance(node, TrueF):
-            for r in self.tuples:
-                self.cs.add(self.holds(r, node))
+            for p in points:
+                self.cs.add(self.holds(own, p))
         elif isinstance(node, Prop):
-            component = self.var_index[node.var]
-            for r in self.tuples:
-                if node.name in self.mdp.labels[r[component - 1]]:
-                    self.cs.add(self.holds(r, node))
+            for p in points:
+                if node.name in self.mdp.labels[p[0]]:
+                    self.cs.add(self.holds(own, p))
                 else:
-                    self.cs.add(NotT(self.holds(r, node)))
+                    self.cs.add(NotT(self.holds(own, p)))
         elif isinstance(node, And):
             self.encode_semantics(node.left)
             self.encode_semantics(node.right)
-            for r in self.tuples:
-                h, h1, h2 = self.holds(r, node), self.holds(r, node.left), self.holds(r, node.right)
+            left, right = self.ref(node.left, support), self.ref(node.right, support)
+            for p in points:
+                h, h1, h2 = self.holds(own, p), self.holds(left, p), self.holds(right, p)
                 self.cs.add(OrT((AndT((h, h1, h2)), AndT((NotT(h), OrT((NotT(h1), NotT(h2))))))))
         elif isinstance(node, NotF):
             self.encode_semantics(node.operand)
-            for r in self.tuples:
-                self.cs.add(XorT(self.holds(r, node), self.holds(r, node.operand)))
+            operand = self.ref(node.operand, support)
+            for p in points:
+                self.cs.add(XorT(self.holds(own, p), self.holds(operand, p)))
         elif isinstance(node, Less):
             self.encode_semantics(node.left)
             self.encode_semantics(node.right)
-            for r in self.tuples:
-                h = self.holds(r, node)
-                p1 = var(self.prob_name(r, node.left))
-                p2 = var(self.prob_name(r, node.right))
+            left, right = self.ref(node.left, support), self.ref(node.right, support)
+            for p in points:
+                h = self.holds(own, p)
+                p1 = var(self.name("pr", left, p))
+                p2 = var(self.name("pr", right, p))
                 self.cs.add(OrT((
                     AndT((h, Cmp("<", p1, p2))),
                     AndT((NotT(h), Cmp(">=", p1, p2))),
@@ -283,163 +397,162 @@ class Encoder:
         else:
             raise AssertionError(node)
 
-    def _prob_var(self, r, node, kind: str) -> Lin:
-        return var(self.cs.declare(self.prob_name(r, node), kind))
-
     def _encode_prob(self, node):
+        support = self.support[node]
+        own = self.ref(node, support)
         if isinstance(node, Const):
-            for r in self.tuples:
-                self.cs.add(eq(self._prob_var(r, node, "value"), const(node.value)))
+            for p in self.domain(support):
+                self.cs.add(eq(self.declare("pr", own, p, "value"), const(node.value)))
         elif isinstance(node, Arith):
             self.encode_semantics(node.left)
             self.encode_semantics(node.right)
-            for r in self.tuples:
-                out = self._prob_var(r, node, "value")
-                left = var(self.prob_name(r, node.left))
-                right = var(self.prob_name(r, node.right))
-                if node.op == "+":
-                    self.cs.add(eq(out, Lin(ZERO, left.terms + right.terms)))
-                elif node.op == "-":
-                    negated = tuple((-c, name) for c, name in right.terms)
-                    self.cs.add(eq(out, Lin(ZERO, left.terms + negated)))
+            left, right = self.ref(node.left, support), self.ref(node.right, support)
+            for p in self.domain(support):
+                out = self.declare("pr", own, p, "value")
+                p1, p2 = self.name("pr", left, p), self.name("pr", right, p)
+                if node.op == "*":
+                    self._encode_product(node, out, p1, p2)
                 else:
-                    self._encode_product(r, node, out)
-        elif isinstance(node, ProbOf):
-            path = node.path
-            if isinstance(path, Next):
-                self.encode_next(node)
-            elif isinstance(path, Until):
-                self.encode_unbounded_until(node)
-            else:
-                self.encode_bounded_until(node)
+                    sign = ONE if node.op == "+" else -ONE
+                    self.cs.add(eq(out, Lin(ZERO, ((ONE, p1), (sign, p2)))))
+        elif isinstance(node.path, Next):
+            self.encode_next(node)
+        elif isinstance(node.path, Until):
+            self.encode_unbounded_until(node)
         else:
-            raise AssertionError(node)
+            self.encode_bounded_until(node)
 
-    def _encode_product(self, r, node, out: Lin):
+    def _encode_product(self, node, out: Lin, left: str, right: str):
         # constant factors stay linear; variable*variable escalates the logic
         if isinstance(node.left, Const):
-            scaled = tuple((node.left.value * c, name) for c, name in var(self.prob_name(r, node.right)).terms)
-            self.cs.add(eq(out, Lin(ZERO, scaled)))
+            self.cs.add(eq(out, Lin(ZERO, ((node.left.value, right),))))
         elif isinstance(node.right, Const):
-            scaled = tuple((node.right.value * c, name) for c, name in var(self.prob_name(r, node.left)).terms)
-            self.cs.add(eq(out, Lin(ZERO, scaled)))
+            self.cs.add(eq(out, Lin(ZERO, ((node.right.value, left),))))
         else:
-            self.cs.add(MulEq(out.terms[0][1], self.prob_name(r, node.left), self.prob_name(r, node.right)))
+            self.cs.add(MulEq(out.terms[0][1], left, right))
 
     def encode_next(self, node):
         operand = node.path.operand
         self.encode_semantics(operand)
-        for r in self.tuples:
-            ti = var(self.cs.declare(self.toint_name(r, operand), "toint"))
-            h = self.holds(r, operand)
+        support = self.support[node]
+        own, op = self.ref(node, support), self.ref(operand, support)
+        points = self.domain(support)
+        for p in points:
+            ti = self.declare("ti", op, p, "toint")
+            h = self.holds(op, p)
             self.cs.add(OrT((
                 AndT((eq(ti, const(1)), h)),
                 AndT((eq(ti, const(0)), NotT(h))),
             )))
-        for r in self.tuples:
-            pr = self._prob_var(r, node, "prob")
-            for alpha in self.action_tuples(r):
+        for p in points:
+            pr = self.declare("pr", own, p, "prob")
+            for alpha in self.action_tuples(p):
                 terms = tuple(
-                    (p, self.cs.declare(self.toint_name(rp, operand), "toint"))
-                    for rp, p in self.joint_successors(r, alpha)
+                    (q, self.name("ti", op, succ)) for succ, q in self.joint_successors(p, alpha)
                 )
-                self.cs.add(ImpliesT(self.guard(r, alpha), eq(pr, Lin(ZERO, terms))))
+                self.cs.add(ImpliesT(self.guard(support, p, alpha), eq(pr, Lin(ZERO, terms))))
 
     def encode_unbounded_until(self, node):
         phi1, phi2 = node.path.left, node.path.right
         self.encode_semantics(phi1)
         self.encode_semantics(phi2)
-        for r in self.tuples:
-            pr = self._prob_var(r, node, "prob")
-            h1, h2 = self.holds(r, phi1), self.holds(r, phi2)
+        support = self.support[node]
+        own = self.ref(node, support)
+        left, right = self.ref(phi1, support), self.ref(phi2, support)
+        points = self.domain(support)
+        for p in points:
+            pr = self.declare("pr", own, p, "prob")
+            h1, h2 = self.holds(left, p), self.holds(right, p)
             self.cs.add(ImpliesT(h2, eq(pr, const(1))))
             self.cs.add(ImpliesT(AndT((NotT(h1), NotT(h2))), eq(pr, const(0))))
-            self.cs.declare(self.dist_name(r, phi2), "dist")
-        for r in self.tuples:
-            pr = var(self.prob_name(r, node))
-            h1, h2 = self.holds(r, phi1), self.holds(r, phi2)
-            d_r = var(self.dist_name(r, phi2))
-            for alpha in self.action_tuples(r):
-                succs = list(self.joint_successors(r, alpha))
-                step = Lin(ZERO, tuple((p, self.prob_name(rp, node)) for rp, p in succs))
+            self.declare("d", own, p, "dist")
+        for p in points:
+            pr = var(self.name("pr", own, p))
+            h1, h2 = self.holds(left, p), self.holds(right, p)
+            d_p = var(self.name("d", own, p))
+            for alpha in self.action_tuples(p):
+                succs = list(self.joint_successors(p, alpha))
+                step = Lin(ZERO, tuple((q, self.name("pr", own, succ)) for succ, q in succs))
                 # least fixed point: positive probability needs a successor
                 # that is a target or strictly closer to one
                 progress = OrT(tuple(
-                    OrT((self.holds(rp, phi2), Cmp(">", d_r, var(self.dist_name(rp, phi2)))))
-                    for rp, _ in succs
+                    OrT((self.holds(right, succ), Cmp(">", d_p, var(self.name("d", own, succ)))))
+                    for succ, _ in succs
                 ))
                 self.cs.add(ImpliesT(
-                    AndT((h1, NotT(h2)) + self.guard(r, alpha).items),
+                    AndT((h1, NotT(h2)) + self.guard(support, p, alpha).items),
                     AndT((eq(pr, step), ImpliesT(Cmp(">", pr, const(0)), progress))),
                 ))
 
     def encode_bounded_until(self, node):
+        """The window chain down to [0,0], built in a loop and encoded
+        innermost first; a window already encoded ends the chain."""
+        chain = [node]
+        for window in reduced_windows(node):
+            if window in self._done:
+                break
+            self._done.add(window)
+            chain.append(window)
+        self.encode_semantics(node.path.left)
+        self.encode_semantics(node.path.right)
+        for window in reversed(chain):
+            self._encode_window(window)
+
+    def _encode_window(self, node):
         path = node.path
-        k1, k2 = path.k1, path.k2
-        phi1, phi2 = path.left, path.right
-        if k2 == 0:
-            self.encode_semantics(phi1)
-            self.encode_semantics(phi2)
-            for r in self.tuples:
-                pr = self._prob_var(r, node, "prob")
-                h2 = self.holds(r, phi2)
+        support = self.support[node]
+        own = self.ref(node, support)
+        left, right = self.ref(path.left, support), self.ref(path.right, support)
+        if path.k2 == 0:
+            for p in self.domain(support):
+                pr = self.declare("pr", own, p, "prob")
+                h2 = self.holds(right, p)
                 self.cs.add(ImpliesT(h2, eq(pr, const(1))))
                 self.cs.add(ImpliesT(NotT(h2), eq(pr, const(0))))
             return
-        if k1 == 0:
-            child = ProbOf(BoundedUntil(phi1, phi2, 0, k2 - 1))
-            self.encode_semantics(child)
-            for r in self.tuples:
-                pr = self._prob_var(r, node, "prob")
-                h1, h2 = self.holds(r, phi1), self.holds(r, phi2)
+        child = self.ref(next(reduced_windows(node)), support)
+        for p in self.domain(support):
+            pr = self.declare("pr", own, p, "prob")
+            h1 = self.holds(left, p)
+            if path.k1 == 0:
+                # windowed step: a target now counts
+                h2 = self.holds(right, p)
                 self.cs.add(ImpliesT(h2, eq(pr, const(1))))
                 self.cs.add(ImpliesT(AndT((NotT(h1), NotT(h2))), eq(pr, const(0))))
-                for alpha in self.action_tuples(r):
-                    step = Lin(ZERO, tuple(
-                        (p, self.prob_name(rp, child)) for rp, p in self.joint_successors(r, alpha)
-                    ))
-                    self.cs.add(ImpliesT(
-                        AndT((h1, NotT(h2)) + self.guard(r, alpha).items),
-                        eq(var(self.prob_name(r, node)), step),
-                    ))
-            return
-        child = ProbOf(BoundedUntil(phi1, phi2, k1 - 1, k2 - 1))
-        self.encode_semantics(child)
-        for r in self.tuples:
-            pr = self._prob_var(r, node, "prob")
-            h1 = self.holds(r, phi1)
-            self.cs.add(ImpliesT(NotT(h1), eq(pr, const(0))))
-            for alpha in self.action_tuples(r):
+                active = (h1, NotT(h2))
+            else:
+                self.cs.add(ImpliesT(NotT(h1), eq(pr, const(0))))
+                active = (h1,)
+            for alpha in self.action_tuples(p):
                 step = Lin(ZERO, tuple(
-                    (p, self.prob_name(rp, child)) for rp, p in self.joint_successors(r, alpha)
+                    (q, self.name("pr", child, succ)) for succ, q in self.joint_successors(p, alpha)
                 ))
-                self.cs.add(ImpliesT(
-                    AndT((h1,) + self.guard(r, alpha).items),
-                    eq(var(self.prob_name(r, node)), step),
-                ))
+                self.cs.add(ImpliesT(AndT(active + self.guard(support, p, alpha).items), eq(pr, step)))
 
     # truth of the input formula -------------------------------------------------
 
     def encode_truth(self):
-        body = self.f.body
-        if self.n == 0:
-            term = self.holds((), body)
+        body = self.meta.encoded.body
+        n = len(self.meta.state_quants)
+        body_ref = self.ref(body, tuple(range(n)))
+        if n == 0:
+            term = self.holds(body_ref, ())
         else:
-            term = self._truth_level(0, list(self.tuples))
+            term = self._truth_level(0, list(self.meta.tuples), body_ref)
         self.cs.truth = term
         self.cs.add(term)
 
-    def _truth_level(self, depth: int, tuples: List[tuple]) -> Term:
-        if depth == self.n:
+    def _truth_level(self, depth: int, tuples: List[tuple], body_ref) -> Term:
+        if depth == len(self.meta.state_quants):
             assert len(tuples) == 1
-            return self.holds(tuples[0], self.f.body)
+            return self.holds(body_ref, tuples[0])
         groups = {}
         for r in tuples:
             groups.setdefault(r[depth], []).append(r)
-        items = tuple(self._truth_level(depth + 1, group) for _, group in sorted(
+        items = tuple(self._truth_level(depth + 1, group, body_ref) for _, group in sorted(
             groups.items(), key=lambda kv: self.mdp.states.index(kv[0])
         ))
-        if self.state_quants[depth].exists:
+        if self.meta.state_quants[depth].exists:
             return OrT(items)
         return AndT(items)
 
@@ -447,34 +560,8 @@ class Encoder:
 def encode_main(mdp: Mdp, f: Formula, prune: bool = False) -> Tuple[ConstraintSystem, str]:
     """Build the full constraint system; polarity says whether the verdict
     must be inverted (universal scheduler block)."""
-    f_enc, polarity = transform_for_encoding(f)
-    encoder = Encoder(mdp, f_enc, polarity, prune=prune)
-    cs = encoder.encode()
-    cs.meta.original = f
-    return cs, polarity
-
-
-# -- variable naming shared by encoder, eager solver and decoder -------------------
-
-
-def holds_sym(r, idx: int) -> str:
-    return f"h_{_tuple_name(r)}_{idx}"
-
-
-def prob_sym(r, idx: int) -> str:
-    return f"pr_{_tuple_name(r)}_{idx}"
-
-
-def toint_sym(r, idx: int) -> str:
-    return f"ti_{_tuple_name(r)}_{idx}"
-
-
-def dist_sym(r, idx: int) -> str:
-    return f"d_{_tuple_name(r)}_{idx}"
-
-
-def choice_sym(family: int, state: str, action: str) -> str:
-    return f"ch_{family}_{state}_{action}"
+    meta = plan_encoding(mdp, f, prune=prune)
+    return Encoder(mdp, meta).encode(), meta.polarity
 
 
 # -- vectorized evaluation under a fixed scheduler choice ---------------------------
@@ -549,6 +636,17 @@ class VectorEvaluator:
             self.d, self.holds(path.left), self.holds(path.right), path.k1, path.k2
         )
 
+    def windows(self, node):
+        """Fill in the vectors of a bounded until and of all its reduced-bound
+        windows from one iteration (the encoding declares every window)."""
+        if node in self._values:
+            return
+        path = node.path
+        for (k1, k2), vec in analysis.bounded_until_windows(
+            self.d, self.holds(path.left), self.holds(path.right), path.k1, path.k2
+        ):
+            self._values.setdefault(ProbOf(BoundedUntil(path.left, path.right, k1, k2)), vec)
+
     def distances(self, phi2_node) -> dict:
         """BFS distance (in induced steps) to the nearest phi2 state;
         unreachable composed states get |states| (any value works there:
@@ -577,7 +675,6 @@ class VectorEvaluator:
 
 def _restrict(composed: Dtmc, tuples: Sequence) -> Dtmc:
     keep = tuple(tuples)
-    keepset = set(keep)
     return Dtmc(
         states=keep,
         trans={r: composed.trans[r] for r in keep},
@@ -654,26 +751,9 @@ def solve_eager(
     the model, independent of the degree of parallelism.
     """
     validate_inputs(mdp, f, max_sched_vars, max_state_vars)
-    f_enc, polarity = transform_for_encoding(f)
-    sched_names = tuple(q.name for q in f_enc.prefix if isinstance(q, SchedQuant))
-    state_quants = tuple(q for q in f_enc.prefix if isinstance(q, StateQuant))
-    n = len(state_quants)
-    if prune and n > 0:
-        tuples = reachable_tuples(mdp, n, _init_tuples(mdp, n))
-    else:
-        tuples = tuple(itertools.product(mdp.states, repeat=n)) if n else ((),)
-    meta = EncodingMeta(
-        polarity=polarity,
-        original=f,
-        encoded=f_enc,
-        sched_names=sched_names,
-        state_quants=state_quants,
-        fam_of_component=tuple(sched_names.index(q.sched) for q in state_quants),
-        var_index=state_var_index(f_enc),
-        states=mdp.states,
-        tuples=tuples,
-        body_index=0,
-    )
+    meta = plan_encoding(mdp, f, prune=prune)
+    f_enc, polarity, sched_names = meta.encoded, meta.polarity, meta.sched_names
+    n = len(meta.state_quants)
     cs = _light_system(mdp, meta)
 
     assignments = list(enumerate_schedulers(mdp)) if sched_names else []
@@ -683,10 +763,10 @@ def solve_eager(
         chosen = dict(zip(sched_names, combo))
         composed, var_index = build_composition(mdp, f_enc, chosen)
         if prune and n > 0:
-            composed = _restrict(composed, tuples)
+            composed = _restrict(composed, meta.tuples)
         ve = VectorEvaluator(composed, var_index)
         body_vec = ve.holds(f_enc.body)
-        truth, _picks = truth_eval(state_quants, mdp.states, composed.states if n else ((),), body_vec.__getitem__)
+        truth, _picks = truth_eval(meta.state_quants, mdp.states, composed.states if n else ((),), body_vec.__getitem__)
         return truth, body_vec
 
     hit = None
@@ -719,8 +799,9 @@ def solve_eager(
         for s in mdp.states:
             for a in mdp.enabled[s]:
                 model[choice_sym(family, s, a)] = (combo[family].choice(s) == a)
+    body_support = meta.supports[f_enc.body]
     for r in meta.tuples:
-        model[holds_sym(r, meta.body_index)] = body_vec[r]
+        model[holds_sym(project(r, body_support), meta.body_index)] = body_vec[r]
     decoded = decode_witness(cs, model, f)
     return SmtVerdict(sat=True, polarity=polarity, model=model, decoded=decoded)
 
@@ -745,8 +826,10 @@ def decode_witness(cs: ConstraintSystem, model: dict, f: Formula) -> Verdict:
             actions=tuple(choices[(family, s)] for s in meta.states),
         )
 
+    body_support = meta.supports[meta.encoded.body]
+
     def body_holds(r):
-        key = holds_sym(r, meta.body_index)
+        key = holds_sym(project(r, body_support), meta.body_index)
         if key not in model:
             raise IncompleteModel(f"missing truth value {key}")
         return bool(model[key])
@@ -760,36 +843,41 @@ def decode_witness(cs: ConstraintSystem, model: dict, f: Formula) -> Verdict:
 def full_assignment(cs: ConstraintSystem, mdp: Mdp, chosen: Dict[str, SchedulerAssignment]):
     """Complete variable assignment induced by a choice of schedulers.
 
-    Recomputes every encoded subformula's vectors via the analysis module;
+    Recomputes every encoded subformula's vectors on the composition via
+    the analysis module and writes each value under its projected name;
     used to cross-check that the emitted constraints are satisfied by the
-    exact semantics (soundness of the encoding).
+    exact semantics (soundness of the encoding).  Raises AssertionError
+    if two composed tuples with the same projection give one variable
+    different values, so every run also checks the projection.
     """
     meta: EncodingMeta = cs.meta
     composed, var_index = build_composition(mdp, meta.encoded, chosen)
     if len(composed.states) != len(meta.tuples):
         composed = _restrict(composed, meta.tuples)
     ve = VectorEvaluator(composed, var_index)
-    values: Dict[str, Fraction] = {}
-    bool_kinds = (TrueF, Prop, And, NotF, Less)
+    values: Dict[str, object] = {}
+
+    def put(sym, idx, support, vec, convert=None):
+        for r in meta.tuples:
+            value = vec[r] if convert is None else convert(vec[r])
+            name = sym(project(r, support), idx)
+            if values.setdefault(name, value) != value:
+                raise AssertionError(f"{name} depends on components outside its support")
+
     for node, idx in cs.subformula_index.items():
-        if isinstance(node, bool_kinds):
-            vec = ve.holds(node)
-            for r in meta.tuples:
-                values[holds_sym(r, idx)] = vec[r]
-        else:
-            vec = ve.value(node)
-            for r in meta.tuples:
-                values[prob_sym(r, idx)] = vec[r]
+        support = meta.supports[node]
+        if isinstance(node, BOOL_KINDS):
+            put(holds_sym, idx, support, ve.holds(node))
+            continue
+        if isinstance(node, ProbOf) and isinstance(node.path, BoundedUntil):
+            ve.windows(node)
+        put(prob_sym, idx, support, ve.value(node))
         if isinstance(node, ProbOf) and isinstance(node.path, Next):
-            operand_idx = cs.subformula_index[node.path.operand]
-            op_vec = ve.holds(node.path.operand)
-            for r in meta.tuples:
-                values[toint_sym(r, operand_idx)] = ONE if op_vec[r] else ZERO
+            operand = node.path.operand
+            put(toint_sym, cs.subformula_index[operand], support, ve.holds(operand),
+                lambda h: ONE if h else ZERO)
         if isinstance(node, ProbOf) and isinstance(node.path, Until):
-            phi2_idx = cs.subformula_index[node.path.right]
-            dist = ve.distances(node.path.right)
-            for r in meta.tuples:
-                values[dist_sym(r, phi2_idx)] = Fraction(dist[r])
+            put(dist_sym, idx, support, ve.distances(node.path.right), Fraction)
     choices = {}
     for (family, state), _ in cs.choice_domains.items():
         choices[(family, state)] = chosen[meta.sched_names[family]].choice(state)
@@ -877,10 +965,11 @@ def run_external_solver(solver_path: str, smt_text: str, timeout: float = 600.0)
     return "sat", parse_solver_model(output)
 
 
-def check_external(mdp: Mdp, f: Formula, solver_path: str, prune: bool = False) -> SmtVerdict:
-    """Encode, hand to an external QF_LRA solver, decode its model."""
-    cs, polarity = encode_main(mdp, f, prune=prune)
-    answer, model = run_external_solver(solver_path, emit_smtlib2(cs))
+def check_external(cs: ConstraintSystem, smt_text: str, solver_path: str) -> SmtVerdict:
+    """Hand an encoded system (``encode_main``) and its SMT-LIB2 text to an
+    external QF_LRA solver, decode its model."""
+    f, polarity = cs.meta.original, cs.meta.polarity
+    answer, model = run_external_solver(solver_path, smt_text)
     if answer == "unknown":
         raise IncompleteModel("external solver returned neither sat nor unsat")
     if answer == "unsat":

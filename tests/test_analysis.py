@@ -7,6 +7,7 @@ import pytest
 from hypermdp import analysis
 from hypermdp.analysis import (
     bounded_until_probs,
+    bounded_until_windows,
     next_probs,
     qualitative_sets,
     until_probs,
@@ -313,6 +314,46 @@ class TestBounded:
     def test_bound_error(self, half):
         with pytest.raises(BoundError):
             bounded_until_probs(half, true_pred(half), pred(half, "a"), 2, 1)
+        with pytest.raises(BoundError):
+            list(bounded_until_windows(half, true_pred(half), pred(half, "a"), 2, 1))
+
+
+class TestBoundedWindows:
+    """One iteration yields every reduced-bound window of a bounded until."""
+
+    @pytest.mark.parametrize("k1, k2, expected", [
+        (2, 3, [(0, 0), (0, 1), (1, 2), (2, 3)]),
+        (0, 20, [(0, j) for j in range(21)]),
+    ])
+    def test_each_window_equals_its_own_solve(self, k1, k2, expected):
+        rng = random.Random(14)
+        for _ in range(10):
+            mdp = random_mdp(rng)
+            for sched in enumerate_schedulers(mdp):
+                d = induce_dtmc(mdp, sched)
+                phi1, phi2 = pred(d, "a"), pred(d, "b")
+                windows = list(bounded_until_windows(d, phi1, phi2, k1, k2))
+                assert [w for w, _ in windows] == expected
+                for (w1, w2), vec in windows:
+                    assert vec == bounded_until_probs(d, phi1, phi2, w1, w2)
+
+    def test_deep_bound_every_window(self):
+        # s0 first moves to the a-state s1 at step j with probability (1/2)^j
+        d = chain(parse_mdp("states: s0 s1 s2\n"
+                            "labels: s1: a\n"
+                            "action s0 tau: s0 1/2, s1 1/2\n"
+                            "action s1 tau: s2 1\n"
+                            "action s2 tau: s2 1\n"),
+                  s0="tau", s1="tau", s2="tau")
+        phi1, phi2 = true_pred(d), pred(d, "a")
+        windows = list(bounded_until_windows(d, phi1, phi2, 0, 3000))
+        assert [w for w, _ in windows] == [(0, j) for j in range(3001)]
+        for (_, j), vec in windows:
+            assert vec == {"s0": ONE - Fraction(1, 2) ** j, "s1": ONE, "s2": ZERO}
+        # each window from its own iteration too, on a spread of windows
+        # (all 3,001 would be quadratic)
+        for (w1, w2), vec in windows[::250] + windows[-2:]:
+            assert vec == bounded_until_probs(d, phi1, phi2, w1, w2)
 
 
 class TestNext:

@@ -10,13 +10,14 @@ from fractions import Fraction
 
 import pytest
 
-from hypermdp import cli, smt
+from hypermdp import cases, cli, smt
 from hypermdp.cli import main
+from hypermdp.constraints import emit_smtlib2, evaluate_system
 from hypermdp.enumcheck import check
 from hypermdp.errors import IncompleteModel
 from hypermdp.formula import parse_formula
-from hypermdp.model import parse_mdp
-from hypermdp.smt import solve_eager
+from hypermdp.model import enumerate_schedulers, parse_mdp
+from hypermdp.smt import encode_main, full_assignment, solve_eager
 from .conftest import M_COIN_TEXT
 
 REACH_ONE = "exists sched s. exists st x(s). init(x) & P(F a(x)) = 1"
@@ -154,6 +155,61 @@ class TestDeepBound:
             assert "verdict: true" in out
 
 
+    def test_encode_exits_zero_and_satisfies_the_oracle(self, tmp_path):
+        path = tmp_path / "deep.mdpx"
+        path.write_text(self.MODEL)
+        out_path = tmp_path / "deep.smt2"
+        text = (f"exists sched s. exists st x(s). init(x) & "
+                f"P(F<=3000 a(x)) = {self.EXACT.numerator}/{self.EXACT.denominator}")
+        code, out = run_cli("encode", str(path), "--formula", text, "--emit", str(out_path))
+        assert code == 0
+        mdp = parse_mdp(self.MODEL)
+        cs, _ = encode_main(mdp, parse_formula(text))
+        assert out_path.read_text() == emit_smtlib2(cs)
+        only = next(enumerate_schedulers(mdp))
+        values, choices = full_assignment(cs, mdp, {"s": only})
+        assert evaluate_system(cs, values, choices)
+
+
+class TestEncodingReport:
+    """``check --json`` reports the variables the encoder really declares."""
+
+    @pytest.mark.parametrize("prune", [False, True])
+    @pytest.mark.parametrize("formula", [
+        REACH_ONE,
+        "exists sched s. exists st x(s). exists st y(s). P(X a(x)) < 1/2 & P(F a(y)) > 0",
+        "forall sched s. forall st x(s). P(F<=3 a(x)) >= P(true U[1,2] a(x)) * 1/2",
+    ])
+    def test_coin_count_matches_encoder(self, m_coin, formula, prune):
+        f = parse_formula(formula)
+        expected = encode_main(m_coin, f, prune=prune)[0].variable_count()
+        assert cli.encoding_variable_count(m_coin, f, prune=prune) == expected
+
+    @pytest.mark.parametrize("prune", [False, True])
+    def test_ta_m2_count_matches_encoder(self, prune):
+        spec = cases.generate("ta", m=2)
+        f = parse_formula(spec.formula_text)
+        expected = encode_main(spec.mdp, f, prune=prune)[0].variable_count()
+        assert cli.encoding_variable_count(spec.mdp, f, prune=prune) == expected
+
+    def test_json_reports_pruned_count(self, tmp_path):
+        # s2 is unreachable from the init state, so pruning drops it
+        text = ("states: s0 s1 s2\n"
+                "labels: s0: init; s1: a\n"
+                "action s0 go: s1 1\n"
+                "action s1 go: s1 1\n"
+                "action s2 go: s2 1\n")
+        path = tmp_path / "pruned.mdpx"
+        path.write_text(text)
+        f = "exists sched s. forall st x(s). init(x) -> P(F a(x)) = 1"
+        full, pruned = (encode_main(parse_mdp(text), parse_formula(f), prune=prune)[0].variable_count()
+                        for prune in (False, True))
+        assert pruned < full
+        code, out = run_cli("check", str(path), "--formula", f, "--json", "--prune")
+        assert code == 0
+        assert json.loads(out)["encoding"]["variables"] == pruned
+
+
 class TestEncode:
     def test_writes_file_and_prints_counts(self, coin_path, tmp_path):
         out_path = tmp_path / "coin.smt2"
@@ -280,6 +336,23 @@ class TestExternalSolver:
                           "--engine", "smt-external", "--solver", solver)
         assert code == 2
         assert list(private_tmp.iterdir()) == []
+
+    def test_emit_encodes_once(self, coin_path, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return encode_main(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "encode_main", counting)
+        monkeypatch.setattr(smt, "encode_main", counting)
+        solver = self._write_fake_solver(tmp_path, "unsat\n")
+        out_path = tmp_path / "out.smt2"
+        code, _ = run_cli("check", coin_path, "--formula", REACH_HALF, "--engine", "smt-external",
+                          "--solver", solver, "--emit", str(out_path))
+        assert code == 1
+        assert len(calls) == 1
+        assert out_path.read_text() == emit_smtlib2(encode_main(*calls[0])[0])
 
     def test_unsat_response(self, coin_path, tmp_path):
         solver = self._write_fake_solver(tmp_path, "unsat\n")

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypermdp.constraints import (
     AndT,
@@ -19,7 +20,7 @@ from hypermdp.constraints import (
 )
 from hypermdp.enumcheck import check
 from hypermdp.errors import IncompleteModel, MixedSchedulerBlock
-from hypermdp.formula import BoundedUntil, ProbOf, parse_formula
+from hypermdp.formula import BoundedUntil, Formula, ProbOf, SchedQuant, StateQuant, parse_formula
 from hypermdp.model import SchedulerAssignment, enumerate_schedulers, parse_mdp
 from hypermdp.smt import (
     decode_witness,
@@ -30,7 +31,7 @@ from hypermdp.smt import (
     solve_eager,
     transform_for_encoding,
 )
-from .helpers import random_mdp
+from .helpers import random_body, random_mdp
 
 REACH_ONE = "exists sched s. exists st x(s). init(x) & P(F a(x)) = 1"
 REACH_HALF = "exists sched s. exists st x(s). init(x) & P(F a(x)) = 1/2"
@@ -87,7 +88,9 @@ class TestEncodeSemantics:
             if isinstance(t, Cmp) and t.op == "=" and t.left.terms
             and t.left.terms[0][1].startswith("pr_") and t.left.terms[0][1].endswith(f"_{const_idx}")
         ]
-        assert len(pins) == 9  # |S|^2 tuples
+        # a constant has the empty support: one variable, pinned once
+        # for all |S|^2 tuples
+        assert len(pins) == 1
 
     def test_next_guard_sums_match_hand_expansion(self, m_coin):
         f = parse_formula("exists sched s. exists st x(s). P(X a(x)) < 1")
@@ -411,6 +414,78 @@ class TestPrune:
         assert solve_eager(mdp, f).decoded.truth is True
 
 
+COUPLED = (
+    "exists sched s. exists st x(s). exists st y(s). P(F (a(x) & b(y))) > 0",
+    "forall sched s1. forall sched s2. forall st x(s1). forall st y(s2). "
+    "P(F (a(x) & b(y))) = P(F a(x)) * P(F b(y))",
+    "exists sched s1. exists sched s2. exists st x(s1). forall st y(s2). "
+    "P(X a(x)) <= P(b(x) U[1,2] (a(y) & !init(x)))",
+)
+
+
+def _two_variable_formula(rng):
+    exists = rng.random() < 0.5
+    families = ("s1", "s2") if rng.random() < 0.5 else ("s1",)
+    prefix = tuple(SchedQuant(exists, name) for name in families)
+    prefix += (StateQuant(rng.random() < 0.5, "x", "s1"),
+               StateQuant(rng.random() < 0.5, "y", families[-1]))
+    return Formula(prefix=prefix, body=random_body(rng, ("x", "y")))
+
+
+def _random_scheduler(rng, mdp):
+    return SchedulerAssignment(mdp.states, tuple(rng.choice(mdp.enabled[s]) for s in mdp.states))
+
+
+class TestProjection:
+    """Each subformula is encoded over the components it mentions."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), coupled=st.sampled_from((None,) + COUPLED),
+           prune=st.booleans())
+    def test_semantics_satisfies_projected_system(self, seed, coupled, prune):
+        rng = random.Random(seed)
+        mdp = random_mdp(rng, max_states=3)
+        f = _two_variable_formula(rng) if coupled is None else parse_formula(coupled)
+        cs, _ = encode_main(mdp, f, prune=prune)
+        # full_assignment itself raises if a projected variable would need
+        # different values at tuples with the same projection
+        result = solve_eager(mdp, f, prune=prune)
+        if result.sat:
+            values, choices = full_assignment(cs, mdp, _sched_map(result, cs))
+            assert evaluate_system(cs, values, choices)
+        for _ in range(3):
+            chosen = {name: _random_scheduler(rng, mdp) for name in cs.meta.sched_names}
+            values, choices = full_assignment(cs, mdp, chosen)
+            for term in cs.constraints:
+                if term is not cs.truth:
+                    assert evaluate_term(term, values, choices)
+
+    @pytest.mark.parametrize("text", [
+        "exists sched s. exists st x(s). exists st y(s). init(y) & P(F a(x)) > 0",
+        "exists sched s. exists st x(s). exists st y(s). exists st z(s). "
+        "init(y) & !a(z) & P(F a(x)) > 0",
+    ])
+    def test_one_variable_until_declares_one_variable_per_state(self, m_coin, text):
+        cs, _ = encode_main(m_coin, parse_formula(text))
+        until_idx = cs.subformula_text.index("P(true U a(x))")
+        for kind in ("prob", "dist"):
+            declared = [name for name, k in cs.variables.items()
+                        if k == kind and name.endswith(f"_{until_idx}")]
+            assert len(declared) == len(m_coin.states), kind
+
+    def test_tampering_one_projected_until_variable_breaks_the_system(self, m_coin):
+        f = parse_formula("exists sched s. exists st x(s). exists st y(s). P(F a(y)) = 1")
+        cs, _ = encode_main(m_coin, f)
+        alpha = SchedulerAssignment(m_coin.states, ("alpha", "tau", "tau"))
+        values, choices = full_assignment(cs, m_coin, {"s": alpha})
+        assert evaluate_system(cs, values, choices)
+        until_idx = cs.subformula_text.index("P(true U a(y))")
+        assert values[prob_sym(("s0",), until_idx)] == 1
+        tampered = dict(values)
+        tampered[prob_sym(("s0",), until_idx)] = Fraction(1, 2)
+        assert not evaluate_system(cs, tampered, choices)
+
+
 class TestEmit:
     def test_empty_system(self):
         cs = ConstraintSystem()
@@ -463,4 +538,4 @@ class TestEmit:
         )
         text = emit_smtlib2(encode_main(die, f)[0])
         digest = hashlib.sha256(text.encode()).hexdigest()
-        assert digest == "c248430ce18245fee031cda1554d1b28c7f6ca8e58f80832f19daafeb695d912"
+        assert digest == "d2b0b2fe393119af35c349bec4c3c98808d35c48265ae7f4036ff4a58b296c7f"
