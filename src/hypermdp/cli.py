@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -16,7 +17,7 @@ from typing import Optional
 
 from . import cases
 from .constraints import emit_smtlib2
-from .enumcheck import Verdict, check
+from .enumcheck import Verdict, check, validate_inputs
 from .errors import HyperMdpError, MixedSchedulerBlock
 from .formula import (
     Formula,
@@ -27,6 +28,7 @@ from .formula import (
     count_quantifiers,
     parse_formula,
     state_var_index,
+    subformula_supports,
 )
 from .model import Mdp, load_mdp
 from .smt import (
@@ -35,7 +37,6 @@ from .smt import (
     plan_encoding,
     projected_domain,
     solve_eager,
-    subformula_supports,
     transform_for_encoding,
 )
 
@@ -186,6 +187,7 @@ def cmd_check(args, out) -> int:
 def cmd_encode(args, out) -> int:
     mdp = load_mdp(args.model)
     f = _load_formula(args)
+    validate_inputs(mdp, f, math.inf, math.inf)  # encoding has no quantifier caps
     cs, polarity = encode_main(mdp, f, prune=args.prune)
     text = emit_smtlib2(cs)
     with open(args.emit, "w", encoding="utf-8") as fh:
@@ -264,8 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--max-sched-vars", type=int, default=3)
     p_check.add_argument("--max-state-vars", type=int, default=3)
     p_check.add_argument("--jobs", type=int, default=1,
-                         help="threads for scheduler-branch evaluation (smt-eager); "
-                              "the work holds the interpreter lock, so 1 is fastest")
+                         help="accepted and ignored: evaluation runs on one thread")
     p_check.add_argument("--seed", type=int, help="reserved; no randomness on the verdict path")
 
     p_encode = sub.add_parser("encode", help="emit the SMT-LIB2 encoding")

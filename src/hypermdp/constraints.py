@@ -195,7 +195,7 @@ def evaluate_system(cs: ConstraintSystem, values, choices) -> bool:
 # -- SMT-LIB2 emission ----------------------------------------------------------
 
 
-def _choice_symbol(family: int, state: str, action: str) -> str:
+def choice_sym(family: int, state: str, action: str) -> str:
     return f"ch_{family}_{state}_{action}"
 
 
@@ -225,7 +225,7 @@ def term_sexpr(term: Term) -> str:
     if isinstance(term, BoolRef):
         return term.name
     if isinstance(term, ChoiceIs):
-        return _choice_symbol(term.family, term.state, term.action)
+        return choice_sym(term.family, term.state, term.action)
     if isinstance(term, Cmp):
         return f"({term.op} {_lin_sexpr(term.left)} {_lin_sexpr(term.right)})"
     if isinstance(term, MulEq):
@@ -282,13 +282,13 @@ def emit_smtlib2(cs: ConstraintSystem) -> str:
 
     for (family, state), actions in cs.choice_domains.items():
         for action in actions:
-            lines.append(f"(declare-const {_choice_symbol(family, state, action)} Bool)")
+            lines.append(f"(declare-const {choice_sym(family, state, action)} Bool)")
         for i, first in enumerate(actions):
             for second in actions[i + 1:]:
                 lines.append(
                     "(assert (not (and "
-                    f"{_choice_symbol(family, state, first)} "
-                    f"{_choice_symbol(family, state, second)})))"
+                    f"{choice_sym(family, state, first)} "
+                    f"{choice_sym(family, state, second)})))"
                 )
 
     for name, kind in cs.variables.items():

@@ -2,13 +2,15 @@
 
 Scheduler quantifiers range over the memoryless non-probabilistic
 assignments, state quantifiers over all states; the quantifier-free body
-is evaluated on the self-composition induced by the chosen assignments.
+is evaluated at the composed tuples the state quantifiers visit, each path
+formula on the chains of only the components it mentions.
 Serves as the oracle for the constraint-encoding engine and as a
 standalone checker.  Mixed scheduler prefixes are supported here.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Tuple
@@ -24,8 +26,6 @@ from .errors import (
 )
 from .formula import (
     And,
-    Arith,
-    BoundedUntil,
     Const,
     Formula,
     Less,
@@ -40,7 +40,9 @@ from .formula import (
     body_propositions,
     check_well_formed,
     count_quantifiers,
+    rename_vars,
     state_var_index,
+    subformula_supports,
 )
 from .model import Dtmc, Mdp, SchedulerAssignment, enumerate_schedulers, induce_dtmc, self_compose
 
@@ -61,96 +63,153 @@ class Verdict:
 
 
 def _unit_composition() -> Dtmc:
-    # zero state variables: a single anonymous state with a self-loop
+    # zero components: a single anonymous state with a self-loop
     unit = ()
     return Dtmc(states=(unit,), trans={unit: ((unit, Fraction(1)),)}, ap=(), labels={unit: frozenset()})
 
 
-class Evaluator:
-    """Evaluates bodies and probability expressions on one composition.
+@dataclass(frozen=True)
+class Composition:
+    """One scheduler combination of a formula: the assignment that each
+    component of the self-composition (one per state variable) runs under."""
 
-    Probability vectors are memoized per path formula: the linear solvers
-    already produce all composed states at once, so state-quantifier loops
-    reuse them.
+    mdp: Mdp
+    assignments: Tuple[SchedulerAssignment, ...]
+
+    def full(self) -> Dtmc:
+        """The whole n-fold self-composition; components that run under one
+        assignment share its induced chain."""
+        if not self.assignments:
+            return _unit_composition()
+        induced = {a: induce_dtmc(self.mdp, a) for a in dict.fromkeys(self.assignments)}
+        return self_compose([induced[a] for a in self.assignments])
+
+
+def build_composition(mdp: Mdp, f: Formula, chosen: Dict[str, SchedulerAssignment]) -> Composition:
+    """Bind each state variable's component to its scheduler's assignment."""
+    return Composition(mdp, tuple(chosen[q.sched] for q in f.prefix if isinstance(q, StateQuant)))
+
+
+class Evaluator:
+    """Evaluates a formula's body at composed tuples, one scheduler
+    combination (``bind``) at a time.
+
+    A path formula is solved on the composition of only the components its
+    state variables map to, its support K: for one component that is the
+    induced chain itself.  Its operands are evaluated on K-local tuples, and
+    its value at a composed tuple is read at the tuple's projection onto K.
+    Chains and vectors are cached by the assignments of K's components and
+    by the path formula with its variables renamed to positions in K, so
+    ``P(F a(x))`` and ``P(F a(y))`` under one scheduler share a solve, and a
+    vector survives every combination that keeps its assignments.  The
+    cache keeps only entries whose assignments are bound.
     """
 
-    def __init__(self, composed: Dtmc, var_index: Dict[str, int]):
-        self.d = composed
-        self.var_index = var_index
-        self._vectors = {}
-        self._preds = {}
+    def __init__(self, mdp: Mdp, f: Formula):
+        self.mdp = mdp
+        self.var_index = state_var_index(f)
+        self.supports = subformula_supports(f.body, self.var_index)
+        self.assignments: Tuple[SchedulerAssignment, ...] = ()
+        self.cache = {}  # (assignments of K, renamed path, or None for K's chain) -> vector or chain
+        self._stamp = 0  # counts binds; a reader refetches its vector when it moves
+        self._fns = {}
+        self._top = tuple(range(len(self.var_index)))
+        self._body = self._compile(f.body, self._top)
 
-    def eval_body(self, body, at) -> bool:
-        if isinstance(body, TrueF):
-            return True
-        if isinstance(body, Prop):
-            return f"{body.name}@{self.var_index[body.var]}" in self.d.labels[at]
-        if isinstance(body, And):
-            return self.eval_body(body.left, at) and self.eval_body(body.right, at)
-        if isinstance(body, NotF):
-            return not self.eval_body(body.operand, at)
-        if isinstance(body, Less):
-            return self.eval_prob(body.left, at) < self.eval_prob(body.right, at)
-        raise AssertionError(body)
+    def bind(self, composition: Composition) -> None:
+        """Evaluate under ``composition`` from now on; drop cache entries
+        whose assignments it does not bind."""
+        bound = self.assignments = composition.assignments
+        self._stamp += 1
+        self.cache = {key: v for key, v in self.cache.items() if all(a in bound for a in key[0])}
 
-    def eval_prob(self, pexpr, at) -> Fraction:
-        if isinstance(pexpr, Const):
-            return pexpr.value
-        if isinstance(pexpr, Arith):
-            left = self.eval_prob(pexpr.left, at)
-            right = self.eval_prob(pexpr.right, at)
-            if pexpr.op == "+":
-                return left + right
-            if pexpr.op == "-":
-                return left - right
-            return left * right
-        if isinstance(pexpr, ProbOf):
-            return self.path_vector(pexpr.path)[at]
-        raise AssertionError(pexpr)
+    def holds(self, at: tuple) -> bool:
+        """The body at composed tuple ``at``."""
+        return self._body(at)
 
-    def predicate(self, body) -> dict:
-        if body not in self._preds:
-            self._preds[body] = {r: self.eval_body(body, r) for r in self.d.states}
-        return self._preds[body]
+    def value(self, node, at: tuple):
+        """A body or probability expression over the formula's state
+        variables, at composed tuple ``at``."""
+        self.supports.update(subformula_supports(node, self.var_index))
+        return self._compile(node, self._top)(at)
 
-    def path_vector(self, path) -> dict:
-        vec = self._vectors.get(path)
-        if vec is None:
-            if isinstance(path, Next):
-                vec = analysis.next_probs(self.d, self.predicate(path.operand))
-            elif isinstance(path, Until):
-                vec = analysis.until_probs(self.d, self.predicate(path.left), self.predicate(path.right))
-            elif isinstance(path, BoundedUntil):
-                vec = analysis.bounded_until_probs(
-                    self.d, self.predicate(path.left), self.predicate(path.right), path.k1, path.k2
-                )
+    def _compile(self, node, frame: Tuple[int, ...]):
+        """``node`` as a function of tuples over the components ``frame``."""
+        fn = self._fns.get((node, frame))
+        if fn is None:
+            fn = self._fns[node, frame] = self._build(node, frame)
+        return fn
+
+    def _build(self, node, frame):
+        if isinstance(node, (TrueF, Const)):
+            value = True if isinstance(node, TrueF) else node.value
+            return lambda t: value
+        if isinstance(node, Prop):
+            name, labels = node.name, self.mdp.labels
+            pos = frame.index(self.var_index[node.var] - 1)
+            return lambda t: name in labels[t[pos]]
+        if isinstance(node, NotF):
+            inner = self._compile(node.operand, frame)
+            return lambda t: not inner(t)
+        if isinstance(node, ProbOf):
+            return self._reader(node, frame)
+        left, right = self._compile(node.left, frame), self._compile(node.right, frame)
+        if isinstance(node, And):
+            return lambda t: left(t) and right(t)
+        if isinstance(node, Less):
+            return lambda t: left(t) < right(t)
+        op = {"+": operator.add, "-": operator.sub, "*": operator.mul}[node.op]
+        return lambda t: op(left(t), right(t))
+
+    def _reader(self, node: ProbOf, frame):
+        support = self.supports[node]
+        pos = tuple(frame.index(c) for c in support)
+        names = {v: support.index(i - 1) for v, i in self.var_index.items() if i - 1 in support}
+        renamed = rename_vars(node.path, names)
+        held = [None, None]  # (stamp, vector) of the last bind
+
+        def vector():
+            if held[0] != self._stamp:
+                key = (tuple(self.assignments[c] for c in support), renamed)
+                vec = self.cache.get(key)
+                if vec is None:
+                    vec = self.cache[key] = self._solve(node.path, support)
+                held[0], held[1] = self._stamp, vec
+            return held[1]
+
+        if len(pos) == 1:
+            (p,) = pos
+            return lambda t: vector()[t[p]]
+        return lambda t: vector()[tuple(t[p] for p in pos)]
+
+    def _solve(self, path, support):
+        d = self.chain(support)
+        points = [(s,) for s in d.states] if len(support) == 1 else d.states
+
+        def pred(body):
+            fn = self._compile(body, support)
+            return {s: fn(p) for s, p in zip(d.states, points)}
+
+        if isinstance(path, Next):
+            return analysis.next_probs(d, pred(path.operand))
+        if isinstance(path, Until):
+            return analysis.until_probs(d, pred(path.left), pred(path.right))
+        return analysis.bounded_until_probs(d, pred(path.left), pred(path.right), path.k1, path.k2)
+
+    def chain(self, support: Tuple[int, ...]) -> Dtmc:
+        """The composition of ``support``'s induced chains under the bound
+        combination: one component's chain itself, none the unit chain."""
+        key = (tuple(self.assignments[c] for c in support), None)
+        d = self.cache.get(key)
+        if d is None:
+            if not support:
+                d = _unit_composition()
+            elif len(support) == 1:
+                d = induce_dtmc(self.mdp, key[0][0])
             else:
-                raise AssertionError(path)
-            self._vectors[path] = vec
-        return vec
-
-
-def eval_body(composed: Dtmc, body, at, var_index: Dict[str, int]) -> bool:
-    """One-off body evaluation on a composition (no shared memo)."""
-    return Evaluator(composed, var_index).eval_body(body, at)
-
-
-def eval_prob(composed: Dtmc, pexpr, at, var_index: Dict[str, int]) -> Fraction:
-    """One-off probability-expression evaluation on a composition."""
-    return Evaluator(composed, var_index).eval_prob(pexpr, at)
-
-
-def build_composition(mdp: Mdp, f: Formula, chosen: Dict[str, SchedulerAssignment]) -> Tuple[Dtmc, Dict[str, int]]:
-    """Induce one chain per scheduler variable and compose per state variable."""
-    state_quants = [q for q in f.prefix if isinstance(q, StateQuant)]
-    var_index = state_var_index(f)
-    if not state_quants:
-        return _unit_composition(), var_index
-    induced = {}
-    for name, assignment in chosen.items():
-        induced[name] = induce_dtmc(mdp, assignment)
-    components = [induced[q.sched] for q in state_quants]
-    return self_compose(components), var_index
+                d = self_compose([self.chain((c,)) for c in support])
+            self.cache[key] = d
+        return d
 
 
 def validate_inputs(mdp: Mdp, f: Formula, max_sched_vars: int, max_state_vars: int) -> None:
@@ -185,13 +244,14 @@ def check(
 
     sched_quants = [q for q in f.prefix if isinstance(q, SchedQuant)]
     state_quants = [q for q in f.prefix if isinstance(q, StateQuant)]
+    evaluator = Evaluator(mdp, f)
 
-    def eval_states(evaluator: Evaluator, idx: int, partial: tuple):
+    def eval_states(idx: int, partial: tuple):
         if idx == len(state_quants):
-            return evaluator.eval_body(f.body, partial), {}
+            return evaluator.holds(partial), {}
         q = state_quants[idx]
         for s in mdp.states:
-            truth, trace = eval_states(evaluator, idx + 1, partial + (s,))
+            truth, trace = eval_states(idx + 1, partial + (s,))
             if q.exists and truth:
                 return True, {q.name: s, **trace}
             if not q.exists and not truth:
@@ -200,11 +260,8 @@ def check(
 
     def eval_scheds(idx: int, chosen: Dict[str, SchedulerAssignment]):
         if idx == len(sched_quants):
-            composed, var_index = build_composition(mdp, f, chosen)
-            evaluator = Evaluator(composed, var_index)
-            if not state_quants:
-                return evaluator.eval_body(f.body, composed.states[0]), {}
-            return eval_states(evaluator, 0, ())
+            evaluator.bind(build_composition(mdp, f, chosen))
+            return eval_states(0, ())
         q = sched_quants[idx]
         for assignment in enumerate_schedulers(mdp):
             truth, trace = eval_scheds(idx + 1, {**chosen, q.name: assignment})
@@ -227,23 +284,21 @@ def replay(mdp: Mdp, f: Formula, verdict: Verdict) -> bool:
     """
     sched_quants = [q for q in f.prefix if isinstance(q, SchedQuant)]
     state_quants = [q for q in f.prefix if isinstance(q, StateQuant)]
+    evaluator = Evaluator(mdp, f)
 
-    def eval_states(evaluator: Evaluator, idx: int, partial: tuple) -> bool:
+    def eval_states(idx: int, partial: tuple) -> bool:
         if idx == len(state_quants):
-            return evaluator.eval_body(f.body, partial)
+            return evaluator.holds(partial)
         q = state_quants[idx]
         if q.name in verdict.states:
-            return eval_states(evaluator, idx + 1, partial + (verdict.states[q.name],))
-        results = (eval_states(evaluator, idx + 1, partial + (s,)) for s in mdp.states)
+            return eval_states(idx + 1, partial + (verdict.states[q.name],))
+        results = (eval_states(idx + 1, partial + (s,)) for s in mdp.states)
         return any(results) if q.exists else all(results)
 
     def eval_scheds(idx: int, chosen: dict) -> bool:
         if idx == len(sched_quants):
-            composed, var_index = build_composition(mdp, f, chosen)
-            evaluator = Evaluator(composed, var_index)
-            if not state_quants:
-                return evaluator.eval_body(f.body, composed.states[0])
-            return eval_states(evaluator, 0, ())
+            evaluator.bind(build_composition(mdp, f, chosen))
+            return eval_states(0, ())
         q = sched_quants[idx]
         if q.name in verdict.schedulers:
             return eval_scheds(idx + 1, {**chosen, q.name: verdict.schedulers[q.name]})

@@ -21,7 +21,7 @@ The parsed AST is fully desugared; only core constructs appear below.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
@@ -479,30 +479,13 @@ def load_formula(path) -> Formula:
 # -- well-formedness -------------------------------------------------------------
 
 
-def _body_state_vars(body: Body, out: set):
-    if isinstance(body, Prop):
-        out.add(body.var)
-    elif isinstance(body, And):
-        _body_state_vars(body.left, out)
-        _body_state_vars(body.right, out)
-    elif isinstance(body, NotF):
-        _body_state_vars(body.operand, out)
-    elif isinstance(body, Less):
-        _pexpr_state_vars(body.left, out)
-        _pexpr_state_vars(body.right, out)
-
-
-def _pexpr_state_vars(p: PExpr, out: set):
-    if isinstance(p, Arith):
-        _pexpr_state_vars(p.left, out)
-        _pexpr_state_vars(p.right, out)
-    elif isinstance(p, ProbOf):
-        path = p.path
-        if isinstance(path, Next):
-            _body_state_vars(path.operand, out)
-        else:
-            _body_state_vars(path.left, out)
-            _body_state_vars(path.right, out)
+def subformulas(node):
+    """``node`` and every node below it, operands first."""
+    for fld in fields(node):
+        value = getattr(node, fld.name)
+        if is_dataclass(value):
+            yield from subformulas(value)
+    yield node
 
 
 def check_well_formed(f: Formula) -> None:
@@ -533,8 +516,7 @@ def check_well_formed(f: Formula) -> None:
             if q.name in state_vars:
                 raise UnboundStateVariable(f"state variable {q.name!r} bound twice")
             state_vars.append(q.name)
-    used = set()
-    _body_state_vars(f.body, used)
+    used = {node.var for node in subformulas(f.body) if isinstance(node, Prop)}
     for var in sorted(used):
         if var not in state_vars:
             raise UnboundStateVariable(f"state variable {var!r} is not bound")
@@ -555,44 +537,75 @@ def state_var_index(f: Formula) -> dict:
     return index
 
 
-def sched_var_index(f: Formula) -> dict:
-    """Map scheduler-variable name -> 0-based choice family index."""
-    index = {}
-    for q in f.prefix:
-        if isinstance(q, SchedQuant):
-            index[q.name] = len(index)
-    return index
+def reduced_windows(node: ProbOf):
+    """The reduced-bound windows below a bounded until ``[k1,k2]``, which
+    its encoding steps through, outermost first:
+    ``[max(k1-1,0), k2-1]``, ..., ``[0,0]``."""
+    path = node.path
+    k1, k2 = path.k1, path.k2
+    while k2 > 0:
+        k1, k2 = max(k1 - 1, 0), k2 - 1
+        yield ProbOf(BoundedUntil(path.left, path.right, k1, k2))
+
+
+def subformula_supports(body, var_index: dict) -> dict:
+    """Every subformula, with its support: the sorted 0-based composition
+    components its state variables map to.
+
+    A proposition on x has support (x,); ``true`` and constants have the
+    empty one; every other node takes the union of its operands'.  The
+    dict's order is the registration order of the encoding: a node comes
+    before its operands, and a bounded until before its reduced-bound
+    windows, which are walked in a loop so that a deep bound does not
+    recurse.
+    """
+    support = {}
+
+    def visit(node) -> Tuple[int, ...]:
+        if node in support:
+            return support[node]
+        support[node] = ()  # holds the node's place in registration order
+        if isinstance(node, Prop):
+            result = (var_index[node.var] - 1,)
+        elif isinstance(node, (TrueF, Const)):
+            result = ()
+        elif isinstance(node, NotF):
+            result = visit(node.operand)
+        elif isinstance(node, (And, Less, Arith)):
+            result = tuple(sorted(set(visit(node.left)) | set(visit(node.right))))
+        elif isinstance(node.path, Next):
+            result = visit(node.path.operand)
+        else:
+            windows = []
+            if isinstance(node.path, BoundedUntil):
+                for window in reduced_windows(node):
+                    if window in support:
+                        break
+                    support[window] = ()
+                    windows.append(window)
+            result = tuple(sorted(set(visit(node.path.left)) | set(visit(node.path.right))))
+            for window in windows:
+                support[window] = result
+        support[node] = result
+        return result
+
+    visit(body)
+    return support
+
+
+def rename_vars(node, names: dict):
+    """``node`` with every state variable ``v`` replaced by ``names[v]``."""
+    if isinstance(node, Prop):
+        return Prop(node.name, names[node.var])
+    return type(node)(*(
+        rename_vars(value, names) if is_dataclass(value) else value
+        for value in (getattr(node, fld.name) for fld in fields(node))
+    ))
 
 
 def body_propositions(body: Body) -> set:
     """All proposition names used in a body."""
-    props = set()
-
-    def walk_body(b):
-        if isinstance(b, Prop):
-            props.add(b.name)
-        elif isinstance(b, And):
-            walk_body(b.left)
-            walk_body(b.right)
-        elif isinstance(b, NotF):
-            walk_body(b.operand)
-        elif isinstance(b, Less):
-            walk_pexpr(b.left)
-            walk_pexpr(b.right)
-
-    def walk_pexpr(p):
-        if isinstance(p, Arith):
-            walk_pexpr(p.left)
-            walk_pexpr(p.right)
-        elif isinstance(p, ProbOf):
-            if isinstance(p.path, Next):
-                walk_body(p.path.operand)
-            else:
-                walk_body(p.path.left)
-                walk_body(p.path.right)
-
-    walk_body(body)
-    return props
+    return {node.name for node in subformulas(body) if isinstance(node, Prop)}
 
 
 # -- printing ---------------------------------------------------------------------

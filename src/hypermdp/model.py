@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
@@ -68,9 +69,6 @@ class Mdp:
     ap: Tuple[str, ...]
     labels: Mapping[StateId, frozenset]
 
-    def row(self, s, a):
-        return self.trans[(s, a)]
-
     def transition_count(self) -> int:
         return sum(len(row) for row in self.trans.values())
 
@@ -119,7 +117,11 @@ def _parse_prob(text: str, lineno: int) -> Fraction:
 
 
 def parse_model_text(text: str) -> RawModel:
-    """Parse ``.mdpx`` text into a raw description (no validation)."""
+    """Parse ``.mdpx`` text into a raw description (no validation).
+
+    State, action and proposition names are interned, so every load of a
+    model shares one copy of each name with the others and with whatever
+    they leave behind (verdicts, schedulers)."""
     raw = RawModel()
     seen_states_line = False
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -131,7 +133,7 @@ def parse_model_text(text: str) -> RawModel:
                 raise ModelSyntaxError("duplicate states: line", lineno)
             seen_states_line = True
             names = line[len("states:"):].split()
-            for name in names:
+            for name in map(sys.intern, names):
                 if not _NAME_RE.match(name):
                     raise ModelSyntaxError(f"bad state id {name!r}", lineno)
                 if name in raw.states:
@@ -146,9 +148,9 @@ def parse_model_text(text: str) -> RawModel:
                 if ":" not in entry:
                     raise ModelSyntaxError(f"bad label entry {entry!r}", lineno)
                 state, props = entry.split(":", 1)
-                state = state.strip()
+                state = sys.intern(state.strip())
                 raw.labels.setdefault(state, [])
-                for prop in props.split():
+                for prop in map(sys.intern, props.split()):
                     if not _NAME_RE.match(prop):
                         raise ModelSyntaxError(f"bad proposition {prop!r}", lineno)
                     if prop not in raw.labels[state]:
@@ -158,7 +160,7 @@ def parse_model_text(text: str) -> RawModel:
             parts = head.split()
             if len(parts) != 3:
                 raise ModelSyntaxError(f"bad action header {head!r}", lineno)
-            _, state, action = parts
+            _, state, action = map(sys.intern, parts)
             if not _NAME_RE.match(action):
                 raise ModelSyntaxError(f"bad action name {action!r}", lineno)
             key = (state, action)
@@ -173,7 +175,7 @@ def parse_model_text(text: str) -> RawModel:
                 pieces = item.split()
                 if len(pieces) != 2:
                     raise ModelSyntaxError(f"bad transition entry {item!r}", lineno)
-                target, prob = pieces
+                target, prob = sys.intern(pieces[0]), pieces[1]
                 if target in targets:
                     raise ModelSyntaxError(f"duplicate target {target!r} in row", lineno)
                 targets.add(target)

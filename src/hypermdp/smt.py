@@ -13,8 +13,9 @@ verdict inverted.
 
 Solving is eager: scheduler-choice assignments are enumerated; under a
 fixed assignment the guarded equations collapse to the exact linear
-systems of the analysis module, and the truth constraint is checked by
-Boolean evaluation.  The first satisfying assignment (lexicographically
+systems of the analysis module, which the enumeration engine's evaluator
+solves per support, and the truth constraint is checked by Boolean
+evaluation.  The first satisfying assignment (lexicographically
 least) is decoded into a witness or counterexample.
 """
 
@@ -26,7 +27,6 @@ import os
 import re
 import subprocess
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -45,12 +45,12 @@ from .constraints import (
     OrT,
     Term,
     XorT,
+    choice_sym,
     const,
-    emit_smtlib2,
     eq,
     var,
 )
-from .enumcheck import Verdict, assemble_verdict, build_composition, validate_inputs
+from .enumcheck import Evaluator, Verdict, assemble_verdict, build_composition, validate_inputs
 from .errors import IncompleteModel, MixedSchedulerBlock
 from .formula import (
     And,
@@ -69,7 +69,9 @@ from .formula import (
     Until,
     format_body,
     format_pexpr,
+    reduced_windows,
     state_var_index,
+    subformula_supports,
 )
 from .model import Dtmc, Mdp, SchedulerAssignment, enumerate_schedulers
 
@@ -109,60 +111,6 @@ def transform_for_encoding(f: Formula) -> Tuple[Formula, str]:
         else:
             prefix.append(StateQuant(not q.exists, q.name, q.sched))
     return Formula(prefix=tuple(prefix), body=NotF(f.body)), "negated"
-
-
-def reduced_windows(node: ProbOf):
-    """The reduced-bound windows below a bounded until ``[k1,k2]``, which
-    its encoding steps through, outermost first:
-    ``[max(k1-1,0), k2-1]``, ..., ``[0,0]``."""
-    path = node.path
-    k1, k2 = path.k1, path.k2
-    while k2 > 0:
-        k1, k2 = max(k1 - 1, 0), k2 - 1
-        yield ProbOf(BoundedUntil(path.left, path.right, k1, k2))
-
-
-def subformula_supports(body, var_index: Dict[str, int]) -> Dict[object, Support]:
-    """Every subformula the encoding declares, with its support.
-
-    A proposition on x has support (x,); ``true`` and constants have the
-    empty one; every other node takes the union of its operands'.  The
-    dict's order is the registration order: a node comes before its
-    operands, and a bounded until before its reduced-bound windows, which
-    are walked in a loop so that a deep bound does not recurse.
-    """
-    support: Dict[object, Support] = {}
-
-    def visit(node) -> Support:
-        if node in support:
-            return support[node]
-        support[node] = ()  # holds the node's place in registration order
-        if isinstance(node, Prop):
-            result = (var_index[node.var] - 1,)
-        elif isinstance(node, (TrueF, Const)):
-            result = ()
-        elif isinstance(node, NotF):
-            result = visit(node.operand)
-        elif isinstance(node, (And, Less, Arith)):
-            result = tuple(sorted(set(visit(node.left)) | set(visit(node.right))))
-        elif isinstance(node.path, Next):
-            result = visit(node.path.operand)
-        else:
-            windows = []
-            if isinstance(node.path, BoundedUntil):
-                for window in reduced_windows(node):
-                    if window in support:
-                        break
-                    support[window] = ()
-                    windows.append(window)
-            result = tuple(sorted(set(visit(node.path.left)) | set(visit(node.path.right))))
-            for window in windows:
-                support[window] = result
-        support[node] = result
-        return result
-
-    visit(body)
-    return support
 
 
 @dataclass
@@ -259,10 +207,6 @@ holds_sym = functools.partial(symbol, "h")
 prob_sym = functools.partial(symbol, "pr")
 toint_sym = functools.partial(symbol, "ti")
 dist_sym = functools.partial(symbol, "d")  # indexed by the until node
-
-
-def choice_sym(family: int, state: str, action: str) -> str:
-    return f"ch_{family}_{state}_{action}"
 
 
 # -- encoder (semantics, until, bounded until, truth) ----------------------------
@@ -737,6 +681,16 @@ def _light_system(mdp: Mdp, encoder_meta: EncodingMeta) -> ConstraintSystem:
     return cs
 
 
+def _combinations(mdp: Mdp, m: int, head: tuple = ()):
+    """Every m-tuple of schedulers, streamed in lexicographic order (the
+    last entry varies fastest)."""
+    if len(head) == m:
+        yield head
+        return
+    for assignment in enumerate_schedulers(mdp):
+        yield from _combinations(mdp, m, head + (assignment,))
+
+
 def solve_eager(
     mdp: Mdp,
     f: Formula,
@@ -747,53 +701,25 @@ def solve_eager(
 ) -> SmtVerdict:
     """Enumerate choice assignments; evaluate the collapsed system each time.
 
-    Returns the first (lexicographically least) satisfying assignment as
-    the model, independent of the degree of parallelism.
+    Combinations are streamed, and the body is evaluated only at the tuples
+    the state quantifiers visit.  Returns the first (lexicographically
+    least) satisfying assignment as the model.  ``jobs`` is accepted and
+    ignored: the work holds the interpreter lock, so threads only slowed it.
     """
     validate_inputs(mdp, f, max_sched_vars, max_state_vars)
     meta = plan_encoding(mdp, f, prune=prune)
     f_enc, polarity, sched_names = meta.encoded, meta.polarity, meta.sched_names
-    n = len(meta.state_quants)
-    cs = _light_system(mdp, meta)
-
-    assignments = list(enumerate_schedulers(mdp)) if sched_names else []
-    combos = list(itertools.product(assignments, repeat=len(sched_names)))
-
-    def evaluate(combo):
-        chosen = dict(zip(sched_names, combo))
-        composed, var_index = build_composition(mdp, f_enc, chosen)
-        if prune and n > 0:
-            composed = _restrict(composed, meta.tuples)
-        ve = VectorEvaluator(composed, var_index)
-        body_vec = ve.holds(f_enc.body)
-        truth, _picks = truth_eval(meta.state_quants, mdp.states, composed.states if n else ((),), body_vec.__getitem__)
-        return truth, body_vec
-
-    hit = None
-    if jobs is None or jobs <= 1:
-        for combo in combos:
-            truth, body_vec = evaluate(combo)
-            if truth:
-                hit = (combo, body_vec)
-                break
+    evaluator = Evaluator(mdp, f_enc)
+    for combo in _combinations(mdp, len(sched_names)):
+        evaluator.bind(build_composition(mdp, f_enc, dict(zip(sched_names, combo))))
+        truth, _picks = truth_eval(meta.state_quants, mdp.states, meta.tuples, evaluator.holds)
+        if truth:
+            break
     else:
-        chunk_size = max(jobs * 2, 8)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for start in range(0, len(combos), chunk_size):
-                chunk = combos[start:start + chunk_size]
-                for combo, (truth, body_vec) in zip(chunk, pool.map(evaluate, chunk)):
-                    if truth:
-                        hit = (combo, body_vec)
-                        break
-                if hit:
-                    break
-
-    if hit is None:
         truth_final = polarity == "negated"
         return SmtVerdict(sat=False, polarity=polarity,
                           decoded=assemble_verdict(f, truth_final, {}))
 
-    combo, body_vec = hit
     model: Dict[str, object] = {}
     for family, name in enumerate(sched_names):
         for s in mdp.states:
@@ -801,8 +727,8 @@ def solve_eager(
                 model[choice_sym(family, s, a)] = (combo[family].choice(s) == a)
     body_support = meta.supports[f_enc.body]
     for r in meta.tuples:
-        model[holds_sym(project(r, body_support), meta.body_index)] = body_vec[r]
-    decoded = decode_witness(cs, model, f)
+        model[holds_sym(project(r, body_support), meta.body_index)] = evaluator.holds(r)
+    decoded = decode_witness(_light_system(mdp, meta), model, f)
     return SmtVerdict(sat=True, polarity=polarity, model=model, decoded=decoded)
 
 
@@ -851,10 +777,10 @@ def full_assignment(cs: ConstraintSystem, mdp: Mdp, chosen: Dict[str, SchedulerA
     different values, so every run also checks the projection.
     """
     meta: EncodingMeta = cs.meta
-    composed, var_index = build_composition(mdp, meta.encoded, chosen)
+    composed = build_composition(mdp, meta.encoded, chosen).full()
     if len(composed.states) != len(meta.tuples):
         composed = _restrict(composed, meta.tuples)
-    ve = VectorEvaluator(composed, var_index)
+    ve = VectorEvaluator(composed, meta.var_index)
     values: Dict[str, object] = {}
 
     def put(sym, idx, support, vec, convert=None):
@@ -940,10 +866,12 @@ def parse_solver_model(text: str) -> dict:
 
 
 def run_external_solver(solver_path: str, smt_text: str, timeout: float = 600.0):
-    """Run ``solver_path <file.smt2>``; returns ('sat'|'unsat'|'unknown', model).
+    """Run ``solver_path <file.smt2>``; returns ('sat'|'unsat', model).
 
-    The script file is removed afterwards; a solver still running after
-    ``timeout`` seconds is killed and reported as IncompleteModel.
+    The script file is removed afterwards.  A solver still running after
+    ``timeout`` seconds is killed, and one that answers neither sat nor
+    unsat is reported with the last lines of its stderr; both raise
+    IncompleteModel.
     """
     with tempfile.NamedTemporaryFile("w", suffix=".smt2", delete=False) as fh:
         fh.write(smt_text)
@@ -959,7 +887,8 @@ def run_external_solver(solver_path: str, smt_text: str, timeout: float = 600.0)
     output = proc.stdout.strip()
     first = output.splitlines()[0].strip() if output else "unknown"
     if first not in ("sat", "unsat"):
-        return "unknown", {}
+        reason = " | ".join(proc.stderr.strip().splitlines()[-3:]) or "no stderr output"
+        raise IncompleteModel(f"external solver returned neither sat nor unsat ({first!r}; stderr: {reason})")
     if first == "unsat":
         return "unsat", {}
     return "sat", parse_solver_model(output)
@@ -970,8 +899,6 @@ def check_external(cs: ConstraintSystem, smt_text: str, solver_path: str) -> Smt
     external QF_LRA solver, decode its model."""
     f, polarity = cs.meta.original, cs.meta.polarity
     answer, model = run_external_solver(solver_path, smt_text)
-    if answer == "unknown":
-        raise IncompleteModel("external solver returned neither sat nor unsat")
     if answer == "unsat":
         truth_final = polarity == "negated"
         return SmtVerdict(sat=False, polarity=polarity,

@@ -237,6 +237,19 @@ class TestEncode:
                           "--emit", str(tmp_path / "x.smt2"))
         assert code == 2
 
+    @pytest.mark.parametrize("formula, message", [
+        ("exists sched s. exists st x(s). a(y)", "'y' is not bound"),
+        ("exists sched s. exists st x(s). zzz(x)", "['zzz']"),
+    ])
+    def test_invalid_formula_is_a_plain_error(self, coin_path, tmp_path, capsys, formula, message):
+        out_path = tmp_path / "x.smt2"
+        code, _ = run_cli("encode", coin_path, "--formula", formula, "--emit", str(out_path))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert "internal error" not in err
+        assert not out_path.exists()
+
 
 class TestGen:
     def test_pc_reports_reference_side_by_side(self, tmp_path):
@@ -353,6 +366,18 @@ class TestExternalSolver:
         assert code == 1
         assert len(calls) == 1
         assert out_path.read_text() == emit_smtlib2(encode_main(*calls[0])[0])
+
+    def test_unknown_names_the_solver_stderr(self, coin_path, tmp_path, capsys):
+        solver = self._write_fake_solver(tmp_path, "unknown\n")
+        script = open(solver).read()
+        with open(solver, "w") as fh:
+            fh.write(script + "sys.stderr.write('line one\\nline two\\nout of memory\\n')\n")
+        with pytest.raises(IncompleteModel, match="out of memory"):
+            smt.run_external_solver(solver, "(check-sat)\n")
+        code, _ = run_cli("check", coin_path, "--formula", REACH_HALF,
+                          "--engine", "smt-external", "--solver", solver)
+        assert code == 2
+        assert "line two | out of memory" in capsys.readouterr().err
 
     def test_unsat_response(self, coin_path, tmp_path):
         solver = self._write_fake_solver(tmp_path, "unsat\n")

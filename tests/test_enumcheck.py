@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from hypermdp.enumcheck import Evaluator, build_composition, check, eval_body, eval_prob, replay
+from hypermdp.enumcheck import Evaluator, build_composition, check, replay
 from hypermdp.errors import CapExceeded, IllFormed, UnknownProposition
 from hypermdp.formula import (
     And,
@@ -27,6 +28,7 @@ from hypermdp.model import (
     parse_mdp,
     self_compose,
 )
+from hypermdp.smt import VectorEvaluator
 from .helpers import random_mdp
 
 REACH_ONE = "exists sched s. exists st x(s). init(x) & P(F a(x)) = 1"
@@ -87,39 +89,41 @@ class TestErrors:
             check(m_coin, f, max_state_vars=3)
 
 
+def bound_evaluator(mdp, names=("x",)):
+    """An evaluator for state variables ``names``, all under one scheduler,
+    bound to the model's first scheduler assignment."""
+    f = Formula(prefix=(SchedQuant(True, "s"),) + tuple(StateQuant(True, v, "s") for v in names),
+                body=TrueF())
+    ev = Evaluator(mdp, f)
+    ev.bind(build_composition(mdp, f, {"s": next(enumerate_schedulers(mdp))}))
+    return ev
+
+
 class TestEvalBody:
     def test_true_everywhere(self, d_half):
-        d = induce_dtmc(d_half, next(enumerate_schedulers(d_half)))
-        c = self_compose([d, d])
-        for r in c.states:
-            assert eval_body(c, TrueF(), r, {"x": 1, "y": 2})
+        ev = bound_evaluator(d_half, ("x", "y"))
+        for r in itertools.product(d_half.states, repeat=2):
+            assert ev.value(TrueF(), r)
 
     def test_label_lookup(self, d_half):
-        d = induce_dtmc(d_half, next(enumerate_schedulers(d_half)))
-        c = self_compose([d, d])
-        assert eval_body(c, Prop("a", "x"), ("u1", "u2"), {"x": 1, "y": 2})
-        assert not eval_body(c, Prop("a", "y"), ("u1", "u2"), {"x": 1, "y": 2})
+        ev = bound_evaluator(d_half, ("x", "y"))
+        assert ev.value(Prop("a", "x"), ("u1", "u2"))
+        assert not ev.value(Prop("a", "y"), ("u1", "u2"))
 
     def test_constant_comparison(self, d_half):
-        d = induce_dtmc(d_half, next(enumerate_schedulers(d_half)))
-        c = self_compose([d])
         body = Less(Const(Fraction(1, 2)), Const(Fraction(1, 3)))
-        assert not eval_body(c, body, ("u0",), {"x": 1})
+        assert not bound_evaluator(d_half).value(body, ("u0",))
 
 
 class TestEvalProb:
     def test_until_delegation(self, d_half):
-        d = induce_dtmc(d_half, next(enumerate_schedulers(d_half)))
-        c = self_compose([d])
         p = ProbOf(Until(TrueF(), Prop("a", "x")))
-        assert eval_prob(c, p, ("u0",), {"x": 1}) == Fraction(1, 2)
+        assert bound_evaluator(d_half).value(p, ("u0",)) == Fraction(1, 2)
 
     def test_arithmetic_is_exact(self, d_half):
-        d = induce_dtmc(d_half, next(enumerate_schedulers(d_half)))
-        c = self_compose([d])
         p = ProbOf(Until(TrueF(), Prop("a", "x")))
         doubled = Arith("*", Const(Fraction(2)), p)
-        assert eval_prob(c, doubled, ("u0",), {"x": 1}) == Fraction(1)
+        assert bound_evaluator(d_half).value(doubled, ("u0",)) == Fraction(1)
 
     def test_nested_probability_operator(self):
         # hand oracle: inner P(X a) equals 1/2 only at c0; outer
@@ -157,26 +161,27 @@ class TestProperties:
             f = parse_formula("forall sched s. forall st x(s). exists st y(s). "
                               "P(F a(x)) <= P(F a(y)) | b(x)")
             verdict = check(mdp, f)
-            # direct evaluation on the unique induced chain
+            # direct evaluation on the self-composition of the unique induced chain
             d = induce_dtmc(mdp, next(enumerate_schedulers(mdp)))
-            c = self_compose([d, d])
-            ev = Evaluator(c, {"x": 1, "y": 2})
+            body = VectorEvaluator(self_compose([d, d]), {"x": 1, "y": 2}).holds(f.body)
             direct = all(
-                any(ev.eval_body(f.body, (sx, sy)) for sy in mdp.states)
+                any(body[(sx, sy)] for sy in mdp.states)
                 for sx in mdp.states
             )
             assert verdict.truth == direct
 
     def test_shared_scheduler_means_shared_component(self, m_coin):
         f = parse_formula("exists sched s. exists st x(s). exists st y(s). true")
+        ev = Evaluator(m_coin, f)
         for assignment in enumerate_schedulers(m_coin):
-            composed, var_index = build_composition(m_coin, f, {"s": assignment})
-            ev = Evaluator(composed, var_index)
+            ev.bind(build_composition(m_coin, f, {"s": assignment}))
             reach_x = ProbOf(Until(TrueF(), Prop("a", "x")))
             reach_y = ProbOf(Until(TrueF(), Prop("a", "y")))
             for s in m_coin.states:
                 at = (s, s)
-                assert ev.eval_prob(reach_x, at) == ev.eval_prob(reach_y, at)
+                assert ev.value(reach_x, at) == ev.value(reach_y, at)
+            # one solve on the induced chain serves both variables
+            assert [key[1] for key in ev.cache if key[1] is not None] == [Until(TrueF(), Prop("a", 0))]
 
     def test_composition_instrumentation_on_benchmark_shapes(self, m_coin):
         # state variables sharing one scheduler variable are composed from
@@ -195,14 +200,26 @@ class TestProperties:
         )
         first, second = list(enumerate_schedulers(m_coin))[:2]
         with mock.patch.object(enumcheck, "self_compose", wraps=enumcheck.self_compose) as spy:
-            build_composition(m_coin, shared, {"s": first})
+            build_composition(m_coin, shared, {"s": first}).full()
             components = spy.call_args[0][0]
             assert components[0] is components[1]
         with mock.patch.object(enumcheck, "self_compose", wraps=enumcheck.self_compose) as spy:
-            build_composition(m_coin, split, {"s1": first, "s2": second})
+            build_composition(m_coin, split, {"s1": first, "s2": second}).full()
             components = spy.call_args[0][0]
             assert components[0] is not components[1]
             assert components[0].trans != components[1].trans
+        # the evaluator composes only for a coupled operand, from the same chains
+        coupled = ProbOf(Until(TrueF(), And(Prop("a", "x"), Prop("a", "y"))))
+        for f, chosen, shared_chain in ((shared, {"s": first}, True),
+                                        (split, {"s1": first, "s2": second}, False)):
+            ev = Evaluator(m_coin, f)
+            ev.bind(build_composition(m_coin, f, chosen))
+            with mock.patch.object(enumcheck, "self_compose", wraps=enumcheck.self_compose) as spy:
+                ev.holds(("s0", "s0"))
+                assert spy.call_count == 0
+                ev.value(coupled, ("s0", "s0"))
+                components = spy.call_args[0][0]
+                assert (components[0] is components[1]) == shared_chain
 
     def test_witness_replay(self):
         rng = random.Random(23)

@@ -86,6 +86,22 @@ class TestValidate:
         again = parse_mdp(format_mdp(m_coin))
         assert again == m_coin
 
+    def test_two_loads_share_name_objects(self):
+        first, second = parse_mdp(M_COIN_TEXT), parse_mdp("".join(list(M_COIN_TEXT)))
+        for a, b in zip(first.states, second.states):
+            assert a is b
+        for a, b in zip(first.actions, second.actions):
+            assert a is b
+        for a, b in zip(first.ap, second.ap):
+            assert a is b
+        for key, row in first.trans.items():
+            other_key = next(k for k in second.trans if k == key)
+            assert other_key[0] is key[0] and other_key[1] is key[1]
+            for (t1, _), (t2, _) in zip(row, second.trans[key]):
+                assert t1 is t2
+        for s in first.states:
+            assert {id(p) for p in first.labels[s]} == {id(p) for p in second.labels[s]}
+
 
 class TestInduce:
     def test_beta_choice(self, m_coin):

@@ -342,12 +342,12 @@ class TestPointwiseSoundness:
                             assert evaluate_term(term, values, choices), (text, combo)
                     encoded_truth = evaluate_term(cs.truth, values, choices)
                     # direct instantiation of the same quantifier structure
-                    composed, var_index = build_composition(mdp, meta.encoded, chosen)
-                    ev = Evaluator(composed, var_index)
+                    ev = Evaluator(mdp, meta.encoded)
+                    ev.bind(build_composition(mdp, meta.encoded, chosen))
 
                     def instantiate(idx, partial):
                         if idx == len(meta.state_quants):
-                            return ev.eval_body(meta.encoded.body, partial)
+                            return ev.holds(partial)
                         q = meta.state_quants[idx]
                         branches = (instantiate(idx + 1, partial + (s,)) for s in mdp.states)
                         return any(branches) if q.exists else all(branches)
