@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Tuple
 
 from .errors import BoundError, SingularSystem
@@ -23,34 +24,41 @@ ProbVector = Dict
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_NOTHING: Mapping = MappingProxyType({})  # no point outside the chain is solved
 
 
-def qualitative_sets(d: Dtmc, phi1: Predicate, phi2: Predicate) -> Tuple[FrozenSet, FrozenSet]:
+def qualitative_sets(d: Dtmc, phi1: Predicate, phi2: Predicate,
+                     known: Mapping = _NOTHING) -> Tuple[FrozenSet, FrozenSet]:
     """(S_zero, S_yes) for ``phi1 U phi2``.
 
     S_yes is the phi2 states; S_zero the states with until-probability
     exactly 0, i.e. the complement of backward reachability from phi2
-    through phi1 states.
+    through phi1 states.  A successor outside ``d.states`` whose ``known``
+    value is positive counts as a phi2 state.
     """
     preds: Dict = {s: [] for s in d.states}
-    for s in d.states:
-        for t, p in d.trans[s]:
-            if p:
-                preds[t].append(s)
     s_yes = frozenset(s for s in d.states if phi2[s])
     reach = set(s_yes)
-    frontier = list(s_yes)
+    for s in d.states:
+        if phi1[s] and s not in s_yes:
+            for t, p in d.trans[s]:
+                if p:
+                    if t in preds:
+                        preds[t].append(s)
+                    elif known[t]:
+                        reach.add(s)
+    frontier = list(reach)
     while frontier:
         t = frontier.pop()
         for s in preds[t]:
-            if s not in reach and phi1[s]:
+            if s not in reach:
                 reach.add(s)
                 frontier.append(s)
     s_zero = frozenset(s for s in d.states if s not in reach)
     return s_zero, s_yes
 
 
-def until_probs(d: Dtmc, phi1: Predicate, phi2: Predicate) -> ProbVector:
+def until_probs(d: Dtmc, phi1: Predicate, phi2: Predicate, known: Mapping = _NOTHING) -> ProbVector:
     """Exact least-fixed-point solution of ``P(phi1 U phi2)`` per state.
 
     1 on S_yes and 0 on S_zero (which covers the not-phi1-nor-phi2
@@ -61,8 +69,13 @@ def until_probs(d: Dtmc, phi1: Predicate, phi2: Predicate) -> ProbVector:
     known when the component is solved: a singleton is one dot product, a
     self-loop of probability p divides it by 1 - p, and a larger component
     is an exact linear system of its own size.
+
+    A row may lead out of ``d.states`` to a point solved earlier, whose
+    value ``known`` gives: a positive one seeds Prob0 as a phi2 state does,
+    one below 1 seeds Prob1 as S_zero does, and the components read it as a
+    solved component.  The result covers ``d.states`` only.
     """
-    s_zero, s_yes = qualitative_sets(d, phi1, phi2)
+    s_zero, s_yes = qualitative_sets(d, phi1, phi2, known)
     result: ProbVector = {}
     unknown = []
     for s in d.states:
@@ -87,7 +100,7 @@ def until_probs(d: Dtmc, phi1: Predicate, phi2: Predicate) -> ProbVector:
             if t in succ:
                 succ[s].append(t)
                 preds[t].append(s)
-            elif t in s_zero:
+            elif t in s_zero or (t not in s_yes and known[t] < 1):
                 below.add(s)
     frontier = list(below)
     while frontier:
@@ -109,7 +122,7 @@ def until_probs(d: Dtmc, phi1: Predicate, phi2: Predicate) -> ProbVector:
                 if t == s:
                     loop += p
                 else:
-                    v = result[t]
+                    v = result[t] if t in result else known[t]
                     if v:
                         acc += p * v
             if loop:
@@ -131,7 +144,7 @@ def until_probs(d: Dtmc, phi1: Predicate, phi2: Predicate) -> ProbVector:
                 if j is not None:
                     row[j] -= p
                 else:
-                    v = result[t]
+                    v = result[t] if t in result else known[t]
                     if v:
                         rhs[i] += p * v
         for s, value in zip(comp, _solve_linear(matrix, rhs)):

@@ -267,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--max-state-vars", type=int, default=3)
     p_check.add_argument("--jobs", type=int, default=1,
                          help="accepted and ignored: evaluation runs on one thread")
-    p_check.add_argument("--seed", type=int, help="reserved; no randomness on the verdict path")
 
     p_encode = sub.add_parser("encode", help="emit the SMT-LIB2 encoding")
     p_encode.add_argument("model")

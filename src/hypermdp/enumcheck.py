@@ -3,17 +3,19 @@
 Scheduler quantifiers range over the memoryless non-probabilistic
 assignments, state quantifiers over all states; the quantifier-free body
 is evaluated at the composed tuples the state quantifiers visit, each path
-formula on the chains of only the components it mentions.
+formula on the chains of only the components it mentions and only at the
+states reachable from where it is read.
 Serves as the oracle for the constraint-encoding engine and as a
 standalone checker.  Mixed scheduler prefixes are supported here.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, Mapping, Tuple
 
 from . import analysis
 from .errors import (
@@ -47,6 +49,9 @@ from .formula import (
 from .model import Dtmc, Mdp, SchedulerAssignment, enumerate_schedulers, induce_dtmc, self_compose
 
 
+_ONE = Fraction(1)
+
+
 @dataclass
 class Verdict:
     """Truth value plus witness or counterexample instantiations.
@@ -62,12 +67,6 @@ class Verdict:
     states: Dict[str, str] = field(default_factory=dict)
 
 
-def _unit_composition() -> Dtmc:
-    # zero components: a single anonymous state with a self-loop
-    unit = ()
-    return Dtmc(states=(unit,), trans={unit: ((unit, Fraction(1)),)}, ap=(), labels={unit: frozenset()})
-
-
 @dataclass(frozen=True)
 class Composition:
     """One scheduler combination of a formula: the assignment that each
@@ -80,7 +79,8 @@ class Composition:
         """The whole n-fold self-composition; components that run under one
         assignment share its induced chain."""
         if not self.assignments:
-            return _unit_composition()
+            unit = ()  # zero components: a single anonymous state with a self-loop
+            return Dtmc(states=(unit,), trans={unit: ((unit, _ONE),)}, ap=(), labels={unit: frozenset()})
         induced = {a: induce_dtmc(self.mdp, a) for a in dict.fromkeys(self.assignments)}
         return self_compose([induced[a] for a in self.assignments])
 
@@ -90,19 +90,49 @@ def build_composition(mdp: Mdp, f: Formula, chosen: Dict[str, SchedulerAssignmen
     return Composition(mdp, tuple(chosen[q.sched] for q in f.prefix if isinstance(q, StateQuant)))
 
 
+class JointRows(dict):
+    """Rows of the product of the chains whose rows are ``components``, each
+    built on first read, in ``self_compose``'s order and with its products
+    formed from the second component on."""
+
+    def __init__(self, components: Tuple[Mapping, ...]):
+        super().__init__()
+        self.components = components
+
+    def __missing__(self, point: tuple):
+        row = [((), _ONE)]
+        for rows, s in zip(self.components, point):
+            row = [(joint + (t,), p * q if joint else q) for joint, p in row for t, q in rows[s]]
+        row = self[point] = tuple(row)
+        return row
+
+
+def _walk(rows: Mapping, point, stop: Mapping) -> list:
+    """``point`` and the points reachable from it without entering ``stop``."""
+    points, seen = [point], {point}
+    for q in points:  # breadth first: the loop reaches what it appends
+        for t, _ in rows[q]:
+            if t not in seen and t not in stop:
+                seen.add(t)
+                points.append(t)
+    return points
+
+
 class Evaluator:
     """Evaluates a formula's body at composed tuples, one scheduler
     combination (``bind``) at a time.
 
-    A path formula is solved on the composition of only the components its
-    state variables map to, its support K: for one component that is the
-    induced chain itself.  Its operands are evaluated on K-local tuples, and
-    its value at a composed tuple is read at the tuple's projection onto K.
-    Chains and vectors are cached by the assignments of K's components and
-    by the path formula with its variables renamed to positions in K, so
-    ``P(F a(x))`` and ``P(F a(y))`` under one scheduler share a solve, and a
-    vector survives every combination that keeps its assignments.  The
-    cache keeps only entries whose assignments are bound.
+    A path formula is solved on the chain of only the components its state
+    variables map to, its support K: one component's induced chain, or
+    ``JointRows`` over several, never the whole product.  Its vector is
+    filled lazily at K-local points: a read that misses at p solves the
+    points reachable from p.  Until stops at points solved before, the
+    solve's known boundary, so each point is solved once; next reads p's row
+    only; bounded until solves the whole chain on its first miss, since its
+    windows at solved points do not cover the steps still to go.
+    Rows and vectors are cached by the assignments of K and the path renamed
+    to positions in K, so ``P(F a(x))`` and ``P(F a(y))`` under one scheduler
+    share a vector; the caches keep only entries whose assignments are bound.
     """
 
     def __init__(self, mdp: Mdp, f: Formula):
@@ -110,7 +140,8 @@ class Evaluator:
         self.var_index = state_var_index(f)
         self.supports = subformula_supports(f.body, self.var_index)
         self.assignments: Tuple[SchedulerAssignment, ...] = ()
-        self.cache = {}  # (assignments of K, renamed path, or None for K's chain) -> vector or chain
+        self.cache = {}  # (assignments of K, renamed path, or None for K's rows) -> vector or rows
+        self.closures = {}  # (assignments of K, point) -> the points reachable from it
         self._stamp = 0  # counts binds; a reader refetches its vector when it moves
         self._fns = {}
         self._top = tuple(range(len(self.var_index)))
@@ -121,7 +152,8 @@ class Evaluator:
         whose assignments it does not bind."""
         bound = self.assignments = composition.assignments
         self._stamp += 1
-        self.cache = {key: v for key, v in self.cache.items() if all(a in bound for a in key[0])}
+        keep = lambda cache: {key: v for key, v in cache.items() if all(a in bound for a in key[0])}
+        self.cache, self.closures = keep(self.cache), keep(self.closures)
 
     def holds(self, at: tuple) -> bool:
         """The body at composed tuple ``at``."""
@@ -133,8 +165,9 @@ class Evaluator:
         self.supports.update(subformula_supports(node, self.var_index))
         return self._compile(node, self._top)(at)
 
-    def _compile(self, node, frame: Tuple[int, ...]):
-        """``node`` as a function of tuples over the components ``frame``."""
+    def _compile(self, node, frame):
+        """``node`` as a function of tuples over the components ``frame``, or,
+        for an int frame, of that component's bare states (faster to hash)."""
         fn = self._fns.get((node, frame))
         if fn is None:
             fn = self._fns[node, frame] = self._build(node, frame)
@@ -146,6 +179,8 @@ class Evaluator:
             return lambda t: value
         if isinstance(node, Prop):
             name, labels = node.name, self.mdp.labels
+            if isinstance(frame, int):
+                return lambda s: name in labels[s]
             pos = frame.index(self.var_index[node.var] - 1)
             return lambda t: name in labels[t[pos]]
         if isinstance(node, NotF):
@@ -163,53 +198,65 @@ class Evaluator:
 
     def _reader(self, node: ProbOf, frame):
         support = self.supports[node]
-        pos = tuple(frame.index(c) for c in support)
         names = {v: support.index(i - 1) for v, i in self.var_index.items() if i - 1 in support}
         renamed = rename_vars(node.path, names)
         held = [None, None]  # (stamp, vector) of the last bind
 
-        def vector():
+        def read(point):
             if held[0] != self._stamp:
                 key = (tuple(self.assignments[c] for c in support), renamed)
-                vec = self.cache.get(key)
-                if vec is None:
-                    vec = self.cache[key] = self._solve(node.path, support)
-                held[0], held[1] = self._stamp, vec
-            return held[1]
+                held[0], held[1] = self._stamp, self.cache.setdefault(key, {})
+            value = held[1].get(point)
+            if value is None:
+                self._solve(node.path, support, held[1], point)
+                value = held[1][point]
+            return value
 
+        if isinstance(frame, int):  # the support is (frame,) or ()
+            return read if support else (lambda s: read(()))
+        pos = tuple(frame.index(c) for c in support)
         if len(pos) == 1:
             (p,) = pos
-            return lambda t: vector()[t[p]]
-        return lambda t: vector()[tuple(t[p] for p in pos)]
+            return lambda t: read(t[p])
+        return lambda t: read(tuple(t[p] for p in pos))
 
-    def _solve(self, path, support):
-        d = self.chain(support)
-        points = [(s,) for s in d.states] if len(support) == 1 else d.states
-
-        def pred(body):
-            fn = self._compile(body, support)
-            return {s: fn(p) for s, p in zip(d.states, points)}
-
+    def _solve(self, path, support, vec: dict, point) -> None:
+        """Add to ``vec`` the values of ``path`` at ``point`` and at the
+        points its value there depends on."""
+        rows = self.rows(support)
+        frame = support[0] if len(support) == 1 else support
         if isinstance(path, Next):
-            return analysis.next_probs(d, pred(path.operand))
+            holds = self._compile(path.operand, frame)
+            d = Dtmc(states=(point,), trans=rows, ap=(), labels={})
+            vec.update(analysis.next_probs(d, {t: holds(t) for t, _ in rows[point]}))
+            return
+        if not isinstance(path, Until):  # windows at solved points do not cover the steps still to go
+            states = self.mdp.states
+            points = list(states if isinstance(frame, int) else itertools.product(states, repeat=len(frame)))
+        elif not vec:  # a first miss: the closure of point, shared by the vectors on these rows
+            key = (tuple(self.assignments[c] for c in support), point)
+            points = self.closures[key] = self.closures.get(key) or _walk(rows, point, {})
+        else:
+            points = _walk(rows, point, vec)
+        fn1, fn2 = self._compile(path.left, frame), self._compile(path.right, frame)
+        phi1, phi2 = {q: fn1(q) for q in points}, {q: fn2(q) for q in points}
+        d = Dtmc(states=tuple(points), trans=rows, ap=(), labels={})
         if isinstance(path, Until):
-            return analysis.until_probs(d, pred(path.left), pred(path.right))
-        return analysis.bounded_until_probs(d, pred(path.left), pred(path.right), path.k1, path.k2)
+            vec.update(analysis.until_probs(d, phi1, phi2, vec))
+        else:
+            vec.update(analysis.bounded_until_probs(d, phi1, phi2, path.k1, path.k2))
 
-    def chain(self, support: Tuple[int, ...]) -> Dtmc:
-        """The composition of ``support``'s induced chains under the bound
-        combination: one component's chain itself, none the unit chain."""
+    def rows(self, support: Tuple[int, ...]):
+        """``support``'s rows under the bound combination: ``JointRows`` unless one component."""
         key = (tuple(self.assignments[c] for c in support), None)
-        d = self.cache.get(key)
-        if d is None:
-            if not support:
-                d = _unit_composition()
-            elif len(support) == 1:
-                d = induce_dtmc(self.mdp, key[0][0])
+        rows = self.cache.get(key)
+        if rows is None:
+            if len(support) == 1:
+                rows = induce_dtmc(self.mdp, key[0][0]).trans
             else:
-                d = self_compose([self.chain((c,)) for c in support])
-            self.cache[key] = d
-        return d
+                rows = JointRows(tuple(self.rows((c,)) for c in support))
+            self.cache[key] = rows
+        return rows
 
 
 def validate_inputs(mdp: Mdp, f: Formula, max_sched_vars: int, max_state_vars: int) -> None:

@@ -51,9 +51,6 @@ class Dtmc:
     ap: Tuple[str, ...]
     labels: Mapping[StateId, frozenset]
 
-    def successors(self, s):
-        return self.trans[s]
-
     def transition_count(self) -> int:
         return sum(len(row) for row in self.trans.values())
 

@@ -627,38 +627,42 @@ def _restrict(composed: Dtmc, tuples: Sequence) -> Dtmc:
     )
 
 
-def truth_eval(state_quants, state_order, tuples, holds_fn):
-    """Evaluate the nested state-quantifier structure over body truth values.
+def quantifier_tree(tuples, n: int, state_order):
+    """``tuples`` grouped by the state quantifiers' levels: at depth d < n a
+    list of (state, subtree) in ``state_order``, at depth n the tuple."""
+    order = {s: i for i, s in enumerate(state_order)}
+
+    def level(depth, group):
+        if depth == n - 1:  # the tuples of a last-level group differ in this component only
+            return sorted(((r[depth], r) for r in group), key=lambda sr: order[sr[0]])
+        buckets: Dict[str, list] = {}
+        for r in group:
+            buckets.setdefault(r[depth], []).append(r)
+        return [(s, level(depth + 1, sub)) for s, sub in sorted(buckets.items(), key=lambda kv: order[kv[0]])]
+
+    return level(0, list(tuples)) if n else tuples[0]
+
+
+def truth_eval(state_quants, tree, holds_fn):
+    """Evaluate the nested state-quantifier structure over body truth values
+    at the leaves of ``quantifier_tree``.
 
     Returns the verdict and, for existential levels on the deciding
     branch, the first satisfying state per quantifier.
     """
-    n = len(state_quants)
+    n, no_picks = len(state_quants), {}
     if n == 0:
-        return holds_fn(()), {}
-    order = {s: i for i, s in enumerate(state_order)}
+        return holds_fn(tree), {}
 
-    def level(depth, group):
-        if depth == n:
-            return holds_fn(group[0]), {}
+    def level(depth, node):
         q = state_quants[depth]
-        buckets: Dict[str, list] = {}
-        for r in group:
-            buckets.setdefault(r[depth], []).append(r)
-        items = sorted(buckets.items(), key=lambda kv: order[kv[0]])
-        if q.exists:
-            for s, sub in items:
-                truth, picks = level(depth + 1, sub)
-                if truth:
-                    return True, {q.name: s, **picks}
-            return False, {}
-        for s, sub in items:
-            truth, picks = level(depth + 1, sub)
-            if not truth:
-                return False, {q.name: s, **picks}
-        return True, {}
+        for s, sub in node:
+            truth, picks = level(depth + 1, sub) if depth + 1 < n else (holds_fn(sub), no_picks)
+            if truth == q.exists:  # exists-success or forall-failure decides
+                return truth, {q.name: s, **picks}
+        return not q.exists, {}
 
-    return level(0, list(tuples))
+    return level(0, tree)
 
 
 # -- eager solving -------------------------------------------------------------------
@@ -710,9 +714,10 @@ def solve_eager(
     meta = plan_encoding(mdp, f, prune=prune)
     f_enc, polarity, sched_names = meta.encoded, meta.polarity, meta.sched_names
     evaluator = Evaluator(mdp, f_enc)
+    tree = quantifier_tree(meta.tuples, len(meta.state_quants), mdp.states)
     for combo in _combinations(mdp, len(sched_names)):
         evaluator.bind(build_composition(mdp, f_enc, dict(zip(sched_names, combo))))
-        truth, _picks = truth_eval(meta.state_quants, mdp.states, meta.tuples, evaluator.holds)
+        truth, _picks = truth_eval(meta.state_quants, tree, evaluator.holds)
         if truth:
             break
     else:
@@ -760,7 +765,8 @@ def decode_witness(cs: ConstraintSystem, model: dict, f: Formula) -> Verdict:
             raise IncompleteModel(f"missing truth value {key}")
         return bool(model[key])
 
-    inner_truth, picks = truth_eval(meta.state_quants, meta.states, meta.tuples, body_holds)
+    tree = quantifier_tree(meta.tuples, len(meta.state_quants), meta.states)
+    inner_truth, picks = truth_eval(meta.state_quants, tree, body_holds)
     trace.update(picks)
     truth_final = inner_truth if meta.polarity == "direct" else not inner_truth
     return assemble_verdict(f, truth_final, trace)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypermdp import analysis
 from hypermdp.analysis import (
@@ -250,6 +252,68 @@ class TestSccSolver:
                           "z": (("z", 1),)}, {"g"})
         with pytest.raises(SingularSystem):
             until_probs(loop, true_pred(loop), pred(loop, "a"))
+
+
+def forward_closure(d, starts):
+    seen, frontier = set(starts), list(starts)
+    while frontier:
+        for t, _ in d.trans[frontier.pop()]:
+            if t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    return seen
+
+
+def solve_in_two_parts(d, phi1, phi2, closed):
+    """``until_probs`` on the forward-closed ``closed`` first, then on the
+    rest with the first part's values as the known boundary."""
+    first = [s for s in d.states if s in closed]
+    rest = [s for s in d.states if s not in closed]
+    inner = until_probs(Dtmc(tuple(first), d.trans, d.ap, d.labels), phi1, phi2)
+    outer = until_probs(Dtmc(tuple(rest), d.trans, d.ap, d.labels), phi1, phi2, inner)
+    assert set(inner) == set(first) and set(outer) == set(rest)
+    return {**inner, **outer}
+
+
+class TestKnownBoundary:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**6), data=st.data())
+    def test_two_part_solve_equals_one_solve(self, seed, data):
+        rng = random.Random(seed)
+        mdp = random_mdp(rng, max_states=6)
+        d = induce_dtmc(mdp, rng.choice(list(enumerate_schedulers(mdp))))
+        n = len(d.states)
+        phi1 = dict(zip(d.states, data.draw(st.lists(st.booleans(), min_size=n, max_size=n))))
+        phi2 = dict(zip(d.states, data.draw(st.lists(st.booleans(), min_size=n, max_size=n))))
+        closed = forward_closure(d, data.draw(st.sets(st.sampled_from(d.states))))
+        assert solve_in_two_parts(d, phi1, phi2, closed) == until_probs(d, phi1, phi2)
+
+    def test_boundary_values_zero_one_and_between(self):
+        # b is the only way to phi2 for r0 and r1, and below 1; r2 reaches
+        # only g, whose value is 1; r3 reaches only z, whose value is 0
+        d = raw_chain({"r0": (("r1", "1/2"), ("b", "1/2")),
+                       "r1": (("r0", 1),),
+                       "r2": (("r2", "1/2"), ("g", "1/2")),
+                       "r3": (("r3", "1/2"), ("z", "1/2")),
+                       "b": (("g", "1/2"), ("z", "1/2")),
+                       "g": (("g", 1),),
+                       "z": (("z", 1),)}, {"g"})
+        phi1, phi2 = true_pred(d), pred(d, "a")
+        closed = forward_closure(d, ["b"])
+        inner = until_probs(Dtmc(("b", "g", "z"), d.trans, d.ap, d.labels), phi1, phi2)
+        assert inner == {"b": Fraction(1, 2), "g": ONE, "z": ZERO}
+        whole = until_probs(d, phi1, phi2)
+        assert whole == {"r0": Fraction(1, 2), "r1": Fraction(1, 2), "r2": ONE, "r3": ZERO, **inner}
+        assert solve_in_two_parts(d, phi1, phi2, closed) == whole
+
+    def test_boundary_seeds_the_qualitative_search(self):
+        d = raw_chain({"r0": (("r0", "1/2"), ("b", "1/2")), "b": (("b", 1),)}, set())
+        rest = Dtmc(("r0",), d.trans, d.ap, d.labels)
+        phi1, phi2 = true_pred(d), pred(d, "a")
+        assert qualitative_sets(rest, phi1, phi2, {"b": ZERO}) == (frozenset({"r0"}), frozenset())
+        assert qualitative_sets(rest, phi1, phi2, {"b": Fraction(1, 3)}) == (frozenset(), frozenset())
+        assert until_probs(rest, phi1, phi2, {"b": Fraction(1, 3)}) == {"r0": Fraction(1, 3)}
+        assert until_probs(rest, phi1, phi2, {"b": ONE}) == {"r0": ONE}
 
 
 class TestBounded:

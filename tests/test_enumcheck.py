@@ -171,16 +171,24 @@ class TestProperties:
             assert verdict.truth == direct
 
     def test_shared_scheduler_means_shared_component(self, m_coin):
+        from unittest import mock
+
+        from hypermdp import analysis
+
         f = parse_formula("exists sched s. exists st x(s). exists st y(s). true")
         ev = Evaluator(m_coin, f)
+        reach_x = ProbOf(Until(TrueF(), Prop("a", "x")))
+        reach_y = ProbOf(Until(TrueF(), Prop("a", "y")))
         for assignment in enumerate_schedulers(m_coin):
             ev.bind(build_composition(m_coin, f, {"s": assignment}))
-            reach_x = ProbOf(Until(TrueF(), Prop("a", "x")))
-            reach_y = ProbOf(Until(TrueF(), Prop("a", "y")))
             for s in m_coin.states:
                 at = (s, s)
-                assert ev.value(reach_x, at) == ev.value(reach_y, at)
-            # one solve on the induced chain serves both variables
+                x_value = ev.value(reach_x, at)
+                # the read of y hits the vector that the read of x solved
+                with mock.patch.object(analysis, "until_probs", wraps=analysis.until_probs) as spy:
+                    assert ev.value(reach_y, at) == x_value
+                    assert spy.call_count == 0
+            # one cached vector on the induced chain serves both variables
             assert [key[1] for key in ev.cache if key[1] is not None] == [Until(TrueF(), Prop("a", 0))]
 
     def test_composition_instrumentation_on_benchmark_shapes(self, m_coin):
@@ -208,7 +216,9 @@ class TestProperties:
             components = spy.call_args[0][0]
             assert components[0] is not components[1]
             assert components[0].trans != components[1].trans
-        # the evaluator composes only for a coupled operand, from the same chains
+        # the evaluator composes nothing: a coupled operand's rows are built
+        # from the components' induced chains, one chain when the scheduler
+        # is shared, distinct chains when it is not
         coupled = ProbOf(Until(TrueF(), And(Prop("a", "x"), Prop("a", "y"))))
         for f, chosen, shared_chain in ((shared, {"s": first}, True),
                                         (split, {"s1": first, "s2": second}, False)):
@@ -216,10 +226,16 @@ class TestProperties:
             ev.bind(build_composition(m_coin, f, chosen))
             with mock.patch.object(enumcheck, "self_compose", wraps=enumcheck.self_compose) as spy:
                 ev.holds(("s0", "s0"))
-                assert spy.call_count == 0
                 ev.value(coupled, ("s0", "s0"))
-                components = spy.call_args[0][0]
-                assert (components[0] is components[1]) == shared_chain
+                assert spy.call_count == 0
+            rows = ev.rows((0, 1))
+            assert len(rows) > 0  # the coupled solve read joint rows
+            left, right = rows.components
+            assert (left is right) == shared_chain
+            assert left is ev.rows((0,)) and right is ev.rows((1,))
+            assert (left == right) == shared_chain
+            for point, row in rows.items():
+                assert row == tuple(((t, u), p * q) for t, p in left[point[0]] for u, q in right[point[1]])
 
     def test_witness_replay(self):
         rng = random.Random(23)

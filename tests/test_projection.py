@@ -1,19 +1,23 @@
 """The projected evaluator against the full self-composition.
 
 Every path formula is solved on the chains of only the components it
-mentions; these tests check that against ``VectorEvaluator`` on the whole
-n-fold product, on random models and formulas, and that the cache and the
-eager sweep stay bounded by the model and formula.
+mentions, and only at the points reachable from where it is read; these
+tests check that against ``VectorEvaluator`` on the whole n-fold product,
+on random models and formulas and for vectors read a few points at a
+time, and that the work, the caches and the eager sweep stay bounded by
+the model and formula.
 """
 
 import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hypermdp import analysis
 from hypermdp.enumcheck import Evaluator, build_composition, check, replay
 from hypermdp.formula import (
     And,
@@ -30,6 +34,7 @@ from hypermdp.formula import (
     TrueF,
     Until,
     parse_formula,
+    state_var_index,
 )
 from hypermdp.model import Mdp, enumerate_schedulers
 from hypermdp.smt import VectorEvaluator, solve_eager
@@ -124,6 +129,94 @@ def test_coupled_and_nested_operands_on_three_variables():
         test_every_probability_matches_the_full_composition.hypothesis.inner_test(rng.randrange(10**6), f)
 
 
+def init_guarded(f: Formula) -> Formula:
+    """``(init(x) & init(y) & ...) -> body``."""
+    names = [q.name for q in f.prefix if isinstance(q, StateQuant)]
+    guard = Prop("init", names[0])
+    for name in names[1:]:
+        guard = And(guard, Prop("init", name))
+    return Formula(prefix=f.prefix, body=NotF(And(guard, NotF(f.body))))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10**6), f=formulas(), data=st.data())
+def test_partial_reads_match_the_full_composition(seed, f, data):
+    # a fresh evaluator reads one arbitrary point first, then the rest in
+    # reverse state order, so every vector is solved in several closures,
+    # each on the boundary of the earlier ones
+    mdp = random_mdp(random.Random(seed), max_states=6)
+    names = [q.name for q in f.prefix if isinstance(q, SchedQuant)]
+    schedulers = list(enumerate_schedulers(mdp))
+    composition = build_composition(mdp, f, {name: data.draw(st.sampled_from(schedulers)) for name in names})
+    tuples = list(itertools.product(mdp.states, repeat=len(composition.assignments)))
+    first = data.draw(st.sampled_from(tuples))
+    full = VectorEvaluator(composition.full(), state_var_index(f))
+    for g in (f, init_guarded(f)):
+        ev = Evaluator(mdp, g)
+        ev.bind(composition)
+        body = full.holds(g.body)
+        # the guarded body reads its probabilities at init tuples only
+        for at in [first] + tuples[::-1]:
+            assert ev.holds(at) == body[at], at
+        for node in [node for node in ev.supports if isinstance(node, ProbOf)]:
+            vector = full.value(node)
+            for at in [first] + tuples[::-1]:
+                assert ev.value(node, at) == vector[at], (node, at)
+
+
+def test_reverse_reads_of_plain_until_match_the_full_composition():
+    # the operand shapes that make a later closure depend on an earlier one
+    # whose values lie strictly between 0 and 1
+    f = parse_formula("exists sched s. exists st x(s). exists st y(s). "
+                      "P(a(x) U b(x)) < P(a(x) U (b(x) & b(y)))")
+    rng = random.Random(11)
+    for _ in range(150):
+        mdp = random_mdp(rng, max_states=6)
+        composition = build_composition(mdp, f, {"s": rng.choice(list(enumerate_schedulers(mdp)))})
+        full = VectorEvaluator(composition.full(), {"x": 1, "y": 2})
+        ev = Evaluator(mdp, f)
+        ev.bind(composition)
+        for node in [node for node in ev.supports if isinstance(node, ProbOf)]:
+            vector = full.value(node)
+            for at in reversed(list(itertools.product(mdp.states, repeat=2))):
+                assert ev.value(node, at) == vector[at], (node, at)
+
+
+def test_reads_from_the_sink_end_of_a_path_solve_each_point_once():
+    # q0 -> q1 -> ... -> q199, the sink and the only a-state
+    n = 200
+    states = tuple(f"q{i}" for i in range(n))
+    mdp = Mdp(
+        states=states,
+        actions=("go",),
+        enabled={s: ("go",) for s in states},
+        trans={(s, "go"): ((states[min(i + 1, n - 1)], Fraction(1)),) for i, s in enumerate(states)},
+        ap=("a",),
+        labels={s: frozenset({"a"} if s == states[-1] else ()) for s in states},
+    )
+    f = parse_formula("exists sched s. exists st x(s). true")
+    unbounded = ProbOf(Until(TrueF(), Prop("a", "x")))
+    bounded = ProbOf(BoundedUntil(TrueF(), Prop("a", "x"), 0, 3))
+    ev = Evaluator(mdp, f)
+    ev.bind(build_composition(mdp, f, {"s": next(enumerate_schedulers(mdp))}))
+    # the unbounded vector solves each point once; the bounded one solves
+    # the whole chain in one call on its first miss
+    for name, node in (("until_probs", unbounded), ("bounded_until_probs", bounded)):
+        solve = getattr(analysis, name)
+        sizes = []
+
+        def spy(d, *args, solve=solve, sizes=sizes):
+            sizes.append(len(d.states))
+            return solve(d, *args)
+
+        with mock.patch.object(analysis, name, spy):
+            for i in reversed(range(n)):
+                expected = 1 if node is unbounded or i >= n - 4 else 0
+                assert ev.value(node, (states[i],)) == expected
+        assert 0 < sum(sizes) <= 2 * n, (name, sizes)
+        assert node is unbounded or sizes == [n], sizes
+
+
 def test_cache_stays_bounded_through_a_full_sweep():
     rng = random.Random(3)
     mdp = next(m for m in iter(lambda: random_mdp(rng), None) if m.scheduler_space_size() == 16)
@@ -144,8 +237,8 @@ def test_cache_stays_bounded_through_a_full_sweep():
         ev.bind(build_composition(mdp, f, {"s1": first, "s2": second}))
         for at in itertools.product(mdp.states, repeat=2):
             ev.holds(at)
-        assert all(a in (first, second) for key in ev.cache for a in key[0])
-        largest = max(largest, len(ev.cache))
+        assert all(a in (first, second) for cache in (ev.cache, ev.closures) for key in cache for a in key[0])
+        largest = max(largest, len(ev.cache), len(ev.closures))
     assert largest <= bound
 
 
