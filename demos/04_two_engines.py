@@ -2,10 +2,11 @@
 """The two decision engines, side by side.
 
 The enumeration engine instantiates quantifiers directly; the eager
-engine walks the constraint encoding (negating universal scheduler
-blocks, then enumerating choice assignments until the truth constraint
-holds).  Both return the same verdicts and, by construction, the same
-lexicographically-least witnesses.
+engine decides the formula the constraint encoding states (negating
+universal scheduler blocks, then trying choice assignments until the
+truth constraint holds) with the same quantifier walk.  Both return
+the same verdicts and, by construction, the same lexicographically-least
+witnesses.
 """
 
 from hypermdp import check, parse_mdp, parse_formula, solve_eager

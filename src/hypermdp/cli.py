@@ -125,14 +125,8 @@ def cmd_check(args, out) -> int:
                     with open(args.emit, "w", encoding="utf-8") as fh:
                         fh.write(emit_smtlib2(cs))
                     encode_ms = (time.perf_counter() - t0) * 1000
-                result = solve_eager(
-                    mdp, f,
-                    max_sched_vars=args.max_sched_vars,
-                    max_state_vars=args.max_state_vars,
-                    jobs=args.jobs,
-                    prune=args.prune,
-                )
-                verdict = result.decoded
+                verdict = solve_eager(mdp, f, max_sched_vars=args.max_sched_vars,
+                                      max_state_vars=args.max_state_vars).decoded
         except MixedSchedulerBlock:
             notice = "notice: mixed scheduler block, falling back to the enum engine"
             engine = "enum"
@@ -261,8 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--json", action="store_true", help="machine-readable report")
     p_check.add_argument("--emit", help="also write the SMT-LIB2 encoding to this file (smt engines)")
     p_check.add_argument("--prune", action="store_true",
-                         help="restrict encoding to composed states reachable from "
-                              "all-init tuples (sound only for init-guarded bodies)")
+                         help="encode only composed states reachable from all-init tuples "
+                              "(--emit, the --json variable count and smt-external; "
+                              "sound only for init-guarded bodies); the smt-eager "
+                              "verdict ranges over every state")
     p_check.add_argument("--max-sched-vars", type=int, default=3)
     p_check.add_argument("--max-state-vars", type=int, default=3)
     p_check.add_argument("--jobs", type=int, default=1,

@@ -1,12 +1,13 @@
-"""Reference semantics: check formulas by direct quantifier instantiation.
+"""Reference semantics: decide formulas by direct quantifier instantiation.
 
-Scheduler quantifiers range over the memoryless non-probabilistic
-assignments, state quantifiers over all states; the quantifier-free body
-is evaluated at the composed tuples the state quantifiers visit, each path
-formula on the chains of only the components it mentions and only at the
-states reachable from where it is read.
-Serves as the oracle for the constraint-encoding engine and as a
-standalone checker.  Mixed scheduler prefixes are supported here.
+``decide`` is the one quantifier walk: scheduler quantifiers range over
+the memoryless non-probabilistic assignments, state quantifiers over all
+states; the quantifier-free body is evaluated at the composed tuples the
+state quantifiers visit, each path formula on the chains of only the
+components it mentions and only at the states reachable from where it is
+read.  ``check``, ``replay`` and the eager engine (``smt.solve_eager``,
+on the encoded formula) are thin front ends to it.  Mixed scheduler
+prefixes are supported here.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from . import analysis
 from .errors import (
@@ -275,51 +276,48 @@ def validate_inputs(mdp: Mdp, f: Formula, max_sched_vars: int, max_state_vars: i
         raise UnknownProposition(f"propositions not in the model alphabet: {sorted(unknown)}")
 
 
-def check(
-    mdp: Mdp,
-    f: Formula,
-    max_sched_vars: int = 3,
-    max_state_vars: int = 3,
-) -> Verdict:
-    """Evaluate a formula by enumerating schedulers and states.
+def decide(mdp: Mdp, f: Formula, pinned: Optional[Mapping[int, object]] = None) -> Tuple[bool, dict]:
+    """The truth of ``f`` and the values on its deciding branch.
 
-    Schedulers are tried outermost in lexicographic order, then state
-    quantifiers left to right, short-circuiting on exists-success and
-    forall-failure.
+    Scheduler quantifiers take every assignment in lexicographic order,
+    then, under one ``bind`` per combination, state quantifiers take the
+    states left to right, short-circuiting on exists-success and
+    forall-failure.  The quantifier at prefix position i takes only
+    ``pinned[i]`` if given.  Values are keyed by prefix position, so a
+    scheduler and a state variable may share a name.
     """
-    validate_inputs(mdp, f, max_sched_vars, max_state_vars)
-
-    sched_quants = [q for q in f.prefix if isinstance(q, SchedQuant)]
-    state_quants = [q for q in f.prefix if isinstance(q, StateQuant)]
+    pinned = pinned or {}
     evaluator = Evaluator(mdp, f)
+    holds, none = evaluator.holds, {}
+    m, n = count_quantifiers(f)
+    chosen: Dict[str, SchedulerAssignment] = {}
 
-    def eval_states(idx: int, partial: tuple):
-        if idx == len(state_quants):
-            return evaluator.holds(partial), {}
-        q = state_quants[idx]
-        for s in mdp.states:
-            truth, trace = eval_states(idx + 1, partial + (s,))
-            if q.exists and truth:
-                return True, {q.name: s, **trace}
-            if not q.exists and not truth:
-                return False, {q.name: s, **trace}
-        return (not q.exists), {}
-
-    def eval_scheds(idx: int, chosen: Dict[str, SchedulerAssignment]):
-        if idx == len(sched_quants):
+    def walk(i: int, at: tuple):
+        if i == m:  # reached once per scheduler combination
             evaluator.bind(build_composition(mdp, f, chosen))
-            return eval_states(0, ())
-        q = sched_quants[idx]
-        for assignment in enumerate_schedulers(mdp):
-            truth, trace = eval_scheds(idx + 1, {**chosen, q.name: assignment})
-            if q.exists and truth:
-                return True, {q.name: assignment, **trace}
-            if not q.exists and not truth:
-                return False, {q.name: assignment, **trace}
-        return (not q.exists), {}
+        if i == m + n:
+            return holds(at), none
+        q, sched = f.prefix[i], i < m
+        values = (pinned[i],) if i in pinned else enumerate_schedulers(mdp) if sched else mdp.states
+        for v in values:
+            if sched:
+                chosen[q.name] = v
+                truth, trace = walk(i + 1, at)
+            elif i + 1 < m + n:
+                truth, trace = walk(i + 1, at + (v,))
+            else:  # the last quantifier reads the body itself, a call less per tuple
+                truth, trace = holds(at + (v,)), none
+            if truth == q.exists:
+                return truth, {i: v, **trace}
+        return not q.exists, none
 
-    truth, trace = eval_scheds(0, {})
-    return assemble_verdict(f, truth, trace)
+    return walk(0, ())
+
+
+def check(mdp: Mdp, f: Formula, max_sched_vars: int = 3, max_state_vars: int = 3) -> Verdict:
+    """Evaluate a formula by enumerating schedulers and states (``decide``)."""
+    validate_inputs(mdp, f, max_sched_vars, max_state_vars)
+    return assemble_verdict(f, *decide(mdp, f))
 
 
 def replay(mdp: Mdp, f: Formula, verdict: Verdict) -> bool:
@@ -329,35 +327,16 @@ def replay(mdp: Mdp, f: Formula, verdict: Verdict) -> bool:
     the remaining ones are evaluated per their kind.  A valid witness
     yields True, a valid counterexample False.
     """
-    sched_quants = [q for q in f.prefix if isinstance(q, SchedQuant)]
-    state_quants = [q for q in f.prefix if isinstance(q, StateQuant)]
-    evaluator = Evaluator(mdp, f)
-
-    def eval_states(idx: int, partial: tuple) -> bool:
-        if idx == len(state_quants):
-            return evaluator.holds(partial)
-        q = state_quants[idx]
-        if q.name in verdict.states:
-            return eval_states(idx + 1, partial + (verdict.states[q.name],))
-        results = (eval_states(idx + 1, partial + (s,)) for s in mdp.states)
-        return any(results) if q.exists else all(results)
-
-    def eval_scheds(idx: int, chosen: dict) -> bool:
-        if idx == len(sched_quants):
-            evaluator.bind(build_composition(mdp, f, chosen))
-            return eval_states(0, ())
-        q = sched_quants[idx]
-        if q.name in verdict.schedulers:
-            return eval_scheds(idx + 1, {**chosen, q.name: verdict.schedulers[q.name]})
-        results = (
-            eval_scheds(idx + 1, {**chosen, q.name: a}) for a in enumerate_schedulers(mdp)
-        )
-        return any(results) if q.exists else all(results)
-
-    return eval_scheds(0, {})
+    pinned = {}
+    for i, q in enumerate(f.prefix):
+        values = verdict.schedulers if isinstance(q, SchedQuant) else verdict.states
+        if q.name in values:
+            pinned[i] = values[q.name]
+    return decide(mdp, f, pinned)[0]
 
 
-def assemble_verdict(f: Formula, truth: bool, trace: dict) -> Verdict:
+def assemble_verdict(f: Formula, truth: bool, trace: Mapping[int, object]) -> Verdict:
+    """The verdict of ``f`` from its truth and ``decide``'s values."""
     verdict = Verdict(truth=truth)
     if not f.prefix:
         return verdict
@@ -368,11 +347,9 @@ def assemble_verdict(f: Formula, truth: bool, trace: dict) -> Verdict:
         verdict.mode = "counterexample"
     else:
         return verdict
-    for q in f.prefix:
-        if q.exists != lead or q.name not in trace:
+    for i, q in enumerate(f.prefix):
+        if q.exists != lead or i not in trace:
             break
-        if isinstance(q, SchedQuant):
-            verdict.schedulers[q.name] = trace[q.name]
-        else:
-            verdict.states[q.name] = trace[q.name]
+        values = verdict.schedulers if isinstance(q, SchedQuant) else verdict.states
+        values[q.name] = trace[i]
     return verdict

@@ -11,12 +11,14 @@ independently.  A universal scheduler block is encoded as the existential
 encoding of the negated body with flipped state quantifiers and the final
 verdict inverted.
 
-Solving is eager: scheduler-choice assignments are enumerated; under a
-fixed assignment the guarded equations collapse to the exact linear
-systems of the analysis module, which the enumeration engine's evaluator
-solves per support, and the truth constraint is checked by Boolean
-evaluation.  The first satisfying assignment (lexicographically
-least) is decoded into a witness or counterexample.
+Solving is eager: under a fixed scheduler-choice assignment the guarded
+equations collapse to the exact linear systems of the analysis module, so
+``solve_eager`` hands the encoded formula to the quantifier walk
+``enumcheck.decide``, which enumerates the assignments in lexicographic
+order and solves those systems per support; its deciding branch is the
+witness or counterexample.  The encoding itself is built only for SMT-LIB
+export, the external solver (whose model ``decode_witness`` reads) and
+the ``full_assignment`` oracle.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .constraints import (
     eq,
     var,
 )
-from .enumcheck import Evaluator, Verdict, assemble_verdict, build_composition, validate_inputs
+from .enumcheck import Verdict, assemble_verdict, build_composition, decide, validate_inputs
 from .errors import IncompleteModel, MixedSchedulerBlock
 from .formula import (
     And,
@@ -73,7 +75,8 @@ from .formula import (
     state_var_index,
     subformula_supports,
 )
-from .model import Dtmc, Mdp, SchedulerAssignment, enumerate_schedulers
+from .model import Dtmc, Mdp, SchedulerAssignment
+from .model import enumerate_schedulers  # noqa: F401  bench/tracing.py hooks smt.enumerate_schedulers
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -126,7 +129,6 @@ class EncodingMeta:
     var_index: Dict[str, int]
     states: Tuple[str, ...]
     tuples: Tuple[Tuple[str, ...], ...]
-    body_index: int
     supports: Dict[object, Support]  # in registration order: index i is the i-th key
 
 
@@ -189,7 +191,6 @@ def plan_encoding(mdp: Mdp, f: Formula, prune: bool = False) -> EncodingMeta:
         var_index=var_index,
         states=mdp.states,
         tuples=tuples,
-        body_index=0,  # the body is registered first
         supports=subformula_supports(f_enc.body, var_index),
     )
 
@@ -476,29 +477,19 @@ class Encoder:
     # truth of the input formula -------------------------------------------------
 
     def encode_truth(self):
-        body = self.meta.encoded.body
-        n = len(self.meta.state_quants)
-        body_ref = self.ref(body, tuple(range(n)))
-        if n == 0:
-            term = self.holds(body_ref, ())
-        else:
-            term = self._truth_level(0, list(self.meta.tuples), body_ref)
-        self.cs.truth = term
-        self.cs.add(term)
+        """The state quantifiers as a tree of disjunctions and conjunctions
+        over the body's truth at the encoded tuples."""
+        quants = self.meta.state_quants
+        body_ref = self.ref(self.meta.encoded.body, tuple(range(len(quants))))
 
-    def _truth_level(self, depth: int, tuples: List[tuple], body_ref) -> Term:
-        if depth == len(self.meta.state_quants):
-            assert len(tuples) == 1
-            return self.holds(body_ref, tuples[0])
-        groups = {}
-        for r in tuples:
-            groups.setdefault(r[depth], []).append(r)
-        items = tuple(self._truth_level(depth + 1, group, body_ref) for _, group in sorted(
-            groups.items(), key=lambda kv: self.mdp.states.index(kv[0])
-        ))
-        if self.meta.state_quants[depth].exists:
-            return OrT(items)
-        return AndT(items)
+        def level(depth, node) -> Term:
+            if depth == len(quants):
+                return self.holds(body_ref, node)
+            items = tuple(level(depth + 1, sub) for _, sub in node)
+            return OrT(items) if quants[depth].exists else AndT(items)
+
+        self.cs.truth = level(0, quantifier_tree(self.meta.tuples, len(quants), self.mdp.states))
+        self.cs.add(self.cs.truth)
 
 
 def encode_main(mdp: Mdp, f: Formula, prune: bool = False) -> Tuple[ConstraintSystem, str]:
@@ -647,19 +638,17 @@ def truth_eval(state_quants, tree, holds_fn):
     """Evaluate the nested state-quantifier structure over body truth values
     at the leaves of ``quantifier_tree``.
 
-    Returns the verdict and, for existential levels on the deciding
-    branch, the first satisfying state per quantifier.
+    Returns the verdict and, for the levels on the deciding branch, the
+    first deciding state, keyed by depth.
     """
-    n, no_picks = len(state_quants), {}
-    if n == 0:
-        return holds_fn(tree), {}
-
     def level(depth, node):
+        if depth == len(state_quants):
+            return holds_fn(node), {}
         q = state_quants[depth]
         for s, sub in node:
-            truth, picks = level(depth + 1, sub) if depth + 1 < n else (holds_fn(sub), no_picks)
+            truth, picks = level(depth + 1, sub)
             if truth == q.exists:  # exists-success or forall-failure decides
-                return truth, {q.name: s, **picks}
+                return truth, {depth: s, **picks}
         return not q.exists, {}
 
     return level(0, tree)
@@ -672,77 +661,33 @@ def truth_eval(state_quants, tree, holds_fn):
 class SmtVerdict:
     sat: bool
     polarity: str
-    model: Optional[dict] = None
+    model: Optional[dict] = None  # the external solver's model; None from solve_eager
     decoded: Optional[Verdict] = None
 
 
-def _light_system(mdp: Mdp, encoder_meta: EncodingMeta) -> ConstraintSystem:
-    cs = ConstraintSystem()
-    for family, _ in enumerate(encoder_meta.sched_names):
-        for s in mdp.states:
-            cs.choice_domains[(family, s)] = mdp.enabled[s]
-    cs.meta = encoder_meta
-    return cs
+def solve_eager(mdp: Mdp, f: Formula, max_sched_vars: int = 3, max_state_vars: int = 3) -> SmtVerdict:
+    """Decide the encoded formula the way the collapsed systems would.
 
-
-def _combinations(mdp: Mdp, m: int, head: tuple = ()):
-    """Every m-tuple of schedulers, streamed in lexicographic order (the
-    last entry varies fastest)."""
-    if len(head) == m:
-        yield head
-        return
-    for assignment in enumerate_schedulers(mdp):
-        yield from _combinations(mdp, m, head + (assignment,))
-
-
-def solve_eager(
-    mdp: Mdp,
-    f: Formula,
-    max_sched_vars: int = 3,
-    max_state_vars: int = 3,
-    jobs: int = 1,
-    prune: bool = False,
-) -> SmtVerdict:
-    """Enumerate choice assignments; evaluate the collapsed system each time.
-
-    Combinations are streamed, and the body is evaluated only at the tuples
-    the state quantifiers visit.  Returns the first (lexicographically
-    least) satisfying assignment as the model.  ``jobs`` is accepted and
-    ignored: the work holds the interpreter lock, so threads only slowed it.
+    Under a fixed choice assignment the guarded equations collapse to the
+    exact systems that ``enumcheck.decide`` solves per support, so the
+    encoded formula (``transform_for_encoding``) is decided by that walk:
+    the first satisfying assignment is the lexicographically least, and
+    its values on the deciding branch are the witness or counterexample.
     """
     validate_inputs(mdp, f, max_sched_vars, max_state_vars)
-    meta = plan_encoding(mdp, f, prune=prune)
-    f_enc, polarity, sched_names = meta.encoded, meta.polarity, meta.sched_names
-    evaluator = Evaluator(mdp, f_enc)
-    tree = quantifier_tree(meta.tuples, len(meta.state_quants), mdp.states)
-    for combo in _combinations(mdp, len(sched_names)):
-        evaluator.bind(build_composition(mdp, f_enc, dict(zip(sched_names, combo))))
-        truth, _picks = truth_eval(meta.state_quants, tree, evaluator.holds)
-        if truth:
-            break
-    else:
-        truth_final = polarity == "negated"
-        return SmtVerdict(sat=False, polarity=polarity,
-                          decoded=assemble_verdict(f, truth_final, {}))
-
-    model: Dict[str, object] = {}
-    for family, name in enumerate(sched_names):
-        for s in mdp.states:
-            for a in mdp.enabled[s]:
-                model[choice_sym(family, s, a)] = (combo[family].choice(s) == a)
-    body_support = meta.supports[f_enc.body]
-    for r in meta.tuples:
-        model[holds_sym(project(r, body_support), meta.body_index)] = evaluator.holds(r)
-    decoded = decode_witness(_light_system(mdp, meta), model, f)
-    return SmtVerdict(sat=True, polarity=polarity, model=model, decoded=decoded)
+    f_enc, polarity = transform_for_encoding(f)
+    sat, trace = decide(mdp, f_enc)
+    truth = sat if polarity == "direct" else not sat
+    return SmtVerdict(sat=sat, polarity=polarity, decoded=assemble_verdict(f, truth, trace))
 
 
 # -- decoding -----------------------------------------------------------------------
 
 
 def decode_witness(cs: ConstraintSystem, model: dict, f: Formula) -> Verdict:
-    """Extract scheduler assignments and existential state indices from a
-    satisfying model; inverted polarity turns them into a counterexample."""
+    """Extract scheduler assignments and existential state indices from an
+    external solver's satisfying model (``smt-external``); inverted
+    polarity turns them into a counterexample."""
     meta: EncodingMeta = cs.meta
     choices = {}
     for (family, state), actions in cs.choice_domains.items():
@@ -750,24 +695,24 @@ def decode_witness(cs: ConstraintSystem, model: dict, f: Formula) -> Verdict:
         if len(picked) != 1:
             raise IncompleteModel(f"choice variable for family {family}, state {state!r} unresolved")
         choices[(family, state)] = picked[0]
-    trace: Dict[str, object] = {}
-    for family, name in enumerate(meta.sched_names):
-        trace[name] = SchedulerAssignment(
-            states=meta.states,
-            actions=tuple(choices[(family, s)] for s in meta.states),
-        )
+    m = len(meta.sched_names)  # a family's index is its prefix position
+    trace: Dict[int, object] = {
+        family: SchedulerAssignment(meta.states, tuple(choices[(family, s)] for s in meta.states))
+        for family in range(m)
+    }
 
-    body_support = meta.supports[meta.encoded.body]
+    body = meta.encoded.body
+    body_support, body_index = meta.supports[body], cs.subformula_index[body]
 
     def body_holds(r):
-        key = holds_sym(project(r, body_support), meta.body_index)
+        key = holds_sym(project(r, body_support), body_index)
         if key not in model:
             raise IncompleteModel(f"missing truth value {key}")
         return bool(model[key])
 
     tree = quantifier_tree(meta.tuples, len(meta.state_quants), meta.states)
     inner_truth, picks = truth_eval(meta.state_quants, tree, body_holds)
-    trace.update(picks)
+    trace.update((m + depth, s) for depth, s in picks.items())
     truth_final = inner_truth if meta.polarity == "direct" else not inner_truth
     return assemble_verdict(f, truth_final, trace)
 

@@ -1,4 +1,5 @@
-"""Shared test machinery: independent oracles and random model generators.
+"""Shared test machinery: independent oracles, random model generators and
+the models a solver would return.
 
 The oracles here deliberately avoid the library's solver paths: until
 probabilities come from explicit path enumeration, well-formedness from a
@@ -24,7 +25,9 @@ from hypermdp.formula import (
     TrueF,
     Until,
 )
+from hypermdp.constraints import choice_sym
 from hypermdp.model import Dtmc, Mdp
+from hypermdp.smt import full_assignment
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -374,3 +377,17 @@ def random_formula(rng: random.Random) -> Formula:
     svars = [f"x{i}" for i in range(n)]
     prefix += [StateQuant(rng.random() < 0.5, v, f"sig{rng.randrange(m)}") for v in svars]
     return Formula(prefix=tuple(prefix), body=random_body(rng, svars))
+
+
+# -- solver models ------------------------------------------------------------------
+
+def solver_model(cs, mdp: Mdp, schedulers) -> dict:
+    """The model a QF_LRA solver returns for ``cs`` when it picks
+    ``schedulers`` (name -> assignment): every declared variable's exact
+    value, plus one Boolean per scheduler choice."""
+    values, choices = full_assignment(cs, mdp, schedulers)
+    model = dict(values)
+    for (family, state), actions in cs.choice_domains.items():
+        for a in actions:
+            model[choice_sym(family, state, a)] = choices[(family, state)] == a
+    return model

@@ -19,9 +19,17 @@ from hypermdp.formula import parse_formula
 from hypermdp.model import enumerate_schedulers, parse_mdp
 from hypermdp.smt import encode_main, full_assignment, solve_eager
 from .conftest import M_COIN_TEXT
+from .helpers import solver_model
 
 REACH_ONE = "exists sched s. exists st x(s). init(x) & P(F a(x)) = 1"
 REACH_HALF = "exists sched s. exists st x(s). init(x) & P(F a(x)) = 1/2"
+
+# s2 is declared but unreachable from the init state
+UNREACHABLE_TEXT = ("states: s0 s1 s2\n"
+                    "labels: s0: init; s1: a\n"
+                    "action s0 go: s1 1\n"
+                    "action s1 go: s1 1\n"
+                    "action s2 go: s2 1\n")
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -111,6 +119,40 @@ class TestCheck:
         pruned_code, _ = run_cli("check", coin_path, "--formula", f, "--prune")
         assert plain_code == pruned_code == 0
 
+    @pytest.mark.parametrize("formula, code", [
+        # universal block: the encoder negates and flips the state quantifiers
+        ("forall sched s. forall st x(s). init(x) -> P(F a(x)) = 1", 1),
+        ("forall sched s. forall st x(s). init(x) -> P(F a(x)) >= 0", 0),
+    ])
+    def test_prune_keeps_verdict_with_negated_polarity(self, coin_path, tmp_path, formula, code):
+        for engine in ("enum", "smt-eager"):
+            for extra in ((), ("--prune", "--emit", str(tmp_path / "out.smt2"))):
+                assert run_cli("check", coin_path, "--formula", formula, "--engine", engine,
+                               *extra)[0] == code, (engine, extra)
+
+    @pytest.mark.parametrize("formula, code", [
+        ("exists sched s. forall st x(s). init(x) -> P(F a(x)) = 1", 0),
+        # not init-guarded: s2 never reaches a, whether or not pruning drops it
+        ("forall sched s. forall st x(s). P(F a(x)) = 1", 1),
+    ])
+    def test_prune_does_not_change_the_verdict(self, tmp_path, formula, code):
+        path = tmp_path / "unreachable.mdpx"
+        path.write_text(UNREACHABLE_TEXT)
+        for engine in ("enum", "smt-eager"):
+            for extra in ((), ("--prune",), ("--prune", "--json")):
+                assert run_cli("check", str(path), "--formula", formula, "--engine", engine,
+                               *extra)[0] == code, (engine, extra)
+
+    def test_shared_scheduler_and_state_name(self, coin_path, capsys):
+        f = "forall sched x. forall st x(x). P(F a(x)) = 1"
+        for engine in ("enum", "smt-eager"):
+            code, out = run_cli("check", coin_path, "--formula", f, "--engine", engine)
+            assert code == 1, engine
+            assert "scheduler x:" in out and "state x: s2" in out
+            code, out = run_cli("check", coin_path, "--formula", f, "--engine", engine, "--json")
+            assert json.loads(out)["verdict"]["states"] == {"x": "s2"}
+        assert "internal error" not in capsys.readouterr().err
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("error", [RuntimeError, RecursionError, MemoryError])
@@ -194,15 +236,11 @@ class TestEncodingReport:
 
     def test_json_reports_pruned_count(self, tmp_path):
         # s2 is unreachable from the init state, so pruning drops it
-        text = ("states: s0 s1 s2\n"
-                "labels: s0: init; s1: a\n"
-                "action s0 go: s1 1\n"
-                "action s1 go: s1 1\n"
-                "action s2 go: s2 1\n")
         path = tmp_path / "pruned.mdpx"
-        path.write_text(text)
+        path.write_text(UNREACHABLE_TEXT)
         f = "exists sched s. forall st x(s). init(x) -> P(F a(x)) = 1"
-        full, pruned = (encode_main(parse_mdp(text), parse_formula(f), prune=prune)[0].variable_count()
+        mdp = parse_mdp(UNREACHABLE_TEXT)
+        full, pruned = (encode_main(mdp, parse_formula(f), prune=prune)[0].variable_count()
                         for prune in (False, True))
         assert pruned < full
         code, out = run_cli("check", str(path), "--formula", f, "--json", "--prune")
@@ -317,13 +355,18 @@ class TestExternalSolver:
         return path
 
     def test_sat_model_is_decoded(self, coin_path, tmp_path):
-        # canned response built from the eager engine's own model
+        # canned response: what a solver returns for the eager engine's witness
         mdp = parse_mdp(M_COIN_TEXT)
         f = parse_formula(REACH_ONE)
-        result = solve_eager(mdp, f)
+        cs, _ = encode_main(mdp, f)
+        model = solver_model(cs, mdp, solve_eager(mdp, f).decoded.schedulers)
         lines = ["sat", "(model"]
-        for name, value in result.model.items():
-            lines.append(f"  (define-fun {name} () Bool {'true' if value else 'false'})")
+        for name, value in model.items():
+            if isinstance(value, bool):
+                lines.append(f"  (define-fun {name} () Bool {'true' if value else 'false'})")
+            else:
+                real = f"(/ {abs(value.numerator)} {value.denominator})"
+                lines.append(f"  (define-fun {name} () Real {real if value >= 0 else f'(- {real})'})")
         lines.append(")")
         solver = self._write_fake_solver(tmp_path, "\n".join(lines) + "\n")
         code, out = run_cli("check", coin_path, "--formula", REACH_ONE,

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hypermdp import analysis, cases, enumcheck
 from hypermdp.enumcheck import Evaluator, build_composition, check, replay
 from hypermdp.errors import CapExceeded, IllFormed, UnknownProposition
 from hypermdp.formula import (
@@ -28,7 +29,7 @@ from hypermdp.model import (
     parse_mdp,
     self_compose,
 )
-from hypermdp.smt import VectorEvaluator
+from hypermdp.smt import VectorEvaluator, solve_eager
 from .helpers import random_mdp
 
 REACH_ONE = "exists sched s. exists st x(s). init(x) & P(F a(x)) = 1"
@@ -259,6 +260,47 @@ class TestProperties:
                     assert replay(mdp, f, verdict) is False
                     replayed += 1
         assert replayed >= 40
+
+
+class TestQuantifierWalk:
+    """``check``, ``replay`` and ``solve_eager`` share one quantifier walk."""
+
+    def test_shared_scheduler_and_state_name(self, m_coin):
+        # the counterexample keeps the scheduler and the state apart
+        f = parse_formula("forall sched x. forall st x(x). P(F a(x)) = 1")
+        for verdict in (check(m_coin, f), solve_eager(m_coin, f).decoded):
+            assert verdict.truth is False and verdict.mode == "counterexample"
+            assert verdict.schedulers["x"].choice("s0") == "alpha"
+            assert verdict.states == {"x": "s2"}
+            assert replay(m_coin, f, verdict) is False
+
+    @pytest.mark.parametrize("family, params", [("ta", {"m": 2}), ("pc", {"tier": "s0"})])
+    def test_engines_do_the_same_work(self, monkeypatch, family, params):
+        # ta_m2 is forall-led (the eager engine decides its negation), pc_s0
+        # exists-led; the eager engine walks the same combinations and tuples
+        spec = cases.generate(family, **params)
+        calls = {}
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+
+        spy(analysis, "until_probs")
+        spy(Evaluator, "holds")
+        spy(enumcheck, "build_composition")
+        counts = []
+        for engine in (check, lambda mdp, f: solve_eager(mdp, f).decoded):
+            calls.update(until_probs=0, holds=0, build_composition=0)
+            verdict = engine(spec.mdp, spec.formula)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert all(counts[0].values())
+        assert verdict.truth is (family == "pc")
 
 
 class TestClosedBodies:
