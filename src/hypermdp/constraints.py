@@ -47,8 +47,8 @@ class Cmp:
 
 @dataclass(frozen=True)
 class MulEq:
-    """result = left * right over variables; only produced by a
-    variable-times-variable product in the source formula."""
+    """result = left * right over variables; only produced, as a top-level
+    constraint, by a variable-times-variable product in the source formula."""
 
     result: str
     left: str
@@ -251,20 +251,6 @@ def term_sexpr(term: Term) -> str:
     raise AssertionError(term)
 
 
-def _has_muleq(term: Term) -> bool:
-    if isinstance(term, MulEq):
-        return True
-    if isinstance(term, NotT):
-        return _has_muleq(term.operand)
-    if isinstance(term, (AndT, OrT)):
-        return any(_has_muleq(t) for t in term.items)
-    if isinstance(term, ImpliesT):
-        return _has_muleq(term.antecedent) or _has_muleq(term.consequent)
-    if isinstance(term, XorT):
-        return _has_muleq(term.left) or _has_muleq(term.right)
-    return False
-
-
 def emit_smtlib2(cs: ConstraintSystem) -> str:
     """Deterministic SMT-LIB2 script for the system.
 
@@ -277,7 +263,7 @@ def emit_smtlib2(cs: ConstraintSystem) -> str:
         lines.append("; subformulas:")
         for idx, text in enumerate(cs.subformula_text):
             lines.append(f";   [{idx}] {text}")
-    logic = "QF_NRA" if any(_has_muleq(t) for t in cs.constraints) else "QF_LRA"
+    logic = "QF_NRA" if any(isinstance(t, MulEq) for t in cs.constraints) else "QF_LRA"
     lines.append(f"(set-logic {logic})")
 
     for (family, state), actions in cs.choice_domains.items():

@@ -15,6 +15,15 @@ sugar ``<= >= > = !=`` all desugar into the core ``true``, propositions,
 ``&``, ``!`` and ``<``.  ``P``, ``X``, ``U``, ``F``, ``G``, ``true``,
 ``false`` and the quantifier keywords are reserved.
 
+Binary operators, loosest first; ``->`` associates to the right,
+comparisons do not associate, the others associate to the left::
+
+    <->    ->    |    &    ^ xor    < <= > >= = !=    + -    *
+
+Comparisons and arithmetic take probability expressions, the Boolean
+operators formulas.  Prefix ``!`` takes a comparison (``!P(X a(x)) < 1``
+negates ``<``), unary minus a factor; path operands are whole formulas.
+
 The parsed AST is fully desugared; only core constructs appear below.
 """
 
@@ -79,7 +88,8 @@ class Less:
     right: "PExpr"
 
 
-Body = Union[TrueF, Prop, And, NotF, Less]
+BODY_KINDS = (TrueF, Prop, And, NotF, Less)
+Body = Union[BODY_KINDS]
 
 
 @dataclass(frozen=True)
@@ -163,22 +173,6 @@ def cmp_le(a: PExpr, b: PExpr) -> Body:
     return f_or(Less(a, b), cmp_eq(a, b))
 
 
-def desugar_cmp(op: str, a: PExpr, b: PExpr) -> Body:
-    if op == "<":
-        return Less(a, b)
-    if op == ">":
-        return Less(b, a)
-    if op == "=":
-        return cmp_eq(a, b)
-    if op == "!=":
-        return NotF(cmp_eq(a, b))
-    if op == "<=":
-        return cmp_le(a, b)
-    if op == ">=":
-        return cmp_le(b, a)
-    raise AssertionError(op)
-
-
 # -- tokenizer ------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -228,17 +222,26 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Backtrack(Exception):
-    """Internal: comparison attempt failed, retry as Boolean."""
+# The binary operators of the docstring's table: token -> (precedence, builder).
+_CMP = 6  # operands below it are formulas, from it up probability expressions
+_BINARY = {
+    "<->": (1, f_iff),
+    "->": (2, f_implies),
+    "|": (3, f_or),
+    "&": (4, And),
+    "^": (5, f_xor), "xor": (5, f_xor),
+    "<": (_CMP, Less), ">": (_CMP, lambda a, b: Less(b, a)),
+    "<=": (_CMP, cmp_le), ">=": (_CMP, lambda a, b: cmp_le(b, a)),
+    "=": (_CMP, cmp_eq), "!=": (_CMP, lambda a, b: NotF(cmp_eq(a, b))),
+    "+": (7, lambda a, b: Arith("+", a, b)), "-": (7, lambda a, b: Arith("-", a, b)),
+    "*": (8, lambda a, b: Arith("*", a, b)),
+}
 
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
-        # deepest failure, for error messages after backtracking
-        self.far_pos = 0
-        self.far_msg = "syntax error"
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -248,18 +251,9 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def error(self, message: str, soft: bool = False):
+    def error(self, message: str):
         tok = self.peek()
-        if self.pos >= self.far_pos:
-            self.far_pos = self.pos
-            self.far_msg = message
-        if soft:
-            raise _Backtrack()
         raise FormulaSyntaxError(message, tok.line, tok.col)
-
-    def fail_far(self):
-        tok = self.tokens[self.far_pos]
-        raise FormulaSyntaxError(self.far_msg, tok.line, tok.col)
 
     def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
         tok = self.peek()
@@ -267,199 +261,136 @@ class _Parser:
             return self.advance()
         return None
 
-    def expect(self, kind: str, text: Optional[str] = None, soft: bool = False) -> Token:
+    def expect(self, kind: str, text: Optional[str] = None) -> Token:
         tok = self.accept(kind, text)
         if tok is None:
             want = text if text is not None else kind
-            self.error(f"expected {want!r}, found {self.peek().text!r}", soft=soft)
+            self.error(f"expected {want!r}, found {self.peek().text!r}")
         return tok
 
     # -- grammar ---------------------------------------------------------
 
     def parse_formula(self) -> Formula:
         prefix = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "kw" and tok.text in ("forall", "exists"):
-                nxt = self.tokens[self.pos + 1]
-                if nxt.kind != "kw" or nxt.text not in ("sched", "st"):
-                    break  # quantifier keyword used elsewhere is a syntax error later
-                self.advance()
-                exists = tok.text == "exists"
-                kind = self.advance().text
-                name = self.expect("name").text
-                if kind == "sched":
-                    prefix.append(SchedQuant(exists, name))
-                else:
-                    self.expect("op", "(")
-                    sched = self.expect("name").text
-                    self.expect("op", ")")
-                    prefix.append(StateQuant(exists, name, sched))
-                self.expect("op", ".")
+        while self.peek().text in ("forall", "exists") and self.tokens[self.pos + 1].text in ("sched", "st"):
+            exists = self.advance().text == "exists"
+            kind = self.advance().text
+            name = self.expect("name").text
+            if kind == "sched":
+                prefix.append(SchedQuant(exists, name))
             else:
-                break
+                self.expect("op", "(")
+                prefix.append(StateQuant(exists, name, self.expect("name").text))
+                self.expect("op", ")")
+            self.expect("op", ".")
         body = self.parse_body()
         if self.peek().kind != "eof":
             self.error(f"trailing input {self.peek().text!r}")
         return Formula(prefix=tuple(prefix), body=body)
 
-    def parse_body(self, soft: bool = False) -> Body:
-        return self.parse_iff(soft)
+    def parse_body(self, floor: int = 0) -> Body:
+        body = self.parse_expr(floor)
+        if not isinstance(body, BODY_KINDS):
+            self.error("expected comparison operator")
+        return body
 
-    def parse_iff(self, soft: bool = False) -> Body:
-        left = self.parse_implies(soft)
-        while self.accept("op", "<->"):
-            right = self.parse_implies(soft)
-            left = f_iff(left, right)
-        return left
-
-    def parse_implies(self, soft: bool = False) -> Body:
-        left = self.parse_or(soft)
-        if self.accept("op", "->"):
-            right = self.parse_implies(soft)  # right associative
-            return f_implies(left, right)
-        return left
-
-    def parse_or(self, soft: bool = False) -> Body:
-        left = self.parse_and(soft)
-        while self.accept("op", "|"):
-            left = f_or(left, self.parse_and(soft))
-        return left
-
-    def parse_and(self, soft: bool = False) -> Body:
-        left = self.parse_xor(soft)
-        while self.accept("op", "&"):
-            left = And(left, self.parse_xor(soft))
-        return left
-
-    def parse_xor(self, soft: bool = False) -> Body:
-        left = self.parse_unary(soft)
-        while self.accept("op", "^") or self.accept("kw", "xor"):
-            left = f_xor(left, self.parse_unary(soft))
-        return left
-
-    def parse_unary(self, soft: bool = False) -> Body:
-        if self.accept("op", "!"):
-            return NotF(self.parse_unary(soft))
-        return self.parse_atom(soft)
-
-    def parse_atom(self, soft: bool = False) -> Body:
-        # Comparison of probability expressions first; on failure fall back
-        # to the Boolean alternatives from the same position.
-        save = self.pos
-        try:
-            left = self.parse_pexpr(soft=True)
-            op_tok = self.peek()
-            if op_tok.kind == "op" and op_tok.text in ("<", "<=", ">", ">=", "=", "!="):
-                self.advance()
-                right = self.parse_pexpr(soft=True)
-                return desugar_cmp(op_tok.text, left, right)
-            self.error("expected comparison operator", soft=True)
-        except _Backtrack:
-            self.pos = save
-
-        if self.accept("kw", "true"):
-            return TRUE
-        if self.accept("kw", "false"):
-            return FALSE
-        if self.accept("op", "("):
-            inner = self.parse_body(soft)
-            self.expect("op", ")", soft=soft)
-            return inner
-        name = self.accept("name")
-        if name is not None:
-            self.expect("op", "(", soft=soft)
-            var = self.expect("name", soft=soft).text
-            self.expect("op", ")", soft=soft)
-            return Prop(name.text, var)
-        if not soft and self.far_pos > self.pos:
-            self.fail_far()  # deepest diagnostic from the comparison attempt
-        self.error(f"expected formula, found {self.peek().text!r}", soft=soft)
-
-    # probability expressions --------------------------------------------
-
-    def parse_pexpr(self, soft: bool = False) -> PExpr:
-        left = self.parse_term(soft)
+    def parse_expr(self, floor: int = 0, pexpr: bool = False):
+        """An operand, then the binary operators of precedence ``floor`` or
+        tighter; with ``pexpr`` only ``+ - *``, so the result is a
+        probability expression."""
+        left = self.parse_operand(pexpr)
         while True:
-            if self.accept("op", "+"):
-                left = Arith("+", left, self.parse_term(soft))
-            elif self.accept("op", "-"):
-                left = Arith("-", left, self.parse_term(soft))
-            else:
+            prec, build = _BINARY.get(self.peek().text, (-1, None))
+            if prec < floor or (pexpr and prec <= _CMP):
                 return left
+            if isinstance(left, BODY_KINDS):
+                if prec >= _CMP:
+                    return left  # a formula is no operand here; the caller reports
+            elif prec < _CMP:
+                self.error("expected comparison operator")
+            op = self.advance().text
+            if prec < _CMP:
+                right = self.parse_body(prec if op == "->" else prec + 1)
+            else:
+                right = self.parse_expr(prec + 1, pexpr=True)
+            left = build(left, right)
 
-    def parse_term(self, soft: bool = False) -> PExpr:
-        left = self.parse_factor(soft)
-        while self.accept("op", "*"):
-            left = Arith("*", left, self.parse_factor(soft))
-        return left
-
-    def parse_factor(self, soft: bool = False) -> PExpr:
-        if self.accept("op", "-"):
-            # unary minus is represented as 0 - x
-            return Arith("-", Const(Fraction(0)), self.parse_factor(soft))
+    def parse_operand(self, pexpr: bool):
+        """One operand: a run of ``!`` over a comparison or of unary minus
+        (``0 - x``) over a factor, a constant, ``P(path)``, a parenthesized
+        expression, or, unless ``pexpr``, ``true``, ``false`` or a
+        proposition."""
+        op = self.peek().text
+        if op == "-" or (op == "!" and not pexpr):
+            count = 0
+            while self.accept("op", op):
+                count += 1
+            node = self.parse_body(_CMP) if op == "!" else self.parse_operand(pexpr=True)
+            for _ in range(count):
+                node = NotF(node) if op == "!" else Arith("-", Const(Fraction(0)), node)
+            return node
         num = self.accept("number")
         if num is not None:
             try:
                 return Const(Fraction(num.text))
             except ZeroDivisionError:
-                self.error("zero denominator in constant", soft=soft)
+                self.error("zero denominator in constant")
         if self.accept("kw", "P"):
-            self.expect("op", "(", soft=soft)
-            path_expr = self.parse_path(soft)
-            self.expect("op", ")", soft=soft)
+            self.expect("op", "(")
+            path_expr = self.parse_path()
+            self.expect("op", ")")
             return path_expr
         if self.accept("op", "("):
-            inner = self.parse_pexpr(soft)
-            self.expect("op", ")", soft=soft)
+            inner = self.parse_expr(pexpr=pexpr)
+            self.expect("op", ")")
             return inner
-        self.error(f"expected probability expression, found {self.peek().text!r}", soft=soft)
+        if not pexpr:
+            if self.accept("kw", "true"):
+                return TRUE
+            if self.accept("kw", "false"):
+                return FALSE
+            name = self.accept("name")
+            if name is not None:
+                self.expect("op", "(")
+                var = self.expect("name").text
+                self.expect("op", ")")
+                return Prop(name.text, var)
+        want = "probability expression" if pexpr else "formula"
+        self.error(f"expected {want}, found {self.peek().text!r}")
 
-    def parse_int(self, soft: bool) -> int:
-        tok = self.expect("number", soft=soft)
+    def parse_int(self) -> int:
+        tok = self.expect("number")
         if not tok.text.isdigit():
-            self.error(f"expected a nonnegative integer, found {tok.text!r}", soft=soft)
+            self.error(f"expected a nonnegative integer, found {tok.text!r}")
         return int(tok.text)
 
-    def parse_bounds(self, soft: bool) -> Optional[Tuple[int, int]]:
+    def parse_bounds(self) -> Optional[Tuple[int, int]]:
         if self.accept("op", "["):
-            k1 = self.parse_int(soft)
-            self.expect("op", ",", soft=soft)
-            k2 = self.parse_int(soft)
-            self.expect("op", "]", soft=soft)
+            k1 = self.parse_int()
+            self.expect("op", ",")
+            k2 = self.parse_int()
+            self.expect("op", "]")
             if k1 > k2:
-                self.error(f"bounds [{k1},{k2}] need k1 <= k2", soft=soft)
+                self.error(f"bounds [{k1},{k2}] need k1 <= k2")
             return (k1, k2)
         if self.accept("op", "<="):
-            return (0, self.parse_int(soft))
+            return (0, self.parse_int())
         return None
 
-    def parse_path(self, soft: bool = False) -> PExpr:
+    def parse_path(self) -> PExpr:
         """Parse a path formula inside P(...); sugar folds into PExpr."""
         if self.accept("kw", "X"):
-            return ProbOf(Next(self.parse_body(soft)))
-        if self.accept("kw", "F"):
-            bounds = self.parse_bounds(soft)
-            operand = self.parse_body(soft)
-            if bounds is None:
-                return ProbOf(Until(TRUE, operand))
-            return ProbOf(BoundedUntil(TRUE, operand, *bounds))
-        if self.accept("kw", "G"):
-            # P(G phi) = 1 - P(F !phi), also with bounds
-            bounds = self.parse_bounds(soft)
-            operand = self.parse_body(soft)
-            if bounds is None:
-                inner = ProbOf(Until(TRUE, NotF(operand)))
-            else:
-                inner = ProbOf(BoundedUntil(TRUE, NotF(operand), *bounds))
-            return Arith("-", Const(Fraction(1)), inner)
-        left = self.parse_body(soft)
-        self.expect("kw", "U", soft=soft)
-        bounds = self.parse_bounds(soft)
-        right = self.parse_body(soft)
-        if bounds is None:
-            return ProbOf(Until(left, right))
-        return ProbOf(BoundedUntil(left, right, *bounds))
+            return ProbOf(Next(self.parse_body()))
+        globally = self.accept("kw", "G") is not None
+        if globally or self.accept("kw", "F"):
+            left = TRUE  # P(F phi) = P(true U phi); P(G phi) = 1 - P(F !phi)
+        else:
+            left = self.parse_body()
+            self.expect("kw", "U")
+        bounds = self.parse_bounds()
+        right = NotF(self.parse_body()) if globally else self.parse_body()
+        reach = ProbOf(Until(left, right) if bounds is None else BoundedUntil(left, right, *bounds))
+        return Arith("-", Const(Fraction(1)), reach) if globally else reach
 
 
 def parse_formula(text: str) -> Formula:
@@ -467,13 +398,8 @@ def parse_formula(text: str) -> Formula:
     parser = _Parser(text)
     try:
         return parser.parse_formula()
-    except _Backtrack:
-        parser.fail_far()
-
-
-def load_formula(path) -> Formula:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_formula(fh.read())
+    except RecursionError:
+        parser.error("formula nested too deeply")
 
 
 # -- well-formedness -------------------------------------------------------------

@@ -55,6 +55,7 @@ from .constraints import (
 from .enumcheck import Verdict, assemble_verdict, build_composition, decide, validate_inputs
 from .errors import IncompleteModel, MixedSchedulerBlock
 from .formula import (
+    BODY_KINDS,
     And,
     Arith,
     BoundedUntil,
@@ -80,8 +81,6 @@ from .model import enumerate_schedulers  # noqa: F401  bench/tracing.py hooks sm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-BOOL_KINDS = (TrueF, Prop, And, NotF, Less)
 
 Support = Tuple[int, ...]  # sorted 0-based composition components
 
@@ -228,7 +227,7 @@ class Encoder:
         self.cs = ConstraintSystem()
         self.support = meta.supports
         for node in meta.supports:
-            text = format_body(node) if isinstance(node, BOOL_KINDS) else format_pexpr(node)
+            text = format_body(node) if isinstance(node, BODY_KINDS) else format_pexpr(node)
             self.cs.index_of(node, text)
         self._domains: Dict[Support, Tuple[tuple, ...]] = {}
         self._done = set()
@@ -297,7 +296,7 @@ class Encoder:
         if node in self._done:
             return
         self._done.add(node)
-        if isinstance(node, BOOL_KINDS):
+        if isinstance(node, BODY_KINDS):
             self._encode_boolean(node)
         else:
             self._encode_prob(node)
@@ -743,7 +742,7 @@ def full_assignment(cs: ConstraintSystem, mdp: Mdp, chosen: Dict[str, SchedulerA
 
     for node, idx in cs.subformula_index.items():
         support = meta.supports[node]
-        if isinstance(node, BOOL_KINDS):
+        if isinstance(node, BODY_KINDS):
             put(holds_sym, idx, support, ve.holds(node))
             continue
         if isinstance(node, ProbOf) and isinstance(node.path, BoundedUntil):

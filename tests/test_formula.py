@@ -1,16 +1,21 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hypermdp.cases import generate
 from hypermdp.errors import (
     FormulaSyntaxError,
     QuantifierOrderViolation,
     UnboundStateVariable,
 )
 from hypermdp.formula import (
+    FALSE,
     And,
     Arith,
+    BoundedUntil,
     Const,
     Formula,
     Less,
@@ -24,13 +29,20 @@ from hypermdp.formula import (
     Until,
     check_well_formed,
     cmp_eq,
+    cmp_le,
     count_quantifiers,
+    f_iff,
+    f_implies,
+    f_or,
+    f_xor,
     format_formula,
     parse_formula,
 )
 from .helpers import random_formula, scope_check
 
 TRUE = TrueF()
+QE = "exists sched s. exists st x(s). "
+_TOKEN = re.compile(r"<->|->|<=|>=|!=|\d+(?:/\d+|\.\d+)?|\w+(?:=\w+)?|\S")
 
 
 class TestParse:
@@ -117,6 +129,171 @@ class TestParse:
                 parse_formula(text)
             except HyperMdpError:
                 pass
+
+        # token-level mutations of valid formulas get past the quantifier
+        # prefix, which random strings rarely do
+        seeds = [generate(family, **params).formula_text for family, params in (
+            ("ta", {"m": 2}), ("pw", {"m": 2}), ("ts", {"h1": 0, "h2": 1}), ("pc", {"tier": "s0"}))]
+        seeds += [format_formula(random_formula(rng)) for _ in range(20)]
+        vocab = ["(", ")", "P", "X", "U", "F", "G", "[", "]", ",", "<=", "<", "=", "!=",
+                 "->", "<->", "&", "|", "^", "xor", "!", "-", "+", "*", "1", "1/2",
+                 "0.5", "true", "false", "a", "x", ".", "forall", "st", "sched"]
+        for _ in range(2000):
+            tokens = _TOKEN.findall(rng.choice(seeds))
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(tokens))
+                edit = rng.randrange(4)
+                if edit == 0:
+                    del tokens[i]
+                elif edit == 1:
+                    tokens.insert(i, rng.choice(vocab))
+                elif edit == 2:
+                    tokens[i] = rng.choice(vocab)
+                elif i + 1 < len(tokens):
+                    tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
+            try:
+                parse_formula(" ".join(tokens))
+            except FormulaSyntaxError:
+                pass
+
+    @pytest.mark.parametrize("text, line, col", [
+        (QE + "P(F a(x)", 1, 41),                  # unclosed P(
+        (QE + "P(F a(x)) > 0 b(x)", 1, 47),        # trailing input
+        (QE + "a(x) + 1", 1, 38),
+        (QE + "0.25 1", 1, 38),
+        (QE + "P(true U[3,1] a(x)) > 0", 1, 47),
+        (QE + "P(true U[1/2,2] a(x)) > 0", 1, 45),
+        (QE + "P(X a(x)) < 1/0", 1, 48),
+        ("exists sched s exists st x(s). P(F a(x)) > 0", 1, 16),  # missing '.'
+        (QE + "\n  P(F a(x)\n  > 0", 3, 3),
+    ])
+    def test_error_positions(self, text, line, col):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_formula(text)
+        assert (exc.value.line, exc.value.col) == (line, col)
+
+    def test_deep_parentheses_parse(self):
+        f = parse_formula("(" * 300 + "a(x)" + ")" * 300)
+        assert f.body == Prop("a", "x")
+
+    def test_long_negation_chain_parses(self):
+        node = parse_formula("!" * 600 + "a(x)").body
+        depth = 0
+        while isinstance(node, NotF):
+            node, depth = node.operand, depth + 1
+        assert (depth, node) == (600, Prop("a", "x"))
+
+    def test_nesting_too_deep_is_a_syntax_error(self):
+        with pytest.raises(FormulaSyntaxError):
+            parse_formula("(" * 5000 + "a(x)" + ")" * 5000)
+
+
+# -- sugared trees for the grammar property -----------------------------------
+# A tree is ("leaf", text, ast), ("bin", op, left, right), ("not", x),
+# ("neg", x) or ("P", path); a path is ("X", body), ("F"|"G", bounds, body)
+# or ("U", bounds, left, right), with bounds None, ("<=", k) or (k1, k2).
+
+PREC = {"<->": 1, "->": 2, "|": 3, "&": 4, "^": 5, "xor": 5,
+        "<": 6, "<=": 6, ">": 6, ">=": 6, "=": 6, "!=": 6,
+        "+": 7, "-": 7, "*": 8}
+CMP, ATOM = 6, 9
+BUILD = {"<->": f_iff, "->": f_implies, "|": f_or, "&": And, "^": f_xor, "xor": f_xor,
+         "<": Less, ">": lambda a, b: Less(b, a), "=": cmp_eq,
+         "!=": lambda a, b: NotF(cmp_eq(a, b)), "<=": cmp_le, ">=": lambda a, b: cmp_le(b, a),
+         "+": lambda a, b: Arith("+", a, b), "-": lambda a, b: Arith("-", a, b),
+         "*": lambda a, b: Arith("*", a, b)}
+BODY_LEAVES = [("a(x)", Prop("a", "x")), ("b(y)", Prop("b", "y")), ("die=3(x)", Prop("die=3", "x")),
+               ("true", TRUE), ("false", FALSE)]
+PEXPR_LEAVES = [(text, Const(Fraction(text))) for text in ("0", "1", "3", "1/2", "0.25")]
+
+
+def draw_tree(draw, kind, depth):
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        text, ast = draw(st.sampled_from(BODY_LEAVES if kind == "body" else PEXPR_LEAVES))
+        return ("leaf", text, ast)
+    if kind == "body":
+        shape = draw(st.sampled_from(["bool", "bool", "bool", "cmp", "not"]))
+        if shape == "not":
+            return ("not", draw_tree(draw, "body", depth - 1))
+        ops = ["<->", "->", "|", "&", "^", "xor"] if shape == "bool" else ["<", "<=", ">", ">=", "=", "!="]
+        operand = "body" if shape == "bool" else "pexpr"
+    else:
+        shape = draw(st.sampled_from(["arith", "neg", "P"]))
+        if shape == "neg":
+            return ("neg", draw_tree(draw, "pexpr", depth - 1))
+        if shape == "P":
+            return ("P", draw_path(draw, depth - 1))
+        ops, operand = ["+", "-", "*"], "pexpr"
+    return ("bin", draw(st.sampled_from(ops)),
+            draw_tree(draw, operand, depth - 1), draw_tree(draw, operand, depth - 1))
+
+
+def draw_path(draw, depth):
+    op = draw(st.sampled_from(["X", "F", "G", "U"]))
+    if op == "X":
+        return ("X", draw_tree(draw, "body", depth))
+    bounds = draw(st.sampled_from([None, ("<=", 2), (0, 0), (1, 3)]))
+    if op == "U":
+        return ("U", bounds, draw_tree(draw, "body", depth), draw_tree(draw, "body", depth))
+    return (op, bounds, draw_tree(draw, "body", depth))
+
+
+def render(tree, minimal):
+    """Text of ``tree``: with the fewest parentheses the precedence table
+    allows, or with every compound operand parenthesized."""
+    def wrap(node, floor):
+        text = render(node, minimal)
+        below = (PREC[node[1]] if node[0] == "bin" else ATOM) < floor
+        return f"({text})" if below or (not minimal and node[0] != "leaf") else text
+
+    kind = tree[0]
+    if kind == "leaf":
+        return tree[1]
+    if kind == "not":
+        return "! " + wrap(tree[1], CMP)
+    if kind == "neg":
+        return "- " + wrap(tree[1], ATOM)
+    if kind == "P":
+        return "P(" + render_path(tree[1], wrap) + ")"
+    op, left, right = tree[1:]
+    prec = PREC[op]
+    right_assoc = op == "->"
+    left_floor = prec + 1 if right_assoc or prec == CMP else prec
+    return f"{wrap(left, left_floor)} {op} {wrap(right, prec if right_assoc else prec + 1)}"
+
+
+def render_path(path, wrap):
+    def bound(b):
+        if b is None:
+            return ""
+        return f"<={b[1]}" if b[0] == "<=" else f"[{b[0]},{b[1]}]"
+
+    if path[0] == "X":
+        return "X " + wrap(path[1], 0)
+    if path[0] == "U":
+        return f"{wrap(path[2], 0)} U{bound(path[1])} {wrap(path[3], 0)}"
+    return f"{path[0]}{bound(path[1])} {wrap(path[2], 0)}"
+
+
+def desugar(tree):
+    kind = tree[0]
+    if kind == "leaf":
+        return tree[2]
+    if kind == "not":
+        return NotF(desugar(tree[1]))
+    if kind == "neg":
+        return Arith("-", Const(Fraction(0)), desugar(tree[1]))
+    if kind == "bin":
+        return BUILD[tree[1]](desugar(tree[2]), desugar(tree[3]))
+    path = tree[1]
+    if path[0] == "X":
+        return ProbOf(Next(desugar(path[1])))
+    left, right = (desugar(path[2]), desugar(path[3])) if path[0] == "U" else (TRUE, desugar(path[2]))
+    if path[0] == "G":
+        right = NotF(right)
+    bounds = path[1] if path[1] is None or path[1][0] != "<=" else (0, path[1][1])
+    reach = ProbOf(Until(left, right) if bounds is None else BoundedUntil(left, right, *bounds))
+    return Arith("-", Const(Fraction(1)), reach) if path[0] == "G" else reach
 
 
 class TestWellFormed:
@@ -218,6 +395,15 @@ class TestCounts:
 
 
 class TestRoundTrip:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_sugar_parses_the_same_with_minimal_and_full_parentheses(self, data):
+        tree = draw_tree(data.draw, "body", 5)
+        expected = desugar(tree)
+        for minimal in (True, False):
+            text = render(tree, minimal)
+            assert parse_formula(QE + text).body == expected, text
+
     def test_print_parse_identity_on_random_asts(self):
         rng = random.Random(17)
         for _ in range(150):

@@ -490,6 +490,17 @@ class TestEmit:
         text = emit_smtlib2(cs)
         assert text.splitlines() == ["(set-logic QF_LRA)", "(check-sat)", "(get-model)"]
 
+    @pytest.mark.parametrize("product, logic", [
+        ("P(F l=1(x)) * P(F l=2(x))", "QF_NRA"),
+        ("1/2 * P(F l=2(x))", "QF_LRA"),
+    ])
+    def test_logic_follows_variable_products(self, product, logic):
+        from hypermdp.cases import generate
+
+        mdp = generate("ts", h1=0, h2=1).mdp
+        f = parse_formula(f"exists sched s. exists st x(s). {product} < 1/2")
+        assert f"(set-logic {logic})" in emit_smtlib2(encode_main(mdp, f)[0]).splitlines()
+
     def test_one_hot_clauses(self, m_coin):
         f = parse_formula(REACH_ONE)
         cs, _ = encode_main(m_coin, f)
