@@ -106,9 +106,9 @@ def cmd_check(args, out) -> int:
     encode_ms = 0.0
     if engine in ("smt-eager", "smt-external"):
         try:
-            if engine == "smt-external":
-                if not solver:
-                    raise HyperMdpError("smt-external needs --solver or HYPERPROB_SOLVER")
+            if engine == "smt-external" and not solver:
+                raise HyperMdpError("smt-external needs --solver or HYPERPROB_SOLVER")
+            if engine == "smt-external" or args.emit:
                 t0 = time.perf_counter()
                 cs, _ = encode_main(mdp, f, prune=args.prune)
                 smt_text = emit_smtlib2(cs)
@@ -116,15 +116,9 @@ def cmd_check(args, out) -> int:
                 if args.emit:
                     with open(args.emit, "w", encoding="utf-8") as fh:
                         fh.write(smt_text)
-                result = check_external(cs, smt_text, solver)
-                verdict = result.decoded
+            if engine == "smt-external":
+                verdict = check_external(cs, smt_text, solver).decoded
             else:
-                if args.emit:
-                    t0 = time.perf_counter()
-                    cs, _ = encode_main(mdp, f, prune=args.prune)
-                    with open(args.emit, "w", encoding="utf-8") as fh:
-                        fh.write(emit_smtlib2(cs))
-                    encode_ms = (time.perf_counter() - t0) * 1000
                 verdict = solve_eager(mdp, f, max_sched_vars=args.max_sched_vars,
                                       max_state_vars=args.max_state_vars).decoded
         except MixedSchedulerBlock:
@@ -261,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "verdict ranges over every state")
     p_check.add_argument("--max-sched-vars", type=int, default=3)
     p_check.add_argument("--max-state-vars", type=int, default=3)
-    p_check.add_argument("--jobs", type=int, default=1,
-                         help="accepted and ignored: evaluation runs on one thread")
 
     p_encode = sub.add_parser("encode", help="emit the SMT-LIB2 encoding")
     p_encode.add_argument("model")

@@ -84,9 +84,6 @@ class XorT:
 
 Term = object
 
-TRUE_T = AndT(())
-FALSE_T = OrT(())
-
 
 def var(name: str) -> Lin:
     return Lin(ZERO, ((ONE, name),))
@@ -127,14 +124,6 @@ class ConstraintSystem:
 
     def add(self, term: Term):
         self.constraints.append(term)
-
-    def index_of(self, node, text: str) -> int:
-        idx = self.subformula_index.get(node)
-        if idx is None:
-            idx = len(self.subformula_text)
-            self.subformula_index[node] = idx
-            self.subformula_text.append(text)
-        return idx
 
     def variable_count(self) -> int:
         one_hot = sum(len(dom) for dom in self.choice_domains.values())

@@ -13,7 +13,6 @@ prefixes are supported here.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Tuple
@@ -28,6 +27,7 @@ from .errors import (
     UnknownProposition,
 )
 from .formula import (
+    ARITH_OPS,
     And,
     Const,
     Formula,
@@ -168,34 +168,37 @@ class Evaluator:
 
     def _compile(self, node, frame):
         """``node`` as a function of tuples over the components ``frame``, or,
-        for an int frame, of that component's bare states (faster to hash)."""
+        for an int frame, of that component's bare states (faster to hash).
+        One call per level of ``node``, which ``parse_formula`` bounds."""
         fn = self._fns.get((node, frame))
-        if fn is None:
-            fn = self._fns[node, frame] = self._build(node, frame)
-        return fn
-
-    def _build(self, node, frame):
+        if fn is not None:
+            return fn
         if isinstance(node, (TrueF, Const)):
             value = True if isinstance(node, TrueF) else node.value
-            return lambda t: value
-        if isinstance(node, Prop):
+            fn = lambda t: value
+        elif isinstance(node, Prop):
             name, labels = node.name, self.mdp.labels
             if isinstance(frame, int):
-                return lambda s: name in labels[s]
-            pos = frame.index(self.var_index[node.var] - 1)
-            return lambda t: name in labels[t[pos]]
-        if isinstance(node, NotF):
+                fn = lambda s: name in labels[s]
+            else:
+                pos = frame.index(self.var_index[node.var] - 1)
+                fn = lambda t: name in labels[t[pos]]
+        elif isinstance(node, NotF):
             inner = self._compile(node.operand, frame)
-            return lambda t: not inner(t)
-        if isinstance(node, ProbOf):
-            return self._reader(node, frame)
-        left, right = self._compile(node.left, frame), self._compile(node.right, frame)
-        if isinstance(node, And):
-            return lambda t: left(t) and right(t)
-        if isinstance(node, Less):
-            return lambda t: left(t) < right(t)
-        op = {"+": operator.add, "-": operator.sub, "*": operator.mul}[node.op]
-        return lambda t: op(left(t), right(t))
+            fn = lambda t: not inner(t)
+        elif isinstance(node, ProbOf):
+            fn = self._reader(node, frame)
+        else:
+            left, right = self._compile(node.left, frame), self._compile(node.right, frame)
+            if isinstance(node, And):
+                fn = lambda t: left(t) and right(t)
+            elif isinstance(node, Less):
+                fn = lambda t: left(t) < right(t)
+            else:
+                op = ARITH_OPS[node.op]
+                fn = lambda t: op(left(t), right(t))
+        self._fns[node, frame] = fn
+        return fn
 
     def _reader(self, node: ProbOf, frame):
         support = self.supports[node]

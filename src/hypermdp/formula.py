@@ -29,10 +29,11 @@ The parsed AST is fully desugared; only core constructs appear below.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 from .errors import (
     FormulaSyntaxError,
@@ -60,29 +61,61 @@ class StateQuant:
 Quantifier = Union[SchedQuant, StateQuant]
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """``dataclass(frozen=True)`` whose hash and equality do not recurse: a
+    node's hash and ``height`` (nodes on its longest path down) are computed
+    when it is built, from its fields', and equality walks both in a loop."""
+    def __post_init__(self):
+        values = tuple(self.__dict__.values())
+        object.__setattr__(self, "_hash", hash(values))
+        object.__setattr__(self, "height", 1 + max((v.height for v in values if is_dataclass(v)), default=0))
+
+    cls.__post_init__ = __post_init__
+    cls = dataclass(frozen=True, eq=False)(cls)
+    cls.__hash__ = lambda self: self._hash
+    cls.__eq__ = _same_node
+    return cls
+
+
+def _same_node(a, b) -> bool:
+    pairs = [(a, b)]
+    while pairs:
+        x, y = pairs.pop()
+        if type(x) is not type(y) or hash(x) != hash(y):
+            return False
+        for u, v in zip(x.__dict__.values(), y.__dict__.values()):
+            if u is v:
+                continue
+            if is_dataclass(u):
+                pairs.append((u, v))
+            elif u != v:
+                return False
+    return True
+
+
+@_node
 class TrueF:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Prop:
     name: str
     var: str
 
 
-@dataclass(frozen=True)
+@_node
 class And:
     left: "Body"
     right: "Body"
 
 
-@dataclass(frozen=True)
+@_node
 class NotF:
     operand: "Body"
 
 
-@dataclass(frozen=True)
+@_node
 class Less:
     left: "PExpr"
     right: "PExpr"
@@ -92,17 +125,17 @@ BODY_KINDS = (TrueF, Prop, And, NotF, Less)
 Body = Union[BODY_KINDS]
 
 
-@dataclass(frozen=True)
+@_node
 class Const:
     value: Fraction
 
 
-@dataclass(frozen=True)
+@_node
 class ProbOf:
     path: "Path"
 
 
-@dataclass(frozen=True)
+@_node
 class Arith:
     op: str  # '+', '-', '*'
     left: "PExpr"
@@ -110,20 +143,21 @@ class Arith:
 
 
 PExpr = Union[Const, ProbOf, Arith]
+ARITH_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-@dataclass(frozen=True)
+@_node
 class Next:
     operand: Body
 
 
-@dataclass(frozen=True)
+@_node
 class Until:
     left: Body
     right: Body
 
 
-@dataclass(frozen=True)
+@_node
 class BoundedUntil:
     left: Body
     right: Body
@@ -189,36 +223,31 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = {"forall", "exists", "sched", "st", "true", "false", "P", "X", "U", "F", "G", "xor"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'number' | 'name' | 'op' | 'kw' | 'eof'
     text: str
-    line: int
-    col: int
+    offset: int  # into the formula text; line and column are found only on error
+
+
+def _syntax_error(text: str, offset: int, message: str) -> FormulaSyntaxError:
+    """The error at ``offset`` of ``text``, at its 1-based line and column."""
+    line = text.count("\n", 0, offset) + 1
+    return FormulaSyntaxError(message, line, offset - text.rfind("\n", 0, offset))
 
 
 def _tokenize(text: str):
     tokens = []
-    line, col = 1, 1
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
-            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", line, col)
+            raise _syntax_error(text, pos, f"unexpected character {text[pos]!r}")
         kind = m.lastgroup
-        value = m.group()
         if kind not in ("ws", "comment"):
-            if kind == "name" and value in _KEYWORDS:
-                kind = "kw"
-            tokens.append(Token(kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
+            value = m.group()
+            tokens.append(Token("kw" if kind == "name" and value in _KEYWORDS else kind, value, pos))
         pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    tokens.append(Token("eof", "", pos))
     return tokens
 
 
@@ -240,6 +269,7 @@ _BINARY = {
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -252,8 +282,7 @@ class _Parser:
         return tok
 
     def error(self, message: str):
-        tok = self.peek()
-        raise FormulaSyntaxError(message, tok.line, tok.col)
+        raise _syntax_error(self.text, self.peek().offset, message)
 
     def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
         tok = self.peek()
@@ -393,25 +422,36 @@ class _Parser:
         return Arith("-", Const(Fraction(1)), reach) if globally else reach
 
 
+# Compiling, encoding and printing recurse once per level of a formula; this
+# bound leaves some 300 frames of the default recursion limit to the caller.
+MAX_HEIGHT = 700
+
+
 def parse_formula(text: str) -> Formula:
     """Parse formula text into a desugared AST."""
     parser = _Parser(text)
     try:
-        return parser.parse_formula()
+        f = parser.parse_formula()
     except RecursionError:
         parser.error("formula nested too deeply")
+    if f.body.height > MAX_HEIGHT:
+        parser.error(f"formula nested too deeply ({f.body.height} levels, at most {MAX_HEIGHT})")
+    return f
 
 
 # -- well-formedness -------------------------------------------------------------
 
 
 def subformulas(node):
-    """``node`` and every node below it, operands first."""
-    for fld in fields(node):
-        value = getattr(node, fld.name)
-        if is_dataclass(value):
-            yield from subformulas(value)
-    yield node
+    """``node`` and every node below it, each node object once (desugaring
+    shares subtrees), in a loop, so any depth is walked."""
+    stack, seen = [node], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            yield node
+            stack.extend(v for v in (getattr(node, fld.name) for fld in fields(node)) if is_dataclass(v))
 
 
 def check_well_formed(f: Formula) -> None:
@@ -523,10 +563,11 @@ def rename_vars(node, names: dict):
     """``node`` with every state variable ``v`` replaced by ``names[v]``."""
     if isinstance(node, Prop):
         return Prop(node.name, names[node.var])
-    return type(node)(*(
-        rename_vars(value, names) if is_dataclass(value) else value
-        for value in (getattr(node, fld.name) for fld in fields(node))
-    ))
+    values = []  # a loop, not a generator: one frame per level of ``node``
+    for fld in fields(node):
+        value = getattr(node, fld.name)
+        values.append(rename_vars(value, names) if is_dataclass(value) else value)
+    return type(node)(*values)
 
 
 def body_propositions(body: Body) -> set:

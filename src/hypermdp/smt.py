@@ -7,7 +7,10 @@ into the probability equations.  Each subformula is encoded over the
 states of the components it mentions (its support), not over every
 composed state: its domain is the projection of the composed tuples onto
 the support, since the components of a self-composition move
-independently.  A universal scheduler block is encoded as the existential
+independently.  The plan (``plan_encoding``) lists every subformula once,
+with every reduced-bound window of a bounded until, and the encoder makes
+one pass over that table, with one rule per node kind and no recursion.
+A universal scheduler block is encoded as the existential
 encoding of the negated body with flipped state quantifiers and the final
 verdict inverted.
 
@@ -55,6 +58,7 @@ from .constraints import (
 from .enumcheck import Verdict, assemble_verdict, build_composition, decide, validate_inputs
 from .errors import IncompleteModel, MixedSchedulerBlock
 from .formula import (
+    ARITH_OPS,
     BODY_KINDS,
     And,
     Arith,
@@ -88,31 +92,17 @@ Support = Tuple[int, ...]  # sorted 0-based composition components
 # -- formula-level transformation (main algorithm) ------------------------------
 
 
-def scheduler_block(f: Formula):
-    """The scheduler quantifier block; raises on exists/forall mixtures."""
-    quants = [q for q in f.prefix if isinstance(q, SchedQuant)]
-    if not quants:
-        return "exists", quants
-    kinds = {q.exists for q in quants}
-    if len(kinds) > 1:
-        raise MixedSchedulerBlock(
-            "scheduler quantifiers mix exists and forall; use the enum engine"
-        )
-    return ("exists" if quants[0].exists else "forall"), quants
-
-
 def transform_for_encoding(f: Formula) -> Tuple[Formula, str]:
-    """A universal block encodes the negation with flipped state quantifiers."""
-    kind, quants = scheduler_block(f)
-    if kind == "exists":
+    """A universal scheduler block encodes the negation with flipped state
+    quantifiers; a block that mixes exists and forall raises."""
+    kinds = {q.exists for q in f.prefix if isinstance(q, SchedQuant)}
+    if len(kinds) > 1:
+        raise MixedSchedulerBlock("scheduler quantifiers mix exists and forall; use the enum engine")
+    if kinds != {False}:
         return f, "direct"
-    prefix = []
-    for q in f.prefix:
-        if isinstance(q, SchedQuant):
-            prefix.append(SchedQuant(True, q.name))
-        else:
-            prefix.append(StateQuant(not q.exists, q.name, q.sched))
-    return Formula(prefix=tuple(prefix), body=NotF(f.body)), "negated"
+    prefix = tuple(SchedQuant(True, q.name) if isinstance(q, SchedQuant)
+                   else StateQuant(not q.exists, q.name, q.sched) for q in f.prefix)
+    return Formula(prefix=prefix, body=NotF(f.body)), "negated"
 
 
 @dataclass
@@ -215,6 +205,13 @@ dist_sym = functools.partial(symbol, "d")  # indexed by the until node
 class Encoder:
     """Declares and constrains each subformula once per point of its domain.
 
+    ``encode`` walks the plan's subformula table (``meta.supports``) once,
+    in reverse registration order, so each subformula comes after its
+    operands; the table already lists every reduced-bound window of a
+    bounded until.  Each node kind has one rule, which constrains the node
+    at every point of its domain and reads its operands by name, so the
+    order of the nodes does not change what the system means.
+
     A point is a tuple of states of the subformula's support components.
     Guards, action tuples and joint successors range over those
     components only, and an operand is read at the point's projection
@@ -226,17 +223,10 @@ class Encoder:
         self.meta = meta
         self.cs = ConstraintSystem()
         self.support = meta.supports
-        for node in meta.supports:
-            text = format_body(node) if isinstance(node, BODY_KINDS) else format_pexpr(node)
-            self.cs.index_of(node, text)
-        self._domains: Dict[Support, Tuple[tuple, ...]] = {}
-        self._done = set()
-
-    def domain(self, support: Support) -> Tuple[tuple, ...]:
-        points = self._domains.get(support)
-        if points is None:
-            points = self._domains[support] = projected_domain(self.meta.tuples, support)
-        return points
+        # the plan lists each subformula once: its position is its index
+        self.cs.subformula_index = {node: idx for idx, node in enumerate(meta.supports)}
+        self.cs.subformula_text = [format_body(node) if isinstance(node, BODY_KINDS) else format_pexpr(node)
+                                   for node in meta.supports]
 
     # naming ---------------------------------------------------------------
 
@@ -256,7 +246,7 @@ class Encoder:
     def declare(self, kind: str, ref, p, var_kind: str) -> Lin:
         return var(self.cs.declare(self.name(kind, ref, p), var_kind))
 
-    # guards -----------------------------------------------------------------
+    # guards and steps -------------------------------------------------------
 
     def action_tuples(self, p):
         return itertools.product(*(self.mdp.enabled[s] for s in p))
@@ -277,6 +267,11 @@ class Encoder:
                 prob *= q
             yield tuple(t for t, _ in combo), prob
 
+    def expectation(self, kind: str, ref, succs) -> Lin:
+        """The expected value of ``ref``'s ``kind`` variable one step on,
+        over the joint successors ``succs``."""
+        return Lin(ZERO, tuple((q, self.name(kind, ref, succ)) for succ, q in succs))
+
     # entry point ---------------------------------------------------------------
 
     def encode(self) -> ConstraintSystem:
@@ -285,138 +280,77 @@ class Encoder:
             for s in self.mdp.states:
                 self.cs.choice_domains[(family, s)] = self.mdp.enabled[s]
                 self.cs.add(OrT(tuple(ChoiceIs(family, s, a) for a in self.mdp.enabled[s])))
-        self.encode_semantics(self.meta.encoded.body)
+        domains = {s: projected_domain(self.meta.tuples, s) for s in dict.fromkeys(self.support.values())}
+        for node in reversed(self.meta.supports):
+            support = self.support[node]
+            rule = self.RULES[type(node.path) if isinstance(node, ProbOf) else type(node)]
+            rule(self, node, support, self.ref(node, support), domains[support])
         self.encode_truth()
         self.cs.meta = self.meta
         return self.cs
 
-    # structural recursion (meaning of the input formula) -------------------------
+    # one rule per node kind: constrain ``node``, named by ``own``, at ``points`` --
 
-    def encode_semantics(self, node):
-        if node in self._done:
-            return
-        self._done.add(node)
-        if isinstance(node, BODY_KINDS):
-            self._encode_boolean(node)
-        else:
-            self._encode_prob(node)
-
-    def _encode_boolean(self, node):
-        support = self.support[node]
-        own = self.ref(node, support)
-        points = self.domain(support)
-        if isinstance(node, TrueF):
-            for p in points:
-                self.cs.add(self.holds(own, p))
-        elif isinstance(node, Prop):
-            for p in points:
-                if node.name in self.mdp.labels[p[0]]:
-                    self.cs.add(self.holds(own, p))
-                else:
-                    self.cs.add(NotT(self.holds(own, p)))
-        elif isinstance(node, And):
-            self.encode_semantics(node.left)
-            self.encode_semantics(node.right)
-            left, right = self.ref(node.left, support), self.ref(node.right, support)
-            for p in points:
-                h, h1, h2 = self.holds(own, p), self.holds(left, p), self.holds(right, p)
-                self.cs.add(OrT((AndT((h, h1, h2)), AndT((NotT(h), OrT((NotT(h1), NotT(h2))))))))
-        elif isinstance(node, NotF):
-            self.encode_semantics(node.operand)
-            operand = self.ref(node.operand, support)
-            for p in points:
-                self.cs.add(XorT(self.holds(own, p), self.holds(operand, p)))
-        elif isinstance(node, Less):
-            self.encode_semantics(node.left)
-            self.encode_semantics(node.right)
-            left, right = self.ref(node.left, support), self.ref(node.right, support)
-            for p in points:
-                h = self.holds(own, p)
-                p1 = var(self.name("pr", left, p))
-                p2 = var(self.name("pr", right, p))
-                self.cs.add(OrT((
-                    AndT((h, Cmp("<", p1, p2))),
-                    AndT((NotT(h), Cmp(">=", p1, p2))),
-                )))
-        else:
-            raise AssertionError(node)
-
-    def _encode_prob(self, node):
-        support = self.support[node]
-        own = self.ref(node, support)
-        if isinstance(node, Const):
-            for p in self.domain(support):
-                self.cs.add(eq(self.declare("pr", own, p, "value"), const(node.value)))
-        elif isinstance(node, Arith):
-            self.encode_semantics(node.left)
-            self.encode_semantics(node.right)
-            left, right = self.ref(node.left, support), self.ref(node.right, support)
-            for p in self.domain(support):
-                out = self.declare("pr", own, p, "value")
-                p1, p2 = self.name("pr", left, p), self.name("pr", right, p)
-                if node.op == "*":
-                    self._encode_product(node, out, p1, p2)
-                else:
-                    sign = ONE if node.op == "+" else -ONE
-                    self.cs.add(eq(out, Lin(ZERO, ((ONE, p1), (sign, p2)))))
-        elif isinstance(node.path, Next):
-            self.encode_next(node)
-        elif isinstance(node.path, Until):
-            self.encode_unbounded_until(node)
-        else:
-            self.encode_bounded_until(node)
-
-    def _encode_product(self, node, out: Lin, left: str, right: str):
-        # constant factors stay linear; variable*variable escalates the logic
-        if isinstance(node.left, Const):
-            self.cs.add(eq(out, Lin(ZERO, ((node.left.value, right),))))
-        elif isinstance(node.right, Const):
-            self.cs.add(eq(out, Lin(ZERO, ((node.right.value, left),))))
-        else:
-            self.cs.add(MulEq(out.terms[0][1], left, right))
-
-    def encode_next(self, node):
-        operand = node.path.operand
-        self.encode_semantics(operand)
-        support = self.support[node]
-        own, op = self.ref(node, support), self.ref(operand, support)
-        points = self.domain(support)
+    def encode_literal(self, node, support, own, points):
         for p in points:
-            ti = self.declare("ti", op, p, "toint")
-            h = self.holds(op, p)
-            self.cs.add(OrT((
-                AndT((eq(ti, const(1)), h)),
-                AndT((eq(ti, const(0)), NotT(h))),
-            )))
+            h = self.holds(own, p)
+            self.cs.add(h if isinstance(node, TrueF) or node.name in self.mdp.labels[p[0]] else NotT(h))
+
+    def encode_and(self, node, support, own, points):
+        left, right = self.ref(node.left, support), self.ref(node.right, support)
         for p in points:
+            h, h1, h2 = self.holds(own, p), self.holds(left, p), self.holds(right, p)
+            self.cs.add(OrT((AndT((h, h1, h2)), AndT((NotT(h), OrT((NotT(h1), NotT(h2))))))))
+
+    def encode_not(self, node, support, own, points):
+        operand = self.ref(node.operand, support)
+        for p in points:
+            self.cs.add(XorT(self.holds(own, p), self.holds(operand, p)))
+
+    def encode_less(self, node, support, own, points):
+        left, right = self.ref(node.left, support), self.ref(node.right, support)
+        for p in points:
+            h, p1, p2 = self.holds(own, p), var(self.name("pr", left, p)), var(self.name("pr", right, p))
+            self.cs.add(OrT((AndT((h, Cmp("<", p1, p2))), AndT((NotT(h), Cmp(">=", p1, p2))))))
+
+    def encode_const(self, node, support, own, points):
+        for p in points:
+            self.cs.add(eq(self.declare("pr", own, p, "value"), const(node.value)))
+
+    def encode_arith(self, node, support, own, points):
+        left, right = self.ref(node.left, support), self.ref(node.right, support)
+        for p in points:
+            out = self.declare("pr", own, p, "value")
+            p1, p2 = self.name("pr", left, p), self.name("pr", right, p)
+            # constant factors stay linear; variable*variable escalates the logic
+            if node.op != "*":
+                self.cs.add(eq(out, Lin(ZERO, ((ONE, p1), (ONE if node.op == "+" else -ONE, p2)))))
+            elif isinstance(node.left, Const):
+                self.cs.add(eq(out, Lin(ZERO, ((node.left.value, p2),))))
+            elif isinstance(node.right, Const):
+                self.cs.add(eq(out, Lin(ZERO, ((node.right.value, p1),))))
+            else:
+                self.cs.add(MulEq(out.terms[0][1], p1, p2))
+
+    def encode_next(self, node, support, own, points):
+        operand = self.ref(node.path.operand, support)
+        for p in points:
+            ti, h = self.declare("ti", operand, p, "toint"), self.holds(operand, p)
+            self.cs.add(OrT((AndT((eq(ti, const(1)), h)), AndT((eq(ti, const(0)), NotT(h))))))
             pr = self.declare("pr", own, p, "prob")
             for alpha in self.action_tuples(p):
-                terms = tuple(
-                    (q, self.name("ti", op, succ)) for succ, q in self.joint_successors(p, alpha)
-                )
-                self.cs.add(ImpliesT(self.guard(support, p, alpha), eq(pr, Lin(ZERO, terms))))
+                step = self.expectation("ti", operand, self.joint_successors(p, alpha))
+                self.cs.add(ImpliesT(self.guard(support, p, alpha), eq(pr, step)))
 
-    def encode_unbounded_until(self, node):
-        phi1, phi2 = node.path.left, node.path.right
-        self.encode_semantics(phi1)
-        self.encode_semantics(phi2)
-        support = self.support[node]
-        own = self.ref(node, support)
-        left, right = self.ref(phi1, support), self.ref(phi2, support)
-        points = self.domain(support)
+    def encode_until(self, node, support, own, points):
+        left, right = self.ref(node.path.left, support), self.ref(node.path.right, support)
         for p in points:
-            pr = self.declare("pr", own, p, "prob")
+            pr, d_p = self.declare("pr", own, p, "prob"), self.declare("d", own, p, "dist")
             h1, h2 = self.holds(left, p), self.holds(right, p)
             self.cs.add(ImpliesT(h2, eq(pr, const(1))))
             self.cs.add(ImpliesT(AndT((NotT(h1), NotT(h2))), eq(pr, const(0))))
-            self.declare("d", own, p, "dist")
-        for p in points:
-            pr = var(self.name("pr", own, p))
-            h1, h2 = self.holds(left, p), self.holds(right, p)
-            d_p = var(self.name("d", own, p))
             for alpha in self.action_tuples(p):
                 succs = list(self.joint_successors(p, alpha))
-                step = Lin(ZERO, tuple((q, self.name("pr", own, succ)) for succ, q in succs))
                 # least fixed point: positive probability needs a successor
                 # that is a target or strictly closer to one
                 progress = OrT(tuple(
@@ -425,42 +359,24 @@ class Encoder:
                 ))
                 self.cs.add(ImpliesT(
                     AndT((h1, NotT(h2)) + self.guard(support, p, alpha).items),
-                    AndT((eq(pr, step), ImpliesT(Cmp(">", pr, const(0)), progress))),
+                    AndT((eq(pr, self.expectation("pr", own, succs)),
+                          ImpliesT(Cmp(">", pr, const(0)), progress))),
                 ))
 
-    def encode_bounded_until(self, node):
-        """The window chain down to [0,0], built in a loop and encoded
-        innermost first; a window already encoded ends the chain."""
-        chain = [node]
-        for window in reduced_windows(node):
-            if window in self._done:
-                break
-            self._done.add(window)
-            chain.append(window)
-        self.encode_semantics(node.path.left)
-        self.encode_semantics(node.path.right)
-        for window in reversed(chain):
-            self._encode_window(window)
-
-    def _encode_window(self, node):
+    def encode_window(self, node, support, own, points):
+        """One window of a bounded until: at [0,0] the target indicator,
+        otherwise one step to the next window down, ``reduced_windows``'s
+        first, which the table lists too."""
         path = node.path
-        support = self.support[node]
-        own = self.ref(node, support)
         left, right = self.ref(path.left, support), self.ref(path.right, support)
-        if path.k2 == 0:
-            for p in self.domain(support):
-                pr = self.declare("pr", own, p, "prob")
-                h2 = self.holds(right, p)
+        child = self.ref(next(reduced_windows(node)), support) if path.k2 else None
+        for p in points:
+            pr, h1, h2 = self.declare("pr", own, p, "prob"), self.holds(left, p), self.holds(right, p)
+            if path.k2 == 0:
                 self.cs.add(ImpliesT(h2, eq(pr, const(1))))
                 self.cs.add(ImpliesT(NotT(h2), eq(pr, const(0))))
-            return
-        child = self.ref(next(reduced_windows(node)), support)
-        for p in self.domain(support):
-            pr = self.declare("pr", own, p, "prob")
-            h1 = self.holds(left, p)
-            if path.k1 == 0:
-                # windowed step: a target now counts
-                h2 = self.holds(right, p)
+                continue
+            if path.k1 == 0:  # windowed step: a target now counts
                 self.cs.add(ImpliesT(h2, eq(pr, const(1))))
                 self.cs.add(ImpliesT(AndT((NotT(h1), NotT(h2))), eq(pr, const(0))))
                 active = (h1, NotT(h2))
@@ -468,10 +384,12 @@ class Encoder:
                 self.cs.add(ImpliesT(NotT(h1), eq(pr, const(0))))
                 active = (h1,)
             for alpha in self.action_tuples(p):
-                step = Lin(ZERO, tuple(
-                    (q, self.name("pr", child, succ)) for succ, q in self.joint_successors(p, alpha)
-                ))
+                step = self.expectation("pr", child, self.joint_successors(p, alpha))
                 self.cs.add(ImpliesT(AndT(active + self.guard(support, p, alpha).items), eq(pr, step)))
+
+    RULES = {TrueF: encode_literal, Prop: encode_literal, And: encode_and, NotF: encode_not,
+             Less: encode_less, Const: encode_const, Arith: encode_arith,
+             Next: encode_next, Until: encode_until, BoundedUntil: encode_window}
 
     # truth of the input formula -------------------------------------------------
 
@@ -544,13 +462,8 @@ class VectorEvaluator:
         if isinstance(node, Const):
             vec = {r: node.value for r in self.d.states}
         elif isinstance(node, Arith):
-            left, right = self.value(node.left), self.value(node.right)
-            if node.op == "+":
-                vec = {r: left[r] + right[r] for r in self.d.states}
-            elif node.op == "-":
-                vec = {r: left[r] - right[r] for r in self.d.states}
-            else:
-                vec = {r: left[r] * right[r] for r in self.d.states}
+            left, right, op = self.value(node.left), self.value(node.right), ARITH_OPS[node.op]
+            vec = {r: op(left[r], right[r]) for r in self.d.states}
         elif isinstance(node, ProbOf):
             path = node.path
             if isinstance(path, Next):

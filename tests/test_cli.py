@@ -15,7 +15,7 @@ from hypermdp.cli import main
 from hypermdp.constraints import emit_smtlib2, evaluate_system
 from hypermdp.enumcheck import check
 from hypermdp.errors import IncompleteModel
-from hypermdp.formula import parse_formula
+from hypermdp.formula import MAX_HEIGHT, parse_formula
 from hypermdp.model import enumerate_schedulers, parse_mdp
 from hypermdp.smt import encode_main, full_assignment, solve_eager
 from .conftest import M_COIN_TEXT
@@ -211,6 +211,39 @@ class TestDeepBound:
         only = next(enumerate_schedulers(mdp))
         values, choices = full_assignment(cs, mdp, {"s": only})
         assert evaluate_system(cs, values, choices)
+
+
+class TestDeepFormula:
+    """A formula too deep for the walks over it is a syntax error, never an
+    internal one; every shallower formula decides."""
+
+    PREFIX = "forall sched s1. forall sched s2. forall st x(s1). forall st y(s2). "
+
+    def test_conjunction_sweep_decides_or_errors(self, coin_path, tmp_path, capsys):
+        commands = (("check", "--engine", "enum"), ("check", "--engine", "smt-eager"),
+                    ("encode", "--emit", str(tmp_path / "deep.smt2")), ("stats",))
+        decided = []
+        for n in range(400, 1001, 40):
+            f = self.PREFIX + "P(F a(x)) = P(F a(y))" + " & init(x)" * (n - 1)
+            codes = []
+            for command, *extra in commands:
+                code, _ = run_cli(command, coin_path, "--formula", f, *extra)
+                err = capsys.readouterr().err
+                assert "internal error" not in err, (n, command)
+                assert code != 2 or err.startswith("error: "), (n, command)
+                codes.append(code)
+            if codes == [1, 1, 0, 0]:
+                decided.append(n)
+            else:
+                assert codes == [2, 2, 2, 2], (n, codes)
+        assert 480 in decided and decided == list(range(400, decided[-1] + 1, 40))
+        assert decided[-1] + 7 <= MAX_HEIGHT < decided[-1] + 47  # n conjuncts: height n + 7
+
+    def test_long_negation_chain_decides(self, coin_path, capsys):
+        f = "exists sched s. exists st x(s). " + "!" * 600 + "a(x)"
+        for engine in ("enum", "smt-eager"):
+            assert run_cli("check", coin_path, "--formula", f, "--engine", engine)[0] == 0
+        assert "error" not in capsys.readouterr().err
 
 
 class TestEncodingReport:

@@ -13,6 +13,7 @@ from hypermdp.errors import (
 )
 from hypermdp.formula import (
     FALSE,
+    MAX_HEIGHT,
     And,
     Arith,
     BoundedUntil,
@@ -37,6 +38,7 @@ from hypermdp.formula import (
     f_xor,
     format_formula,
     parse_formula,
+    subformulas,
 )
 from .helpers import random_formula, scope_check
 
@@ -186,6 +188,27 @@ class TestParse:
     def test_nesting_too_deep_is_a_syntax_error(self):
         with pytest.raises(FormulaSyntaxError):
             parse_formula("(" * 5000 + "a(x)" + ")" * 5000)
+
+    def test_a_body_above_the_height_bound_is_a_syntax_error(self):
+        assert parse_formula("!" * (MAX_HEIGHT - 1) + "a(x)").body.height == MAX_HEIGHT
+        with pytest.raises(FormulaSyntaxError, match="nested too deeply"):
+            parse_formula("!" * MAX_HEIGHT + "a(x)")
+
+    def test_shared_subtrees_are_walked_once(self):
+        # each <-> desugars into two implications over the same operands
+        nodes = list(subformulas(parse_formula(" <-> ".join(["a(x)"] * 12)).body))
+        assert len(nodes) == len({id(node) for node in nodes}) < 150
+
+    def test_deep_nodes_hash_and_compare_in_a_loop(self):
+        def chain(n, leaf=Prop("a", "x")):
+            for _ in range(n):
+                leaf = NotF(leaf)
+            return leaf
+
+        deep = chain(5000)
+        assert hash(deep) == hash(chain(5000)) and deep == chain(5000)
+        assert deep != chain(5000, Prop("b", "x")) and deep != chain(4999)
+        assert {deep: 1}[chain(5000)] == 1
 
 
 # -- sugared trees for the grammar property -----------------------------------

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,8 @@ from hypermdp.constraints import (
     Cmp,
     ConstraintSystem,
     ImpliesT,
+    Lin,
+    MulEq,
     NotT,
     OrT,
     XorT,
@@ -422,6 +425,23 @@ def _instantiated_truth(cs, mdp, chosen) -> bool:
     return truth_eval(meta.state_quants, tree, ev.holds)[0]
 
 
+def _read_names(term) -> set:
+    """The variables a constraint term reads; choice atoms are not variables."""
+    if isinstance(term, BoolRef):
+        return {term.name}
+    if isinstance(term, Lin):
+        return {name for _, name in term.terms}
+    if isinstance(term, MulEq):
+        return {term.result, term.left, term.right}
+    names = set()
+    for fld in fields(term):
+        value = getattr(term, fld.name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if is_dataclass(item) and not isinstance(item, ChoiceIs):
+                names |= _read_names(item)
+    return names
+
+
 def _random_scheduler(rng, mdp):
     return SchedulerAssignment(mdp.states, tuple(rng.choice(mdp.enabled[s]) for s in mdp.states))
 
@@ -449,6 +469,13 @@ class TestProjection:
             tried.append(result.decoded.schedulers)
         for _ in range(3):
             tried.append({name: _random_scheduler(rng, mdp) for name in cs.meta.sched_names})
+        # complete: every variable a constraint reads is declared ...
+        readers = {}  # variable -> the constraints, the truth term aside, that read it
+        for term in cs.constraints:
+            names = _read_names(term)
+            assert names <= cs.variables.keys(), names - cs.variables.keys()
+            for name in names if term is not cs.truth else ():
+                readers.setdefault(name, []).append(term)
         for chosen in tried:
             values, choices = full_assignment(cs, mdp, chosen)
             for term in cs.constraints:
@@ -457,6 +484,14 @@ class TestProjection:
             # the truth term holds exactly where the quantifiers over the
             # encoded tuples do
             assert evaluate_term(cs.truth, values, choices) == _instantiated_truth(cs, mdp, chosen)
+        # ... and pinned: changing any one truth, probability or step
+        # indicator value breaks a constraint that reads it
+        for name, kind in cs.variables.items():
+            if kind != "dist":
+                value = values[name]
+                values[name] = (not value) if kind == "holds" else value + 1
+                assert not all(evaluate_term(t, values, choices) for t in readers.get(name, ())), name
+                values[name] = value
 
     @pytest.mark.parametrize("text", [
         "exists sched s. exists st x(s). exists st y(s). init(y) & P(F a(x)) > 0",
@@ -547,4 +582,4 @@ class TestEmit:
         )
         text = emit_smtlib2(encode_main(die, f)[0])
         digest = hashlib.sha256(text.encode()).hexdigest()
-        assert digest == "d2b0b2fe393119af35c349bec4c3c98808d35c48265ae7f4036ff4a58b296c7f"
+        assert digest == "ff391b217cea969c7624ae1e57f674a1886bdc6d47b20aa577d73b8e848a2890"
