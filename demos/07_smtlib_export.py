@@ -36,7 +36,7 @@ print("  ...")
 
 print("\nthe until equations appear guarded by the scheduler choice:")
 for line in lines:
-    if "ch_0_s0_alpha" in line and "pr_" in line:
+    if "ch_0_s0.alpha" in line and "pr_" in line:
         print(" ", line)
 
 print("\nuniversal scheduler blocks flip: the encoder negates the body and")

@@ -58,12 +58,12 @@ def subformula_count(f: Formula) -> int:
     return len(subformula_supports(f.body, state_var_index(f)))
 
 
-def encoding_variable_count(mdp: Mdp, f: Formula, prune: bool = False) -> int:
+def encoding_variable_count(mdp: Mdp, f: Formula) -> int:
     """Declared-variable count of the encoding, without materializing it:
     each subformula declares one truth or probability variable per point
     of its projected domain, plus a step indicator (next) or a distance
     (until) per point."""
-    meta = plan_encoding(mdp, f, prune=prune)
+    meta = plan_encoding(mdp, f)
     total = len(meta.sched_names) * sum(len(mdp.enabled[s]) for s in mdp.states)
     domain_sizes = {}
     for node, support in meta.supports.items():
@@ -110,7 +110,7 @@ def cmd_check(args, out) -> int:
                 raise HyperMdpError("smt-external needs --solver or HYPERPROB_SOLVER")
             if engine == "smt-external" or args.emit:
                 t0 = time.perf_counter()
-                cs, _ = encode_main(mdp, f, prune=args.prune)
+                cs, _ = encode_main(mdp, f)
                 smt_text = emit_smtlib2(cs)
                 encode_ms = (time.perf_counter() - t0) * 1000
                 if args.emit:
@@ -151,7 +151,7 @@ def cmd_check(args, out) -> int:
             "subformulas": subformula_count(transform_for_encoding(f)[0] if engine != "enum" else f),
         },
         "encoding": (
-            {"variables": encoding_variable_count(mdp, f, prune=args.prune)}
+            {"variables": encoding_variable_count(mdp, f)}
             if engine in ("smt-eager", "smt-external") else None
         ),
         "timings_ms": {"encode": round(encode_ms, 3), "solve": round(solve_ms, 3)},
@@ -176,7 +176,7 @@ def cmd_encode(args, out) -> int:
     mdp = load_mdp(args.model)
     f = _load_formula(args)
     validate_inputs(mdp, f, math.inf, math.inf)  # encoding has no quantifier caps
-    cs, polarity = encode_main(mdp, f, prune=args.prune)
+    cs, polarity = encode_main(mdp, f)
     text = emit_smtlib2(cs)
     with open(args.emit, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -248,11 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--solver", help="external solver binary (or HYPERPROB_SOLVER)")
     p_check.add_argument("--json", action="store_true", help="machine-readable report")
     p_check.add_argument("--emit", help="also write the SMT-LIB2 encoding to this file (smt engines)")
-    p_check.add_argument("--prune", action="store_true",
-                         help="encode only composed states reachable from all-init tuples "
-                              "(--emit, the --json variable count and smt-external; "
-                              "sound only for init-guarded bodies); the smt-eager "
-                              "verdict ranges over every state")
     p_check.add_argument("--max-sched-vars", type=int, default=3)
     p_check.add_argument("--max-state-vars", type=int, default=3)
 
@@ -260,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_encode.add_argument("model")
     add_formula_args(p_encode)
     p_encode.add_argument("--emit", required=True, help="output .smt2 path")
-    p_encode.add_argument("--prune", action="store_true")
 
     p_gen = sub.add_parser("gen", help="generate a benchmark model and formula")
     p_gen.add_argument("family", choices=("ta", "pw", "ts", "pc"))

@@ -185,7 +185,8 @@ def evaluate_system(cs: ConstraintSystem, values, choices) -> bool:
 
 
 def choice_sym(family: int, state: str, action: str) -> str:
-    return f"ch_{family}_{state}_{action}"
+    """``ch_<family>_<state>.<action>``: names may hold ``_`` but never ``.``."""
+    return f"ch_{family}_{state}.{action}"
 
 
 def _frac_sexpr(value: Fraction) -> str:

@@ -1,13 +1,17 @@
 """Reference semantics: decide formulas by direct quantifier instantiation.
 
 ``decide`` is the one quantifier walk: scheduler quantifiers range over
-the memoryless non-probabilistic assignments, state quantifiers over all
-states; the quantifier-free body is evaluated at the composed tuples the
+the memoryless non-probabilistic assignments, and under each combination
+``truth_eval`` walks the state quantifiers over their domains
+(``state_domains``): all states, or, where the body's guards make every
+other state unable to decide the quantifier, the states that carry the
+guards.  The quantifier-free body is evaluated at the composed tuples the
 state quantifiers visit, each path formula on the chains of only the
 components it mentions and only at the states reachable from where it is
 read.  ``check``, ``replay`` and the eager engine (``smt.solve_eager``,
-on the encoded formula) are thin front ends to it.  Mixed scheduler
-prefixes are supported here.
+on the encoded formula) are thin front ends to it; the encoder and the
+decoder read the same domains.  Mixed scheduler prefixes are supported
+here.
 """
 
 from __future__ import annotations
@@ -279,42 +283,86 @@ def validate_inputs(mdp: Mdp, f: Formula, max_sched_vars: int, max_state_vars: i
         raise UnknownProposition(f"propositions not in the model alphabet: {sorted(unknown)}")
 
 
+def state_domains(mdp: Mdp, f: Formula) -> Tuple[Tuple[str, ...], ...]:
+    """Per state quantifier of ``f``, the states it ranges over, in model order.
+
+    A guard of v is a proposition on v conjoined below the body's leading
+    negations (double negations seen through).  Off a guard the body is false
+    under an even count, so no such state decides an ``exists`` v, and true
+    under an odd one (an antecedent), deciding no ``forall`` v: that
+    quantifier takes only the states with all of v's guards, the rest all.
+    """
+    body, negations = f.body, 0
+    while isinstance(body, NotF):
+        body, negations = body.operand, negations + 1
+    guards: Dict[str, set] = {}
+    conjuncts = [body]
+    while conjuncts:
+        node = conjuncts.pop()
+        if isinstance(node, And):
+            conjuncts += (node.left, node.right)
+        elif isinstance(node, NotF) and isinstance(node.operand, NotF):
+            conjuncts.append(node.operand.operand)
+        elif isinstance(node, Prop):
+            guards.setdefault(node.var, set()).add(node.name)
+    restricted = negations % 2 == 0  # the quantifier kind a guard restricts
+    return tuple(
+        tuple(s for s in mdp.states if q.exists != restricted or guards.get(q.name, set()) <= mdp.labels[s])
+        for q in f.prefix if isinstance(q, StateQuant)
+    )
+
+
+def truth_eval(state_quants, domains, holds) -> Tuple[bool, dict]:
+    """The state quantifiers over ``domains``, each left to right, on the
+    body's truth ``holds`` at composed tuples, short-circuiting on
+    exists-success and forall-failure.
+
+    Returns the truth and, keyed by depth, the states on the deciding branch.
+    """
+    def level(depth: int, at: tuple):
+        if depth == len(state_quants):
+            return holds(at), {}
+        q = state_quants[depth]
+        for s in domains[depth]:
+            truth, picks = level(depth + 1, at + (s,))
+            if truth == q.exists:
+                return truth, {depth: s, **picks}
+        return not q.exists, {}
+
+    return level(0, ())
+
+
 def decide(mdp: Mdp, f: Formula, pinned: Optional[Mapping[int, object]] = None) -> Tuple[bool, dict]:
     """The truth of ``f`` and the values on its deciding branch.
 
     Scheduler quantifiers take every assignment in lexicographic order,
-    then, under one ``bind`` per combination, state quantifiers take the
-    states left to right, short-circuiting on exists-success and
-    forall-failure.  The quantifier at prefix position i takes only
-    ``pinned[i]`` if given.  Values are keyed by prefix position, so a
-    scheduler and a state variable may share a name.
+    then, under one ``bind`` per combination, ``truth_eval`` walks the
+    state quantifiers over ``state_domains``.  The quantifier at prefix
+    position i takes only ``pinned[i]`` if given.  Values are keyed by
+    prefix position, so a scheduler and a state variable may share a name.
     """
     pinned = pinned or {}
     evaluator = Evaluator(mdp, f)
-    holds, none = evaluator.holds, {}
-    m, n = count_quantifiers(f)
+    m, _ = count_quantifiers(f)
+    state_quants = f.prefix[m:]
+    domains = tuple((pinned[m + d],) if m + d in pinned else states
+                    for d, states in enumerate(state_domains(mdp, f)))
     chosen: Dict[str, SchedulerAssignment] = {}
 
-    def walk(i: int, at: tuple):
+    def walk(i: int):
         if i == m:  # reached once per scheduler combination
             evaluator.bind(build_composition(mdp, f, chosen))
-        if i == m + n:
-            return holds(at), none
-        q, sched = f.prefix[i], i < m
-        values = (pinned[i],) if i in pinned else enumerate_schedulers(mdp) if sched else mdp.states
-        for v in values:
-            if sched:
-                chosen[q.name] = v
-                truth, trace = walk(i + 1, at)
-            elif i + 1 < m + n:
-                truth, trace = walk(i + 1, at + (v,))
-            else:  # the last quantifier reads the body itself, a call less per tuple
-                truth, trace = holds(at + (v,)), none
+            truth, picks = truth_eval(state_quants, domains, evaluator.holds)
+            return truth, {m + depth: s for depth, s in picks.items()}
+        q = f.prefix[i]
+        for v in (pinned[i],) if i in pinned else enumerate_schedulers(mdp):
+            chosen[q.name] = v
+            truth, trace = walk(i + 1)
             if truth == q.exists:
                 return truth, {i: v, **trace}
-        return not q.exists, none
+        return not q.exists, {}
 
-    return walk(0, ())
+    return walk(0)
 
 
 def check(mdp: Mdp, f: Formula, max_sched_vars: int = 3, max_state_vars: int = 3) -> Verdict:

@@ -584,38 +584,27 @@ def format_const(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def format_body(body: Body) -> str:
-    if isinstance(body, TrueF):
+def format_node(node, operand=None) -> str:
+    """A body, probability expression or path node, each operand printed by
+    ``operand``: by default in full, so that reparsing yields an equal AST."""
+    sub = operand or format_node
+    if isinstance(node, TrueF):
         return "true"
-    if isinstance(body, Prop):
-        return f"{body.name}({body.var})"
-    if isinstance(body, And):
-        return f"({format_body(body.left)} & {format_body(body.right)})"
-    if isinstance(body, NotF):
-        return f"!{format_body(body.operand)}"
-    if isinstance(body, Less):
-        return f"({format_pexpr(body.left)} < {format_pexpr(body.right)})"
-    raise AssertionError(body)
-
-
-def format_pexpr(p: PExpr) -> str:
-    if isinstance(p, Const):
-        return format_const(p.value)
-    if isinstance(p, Arith):
-        return f"({format_pexpr(p.left)} {p.op} {format_pexpr(p.right)})"
-    if isinstance(p, ProbOf):
-        return f"P({format_path(p.path)})"
-    raise AssertionError(p)
-
-
-def format_path(path: Path) -> str:
-    if isinstance(path, Next):
-        return f"X {format_body(path.operand)}"
-    if isinstance(path, Until):
-        return f"{format_body(path.left)} U {format_body(path.right)}"
-    if isinstance(path, BoundedUntil):
-        return f"{format_body(path.left)} U[{path.k1},{path.k2}] {format_body(path.right)}"
-    raise AssertionError(path)
+    if isinstance(node, Prop):
+        return f"{node.name}({node.var})"
+    if isinstance(node, Const):
+        return format_const(node.value)
+    if isinstance(node, NotF):
+        return f"!{sub(node.operand)}"
+    if isinstance(node, ProbOf):
+        return f"P({format_node(node.path, sub)})"
+    if isinstance(node, Next):
+        return f"X {sub(node.operand)}"
+    if isinstance(node, (Until, BoundedUntil)):
+        bounds = f"[{node.k1},{node.k2}]" if isinstance(node, BoundedUntil) else ""
+        return f"{sub(node.left)} U{bounds} {sub(node.right)}"
+    op = "&" if isinstance(node, And) else "<" if isinstance(node, Less) else node.op
+    return f"({sub(node.left)} {op} {sub(node.right)})"
 
 
 def format_formula(f: Formula) -> str:
@@ -627,5 +616,5 @@ def format_formula(f: Formula) -> str:
             parts.append(f"{word} sched {q.name}.")
         else:
             parts.append(f"{word} st {q.name}({q.sched}).")
-    parts.append(format_body(f.body))
+    parts.append(format_node(f.body))
     return " ".join(parts)

@@ -7,9 +7,13 @@ into the probability equations.  Each subformula is encoded over the
 states of the components it mentions (its support), not over every
 composed state: its domain is the projection of the composed tuples onto
 the support, since the components of a self-composition move
-independently.  The plan (``plan_encoding``) lists every subformula once,
-with every reduced-bound window of a bounded until, and the encoder makes
-one pass over that table, with one rule per node kind and no recursion.
+independently.  The composed tuples are those reachable from the state
+quantifiers' domains (``enumcheck.state_domains``), over which the truth
+term nests its disjunctions and conjunctions and ``decode_witness`` walks
+the solver's model.  The plan (``plan_encoding``) lists every subformula
+once, with every reduced-bound window of a bounded until, and the encoder
+makes one pass over that table, with one rule per node kind and no
+recursion.
 A universal scheduler block is encoded as the existential
 encoding of the negated body with flipped state quantifiers and the final
 verdict inverted.
@@ -55,7 +59,8 @@ from .constraints import (
     eq,
     var,
 )
-from .enumcheck import Verdict, assemble_verdict, build_composition, decide, validate_inputs
+from .enumcheck import (Verdict, assemble_verdict, build_composition, decide, state_domains, truth_eval,
+                        validate_inputs)
 from .errors import IncompleteModel, MixedSchedulerBlock
 from .formula import (
     ARITH_OPS,
@@ -74,8 +79,7 @@ from .formula import (
     StateQuant,
     TrueF,
     Until,
-    format_body,
-    format_pexpr,
+    format_node,
     reduced_windows,
     state_var_index,
     subformula_supports,
@@ -114,6 +118,7 @@ class EncodingMeta:
     encoded: Formula
     sched_names: Tuple[str, ...]
     state_quants: Tuple[StateQuant, ...]
+    domains: Tuple[Tuple[str, ...], ...]  # per state quantifier, from ``state_domains``
     fam_of_component: Tuple[int, ...]
     var_index: Dict[str, int]
     states: Tuple[str, ...]
@@ -129,7 +134,7 @@ def reachable_tuples(mdp: Mdp, n: int, starts) -> Tuple[Tuple[str, ...], ...]:
         for s in mdp.states
     }
     seen = set(starts)
-    frontier = list(starts)
+    frontier = list(seen)
     while frontier:
         r = frontier.pop()
         for nxt in itertools.product(*(succ[s] for s in r)):
@@ -139,13 +144,6 @@ def reachable_tuples(mdp: Mdp, n: int, starts) -> Tuple[Tuple[str, ...], ...]:
     return tuple(r for r in itertools.product(mdp.states, repeat=n) if r in seen)
 
 
-def _init_tuples(mdp: Mdp, n: int):
-    inits = [s for s in mdp.states if "init" in mdp.labels[s]]
-    if not inits:
-        inits = list(mdp.states)
-    return list(itertools.product(inits, repeat=n))
-
-
 def project(r: tuple, support: Support) -> tuple:
     """The components of composed tuple ``r`` that ``support`` names."""
     return tuple(r[c] for c in support)
@@ -153,22 +151,19 @@ def project(r: tuple, support: Support) -> tuple:
 
 def projected_domain(tuples, support: Support) -> Tuple[tuple, ...]:
     """The projection of ``tuples`` onto ``support``, deduplicated in tuple
-    order.  A projection of a successor-closed set (``--prune``) is closed
-    under successors again, since the other components always move."""
+    order.  A projection of a successor-closed set is closed under
+    successors again, since the other components always move."""
     return tuple(dict.fromkeys(project(r, support) for r in tuples))
 
 
-def plan_encoding(mdp: Mdp, f: Formula, prune: bool = False) -> EncodingMeta:
+def plan_encoding(mdp: Mdp, f: Formula) -> EncodingMeta:
     """What the encoding fixes before any constraint: polarity, scheduler
-    families, composed tuples and every subformula's support."""
+    families, the state quantifiers' domains, the composed tuples reachable
+    from them and every subformula's support."""
     f_enc, polarity = transform_for_encoding(f)
     sched_names = tuple(q.name for q in f_enc.prefix if isinstance(q, SchedQuant))
     state_quants = tuple(q for q in f_enc.prefix if isinstance(q, StateQuant))
-    n = len(state_quants)
-    if prune and n > 0:
-        tuples = reachable_tuples(mdp, n, _init_tuples(mdp, n))
-    else:
-        tuples = tuple(itertools.product(mdp.states, repeat=n))
+    domains = state_domains(mdp, f_enc)
     var_index = state_var_index(f_enc)
     return EncodingMeta(
         polarity=polarity,
@@ -176,10 +171,11 @@ def plan_encoding(mdp: Mdp, f: Formula, prune: bool = False) -> EncodingMeta:
         encoded=f_enc,
         sched_names=sched_names,
         state_quants=state_quants,
+        domains=domains,
         fam_of_component=tuple(sched_names.index(q.sched) for q in state_quants),
         var_index=var_index,
         states=mdp.states,
-        tuples=tuples,
+        tuples=reachable_tuples(mdp, len(state_quants), itertools.product(*domains)),
         supports=subformula_supports(f_enc.body, var_index),
     )
 
@@ -225,8 +221,9 @@ class Encoder:
         self.support = meta.supports
         # the plan lists each subformula once: its position is its index
         self.cs.subformula_index = {node: idx for idx, node in enumerate(meta.supports)}
-        self.cs.subformula_text = [format_body(node) if isinstance(node, BODY_KINDS) else format_pexpr(node)
-                                   for node in meta.supports]
+        # one line per subformula over its operands' indices: the header grows linearly
+        index = lambda operand: f"[{self.cs.subformula_index[operand]}]"
+        self.cs.subformula_text = [format_node(node, index) for node in meta.supports]
 
     # naming ---------------------------------------------------------------
 
@@ -394,25 +391,25 @@ class Encoder:
     # truth of the input formula -------------------------------------------------
 
     def encode_truth(self):
-        """The state quantifiers as a tree of disjunctions and conjunctions
-        over the body's truth at the encoded tuples."""
-        quants = self.meta.state_quants
+        """The state quantifiers as nested disjunctions and conjunctions over
+        their domains, of the body's truth at the tuples they reach."""
+        quants, domains = self.meta.state_quants, self.meta.domains
         body_ref = self.ref(self.meta.encoded.body, tuple(range(len(quants))))
 
-        def level(depth, node) -> Term:
-            if depth == len(quants):
-                return self.holds(body_ref, node)
-            items = tuple(level(depth + 1, sub) for _, sub in node)
-            return OrT(items) if quants[depth].exists else AndT(items)
+        def level(at: tuple) -> Term:
+            if len(at) == len(quants):
+                return self.holds(body_ref, at)
+            items = tuple(level(at + (s,)) for s in domains[len(at)])
+            return OrT(items) if quants[len(at)].exists else AndT(items)
 
-        self.cs.truth = level(0, quantifier_tree(self.meta.tuples, len(quants), self.mdp.states))
+        self.cs.truth = level(())
         self.cs.add(self.cs.truth)
 
 
-def encode_main(mdp: Mdp, f: Formula, prune: bool = False) -> Tuple[ConstraintSystem, str]:
+def encode_main(mdp: Mdp, f: Formula) -> Tuple[ConstraintSystem, str]:
     """Build the full constraint system; polarity says whether the verdict
     must be inverted (universal scheduler block)."""
-    meta = plan_encoding(mdp, f, prune=prune)
+    meta = plan_encoding(mdp, f)
     return Encoder(mdp, meta).encode(), meta.polarity
 
 
@@ -530,42 +527,6 @@ def _restrict(composed: Dtmc, tuples: Sequence) -> Dtmc:
     )
 
 
-def quantifier_tree(tuples, n: int, state_order):
-    """``tuples`` grouped by the state quantifiers' levels: at depth d < n a
-    list of (state, subtree) in ``state_order``, at depth n the tuple."""
-    order = {s: i for i, s in enumerate(state_order)}
-
-    def level(depth, group):
-        if depth == n - 1:  # the tuples of a last-level group differ in this component only
-            return sorted(((r[depth], r) for r in group), key=lambda sr: order[sr[0]])
-        buckets: Dict[str, list] = {}
-        for r in group:
-            buckets.setdefault(r[depth], []).append(r)
-        return [(s, level(depth + 1, sub)) for s, sub in sorted(buckets.items(), key=lambda kv: order[kv[0]])]
-
-    return level(0, list(tuples)) if n else tuples[0]
-
-
-def truth_eval(state_quants, tree, holds_fn):
-    """Evaluate the nested state-quantifier structure over body truth values
-    at the leaves of ``quantifier_tree``.
-
-    Returns the verdict and, for the levels on the deciding branch, the
-    first deciding state, keyed by depth.
-    """
-    def level(depth, node):
-        if depth == len(state_quants):
-            return holds_fn(node), {}
-        q = state_quants[depth]
-        for s, sub in node:
-            truth, picks = level(depth + 1, sub)
-            if truth == q.exists:  # exists-success or forall-failure decides
-                return truth, {depth: s, **picks}
-        return not q.exists, {}
-
-    return level(0, tree)
-
-
 # -- eager solving -------------------------------------------------------------------
 
 
@@ -622,8 +583,7 @@ def decode_witness(cs: ConstraintSystem, model: dict, f: Formula) -> Verdict:
             raise IncompleteModel(f"missing truth value {key}")
         return bool(model[key])
 
-    tree = quantifier_tree(meta.tuples, len(meta.state_quants), meta.states)
-    inner_truth, picks = truth_eval(meta.state_quants, tree, body_holds)
+    inner_truth, picks = truth_eval(meta.state_quants, meta.domains, body_holds)
     trace.update((m + depth, s) for depth, s in picks.items())
     truth_final = inner_truth if meta.polarity == "direct" else not inner_truth
     return assemble_verdict(f, truth_final, trace)

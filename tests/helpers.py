@@ -6,6 +6,7 @@ probabilities come from explicit path enumeration, well-formedness from a
 separate scope evaluator, so library bugs cannot cancel out.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from hypermdp.formula import (
     StateQuant,
     TrueF,
     Until,
+    f_implies,
 )
 from hypermdp.constraints import choice_sym
 from hypermdp.model import Dtmc, Mdp
@@ -377,6 +379,37 @@ def random_formula(rng: random.Random) -> Formula:
     svars = [f"x{i}" for i in range(n)]
     prefix += [StateQuant(rng.random() < 0.5, v, f"sig{rng.randrange(m)}") for v in svars]
     return Formula(prefix=tuple(prefix), body=random_body(rng, svars))
+
+
+GUARDS = ("a", "b", "init", "never")  # no state of a ``random_mdp`` carries ``never``
+
+
+def guarded_formula(rng: random.Random) -> Formula:
+    """One or two scheduler quantifiers, mixed or not, over one to three
+    state variables whose body puts proposition guards, some under double
+    negation, in a conjunct or in an implication's antecedent, next to
+    negated propositions, which guard nothing."""
+    sched = [SchedQuant(rng.random() < 0.5, f"s{j}") for j in range(rng.randint(1, 2))]
+    svars = ("x", "y", "z")[:rng.randint(1, 3)]
+    prefix = sched + [StateQuant(rng.random() < 0.5, v, rng.choice(sched).name) for v in svars]
+    guard = TrueF()
+    for _ in range(rng.randint(1, 3)):
+        g = Prop(rng.choice(GUARDS), rng.choice(svars))
+        guard = And(guard, rng.choice((g, g, NotF(NotF(g)), NotF(g))))
+    rest = random_body(rng, svars, 2)
+    shape = rng.choice(("conjunct", "antecedent", "negated conjunct"))
+    if shape == "conjunct":
+        body = And(guard, rest)
+    elif shape == "antecedent":
+        body = f_implies(guard, rest)
+    else:
+        body = NotF(NotF(NotF(And(rest, guard))))
+    return Formula(prefix=tuple(prefix), body=body)
+
+
+def with_never(mdp: Mdp) -> Mdp:
+    """``mdp`` with the proposition ``never`` in its alphabet and on no state."""
+    return dataclasses.replace(mdp, ap=mdp.ap + ("never",))
 
 
 # -- solver models ------------------------------------------------------------------

@@ -113,35 +113,57 @@ class TestCheck:
         assert code == 0
         assert out_path.read_text().startswith("; subformulas:")
 
-    def test_prune_keeps_verdict_on_init_guarded_formula(self, coin_path):
+    def test_guarded_forall_verdict(self, coin_path, tmp_path):
+        # the antecedent restricts x to s0; the engines agree and the emitted
+        # encoding carries the one-state conjunction
         f = "exists sched s. forall st x(s). init(x) -> P(F a(x)) = 1"
-        plain_code, _ = run_cli("check", coin_path, "--formula", f)
-        pruned_code, _ = run_cli("check", coin_path, "--formula", f, "--prune")
-        assert plain_code == pruned_code == 0
+        out_path = tmp_path / "out.smt2"
+        for engine in ("enum", "smt-eager"):
+            code, out = run_cli("check", coin_path, "--formula", f, "--engine", engine, "--emit", str(out_path))
+            assert code == 0, engine
+            assert "s0: alpha" in out
+        cs, _ = encode_main(parse_mdp(M_COIN_TEXT), parse_formula(f))
+        assert cs.meta.domains == (("s0",),)
+        assert out_path.read_text() == emit_smtlib2(cs)
+
+    def test_prune_flag_is_gone(self, coin_path, tmp_path):
+        # the guards decide the encoded tuples; no option does
+        assert run_cli("check", coin_path, "--formula", REACH_ONE, "--prune")[0] == 2
+        assert run_cli("encode", coin_path, "--formula", REACH_ONE,
+                       "--emit", str(tmp_path / "out.smt2"), "--prune")[0] == 2
 
     @pytest.mark.parametrize("formula, code", [
         # universal block: the encoder negates and flips the state quantifiers
         ("forall sched s. forall st x(s). init(x) -> P(F a(x)) = 1", 1),
         ("forall sched s. forall st x(s). init(x) -> P(F a(x)) >= 0", 0),
     ])
-    def test_prune_keeps_verdict_with_negated_polarity(self, coin_path, tmp_path, formula, code):
+    def test_guard_keeps_verdict_with_negated_polarity(self, coin_path, tmp_path, formula, code):
         for engine in ("enum", "smt-eager"):
-            for extra in ((), ("--prune", "--emit", str(tmp_path / "out.smt2"))):
+            for extra in ((), ("--emit", str(tmp_path / "out.smt2")), ("--json",)):
                 assert run_cli("check", coin_path, "--formula", formula, "--engine", engine,
                                *extra)[0] == code, (engine, extra)
 
     @pytest.mark.parametrize("formula, code", [
         ("exists sched s. forall st x(s). init(x) -> P(F a(x)) = 1", 0),
-        # not init-guarded: s2 never reaches a, whether or not pruning drops it
+        # not init-guarded: s2, unreachable from the init state, never reaches a
         ("forall sched s. forall st x(s). P(F a(x)) = 1", 1),
+        # a guard off the init state: the witness s1 must stay in the encoding
+        ("exists sched s. exists st x(s). a(x) & P(F a(x)) = 1", 0),
     ])
-    def test_prune_does_not_change_the_verdict(self, tmp_path, formula, code):
+    def test_guard_decides_on_unreachable_state(self, tmp_path, formula, code):
         path = tmp_path / "unreachable.mdpx"
         path.write_text(UNREACHABLE_TEXT)
+        mdp, f = parse_mdp(UNREACHABLE_TEXT), parse_formula(formula)
         for engine in ("enum", "smt-eager"):
-            for extra in ((), ("--prune",), ("--prune", "--json")):
+            for extra in ((), ("--json",)):
                 assert run_cli("check", str(path), "--formula", formula, "--engine", engine,
                                *extra)[0] == code, (engine, extra)
+        # the model has one scheduler: its exact values satisfy the encoding
+        # exactly when the encoded formula (negated for a forall block) holds
+        cs, _ = encode_main(mdp, f)
+        (only,) = enumerate_schedulers(mdp)
+        values, choices = full_assignment(cs, mdp, {cs.meta.sched_names[0]: only})
+        assert evaluate_system(cs, values, choices) == ((code == 0) == (cs.meta.polarity == "direct"))
 
     def test_shared_scheduler_and_state_name(self, coin_path, capsys):
         f = "forall sched x. forall st x(x). P(F a(x)) = 1"
@@ -249,36 +271,34 @@ class TestDeepFormula:
 class TestEncodingReport:
     """``check --json`` reports the variables the encoder really declares."""
 
-    @pytest.mark.parametrize("prune", [False, True])
     @pytest.mark.parametrize("formula", [
         REACH_ONE,
         "exists sched s. exists st x(s). exists st y(s). P(X a(x)) < 1/2 & P(F a(y)) > 0",
         "forall sched s. forall st x(s). P(F<=3 a(x)) >= P(true U[1,2] a(x)) * 1/2",
     ])
-    def test_coin_count_matches_encoder(self, m_coin, formula, prune):
+    def test_coin_count_matches_encoder(self, m_coin, formula):
         f = parse_formula(formula)
-        expected = encode_main(m_coin, f, prune=prune)[0].variable_count()
-        assert cli.encoding_variable_count(m_coin, f, prune=prune) == expected
+        expected = encode_main(m_coin, f)[0].variable_count()
+        assert cli.encoding_variable_count(m_coin, f) == expected
 
-    @pytest.mark.parametrize("prune", [False, True])
-    def test_ta_m2_count_matches_encoder(self, prune):
+    def test_ta_m2_count_matches_encoder(self):
         spec = cases.generate("ta", m=2)
         f = parse_formula(spec.formula_text)
-        expected = encode_main(spec.mdp, f, prune=prune)[0].variable_count()
-        assert cli.encoding_variable_count(spec.mdp, f, prune=prune) == expected
+        expected = encode_main(spec.mdp, f)[0].variable_count()
+        assert cli.encoding_variable_count(spec.mdp, f) == expected
+        assert expected == 4269  # the init guards leave the tuples reachable from init pairs
 
-    def test_json_reports_pruned_count(self, tmp_path):
-        # s2 is unreachable from the init state, so pruning drops it
-        path = tmp_path / "pruned.mdpx"
+    def test_json_reports_guarded_count(self, tmp_path):
+        # s2 is unreachable from the init state, so the guarded encoding drops it
+        path = tmp_path / "guarded.mdpx"
         path.write_text(UNREACHABLE_TEXT)
         f = "exists sched s. forall st x(s). init(x) -> P(F a(x)) = 1"
         mdp = parse_mdp(UNREACHABLE_TEXT)
-        full, pruned = (encode_main(mdp, parse_formula(f), prune=prune)[0].variable_count()
-                        for prune in (False, True))
-        assert pruned < full
-        code, out = run_cli("check", str(path), "--formula", f, "--json", "--prune")
+        guarded = encode_main(mdp, parse_formula(f))[0]
+        assert guarded.meta.tuples == (("s0",), ("s1",))
+        code, out = run_cli("check", str(path), "--formula", f, "--json")
         assert code == 0
-        assert json.loads(out)["encoding"]["variables"] == pruned
+        assert json.loads(out)["encoding"]["variables"] == guarded.variable_count()
 
 
 class TestEncode:

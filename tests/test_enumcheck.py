@@ -1,11 +1,21 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypermdp import analysis, cases, enumcheck
-from hypermdp.enumcheck import Evaluator, build_composition, check, replay
+from hypermdp.enumcheck import (
+    Evaluator,
+    assemble_verdict,
+    build_composition,
+    check,
+    decide,
+    replay,
+    state_domains,
+)
 from hypermdp.errors import CapExceeded, IllFormed, UnknownProposition
 from hypermdp.formula import (
     And,
@@ -20,6 +30,7 @@ from hypermdp.formula import (
     StateQuant,
     TrueF,
     Until,
+    count_quantifiers,
     parse_formula,
 )
 from hypermdp.model import (
@@ -30,7 +41,7 @@ from hypermdp.model import (
     self_compose,
 )
 from hypermdp.smt import VectorEvaluator, solve_eager
-from .helpers import random_mdp
+from .helpers import guarded_formula, random_mdp, with_never
 
 REACH_ONE = "exists sched s. exists st x(s). init(x) & P(F a(x)) = 1"
 REACH_HALF = "exists sched s. exists st x(s). init(x) & P(F a(x)) = 1/2"
@@ -315,3 +326,59 @@ class TestClosedBodies:
         )
         verdict = check(m_coin, f)
         assert verdict.truth is True  # alpha branch dominates every scheduler
+
+
+def _every_state(mdp, f):
+    return (mdp.states,) * count_quantifiers(f)[1]
+
+
+class TestStateDomains:
+    """``state_domains`` restricts a state quantifier only where the states
+    it drops cannot decide it."""
+
+    @pytest.mark.parametrize("body, domains", [
+        # a conjunct guards an exists, an antecedent a forall
+        ("exists st x(s). forall st y(s). init(x) & P(F a(y)) > 0", (("s0",), "all")),
+        ("forall st x(s). exists st y(s). init(x) -> P(F a(y)) > 0", (("s0",), "all")),
+        # the other pairings decide at any state off the guard: no restriction
+        ("forall st x(s). init(x) & P(F a(x)) > 0", ("all",)),
+        ("exists st x(s). init(x) -> P(F a(x)) > 0", ("all",)),
+        # double negations are seen through, single ones are not
+        ("exists st x(s). !!(init(x) & a(x)) & P(F a(x)) > 0", ((),)),
+        ("exists st x(s). !init(x) & P(F a(x)) > 0", ("all",)),
+        # a body that is one negated proposition guards a forall
+        ("forall st x(s). !a(x)", (("s1",),)),
+        # propositions below a comparison or a path are not guards
+        ("exists st x(s). P(F init(x)) > 0", ("all",)),
+    ])
+    def test_guard_shapes_on_the_coin(self, m_coin, body, domains):
+        f = parse_formula("exists sched s. " + body)
+        expected = tuple(m_coin.states if d == "all" else d for d in domains)
+        assert state_domains(m_coin, f) == expected
+
+    def test_ta_m6_reads_the_body_once_per_combination(self, monkeypatch):
+        spec = cases.generate("ta", m=6)
+        calls = {"holds": 0, "bind": 0}
+        for name in calls:
+            original = getattr(Evaluator, name)
+
+            def counting(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(Evaluator, name, counting)
+        verdict = check(spec.mdp, spec.formula)
+        assert verdict.truth is False and verdict.mode == "counterexample"
+        assert calls["holds"] == calls["bind"] == 33
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_restriction_keeps_truth_and_trace(self, seed):
+        rng = random.Random(seed)
+        mdp = with_never(random_mdp(rng, max_states=3))
+        f = guarded_formula(rng)
+        with mock.patch("hypermdp.enumcheck.state_domains", _every_state):
+            unrestricted = decide(mdp, f)
+        assert decide(mdp, f) == unrestricted
+        verdict = assemble_verdict(f, *unrestricted)
+        assert replay(mdp, f, verdict) is verdict.truth

@@ -21,9 +21,21 @@ from hypermdp.constraints import (
     evaluate_system,
     evaluate_term,
 )
-from hypermdp.enumcheck import Evaluator, build_composition, check
+from hypermdp.enumcheck import Evaluator, build_composition, check, truth_eval
 from hypermdp.errors import IncompleteModel, MixedSchedulerBlock
-from hypermdp.formula import BoundedUntil, Formula, ProbOf, SchedQuant, StateQuant, parse_formula
+from hypermdp.formula import (
+    TRUE,
+    And,
+    BoundedUntil,
+    Formula,
+    Next,
+    ProbOf,
+    Prop,
+    SchedQuant,
+    StateQuant,
+    Until,
+    parse_formula,
+)
 from hypermdp.model import SchedulerAssignment, enumerate_schedulers, parse_mdp
 from hypermdp.smt import (
     decode_witness,
@@ -31,14 +43,13 @@ from hypermdp.smt import (
     full_assignment,
     holds_sym,
     prob_sym,
-    quantifier_tree,
     solve_eager,
     transform_for_encoding,
-    truth_eval,
 )
-from .helpers import random_body, random_mdp, solver_model
+from .helpers import guarded_formula, random_body, random_mdp, solver_model, with_never
 
 REACH_ONE = "exists sched s. exists st x(s). init(x) & P(F a(x)) = 1"
+REACH_A = ProbOf(Until(TRUE, Prop("a", "x")))  # the until node of P(F a(x))
 REACH_HALF = "exists sched s. exists st x(s). init(x) & P(F a(x)) = 1/2"
 FORALL_REACH = "forall sched s. forall st x(s). init(x) -> P(F a(x)) = 1"
 
@@ -102,12 +113,12 @@ class TestEncodeSemantics:
         cs, _ = encode_main(m_coin, f)
         text = emit_smtlib2(cs)
         prop_idx = cs.subformula_text.index("a(x)")
-        next_idx = cs.subformula_text.index("P(X a(x))")
+        next_idx = cs.subformula_index[ProbOf(Next(Prop("a", "x")))]
         alpha_line = (
-            f"(assert (=> ch_0_s0_alpha (= pr_s0_{next_idx} "
+            f"(assert (=> ch_0_s0.alpha (= pr_s0_{next_idx} "
             f"(+ (* (/ 1 2) ti_s0_{prop_idx}) (* (/ 1 2) ti_s1_{prop_idx})))))"
         )
-        beta_line = f"(assert (=> ch_0_s0_beta (= pr_s0_{next_idx} ti_s2_{prop_idx})))"
+        beta_line = f"(assert (=> ch_0_s0.beta (= pr_s0_{next_idx} ti_s2_{prop_idx})))"
         assert alpha_line in text
         assert beta_line in text
 
@@ -117,10 +128,7 @@ class TestEncodeSemantics:
         # the composed state s1 satisfies the target, so its prob var is
         # pinned to 1 through an implication with a true antecedent
         values, choices = full_assignment(cs, m_coin, {"s": first_choice(m_coin)})
-        until_idx = next(
-            idx for text, idx in
-            ((t, i) for i, t in enumerate(cs.subformula_text)) if text.startswith("P(true U")
-        )
+        until_idx = cs.subformula_index[REACH_A]
         assert values[prob_sym(("s1",), until_idx)] == 1
 
     def test_bounded_until_recursion_families(self, m_coin):
@@ -134,18 +142,31 @@ class TestEncodeSemantics:
 
 
 class TestTruth:
+    """The truth term nests one disjunction or conjunction per state
+    quantifier over its domain; bodies with no proposition conjunct range
+    over every state."""
+
     def test_forall_is_conjunction_over_states(self, m_coin):
-        f = parse_formula("exists sched s. forall st x(s). a(x) | !a(x)")
+        f = parse_formula("exists sched s. forall st x(s). P(X a(x)) <= 1")
         cs, _ = encode_main(m_coin, f)
         assert isinstance(cs.truth, AndT)
         assert len(cs.truth.items) == 3
 
     def test_exists_forall_nesting(self, m_coin):
-        f = parse_formula("exists sched s. exists st x(s). forall st y(s). a(x) | !a(y)")
+        f = parse_formula("exists sched s. exists st x(s). forall st y(s). P(X a(x)) <= P(X a(y))")
         cs, _ = encode_main(m_coin, f)
         assert isinstance(cs.truth, OrT)
         assert len(cs.truth.items) == 3
         assert all(isinstance(item, AndT) and len(item.items) == 3 for item in cs.truth.items)
+
+    def test_guarded_exists_ranges_over_its_guard_states(self, m_coin):
+        # init(x) is a conjunct: only s0 can witness x; y still takes every state
+        f = parse_formula("exists sched s. exists st x(s). forall st y(s). init(x) & P(F a(x)) >= P(F a(y))")
+        cs, _ = encode_main(m_coin, f)
+        assert cs.meta.domains == (("s0",), m_coin.states)
+        assert isinstance(cs.truth, OrT) and len(cs.truth.items) == 1
+        (only,) = cs.truth.items
+        assert isinstance(only, AndT) and len(only.items) == 3
 
     def test_closed_body_single_literal(self, m_coin):
         f = parse_formula("1/2 < 1")
@@ -166,7 +187,7 @@ class TestEagerSolve:
         assert verdict.states["x"] == "s0"
         # the model a solver returns for this witness names the same choice
         cs, _ = encode_main(m_coin, f)
-        assert solver_model(cs, m_coin, verdict.schedulers)["ch_0_s0_alpha"] is True
+        assert solver_model(cs, m_coin, verdict.schedulers)["ch_0_s0.alpha"] is True
 
     def test_reach_half_unsat(self, m_coin):
         result = solve_eager(m_coin, parse_formula(REACH_HALF))
@@ -255,7 +276,7 @@ class TestEncodingSoundness:
         beta = SchedulerAssignment(m_coin.states, ("beta", "tau", "tau"))
         values, choices = full_assignment(cs, m_coin, {"s": beta})
         assert evaluate_system(cs, values, choices)
-        until_idx = next(i for i, t in enumerate(cs.subformula_text) if t.startswith("P(true U"))
+        until_idx = cs.subformula_index[REACH_A]
         tampered = dict(values)
         tampered[prob_sym(("s0",), until_idx)] = Fraction(1)
         tampered[prob_sym(("s2",), until_idx)] = Fraction(1)
@@ -294,8 +315,8 @@ class TestDecode:
         cs, _ = encode_main(m_coin, f)
         broken = solver_model(cs, m_coin, result.decoded.schedulers)
         assert decode_witness(cs, broken, f) == result.decoded
-        broken.pop("ch_0_s0_alpha")
-        broken.pop("ch_0_s0_beta")
+        broken.pop("ch_0_s0.alpha")
+        broken.pop("ch_0_s0.beta")
         with pytest.raises(IncompleteModel):
             decode_witness(cs, broken, f)
 
@@ -355,7 +376,7 @@ class TestGuardCollapse:
         # the bypass action (agreement with the linear solver)
         f = parse_formula("exists sched s. exists st x(s). P(F a(x)) = 1")
         cs, _ = encode_main(m_coin, f)
-        until_idx = next(i for i, t in enumerate(cs.subformula_text) if t.startswith("P(true U"))
+        until_idx = cs.subformula_index[REACH_A]
         alpha = SchedulerAssignment(m_coin.states, ("alpha", "tau", "tau"))
         beta = SchedulerAssignment(m_coin.states, ("beta", "tau", "tau"))
         alpha_values, alpha_choices = full_assignment(cs, m_coin, {"s": alpha})
@@ -370,16 +391,16 @@ class TestGuardCollapse:
         cs, _ = encode_main(d_half, f)
         only = SchedulerAssignment(d_half.states, ("tau", "tau", "tau"))
         values, choices = full_assignment(cs, d_half, {"s": only})
-        win_idx = next(i for i, t in enumerate(cs.subformula_text) if t.startswith("P(true U[1,1]"))
+        win_idx = cs.subformula_index[ProbOf(BoundedUntil(TRUE, Prop("a", "x"), 1, 1))]
         assert values[prob_sym(("u0",), win_idx)] == Fraction(1, 2)
         assert evaluate_system(cs, values, choices)
         assert solve_eager(d_half, f).sat is True
 
 
-class TestPrune:
-    """``--prune`` shapes the encoding only; its verdicts are checked in the CLI tests."""
+class TestGuardedTuples:
+    """The encoded tuples are those reachable from the state quantifiers' domains."""
 
-    def test_prune_restricts_to_reachable_tuples(self):
+    def test_guard_restricts_to_reachable_tuples(self):
         # s2 is declared but unreachable from the init state
         mdp = parse_mdp(
             "states: s0 s1 s2\n"
@@ -388,12 +409,26 @@ class TestPrune:
             "action s1 go: s1 1\n"
             "action s2 go: s2 1\n"
         )
-        f = parse_formula("exists sched s. forall st x(s). init(x) -> P(F a(x)) = 1")
-        full_cs, _ = encode_main(mdp, f)
-        pruned_cs, _ = encode_main(mdp, f, prune=True)
-        assert len(pruned_cs.meta.tuples) == 2
+        guarded_cs, _ = encode_main(mdp, parse_formula("exists sched s. forall st x(s). init(x) -> P(F a(x)) = 1"))
+        full_cs, _ = encode_main(mdp, parse_formula("exists sched s. forall st x(s). P(F a(x)) = 1"))
+        assert guarded_cs.meta.tuples == (("s0",), ("s1",))
         assert len(full_cs.meta.tuples) == 3
-        assert pruned_cs.variable_count() < full_cs.variable_count()
+        assert not any("_s2_" in name for name in guarded_cs.variables)
+        assert any("_s2_" in name for name in full_cs.variables)
+
+    def test_guard_off_init_keeps_its_witness(self):
+        # the witness state carries a but not init: the encoding must still
+        # reach it, so that the exact model satisfies the system
+        mdp = parse_mdp("states: s0 s1\nlabels: s0: init; s1: a\n"
+                        "action s0 go: s1 1\naction s1 go: s1 1\n")
+        f = parse_formula("exists sched s. exists st x(s). a(x)")
+        cs, _ = encode_main(mdp, f)
+        assert cs.meta.domains == (("s1",),)
+        result = solve_eager(mdp, f)
+        assert result.decoded.states == {"x": "s1"}
+        values, choices = full_assignment(cs, mdp, result.decoded.schedulers)
+        assert evaluate_system(cs, values, choices)
+        assert decode_witness(cs, solver_model(cs, mdp, result.decoded.schedulers), f) == result.decoded
 
 
 COUPLED = (
@@ -415,14 +450,12 @@ def _two_variable_formula(rng):
 
 
 def _instantiated_truth(cs, mdp, chosen) -> bool:
-    """The encoded formula's state quantifiers over the encoding's composed
-    tuples (all of them, or the reachable ones under ``prune``), decided by
-    direct instantiation with the enumeration engine's evaluator."""
+    """The encoded formula's state quantifiers, each over every state,
+    decided by direct instantiation with the enumeration engine's evaluator."""
     meta = cs.meta
     ev = Evaluator(mdp, meta.encoded)
     ev.bind(build_composition(mdp, meta.encoded, chosen))
-    tree = quantifier_tree(meta.tuples, len(meta.state_quants), mdp.states)
-    return truth_eval(meta.state_quants, tree, ev.holds)[0]
+    return truth_eval(meta.state_quants, (mdp.states,) * len(meta.state_quants), ev.holds)[0]
 
 
 def _read_names(term) -> set:
@@ -451,21 +484,21 @@ class TestProjection:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1), coupled=st.sampled_from((None,) + COUPLED),
-           prune=st.booleans())
-    def test_semantics_satisfies_projected_system(self, seed, coupled, prune):
+           guarded=st.booleans())
+    def test_semantics_satisfies_projected_system(self, seed, coupled, guarded):
         rng = random.Random(seed)
         mdp = random_mdp(rng, max_states=3)
         f = _two_variable_formula(rng) if coupled is None else parse_formula(coupled)
-        cs, _ = encode_main(mdp, f, prune=prune)
+        if guarded:  # an init conjunct guards x, restricting it where that is sound
+            f = Formula(f.prefix, And(Prop("init", "x"), f.body))
+        cs, _ = encode_main(mdp, f)
         # full_assignment itself raises if a projected variable would need
         # different values at tuples with the same projection
         result = solve_eager(mdp, f)
         tried = []
         if result.sat:
-            # the eager verdict ranges over every state, as the unpruned system does
-            full_cs = encode_main(mdp, f)[0] if prune else cs
-            values, choices = full_assignment(full_cs, mdp, result.decoded.schedulers)
-            assert evaluate_system(full_cs, values, choices)
+            values, choices = full_assignment(cs, mdp, result.decoded.schedulers)
+            assert evaluate_system(cs, values, choices)
             tried.append(result.decoded.schedulers)
         for _ in range(3):
             tried.append({name: _random_scheduler(rng, mdp) for name in cs.meta.sched_names})
@@ -481,8 +514,8 @@ class TestProjection:
             for term in cs.constraints:
                 if term is not cs.truth:
                     assert evaluate_term(term, values, choices)
-            # the truth term holds exactly where the quantifiers over the
-            # encoded tuples do
+            # the truth term holds exactly where the quantifiers over
+            # every state do
             assert evaluate_term(cs.truth, values, choices) == _instantiated_truth(cs, mdp, chosen)
         # ... and pinned: changing any one truth, probability or step
         # indicator value breaks a constraint that reads it
@@ -500,7 +533,7 @@ class TestProjection:
     ])
     def test_one_variable_until_declares_one_variable_per_state(self, m_coin, text):
         cs, _ = encode_main(m_coin, parse_formula(text))
-        until_idx = cs.subformula_text.index("P(true U a(x))")
+        until_idx = cs.subformula_index[REACH_A]
         for kind in ("prob", "dist"):
             declared = [name for name, k in cs.variables.items()
                         if k == kind and name.endswith(f"_{until_idx}")]
@@ -512,11 +545,63 @@ class TestProjection:
         alpha = SchedulerAssignment(m_coin.states, ("alpha", "tau", "tau"))
         values, choices = full_assignment(cs, m_coin, {"s": alpha})
         assert evaluate_system(cs, values, choices)
-        until_idx = cs.subformula_text.index("P(true U a(y))")
+        until_idx = cs.subformula_index[ProbOf(Until(TRUE, Prop("a", "y")))]
         assert values[prob_sym(("s0",), until_idx)] == 1
         tampered = dict(values)
         tampered[prob_sym(("s0",), until_idx)] = Fraction(1, 2)
         assert not evaluate_system(cs, tampered, choices)
+
+
+class TestGuardedEncoding:
+    """The encoding over the state quantifiers' domains agrees with the
+    semantics over every state."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_oracle_holds_on_guarded_formulas(self, seed):
+        rng = random.Random(seed)
+        mdp = with_never(random_mdp(rng, max_states=3))
+        f = guarded_formula(rng)
+        try:
+            cs, _ = encode_main(mdp, f)
+        except MixedSchedulerBlock:
+            return
+        result = solve_eager(mdp, f)
+        tried = [{name: _random_scheduler(rng, mdp) for name in cs.meta.sched_names} for _ in range(3)]
+        if result.sat:
+            values, choices = full_assignment(cs, mdp, result.decoded.schedulers)
+            assert evaluate_system(cs, values, choices)
+            model = solver_model(cs, mdp, result.decoded.schedulers)
+            assert decode_witness(cs, model, f) == result.decoded
+        for chosen in tried:
+            values, choices = full_assignment(cs, mdp, chosen)
+            assert all(evaluate_term(t, values, choices) for t in cs.constraints if t is not cs.truth)
+            assert evaluate_term(cs.truth, values, choices) == _instantiated_truth(cs, mdp, chosen)
+
+
+class TestChoiceNames:
+    # state s has action x_y and state s_x action y: joined by "_" both
+    # would be ch_0_s_x_y
+    MODEL = ("states: s s_x\n"
+             "labels: s: init; s_x: a\n"
+             "action s x_y: s_x 1\n"
+             "action s z: s 1\n"
+             "action s_x y: s_x 1\n"
+             "action s_x w: s 1\n")
+
+    def test_declared_names_are_distinct_and_decode(self):
+        mdp = parse_mdp(self.MODEL)
+        f = parse_formula("exists sched t. exists st x(t). init(x) & P(X a(x)) = 1")
+        cs, _ = encode_main(mdp, f)
+        declared = [line.split()[1] for line in emit_smtlib2(cs).splitlines()
+                    if line.startswith("(declare-const")]
+        assert len(declared) == len(set(declared))
+        assert {"ch_0_s.x_y", "ch_0_s_x.y"} <= set(declared)
+        chosen = SchedulerAssignment(mdp.states, ("x_y", "w"))  # x_y true at s, y false at s_x
+        model = solver_model(cs, mdp, {"t": chosen})
+        verdict = decode_witness(cs, model, f)
+        assert verdict.truth is True and verdict.states == {"x": "s"}
+        assert verdict.schedulers["t"] == chosen
 
 
 class TestEmit:
@@ -540,8 +625,8 @@ class TestEmit:
         f = parse_formula(REACH_ONE)
         cs, _ = encode_main(m_coin, f)
         text = emit_smtlib2(cs)
-        assert "(assert (or ch_0_s0_alpha ch_0_s0_beta))" in text
-        assert "(assert (not (and ch_0_s0_alpha ch_0_s0_beta)))" in text
+        assert "(assert (or ch_0_s0.alpha ch_0_s0.beta))" in text
+        assert "(assert (not (and ch_0_s0.alpha ch_0_s0.beta)))" in text
 
     def test_emission_is_deterministic(self, m_coin):
         f = parse_formula(FORALL_REACH)
@@ -554,7 +639,19 @@ class TestEmit:
         cs, _ = encode_main(m_coin, f)
         text = emit_smtlib2(cs)
         assert text.startswith("; subformulas:")
-        assert "P(true U a(x))" in text
+        index = cs.subformula_index
+        true_idx, a_idx = index[TRUE], index[Prop("a", "x")]
+        assert f";   [{index[REACH_A]}] P([{true_idx}] U [{a_idx}])" in text.splitlines()
+        assert f";   [{a_idx}] a(x)" in text.splitlines()
+
+    def test_header_prints_each_subformula_over_indices(self, m_coin):
+        # desugared <-> shares its operands: printed in full, each line
+        # would repeat the whole chain below it
+        body = " <-> ".join(f"P(X a(x)) > {i}/20" for i in range(14))
+        cs, _ = encode_main(m_coin, parse_formula("exists sched s. exists st x(s). " + body))
+        header = [line for line in emit_smtlib2(cs).splitlines() if line.startswith(";")]
+        assert len(header) == len(cs.subformula_index) + 1
+        assert max(len(line) for line in header) < 40
 
     def test_golden_file_byte_for_byte(self, m_coin):
         import os
@@ -582,4 +679,4 @@ class TestEmit:
         )
         text = emit_smtlib2(encode_main(die, f)[0])
         digest = hashlib.sha256(text.encode()).hexdigest()
-        assert digest == "ff391b217cea969c7624ae1e57f674a1886bdc6d47b20aa577d73b8e848a2890"
+        assert digest == "69473a402cd4e171b8391be37965ec8a624543f598ba76e890744a0c8148f2f2"
