@@ -35,7 +35,6 @@ from .smt import (
     check_external,
     encode_main,
     plan_encoding,
-    projected_domain,
     solve_eager,
     transform_for_encoding,
 )
@@ -61,16 +60,13 @@ def subformula_count(f: Formula) -> int:
 def encoding_variable_count(mdp: Mdp, f: Formula) -> int:
     """Declared-variable count of the encoding, without materializing it:
     each subformula declares one truth or probability variable per point
-    of its projected domain, plus a step indicator (next) or a distance
+    of the plan's point table, plus a step indicator (next) or a distance
     (until) per point."""
     meta = plan_encoding(mdp, f)
     total = len(meta.sched_names) * sum(len(mdp.enabled[s]) for s in mdp.states)
-    domain_sizes = {}
-    for node, support in meta.supports.items():
-        if support not in domain_sizes:
-            domain_sizes[support] = len(projected_domain(meta.tuples, support))
+    for node, points in meta.points.items():
         per_point = 2 if isinstance(node, ProbOf) and isinstance(node.path, (Next, Until)) else 1
-        total += per_point * domain_sizes[support]
+        total += per_point * len(points)
     return total
 
 

@@ -5,15 +5,17 @@ probability variables, pseudo-Boolean step indicators and ordering-only
 distance variables; scheduler choices become enumerated variables guarded
 into the probability equations.  Each subformula is encoded over the
 states of the components it mentions (its support), not over every
-composed state: its domain is the projection of the composed tuples onto
-the support, since the components of a self-composition move
-independently.  The composed tuples are those reachable from the state
-quantifiers' domains (``enumcheck.state_domains``), over which the truth
-term nests its disjunctions and conjunctions and ``decode_witness`` walks
-the solver's model.  The plan (``plan_encoding``) lists every subformula
-once, with every reduced-bound window of a bounded until, and the encoder
-makes one pass over that table, with one rule per node kind and no
-recursion.
+composed state, since the components of a self-composition move
+independently.  The truth term nests its disjunctions and conjunctions
+over the state quantifiers' domains (``enumcheck.state_domains``), and
+``decode_witness`` walks the solver's model there.  A ``P(...)`` and
+every node a path formula reads are encoded at each tuple reachable from
+those domains, projected onto the support; the Boolean and arithmetic
+layer above the ``P``s only at the truth term's tuples, the one place it
+is read (``point_table``).  The plan (``plan_encoding``) lists every
+subformula once, with every reduced-bound window of a bounded until, and
+the encoder makes one pass over that table, with one rule per node kind
+and no recursion.
 A universal scheduler block is encoded as the existential
 encoding of the negated body with flipped state quantifiers and the final
 verdict inverted.
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 import re
 import subprocess
@@ -124,6 +127,7 @@ class EncodingMeta:
     states: Tuple[str, ...]
     tuples: Tuple[Tuple[str, ...], ...]
     supports: Dict[object, Support]  # in registration order: index i is the i-th key
+    points: Dict[object, Tuple[tuple, ...]]  # per subformula, from ``point_table``
 
 
 def reachable_tuples(mdp: Mdp, n: int, starts) -> Tuple[Tuple[str, ...], ...]:
@@ -156,15 +160,57 @@ def projected_domain(tuples, support: Support) -> Tuple[tuple, ...]:
     return tuple(dict.fromkeys(project(r, support) for r in tuples))
 
 
+def read_operands(node) -> tuple:
+    """The operands whose variables ``node``'s encoding rule reads: a
+    bounded until also reads its next window down, and a ``[0,0]`` window
+    reads only its target."""
+    if isinstance(node, NotF):
+        return (node.operand,)
+    if isinstance(node, (And, Less, Arith)):
+        return node.left, node.right
+    if not isinstance(node, ProbOf):
+        return ()
+    path = node.path
+    if isinstance(path, Next):
+        return (path.operand,)
+    if isinstance(path, Until):
+        return path.left, path.right
+    return (path.right,) if path.k2 == 0 else (path.left, path.right, next(reduced_windows(node)))
+
+
+def point_table(body, supports, tuples, truth_tuples) -> Dict[object, Tuple[tuple, ...]]:
+    """Each subformula's points: where the encoding declares and constrains it.
+
+    A ``P(...)``, and every node a path formula reads, is read at
+    successors, so it keeps the projection of the reachable ``tuples``
+    (closed under successors).  The Boolean and arithmetic nodes above the
+    ``P``s are read only at the truth term's ``truth_tuples``, so they keep
+    that projection.  A node no rule reads gets no points.
+    """
+    below_p = {}  # node -> read (transitively) by a path formula
+    stack = [(body, False)]
+    while stack:
+        node, below = stack.pop()
+        below = below or isinstance(node, ProbOf)
+        if node not in below_p or below > below_p[node]:  # revisit only to move below a P
+            below_p[node] = below
+            stack.extend((operand, below) for operand in read_operands(node))
+    onto = functools.cache(lambda below, s: projected_domain(tuples if below else truth_tuples, s))
+    return {node: onto(below_p[node], s) if node in below_p else () for node, s in supports.items()}
+
+
 def plan_encoding(mdp: Mdp, f: Formula) -> EncodingMeta:
     """What the encoding fixes before any constraint: polarity, scheduler
     families, the state quantifiers' domains, the composed tuples reachable
-    from them and every subformula's support."""
+    from them, every subformula's support and its points."""
     f_enc, polarity = transform_for_encoding(f)
     sched_names = tuple(q.name for q in f_enc.prefix if isinstance(q, SchedQuant))
     state_quants = tuple(q for q in f_enc.prefix if isinstance(q, StateQuant))
     domains = state_domains(mdp, f_enc)
     var_index = state_var_index(f_enc)
+    truth_tuples = tuple(itertools.product(*domains))
+    tuples = reachable_tuples(mdp, len(state_quants), truth_tuples)
+    supports = subformula_supports(f_enc.body, var_index)
     return EncodingMeta(
         polarity=polarity,
         original=f,
@@ -175,8 +221,9 @@ def plan_encoding(mdp: Mdp, f: Formula) -> EncodingMeta:
         fam_of_component=tuple(sched_names.index(q.sched) for q in state_quants),
         var_index=var_index,
         states=mdp.states,
-        tuples=reachable_tuples(mdp, len(state_quants), itertools.product(*domains)),
-        supports=subformula_supports(f_enc.body, var_index),
+        tuples=tuples,
+        supports=supports,
+        points=point_table(f_enc.body, supports, tuples, truth_tuples),
     )
 
 
@@ -208,10 +255,11 @@ class Encoder:
     at every point of its domain and reads its operands by name, so the
     order of the nodes does not change what the system means.
 
-    A point is a tuple of states of the subformula's support components.
-    Guards, action tuples and joint successors range over those
-    components only, and an operand is read at the point's projection
-    onto the operand's support.
+    A point is a tuple of states of the subformula's support components;
+    a node is constrained at its points in ``meta.points``.  Guards,
+    action tuples and joint successors range over the support components
+    only, and an operand is read at the point's projection onto the
+    operand's support.
     """
 
     def __init__(self, mdp: Mdp, meta: EncodingMeta):
@@ -219,6 +267,7 @@ class Encoder:
         self.meta = meta
         self.cs = ConstraintSystem()
         self.support = meta.supports
+        self.step_table: Dict[tuple, list] = {}
         # the plan lists each subformula once: its position is its index
         self.cs.subformula_index = {node: idx for idx, node in enumerate(meta.supports)}
         # one line per subformula over its operands' indices: the header grows linearly
@@ -243,26 +292,22 @@ class Encoder:
     def declare(self, kind: str, ref, p, var_kind: str) -> Lin:
         return var(self.cs.declare(self.name(kind, ref, p), var_kind))
 
-    # guards and steps -------------------------------------------------------
+    # steps ------------------------------------------------------------------
 
-    def action_tuples(self, p):
-        return itertools.product(*(self.mdp.enabled[s] for s in p))
-
-    def guard(self, support: Support, p, alpha) -> AndT:
-        atoms = dict.fromkeys(
-            ChoiceIs(self.meta.fam_of_component[c], s, a)
-            for c, s, a in zip(support, p, alpha)
-        )
-        return AndT(tuple(atoms))
-
-    def joint_successors(self, p, alpha):
-        """Support product with joint probabilities."""
-        rows = [self.mdp.trans[(s, a)] for s, a in zip(p, alpha)]
-        for combo in itertools.product(*rows):
-            prob = ONE
-            for _, q in combo:
-                prob *= q
-            yield tuple(t for t, _ in combo), prob
+    def steps(self, support: Support, p) -> list:
+        """(guard, joint successors with their probabilities) per action
+        tuple at point ``p`` of ``support``, built once and read by every
+        path rule there."""
+        table = self.step_table.get((support, p))
+        if table is None:
+            table = self.step_table[(support, p)] = []
+            for alpha in itertools.product(*(self.mdp.enabled[s] for s in p)):
+                guard = AndT(tuple(dict.fromkeys(
+                    ChoiceIs(self.meta.fam_of_component[c], s, a) for c, s, a in zip(support, p, alpha))))
+                combos = itertools.product(*(self.mdp.trans[(s, a)] for s, a in zip(p, alpha)))
+                succs = [(tuple(t for t, _ in combo), math.prod((q for _, q in combo), start=ONE)) for combo in combos]
+                table.append((guard, succs))
+        return table
 
     def expectation(self, kind: str, ref, succs) -> Lin:
         """The expected value of ``ref``'s ``kind`` variable one step on,
@@ -277,11 +322,10 @@ class Encoder:
             for s in self.mdp.states:
                 self.cs.choice_domains[(family, s)] = self.mdp.enabled[s]
                 self.cs.add(OrT(tuple(ChoiceIs(family, s, a) for a in self.mdp.enabled[s])))
-        domains = {s: projected_domain(self.meta.tuples, s) for s in dict.fromkeys(self.support.values())}
         for node in reversed(self.meta.supports):
             support = self.support[node]
             rule = self.RULES[type(node.path) if isinstance(node, ProbOf) else type(node)]
-            rule(self, node, support, self.ref(node, support), domains[support])
+            rule(self, node, support, self.ref(node, support), self.meta.points[node])
         self.encode_truth()
         self.cs.meta = self.meta
         return self.cs
@@ -335,9 +379,8 @@ class Encoder:
             ti, h = self.declare("ti", operand, p, "toint"), self.holds(operand, p)
             self.cs.add(OrT((AndT((eq(ti, const(1)), h)), AndT((eq(ti, const(0)), NotT(h))))))
             pr = self.declare("pr", own, p, "prob")
-            for alpha in self.action_tuples(p):
-                step = self.expectation("ti", operand, self.joint_successors(p, alpha))
-                self.cs.add(ImpliesT(self.guard(support, p, alpha), eq(pr, step)))
+            for guard, succs in self.steps(support, p):
+                self.cs.add(ImpliesT(guard, eq(pr, self.expectation("ti", operand, succs))))
 
     def encode_until(self, node, support, own, points):
         left, right = self.ref(node.path.left, support), self.ref(node.path.right, support)
@@ -346,8 +389,7 @@ class Encoder:
             h1, h2 = self.holds(left, p), self.holds(right, p)
             self.cs.add(ImpliesT(h2, eq(pr, const(1))))
             self.cs.add(ImpliesT(AndT((NotT(h1), NotT(h2))), eq(pr, const(0))))
-            for alpha in self.action_tuples(p):
-                succs = list(self.joint_successors(p, alpha))
+            for guard, succs in self.steps(support, p):
                 # least fixed point: positive probability needs a successor
                 # that is a target or strictly closer to one
                 progress = OrT(tuple(
@@ -355,7 +397,7 @@ class Encoder:
                     for succ, _ in succs
                 ))
                 self.cs.add(ImpliesT(
-                    AndT((h1, NotT(h2)) + self.guard(support, p, alpha).items),
+                    AndT((h1, NotT(h2)) + guard.items),
                     AndT((eq(pr, self.expectation("pr", own, succs)),
                           ImpliesT(Cmp(">", pr, const(0)), progress))),
                 ))
@@ -368,11 +410,12 @@ class Encoder:
         left, right = self.ref(path.left, support), self.ref(path.right, support)
         child = self.ref(next(reduced_windows(node)), support) if path.k2 else None
         for p in points:
-            pr, h1, h2 = self.declare("pr", own, p, "prob"), self.holds(left, p), self.holds(right, p)
+            pr, h2 = self.declare("pr", own, p, "prob"), self.holds(right, p)
             if path.k2 == 0:
                 self.cs.add(ImpliesT(h2, eq(pr, const(1))))
                 self.cs.add(ImpliesT(NotT(h2), eq(pr, const(0))))
                 continue
+            h1 = self.holds(left, p)
             if path.k1 == 0:  # windowed step: a target now counts
                 self.cs.add(ImpliesT(h2, eq(pr, const(1))))
                 self.cs.add(ImpliesT(AndT((NotT(h1), NotT(h2))), eq(pr, const(0))))
@@ -380,9 +423,8 @@ class Encoder:
             else:
                 self.cs.add(ImpliesT(NotT(h1), eq(pr, const(0))))
                 active = (h1,)
-            for alpha in self.action_tuples(p):
-                step = self.expectation("pr", child, self.joint_successors(p, alpha))
-                self.cs.add(ImpliesT(AndT(active + self.guard(support, p, alpha).items), eq(pr, step)))
+            for guard, succs in self.steps(support, p):
+                self.cs.add(ImpliesT(AndT(active + guard.items), eq(pr, self.expectation("pr", child, succs))))
 
     RULES = {TrueF: encode_literal, Prop: encode_literal, And: encode_and, NotF: encode_not,
              Less: encode_less, Const: encode_const, Arith: encode_arith,
@@ -593,8 +635,8 @@ def full_assignment(cs: ConstraintSystem, mdp: Mdp, chosen: Dict[str, SchedulerA
     """Complete variable assignment induced by a choice of schedulers.
 
     Recomputes every encoded subformula's vectors on the composition via
-    the analysis module and writes each value under its projected name;
-    used to cross-check that the emitted constraints are satisfied by the
+    the analysis module and writes each declared variable's value under its
+    projected name; used to cross-check that the emitted constraints are satisfied by the
     exact semantics (soundness of the encoding).  Raises AssertionError
     if two composed tuples with the same projection give one variable
     different values, so every run also checks the projection.
@@ -630,7 +672,7 @@ def full_assignment(cs: ConstraintSystem, mdp: Mdp, chosen: Dict[str, SchedulerA
     choices = {}
     for (family, state), _ in cs.choice_domains.items():
         choices[(family, state)] = chosen[meta.sched_names[family]].choice(state)
-    return values, choices
+    return {name: values[name] for name in cs.variables}, choices
 
 
 # -- external solver integration -------------------------------------------------------

@@ -12,8 +12,8 @@ import pytest
 
 from hypermdp import cases, cli, smt
 from hypermdp.cli import main
-from hypermdp.constraints import emit_smtlib2, evaluate_system
-from hypermdp.enumcheck import check
+from hypermdp.constraints import choice_sym, emit_smtlib2, evaluate_system
+from hypermdp.enumcheck import check, replay
 from hypermdp.errors import IncompleteModel
 from hypermdp.formula import MAX_HEIGHT, parse_formula
 from hypermdp.model import enumerate_schedulers, parse_mdp
@@ -286,7 +286,7 @@ class TestEncodingReport:
         f = parse_formula(spec.formula_text)
         expected = encode_main(spec.mdp, f)[0].variable_count()
         assert cli.encoding_variable_count(spec.mdp, f) == expected
-        assert expected == 4269  # the init guards leave the tuples reachable from init pairs
+        assert expected == 341  # the layer above the P(...)s is encoded at the init pairs only
 
     def test_json_reports_guarded_count(self, tmp_path):
         # s2 is unreachable from the init state, so the guarded encoding drops it
@@ -407,12 +407,9 @@ class TestExternalSolver:
         monkeypatch.setattr(tempfile, "tempdir", str(path))
         return path
 
-    def test_sat_model_is_decoded(self, coin_path, tmp_path):
-        # canned response: what a solver returns for the eager engine's witness
-        mdp = parse_mdp(M_COIN_TEXT)
-        f = parse_formula(REACH_ONE)
-        cs, _ = encode_main(mdp, f)
-        model = solver_model(cs, mdp, solve_eager(mdp, f).decoded.schedulers)
+    @staticmethod
+    def _sat_response(model: dict) -> str:
+        """``sat`` and a ``(get-model)`` answer giving ``model``'s values."""
         lines = ["sat", "(model"]
         for name, value in model.items():
             if isinstance(value, bool):
@@ -421,11 +418,36 @@ class TestExternalSolver:
                 real = f"(/ {abs(value.numerator)} {value.denominator})"
                 lines.append(f"  (define-fun {name} () Real {real if value >= 0 else f'(- {real})'})")
         lines.append(")")
-        solver = self._write_fake_solver(tmp_path, "\n".join(lines) + "\n")
+        return "\n".join(lines) + "\n"
+
+    def test_sat_model_is_decoded(self, coin_path, tmp_path):
+        # canned response: what a solver returns for the eager engine's witness
+        mdp = parse_mdp(M_COIN_TEXT)
+        f = parse_formula(REACH_ONE)
+        cs, _ = encode_main(mdp, f)
+        model = solver_model(cs, mdp, solve_eager(mdp, f).decoded.schedulers)
+        solver = self._write_fake_solver(tmp_path, self._sat_response(model))
         code, out = run_cli("check", coin_path, "--formula", REACH_ONE,
                             "--engine", "smt-external", "--solver", solver)
         assert code == 0
         assert "s0: alpha" in out
+
+    def test_coupled_guarded_model_decodes_to_the_eager_counterexample(self, tmp_path):
+        # ts_h0_1 couples x and y under init guards: the solver's model
+        # holds exactly the declared variables, and decodes to the
+        # counterexample that the eager engine finds
+        spec = cases.generate("ts", h1=0, h2=1)
+        cs, _ = encode_main(spec.mdp, spec.formula)
+        eager = solve_eager(spec.mdp, spec.formula).decoded
+        model = solver_model(cs, spec.mdp, eager.schedulers)
+        assert model.keys() == cs.variables.keys() | {
+            choice_sym(family, state, a) for (family, state), actions in cs.choice_domains.items()
+            for a in actions}
+        solver = self._write_fake_solver(tmp_path, self._sat_response(model))
+        result = smt.check_external(cs, emit_smtlib2(cs), solver)
+        assert result.decoded == eager
+        assert result.decoded.mode == "counterexample"
+        assert replay(spec.mdp, spec.formula, result.decoded) is False
 
     def test_script_file_is_removed(self, coin_path, tmp_path, private_tmp):
         solver = self._write_fake_solver(tmp_path, "unsat\n")

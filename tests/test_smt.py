@@ -1,10 +1,14 @@
+import collections
 import random
+import re
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypermdp import cases, smt
 from hypermdp.constraints import (
     AndT,
     BoolRef,
@@ -570,13 +574,92 @@ class TestGuardedEncoding:
         tried = [{name: _random_scheduler(rng, mdp) for name in cs.meta.sched_names} for _ in range(3)]
         if result.sat:
             values, choices = full_assignment(cs, mdp, result.decoded.schedulers)
+            assert set(values) == set(cs.variables)
             assert evaluate_system(cs, values, choices)
             model = solver_model(cs, mdp, result.decoded.schedulers)
             assert decode_witness(cs, model, f) == result.decoded
         for chosen in tried:
             values, choices = full_assignment(cs, mdp, chosen)
+            assert set(values) == set(cs.variables)
             assert all(evaluate_term(t, values, choices) for t in cs.constraints if t is not cs.truth)
             assert evaluate_term(cs.truth, values, choices) == _instantiated_truth(cs, mdp, chosen)
+
+
+def _every_reachable_tuple(body, supports, tuples, truth_tuples):
+    """``smt.point_table`` as if every node were read at successors: the
+    projection of every reachable tuple onto its support."""
+    return {node: smt.projected_domain(tuples, support) for node, support in supports.items()}
+
+
+def _unread_truth_variables(cs) -> set:
+    """Declared truth variables read neither by the truth term nor by a
+    constraint besides their own definition (each has exactly one)."""
+    readers = collections.Counter(name for term in cs.constraints if term is not cs.truth
+                                  for name in _read_names(term))
+    in_truth = _read_names(cs.truth)
+    return {name for name, kind in cs.variables.items()
+            if kind == "holds" and name not in in_truth and readers[name] < 2}
+
+
+def _assert_subsystem(mdp, f, cs):
+    """``cs`` keeps lines of the encoding over every reachable tuple and
+    reads none of the variables that only the latter declares."""
+    with mock.patch.object(smt, "point_table", _every_reachable_tuple):
+        everywhere, _ = encode_main(mdp, f)
+    lines = [line for line in emit_smtlib2(cs).splitlines() if not line.startswith(";")]
+    assert not collections.Counter(lines) - collections.Counter(
+        line for line in emit_smtlib2(everywhere).splitlines() if not line.startswith(";"))
+    dropped = everywhere.variables.keys() - cs.variables.keys()
+    assert not dropped & {token for line in lines for token in re.findall(r"[^\s()]+", line)}
+
+
+GUARDED_ROWS = {
+    "ts_h0_1": ("ts", {"h1": 0, "h2": 1}, None),
+    "ta_m2": ("ta", {"m": 2}, None),
+    "ta_m2_bnd": ("ta", {"m": 2}, "forall sched s1. forall sched s2. forall st x(s1). forall st y(s2). "
+                  "(init(x) & init(y)) -> (P(F<=4 j=0(x)) = P(F<=4 j=0(y)) & P(F<=4 j=1(x)) = P(F<=4 j=1(y)))"),
+    "pc_s0": ("pc", {"tier": "s0"}, None),
+}
+
+
+class TestPointTable:
+    """The Boolean and arithmetic nodes above the P(...)s are encoded at the
+    truth term's tuples only; path-formula nodes at every reachable tuple
+    of their support."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_truth_variables_are_read_and_the_system_is_a_subsystem(self, seed):
+        rng = random.Random(seed)
+        mdp = with_never(random_mdp(rng, max_states=3))
+        f = guarded_formula(rng)
+        try:
+            cs, _ = encode_main(mdp, f)
+        except MixedSchedulerBlock:
+            return
+        assert _unread_truth_variables(cs) == set()
+        _assert_subsystem(mdp, f, cs)
+
+    def test_unread_window_operand_is_not_encoded(self, m_coin):
+        # a [0,0] window reads only its target: b(x) has no variable at all
+        f = parse_formula("exists sched s. exists st x(s). P(b(x) U[0,0] a(x)) > 0")
+        cs, _ = encode_main(m_coin, f)
+        assert cs.meta.points[Prop("b", "x")] == ()
+        assert _unread_truth_variables(cs) == set()
+        _assert_subsystem(m_coin, f, cs)
+
+    @pytest.mark.parametrize("row", sorted(GUARDED_ROWS))
+    def test_guarded_row(self, row):
+        family, params, text = GUARDED_ROWS[row]
+        spec = cases.generate(family, **params)
+        f = spec.formula if text is None else parse_formula(text)
+        cs, _ = encode_main(spec.mdp, f)
+        assert _unread_truth_variables(cs) == set()
+        _assert_subsystem(spec.mdp, f, cs)
+        result = solve_eager(spec.mdp, f)
+        values, choices = full_assignment(cs, spec.mdp, result.decoded.schedulers)
+        assert set(values) == set(cs.variables)
+        assert evaluate_system(cs, values, choices)
 
 
 class TestChoiceNames:
@@ -679,4 +762,4 @@ class TestEmit:
         )
         text = emit_smtlib2(encode_main(die, f)[0])
         digest = hashlib.sha256(text.encode()).hexdigest()
-        assert digest == "69473a402cd4e171b8391be37965ec8a624543f598ba76e890744a0c8148f2f2"
+        assert digest == "d2db6f33d4c534899f4f9a4bf77b86c61a160f141ef86055403685b75969e677"
