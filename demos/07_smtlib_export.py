@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Exporting the constraint system as SMT-LIB2.
 
-The encoding declares, per composed state and subformula, Boolean truth
-variables, probability reals, 0/1 step indicators for next-operators and
-ordering-only distance variables enforcing the least fixed point of
-until.  Scheduler choices compile to one-hot Booleans.  The script is
-deterministic byte for byte and solvable by any QF_LRA solver.
+The encoding declares, per subformula and state of the components it
+mentions, Boolean truth variables, probability reals, 0/1 step indicators
+for next-operators and ordering-only distance variables enforcing the
+least fixed point of until.  Values that no scheduler can change (every
+proposition, an until at its targets and where they are unreachable) are
+folded into constants first and get no variable.  Scheduler choices
+compile to one-hot Booleans.  The script is deterministic byte for byte
+and solvable by any QF_LRA solver.
 """
 
 from hypermdp import emit_smtlib2, encode_main, parse_formula, parse_mdp
@@ -26,6 +29,7 @@ cs, polarity = encode_main(mdp, f)
 print(f"polarity: {polarity}")
 print(f"variables: {cs.variable_count()}  constraints: {cs.constraint_count()}  "
       f"subformulas: {len(cs.subformula_text)}")
+print(f"folded before encoding: {sum(len(v) for v in cs.meta.fixed.values())} (subformula, state) values")
 
 text = emit_smtlib2(cs)
 lines = text.splitlines()

@@ -60,13 +60,17 @@ def subformula_count(f: Formula) -> int:
 def encoding_variable_count(mdp: Mdp, f: Formula) -> int:
     """Declared-variable count of the encoding, without materializing it:
     each subformula declares one truth or probability variable per point
-    of the plan's point table, plus a step indicator (next) or a distance
-    (until) per point."""
+    of the plan's point table (the points it does not fix), an until also
+    a distance there, and a next that has points a step indicator at each
+    point of its operand."""
     meta = plan_encoding(mdp, f)
     total = len(meta.sched_names) * sum(len(mdp.enabled[s]) for s in mdp.states)
     for node, points in meta.points.items():
-        per_point = 2 if isinstance(node, ProbOf) and isinstance(node.path, (Next, Until)) else 1
-        total += per_point * len(points)
+        total += len(points)
+        if isinstance(node, ProbOf) and isinstance(node.path, Until):
+            total += len(points)
+        if isinstance(node, ProbOf) and isinstance(node.path, Next) and points:
+            total += len(meta.points[node.path.operand])
     return total
 
 
@@ -113,7 +117,7 @@ def cmd_check(args, out) -> int:
                     with open(args.emit, "w", encoding="utf-8") as fh:
                         fh.write(smt_text)
             if engine == "smt-external":
-                verdict = check_external(cs, smt_text, solver).decoded
+                verdict = check_external(cs, smt_text, solver, args.timeout).decoded
             else:
                 verdict = solve_eager(mdp, f, max_sched_vars=args.max_sched_vars,
                                       max_state_vars=args.max_state_vars).decoded
@@ -178,7 +182,8 @@ def cmd_encode(args, out) -> int:
         fh.write(text)
     print(
         f"wrote {args.emit}: polarity={polarity} variables={cs.variable_count()} "
-        f"constraints={cs.constraint_count()} subformulas={len(cs.subformula_text)}",
+        f"constraints={cs.constraint_count()} subformulas={len(cs.subformula_text)} "
+        f"fixed={sum(len(values) for values in cs.meta.fixed.values())}",
         file=out,
     )
     return 0
@@ -244,6 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--solver", help="external solver binary (or HYPERPROB_SOLVER)")
     p_check.add_argument("--json", action="store_true", help="machine-readable report")
     p_check.add_argument("--emit", help="also write the SMT-LIB2 encoding to this file (smt engines)")
+    p_check.add_argument("--timeout", type=float, default=600.0, metavar="SECONDS",
+                         help="seconds the external solver may run (smt-external; default 600)")
     p_check.add_argument("--max-sched-vars", type=int, default=3)
     p_check.add_argument("--max-state-vars", type=int, default=3)
 

@@ -3,9 +3,11 @@
 The system mixes Boolean structure over three atom kinds: Boolean
 variables, scheduler-choice equalities (enumerated domains, compiled to
 one-hot Booleans on emission) and comparisons of linear rational
-expressions.  Everything is immutable and deterministic: iteration
-follows registration order, so emitted text is reproducible byte for
-byte.
+expressions.  A term that the encoder folded to a constant is Python's
+``True`` or ``False``; the ``t_*`` constructors fold constants out of the
+terms they build, so a constant appears only as a whole constraint.
+Everything is immutable and deterministic: iteration follows
+registration order, so emitted text is reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -97,6 +99,39 @@ def eq(left: Lin, right: Lin) -> Cmp:
     return Cmp("=", left, right)
 
 
+def lin_add(left: Lin, right: Lin, factor: Fraction = ONE) -> Lin:
+    """``left + factor * right``."""
+    return Lin(left.const + factor * right.const, left.terms + tuple((factor * c, n) for c, n in right.terms))
+
+
+def t_not(term: Term) -> Term:
+    return (not term) if isinstance(term, bool) else NotT(term)
+
+
+def t_and(items) -> Term:
+    """The conjunction of ``items`` with their constants folded out."""
+    if any(t is False for t in items):
+        return False
+    kept = tuple(t for t in items if t is not True)
+    return AndT(kept) if kept else True
+
+
+def t_or(items) -> Term:
+    """The disjunction of ``items`` with their constants folded out."""
+    if any(t is True for t in items):
+        return True
+    kept = tuple(t for t in items if t is not False)
+    return OrT(kept) if kept else False
+
+
+def t_implies(antecedent: Term, consequent: Term) -> Term:
+    if antecedent is False or consequent is True:
+        return True
+    if antecedent is True:
+        return consequent
+    return t_not(antecedent) if consequent is False else ImpliesT(antecedent, consequent)
+
+
 # -- system -------------------------------------------------------------------
 
 
@@ -123,7 +158,8 @@ class ConstraintSystem:
         return name
 
     def add(self, term: Term):
-        self.constraints.append(term)
+        if term is not True:
+            self.constraints.append(term)
 
     def variable_count(self) -> int:
         one_hot = sum(len(dom) for dom in self.choice_domains.values())
@@ -146,6 +182,8 @@ def evaluate_lin(lin: Lin, values: Dict[str, Fraction]) -> Fraction:
 def evaluate_term(term: Term, values: Dict[str, Fraction], choices: Dict[Tuple[int, str], str]) -> bool:
     """Evaluate a term under a full assignment (used by tests and the
     eager engine's self-check)."""
+    if isinstance(term, bool):
+        return term
     if isinstance(term, BoolRef):
         return bool(values[term.name])
     if isinstance(term, ChoiceIs):
@@ -212,6 +250,8 @@ def _lin_sexpr(lin: Lin) -> str:
 
 
 def term_sexpr(term: Term) -> str:
+    if isinstance(term, bool):
+        return "true" if term else "false"
     if isinstance(term, BoolRef):
         return term.name
     if isinstance(term, ChoiceIs):

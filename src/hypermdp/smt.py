@@ -8,14 +8,28 @@ states of the components it mentions (its support), not over every
 composed state, since the components of a self-composition move
 independently.  The truth term nests its disjunctions and conjunctions
 over the state quantifiers' domains (``enumcheck.state_domains``), and
-``decode_witness`` walks the solver's model there.  A ``P(...)`` and
-every node a path formula reads are encoded at each tuple reachable from
-those domains, projected onto the support; the Boolean and arithmetic
-layer above the ``P``s only at the truth term's tuples, the one place it
-is read (``point_table``).  The plan (``plan_encoding``) lists every
-subformula once, with every reduced-bound window of a bounded until, and
-the encoder makes one pass over that table, with one rule per node kind
-and no recursion.
+``decode_witness`` walks the solver's model there.  The plan
+(``plan_encoding``) lists every subformula once, with every
+reduced-bound window of a bounded until, and fixes three tables before
+any constraint:
+
+- ``point_table``: where a rule may read each subformula.  A node read at
+  successors (an until, the operand of a ``P(X ...)``, an inner window)
+  and what it reads take each tuple reachable from the domains, projected
+  onto the support; the Boolean and arithmetic layer above the ``P``s,
+  with the ``P``s it reads directly, only the truth term's tuples.
+- ``fixed_table``: the values there that no scheduler can change:
+  propositions and constants, the Prob0 and target points of an until on
+  the "may" graph, the windows too far from a target, the next
+  probabilities that every successor agrees on, and the Boolean and
+  arithmetic nodes these decide.
+- ``encoded_points``: the points that are not fixed and that a rule
+  reads from the truth term's open tuples down.
+
+The encoder makes one pass over the subformula table, with one rule per
+node kind and no recursion, declares variables only at the encoded
+points and folds the fixed values into the terms and linear sums that
+read them.
 A universal scheduler block is encoded as the existential
 encoding of the negated body with flipped state quantifiers and the final
 verdict inverted.
@@ -35,6 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
 import re
 import subprocess
@@ -50,7 +65,6 @@ from .constraints import (
     ChoiceIs,
     Cmp,
     ConstraintSystem,
-    ImpliesT,
     Lin,
     MulEq,
     NotT,
@@ -60,6 +74,11 @@ from .constraints import (
     choice_sym,
     const,
     eq,
+    lin_add,
+    t_and,
+    t_implies,
+    t_not,
+    t_or,
     var,
 )
 from .enumcheck import (Verdict, assemble_verdict, build_composition, decide, state_domains, truth_eval,
@@ -127,16 +146,19 @@ class EncodingMeta:
     states: Tuple[str, ...]
     tuples: Tuple[Tuple[str, ...], ...]
     supports: Dict[object, Support]  # in registration order: index i is the i-th key
-    points: Dict[object, Tuple[tuple, ...]]  # per subformula, from ``point_table``
+    fixed: Dict[object, Dict[tuple, object]]  # per subformula, from ``fixed_table``
+    points: Dict[object, Tuple[tuple, ...]]  # per subformula, from ``encoded_points``
 
 
-def reachable_tuples(mdp: Mdp, n: int, starts) -> Tuple[Tuple[str, ...], ...]:
-    """Composed states reachable from ``starts`` under any action tuple."""
+def may_successors(mdp: Mdp) -> Dict[str, Tuple[str, ...]]:
+    """Each state's successors under any of its actions."""
+    return {s: tuple(sorted({t for a in mdp.enabled[s] for t, _ in mdp.trans[(s, a)]})) for s in mdp.states}
+
+
+def reachable_tuples(states, succ, n: int, starts) -> Tuple[Tuple[str, ...], ...]:
+    """Composed states reachable from ``starts`` under any action tuple,
+    given each state's successors ``succ`` (``may_successors``)."""
     # per-component successor union is exact for product reachability
-    succ = {
-        s: sorted({t for a in mdp.enabled[s] for t, _ in mdp.trans[(s, a)]})
-        for s in mdp.states
-    }
     seen = set(starts)
     frontier = list(seen)
     while frontier:
@@ -145,7 +167,7 @@ def reachable_tuples(mdp: Mdp, n: int, starts) -> Tuple[Tuple[str, ...], ...]:
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return tuple(r for r in itertools.product(mdp.states, repeat=n) if r in seen)
+    return tuple(r for r in itertools.product(states, repeat=n) if r in seen)
 
 
 def project(r: tuple, support: Support) -> tuple:
@@ -160,57 +182,237 @@ def projected_domain(tuples, support: Support) -> Tuple[tuple, ...]:
     return tuple(dict.fromkeys(project(r, support) for r in tuples))
 
 
-def read_operands(node) -> tuple:
-    """The operands whose variables ``node``'s encoding rule reads: a
-    bounded until also reads its next window down, and a ``[0,0]`` window
-    reads only its target."""
+def step_distances(d: Dtmc, phi1, phi2) -> dict:
+    """Fewest steps from each state of ``d`` to a phi2 state through phi1
+    states; a state that cannot get there is left out."""
+    preds: Dict[object, list] = {r: [] for r in d.states}
+    for r in d.states:
+        if phi1[r] and not phi2[r]:
+            for t, _ in d.trans[r]:
+                preds[t].append(r)
+    queue = [r for r in d.states if phi2[r]]
+    dist = dict.fromkeys(queue, 0)
+    for t in queue:  # breadth first: the loop reaches what it appends
+        for r in preds[t]:
+            if r not in dist:
+                dist[r] = dist[t] + 1
+                queue.append(r)
+    return dist
+
+
+def operands(node) -> tuple:
+    """The subformulas directly below ``node``: a ``P(...)``'s path operands."""
     if isinstance(node, NotF):
         return (node.operand,)
     if isinstance(node, (And, Less, Arith)):
         return node.left, node.right
     if not isinstance(node, ProbOf):
         return ()
+    return (node.path.operand,) if isinstance(node.path, Next) else (node.path.left, node.path.right)
+
+
+def operands_first(nodes) -> list:
+    """``nodes`` ordered so that each comes after its ``operands`` (registration
+    order puts a shared subformula before some of the nodes above it), in a
+    loop, so any depth is walked."""
+    order, placed = [], set()
+    for root in nodes:
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            pending = [] if node in placed else [v for v in operands(node) if v not in placed]
+            if pending:
+                stack.extend(pending)
+                continue
+            if node not in placed:
+                placed.add(node)
+                order.append(node)
+            stack.pop()
+    return order
+
+
+def fixed_table(mdp: Mdp, succ, supports, tuples, reads) -> Dict[object, Dict[tuple, object]]:
+    """Each subformula's values that no scheduler choice can change, at its
+    points in ``reads`` (``point_table``): a truth value, or an exact
+    probability or arithmetic value.
+
+    The graph is the "may" graph on the points of a support that
+    ``tuples`` reach: a point's successors are the union over all of its
+    action tuples, from each state's ``succ``.  Propositions, ``true`` and constants are fixed
+    everywhere, and Boolean and arithmetic nodes wherever their operands
+    fix them (a conjunction by one false operand, a product by one zero
+    factor).  A path formula is fixed where its operands' fixed values
+    decide it under every scheduler, an operand counting as possibly true
+    wherever it is not fixed to false:
+
+    - ``P(X φ)`` is 0 where no successor may satisfy φ, and 1 where every
+      successor is fixed to satisfy it;
+    - an unbounded until is 1 where its target is fixed true, and 0 on the
+      Prob0 set of the may graph (``analysis.qualitative_sets``);
+    - a bounded-until window ``[k1', k2']`` is 1 where its target is fixed
+      true and ``k1' = 0``, and 0 where the fewest steps to a target
+      through phi1 exceed ``k2'`` (one search per bounded until, shared by
+      its windows) or where phi1 is fixed false and ``k1' > 0``.
+
+    Nothing else is fixed to 1 (no Prob1 over the may graph).
+    """
+    domain = functools.cache(lambda support: projected_domain(tuples, support))
+
+    @functools.cache
+    def graph(support: Support) -> Dtmc:
+        trans = {p: tuple((t, ONE) for t in itertools.product(*(succ[s] for s in p))) for p in domain(support)}
+        return Dtmc(states=domain(support), trans=trans, ap=(), labels={})
+
+    def reader(operand, support: Support):
+        """``operand``'s fixed value (None where it is not fixed) at a point of ``support``."""
+        table = fixed[operand]
+        if supports[operand] == support:
+            return table.get
+        positions = [support.index(c) for c in supports[operand]]
+        return lambda p: table.get(tuple(p[i] for i in positions))
+
+    def may_hold(operand, support: Support) -> dict:
+        value = reader(operand, support)
+        return {p: value(p) is not False for p in domain(support)}
+
+    @functools.cache
+    def distances(left, right, support: Support) -> dict:
+        return step_distances(graph(support), may_hold(left, support), may_hold(right, support))
+
+    fixed: Dict[object, Dict[tuple, object]] = {}
+    for node in operands_first(supports):
+        support, points = supports[node], reads[node]
+        values = {}
+        if isinstance(node, TrueF):
+            values = dict.fromkeys(points, True)
+        elif isinstance(node, Prop):
+            values = {p: node.name in mdp.labels[p[0]] for p in points}
+        elif isinstance(node, Const):
+            values = dict.fromkeys(points, node.value)
+        elif isinstance(node, NotF):
+            operand = reader(node.operand, support)
+            values = {p: not v for p in points if (v := operand(p)) is not None}
+        elif isinstance(node, (And, Less, Arith)):
+            left, right = reader(node.left, support), reader(node.right, support)
+            if isinstance(node, And):
+                op, absorbing = operator.and_, False  # one false conjunct decides
+            elif isinstance(node, Less):
+                op, absorbing = operator.lt, None
+            else:
+                op, absorbing = ARITH_OPS[node.op], ZERO if node.op == "*" else None  # so does a zero factor
+            for p in points:
+                pair = left(p), right(p)
+                if None not in pair:
+                    values[p] = op(*pair)
+                elif absorbing is not None and absorbing in pair:
+                    values[p] = absorbing
+        elif isinstance(node.path, Next):
+            operand, trans = fixed[node.path.operand], graph(support).trans
+            for p in points:
+                after = {operand.get(t) for t, _ in trans[p]}
+                if after == {False} or after == {True}:
+                    values[p] = ONE if True in after else ZERO
+        elif isinstance(node.path, Until):
+            target = reader(node.path.right, support)
+            s_zero, _ = analysis.qualitative_sets(graph(support), may_hold(node.path.left, support),
+                                                  may_hold(node.path.right, support))
+            values = {p: ONE if target(p) else ZERO for p in points if target(p) or p in s_zero}
+        else:
+            path = node.path
+            source, target = reader(path.left, support), reader(path.right, support)
+            dist = distances(path.left, path.right, support)
+            for p in points:
+                if path.k1 == 0 and target(p):
+                    values[p] = ONE
+                elif dist.get(p, math.inf) > path.k2 or (path.k1 and source(p) is False):
+                    values[p] = ZERO
+        fixed[node] = values
+    return fixed
+
+
+def read_operands(node) -> tuple:
+    """``(operand, read at successors)`` for each node whose variables
+    ``node``'s encoding rule reads: an unbounded until also reads itself,
+    a bounded until its next window down, and a ``[0,0]`` window only its
+    target."""
+    if isinstance(node, NotF):
+        return ((node.operand, False),)
+    if isinstance(node, (And, Less, Arith)):
+        return (node.left, False), (node.right, False)
+    if not isinstance(node, ProbOf):
+        return ()
     path = node.path
     if isinstance(path, Next):
-        return (path.operand,)
+        return ((path.operand, True),)
     if isinstance(path, Until):
-        return path.left, path.right
-    return (path.right,) if path.k2 == 0 else (path.left, path.right, next(reduced_windows(node)))
+        return (path.left, False), (path.right, True), (node, True)
+    if path.k2 == 0:
+        return ((path.right, False),)
+    return (path.left, False), (path.right, False), (next(reduced_windows(node)), True)
 
 
 def point_table(body, supports, tuples, truth_tuples) -> Dict[object, Tuple[tuple, ...]]:
-    """Each subformula's points: where the encoding declares and constrains it.
+    """Each subformula's points before folding: where a rule may read it.
 
-    A ``P(...)``, and every node a path formula reads, is read at
-    successors, so it keeps the projection of the reachable ``tuples``
-    (closed under successors).  The Boolean and arithmetic nodes above the
-    ``P``s are read only at the truth term's ``truth_tuples``, so they keep
-    that projection.  A node no rule reads gets no points.
+    A node read at successors, and every node it reads, keeps the
+    projection of the reachable ``tuples`` (closed under successors): the
+    operand of a ``P(X ...)``, an unbounded until and a bounded until's
+    inner windows.  The other nodes, the Boolean and arithmetic layer with
+    the ``P``s it reads directly, are read only at the truth term's
+    ``truth_tuples`` and keep that projection.  A node no rule reads gets
+    no points.
     """
-    below_p = {}  # node -> read (transitively) by a path formula
+    everywhere = {}  # node -> read (transitively) at successors
     stack = [(body, False)]
     while stack:
         node, below = stack.pop()
-        below = below or isinstance(node, ProbOf)
-        if node not in below_p or below > below_p[node]:  # revisit only to move below a P
-            below_p[node] = below
-            stack.extend((operand, below) for operand in read_operands(node))
+        if node not in everywhere or below > everywhere[node]:  # revisit only to move it everywhere
+            everywhere[node] = below
+            stack.extend((operand, below or at_successors) for operand, at_successors in read_operands(node))
     onto = functools.cache(lambda below, s: projected_domain(tuples if below else truth_tuples, s))
-    return {node: onto(below_p[node], s) if node in below_p else () for node, s in supports.items()}
+    return {node: onto(everywhere[node], s) if node in everywhere else () for node, s in supports.items()}
+
+
+def encoded_points(succ, body, supports, reads, fixed) -> Dict[object, Tuple[tuple, ...]]:
+    """Each subformula's points where the encoding declares and constrains
+    it: the body's points in ``reads`` that ``fixed`` leaves open, and every
+    open point that a rule reads from an encoded point, in ``reads`` order.
+    A point where the reader is fixed reads nothing."""
+    after = functools.cache(lambda p: tuple(itertools.product(*(succ[s] for s in p))))
+    same = {node: node for node in supports}  # a window's next window down is a new, equal object
+    reads_of = {node: [(same[operand], at_successors, tuple(supports[node].index(c) for c in supports[operand]))
+                       for operand, at_successors in read_operands(node)] for node in supports}
+    needed: Dict[object, set] = {node: set() for node in supports}
+    stack = [(body, p) for p in reads[body] if p not in fixed[body]]
+    while stack:
+        node, p = stack.pop()
+        if p in needed[node]:
+            continue
+        needed[node].add(p)
+        for operand, at_successors, at in reads_of[node]:
+            for t in after(p) if at_successors else (p,):
+                q = tuple(t[i] for i in at)
+                if q not in fixed[operand] and q not in needed[operand]:
+                    stack.append((operand, q))
+    return {node: tuple(p for p in reads[node] if p in needed[node]) for node in supports}
 
 
 def plan_encoding(mdp: Mdp, f: Formula) -> EncodingMeta:
     """What the encoding fixes before any constraint: polarity, scheduler
     families, the state quantifiers' domains, the composed tuples reachable
-    from them, every subformula's support and its points."""
+    from them, every subformula's support, its values that no scheduler
+    changes and the points where it is encoded (``encoded_points``)."""
     f_enc, polarity = transform_for_encoding(f)
     sched_names = tuple(q.name for q in f_enc.prefix if isinstance(q, SchedQuant))
     state_quants = tuple(q for q in f_enc.prefix if isinstance(q, StateQuant))
     domains = state_domains(mdp, f_enc)
     var_index = state_var_index(f_enc)
     truth_tuples = tuple(itertools.product(*domains))
-    tuples = reachable_tuples(mdp, len(state_quants), truth_tuples)
+    succ = may_successors(mdp)
+    tuples = reachable_tuples(mdp.states, succ, len(state_quants), truth_tuples)
     supports = subformula_supports(f_enc.body, var_index)
+    reads = point_table(f_enc.body, supports, tuples, truth_tuples)
+    fixed = fixed_table(mdp, succ, supports, tuples, reads)
     return EncodingMeta(
         polarity=polarity,
         original=f,
@@ -223,7 +425,8 @@ def plan_encoding(mdp: Mdp, f: Formula) -> EncodingMeta:
         states=mdp.states,
         tuples=tuples,
         supports=supports,
-        points=point_table(f_enc.body, supports, tuples, truth_tuples),
+        fixed=fixed,
+        points=encoded_points(succ, f_enc.body, supports, reads, fixed),
     )
 
 
@@ -259,7 +462,9 @@ class Encoder:
     a node is constrained at its points in ``meta.points``.  Guards,
     action tuples and joint successors range over the support components
     only, and an operand is read at the point's projection onto the
-    operand's support.
+    operand's support: as its variable, or as the constant that
+    ``meta.fixed`` gives there.  Constants fold into the terms and linear
+    sums that read them (``constraints.t_and`` and the others).
     """
 
     def __init__(self, mdp: Mdp, meta: EncodingMeta):
@@ -277,20 +482,29 @@ class Encoder:
     # naming ---------------------------------------------------------------
 
     def ref(self, node, outer: Support):
-        """How a point of support ``outer`` names ``node``'s variables:
-        (node index, positions of the node's support within ``outer``)."""
-        return self.cs.subformula_index[node], tuple(outer.index(c) for c in self.support[node])
+        """How a point of support ``outer`` reads ``node``: (node index,
+        positions of the node's support within ``outer``, its fixed values)."""
+        return (self.cs.subformula_index[node], tuple(outer.index(c) for c in self.support[node]),
+                self.meta.fixed[node])
 
-    @staticmethod
-    def name(kind: str, ref, p) -> str:
-        idx, positions = ref
-        return symbol(kind, tuple(p[i] for i in positions), idx)
+    def read(self, kind: str, ref, p):
+        """``ref``'s ``kind`` variable at (the projection of) point ``p``, or
+        its fixed value there."""
+        idx, positions, fixed = ref
+        point = tuple(p[i] for i in positions)
+        value = fixed.get(point)
+        return symbol(kind, point, idx) if value is None else value
 
-    def holds(self, ref, p) -> BoolRef:
-        return BoolRef(self.cs.declare(self.name("h", ref, p), "holds"))
+    def holds(self, ref, p) -> Term:
+        value = self.read("h", ref, p)
+        return BoolRef(value) if isinstance(value, str) else value
 
-    def declare(self, kind: str, ref, p, var_kind: str) -> Lin:
-        return var(self.cs.declare(self.name(kind, ref, p), var_kind))
+    def value(self, ref, p) -> Lin:
+        value = self.read("pr", ref, p)
+        return var(value) if isinstance(value, str) else const(value)
+
+    def declare(self, kind: str, ref, p, var_kind: str) -> str:
+        return self.cs.declare(symbol(kind, p, ref[0]), var_kind)
 
     # steps ------------------------------------------------------------------
 
@@ -302,8 +516,8 @@ class Encoder:
         if table is None:
             table = self.step_table[(support, p)] = []
             for alpha in itertools.product(*(self.mdp.enabled[s] for s in p)):
-                guard = AndT(tuple(dict.fromkeys(
-                    ChoiceIs(self.meta.fam_of_component[c], s, a) for c, s, a in zip(support, p, alpha))))
+                guard = tuple(dict.fromkeys(
+                    ChoiceIs(self.meta.fam_of_component[c], s, a) for c, s, a in zip(support, p, alpha)))
                 combos = itertools.product(*(self.mdp.trans[(s, a)] for s, a in zip(p, alpha)))
                 succs = [(tuple(t for t, _ in combo), math.prod((q for _, q in combo), start=ONE)) for combo in combos]
                 table.append((guard, succs))
@@ -311,8 +525,16 @@ class Encoder:
 
     def expectation(self, kind: str, ref, succs) -> Lin:
         """The expected value of ``ref``'s ``kind`` variable one step on,
-        over the joint successors ``succs``."""
-        return Lin(ZERO, tuple((q, self.name(kind, ref, succ)) for succ, q in succs))
+        over the joint successors ``succs``; fixed values fold into the
+        constant, and the zero terms drop out."""
+        total, terms = ZERO, []
+        for succ, q in succs:
+            value = self.read(kind, ref, succ)
+            if isinstance(value, str):
+                terms.append((q, value))
+            elif value:
+                total += q * value
+        return Lin(total, tuple(terms))
 
     # entry point ---------------------------------------------------------------
 
@@ -323,83 +545,82 @@ class Encoder:
                 self.cs.choice_domains[(family, s)] = self.mdp.enabled[s]
                 self.cs.add(OrT(tuple(ChoiceIs(family, s, a) for a in self.mdp.enabled[s])))
         for node in reversed(self.meta.supports):
-            support = self.support[node]
-            rule = self.RULES[type(node.path) if isinstance(node, ProbOf) else type(node)]
-            rule(self, node, support, self.ref(node, support), self.meta.points[node])
+            points = self.meta.points[node]
+            if points:  # true, propositions and constants never have any
+                support = self.support[node]
+                rule = self.RULES[type(node.path) if isinstance(node, ProbOf) else type(node)]
+                rule(self, node, support, self.ref(node, support), points)
         self.encode_truth()
         self.cs.meta = self.meta
         return self.cs
 
-    # one rule per node kind: constrain ``node``, named by ``own``, at ``points`` --
-
-    def encode_literal(self, node, support, own, points):
-        for p in points:
-            h = self.holds(own, p)
-            self.cs.add(h if isinstance(node, TrueF) or node.name in self.mdp.labels[p[0]] else NotT(h))
+    # one rule per node kind: constrain ``node``, read through ``own``, at ``points`` --
 
     def encode_and(self, node, support, own, points):
         left, right = self.ref(node.left, support), self.ref(node.right, support)
         for p in points:
-            h, h1, h2 = self.holds(own, p), self.holds(left, p), self.holds(right, p)
-            self.cs.add(OrT((AndT((h, h1, h2)), AndT((NotT(h), OrT((NotT(h1), NotT(h2))))))))
+            h = BoolRef(self.declare("h", own, p, "holds"))
+            h1, h2 = self.holds(left, p), self.holds(right, p)
+            self.cs.add(t_or((t_and((h, h1, h2)), t_and((NotT(h), t_or((t_not(h1), t_not(h2))))))))
 
     def encode_not(self, node, support, own, points):
         operand = self.ref(node.operand, support)
         for p in points:
-            self.cs.add(XorT(self.holds(own, p), self.holds(operand, p)))
+            self.cs.add(XorT(BoolRef(self.declare("h", own, p, "holds")), self.holds(operand, p)))
 
     def encode_less(self, node, support, own, points):
         left, right = self.ref(node.left, support), self.ref(node.right, support)
         for p in points:
-            h, p1, p2 = self.holds(own, p), var(self.name("pr", left, p)), var(self.name("pr", right, p))
+            h = BoolRef(self.declare("h", own, p, "holds"))
+            p1, p2 = self.value(left, p), self.value(right, p)
             self.cs.add(OrT((AndT((h, Cmp("<", p1, p2))), AndT((NotT(h), Cmp(">=", p1, p2))))))
-
-    def encode_const(self, node, support, own, points):
-        for p in points:
-            self.cs.add(eq(self.declare("pr", own, p, "value"), const(node.value)))
 
     def encode_arith(self, node, support, own, points):
         left, right = self.ref(node.left, support), self.ref(node.right, support)
         for p in points:
             out = self.declare("pr", own, p, "value")
-            p1, p2 = self.name("pr", left, p), self.name("pr", right, p)
+            p1, p2 = self.value(left, p), self.value(right, p)
             # constant factors stay linear; variable*variable escalates the logic
             if node.op != "*":
-                self.cs.add(eq(out, Lin(ZERO, ((ONE, p1), (ONE if node.op == "+" else -ONE, p2)))))
-            elif isinstance(node.left, Const):
-                self.cs.add(eq(out, Lin(ZERO, ((node.left.value, p2),))))
-            elif isinstance(node.right, Const):
-                self.cs.add(eq(out, Lin(ZERO, ((node.right.value, p1),))))
+                self.cs.add(eq(var(out), lin_add(p1, p2, ONE if node.op == "+" else -ONE)))
+            elif not (p1.terms and p2.terms):
+                factor, other = (p1, p2) if not p1.terms else (p2, p1)
+                self.cs.add(eq(var(out), lin_add(Lin(), other, factor.const)))
             else:
-                self.cs.add(MulEq(out.terms[0][1], p1, p2))
+                self.cs.add(MulEq(out, p1.terms[0][1], p2.terms[0][1]))
 
     def encode_next(self, node, support, own, points):
+        """The step indicator ``ti`` of the operand at the operand's points,
+        every successor it may be read at; ``pr`` at the node's own."""
         operand = self.ref(node.path.operand, support)
-        for p in points:
-            ti, h = self.declare("ti", operand, p, "toint"), self.holds(operand, p)
+        for p in self.meta.points[node.path.operand]:
+            ti, h = var(self.declare("ti", operand, p, "toint")), self.holds(operand, p)
             self.cs.add(OrT((AndT((eq(ti, const(1)), h)), AndT((eq(ti, const(0)), NotT(h))))))
-            pr = self.declare("pr", own, p, "prob")
+        for p in points:
+            pr = var(self.declare("pr", own, p, "prob"))
             for guard, succs in self.steps(support, p):
-                self.cs.add(ImpliesT(guard, eq(pr, self.expectation("ti", operand, succs))))
+                self.cs.add(t_implies(t_and(guard), eq(pr, self.expectation("ti", operand, succs))))
 
     def encode_until(self, node, support, own, points):
         left, right = self.ref(node.path.left, support), self.ref(node.path.right, support)
         for p in points:
-            pr, d_p = self.declare("pr", own, p, "prob"), self.declare("d", own, p, "dist")
+            pr, d_p = var(self.declare("pr", own, p, "prob")), var(self.declare("d", own, p, "dist"))
             h1, h2 = self.holds(left, p), self.holds(right, p)
-            self.cs.add(ImpliesT(h2, eq(pr, const(1))))
-            self.cs.add(ImpliesT(AndT((NotT(h1), NotT(h2))), eq(pr, const(0))))
+            self.cs.add(t_implies(h2, eq(pr, const(1))))
+            self.cs.add(t_implies(t_and((t_not(h1), t_not(h2))), eq(pr, const(0))))
             for guard, succs in self.steps(support, p):
                 # least fixed point: positive probability needs a successor
-                # that is a target or strictly closer to one
-                progress = OrT(tuple(
-                    OrT((self.holds(right, succ), Cmp(">", d_p, var(self.name("d", own, succ)))))
+                # that is a target or strictly closer to one; one fixed to 0
+                # is neither in the least solution, one fixed to 1 a target
+                progress = t_or(tuple(
+                    t_or((self.holds(right, succ), Cmp(">", d_p, var(symbol("d", succ, own[0])))))
+                    if own[2].get(succ) is None else bool(own[2][succ])
                     for succ, _ in succs
                 ))
-                self.cs.add(ImpliesT(
-                    AndT((h1, NotT(h2)) + guard.items),
-                    AndT((eq(pr, self.expectation("pr", own, succs)),
-                          ImpliesT(Cmp(">", pr, const(0)), progress))),
+                self.cs.add(t_implies(
+                    t_and((h1, t_not(h2)) + guard),
+                    t_and((eq(pr, self.expectation("pr", own, succs)),
+                           t_implies(Cmp(">", pr, const(0)), progress))),
                 ))
 
     def encode_window(self, node, support, own, points):
@@ -410,39 +631,45 @@ class Encoder:
         left, right = self.ref(path.left, support), self.ref(path.right, support)
         child = self.ref(next(reduced_windows(node)), support) if path.k2 else None
         for p in points:
-            pr, h2 = self.declare("pr", own, p, "prob"), self.holds(right, p)
+            pr, h2 = var(self.declare("pr", own, p, "prob")), self.holds(right, p)
             if path.k2 == 0:
-                self.cs.add(ImpliesT(h2, eq(pr, const(1))))
-                self.cs.add(ImpliesT(NotT(h2), eq(pr, const(0))))
+                self.cs.add(t_implies(h2, eq(pr, const(1))))
+                self.cs.add(t_implies(t_not(h2), eq(pr, const(0))))
                 continue
             h1 = self.holds(left, p)
             if path.k1 == 0:  # windowed step: a target now counts
-                self.cs.add(ImpliesT(h2, eq(pr, const(1))))
-                self.cs.add(ImpliesT(AndT((NotT(h1), NotT(h2))), eq(pr, const(0))))
-                active = (h1, NotT(h2))
+                self.cs.add(t_implies(h2, eq(pr, const(1))))
+                self.cs.add(t_implies(t_and((t_not(h1), t_not(h2))), eq(pr, const(0))))
+                active = (h1, t_not(h2))
             else:
-                self.cs.add(ImpliesT(NotT(h1), eq(pr, const(0))))
+                self.cs.add(t_implies(t_not(h1), eq(pr, const(0))))
                 active = (h1,)
             for guard, succs in self.steps(support, p):
-                self.cs.add(ImpliesT(AndT(active + guard.items), eq(pr, self.expectation("pr", child, succs))))
+                self.cs.add(t_implies(t_and(active + guard), eq(pr, self.expectation("pr", child, succs))))
 
-    RULES = {TrueF: encode_literal, Prop: encode_literal, And: encode_and, NotF: encode_not,
-             Less: encode_less, Const: encode_const, Arith: encode_arith,
+    RULES = {And: encode_and, NotF: encode_not, Less: encode_less, Arith: encode_arith,
              Next: encode_next, Until: encode_until, BoundedUntil: encode_window}
 
     # truth of the input formula -------------------------------------------------
 
     def encode_truth(self):
         """The state quantifiers as nested disjunctions and conjunctions over
-        their domains, of the body's truth at the tuples they reach."""
+        their domains, of the body's truth at the tuples they reach.  A
+        constant that cannot decide its level drops out, and a level of
+        constants folds; every open tuple stays read, even beside a deciding
+        constant, since ``decode_witness`` walks the quantifiers in order."""
         quants, domains = self.meta.state_quants, self.meta.domains
         body_ref = self.ref(self.meta.encoded.body, tuple(range(len(quants))))
 
         def level(at: tuple) -> Term:
             if len(at) == len(quants):
                 return self.holds(body_ref, at)
+            exists = quants[len(at)].exists
             items = tuple(level(at + (s,)) for s in domains[len(at)])
-            return OrT(items) if quants[len(at)].exists else AndT(items)
+            if all(isinstance(t, bool) for t in items):
+                return any(items) if exists else all(items)
+            items = tuple(t for t in items if t is not (not exists))
+            return OrT(items) if exists else AndT(items)
 
         self.cs.truth = level(())
         self.cs.add(self.cs.truth)
@@ -533,30 +760,13 @@ class VectorEvaluator:
         ):
             self._values.setdefault(ProbOf(BoundedUntil(path.left, path.right, k1, k2)), vec)
 
-    def distances(self, phi2_node) -> dict:
-        """BFS distance (in induced steps) to the nearest phi2 state;
-        unreachable composed states get |states| (any value works there:
-        their probability is 0 and the ordering clauses are vacuous)."""
-        target = self.holds(phi2_node)
-        preds: Dict[object, list] = {r: [] for r in self.d.states}
-        for r in self.d.states:
-            for t, _ in self.d.trans[r]:
-                preds[t].append(r)
-        dist = {r: len(self.d.states) for r in self.d.states}
-        frontier = [r for r in self.d.states if target[r]]
-        for r in frontier:
-            dist[r] = 0
-        level = 0
-        while frontier:
-            level += 1
-            nxt = []
-            for t in frontier:
-                for r in preds[t]:
-                    if dist[r] > level:
-                        dist[r] = level
-                        nxt.append(r)
-            frontier = nxt
-        return dist
+    def distances(self, path) -> dict:
+        """Fewest induced steps to a phi2 state through phi1 states
+        (``step_distances``); a state that cannot get there gets |states|
+        (any value works there: its probability is 0 and the ordering
+        clauses are vacuous)."""
+        dist = step_distances(self.d, self.holds(path.left), self.holds(path.right))
+        return {r: dist.get(r, len(self.d.states)) for r in self.d.states}
 
 
 def _restrict(composed: Dtmc, tuples: Sequence) -> Dtmc:
@@ -602,7 +812,8 @@ def solve_eager(mdp: Mdp, f: Formula, max_sched_vars: int = 3, max_state_vars: i
 def decode_witness(cs: ConstraintSystem, model: dict, f: Formula) -> Verdict:
     """Extract scheduler assignments and existential state indices from an
     external solver's satisfying model (``smt-external``); inverted
-    polarity turns them into a counterexample."""
+    polarity turns them into a counterexample.  The body's truth comes from
+    the plan's fixed table where it is folded, from the model elsewhere."""
     meta: EncodingMeta = cs.meta
     choices = {}
     for (family, state), actions in cs.choice_domains.items():
@@ -617,10 +828,13 @@ def decode_witness(cs: ConstraintSystem, model: dict, f: Formula) -> Verdict:
     }
 
     body = meta.encoded.body
-    body_support, body_index = meta.supports[body], cs.subformula_index[body]
+    body_support, body_index, body_fixed = meta.supports[body], cs.subformula_index[body], meta.fixed[body]
 
     def body_holds(r):
-        key = holds_sym(project(r, body_support), body_index)
+        point = project(r, body_support)
+        if point in body_fixed:
+            return body_fixed[point]
+        key = holds_sym(point, body_index)
         if key not in model:
             raise IncompleteModel(f"missing truth value {key}")
         return bool(model[key])
@@ -639,7 +853,9 @@ def full_assignment(cs: ConstraintSystem, mdp: Mdp, chosen: Dict[str, SchedulerA
     projected name; used to cross-check that the emitted constraints are satisfied by the
     exact semantics (soundness of the encoding).  Raises AssertionError
     if two composed tuples with the same projection give one variable
-    different values, so every run also checks the projection.
+    different values, or if a value of the plan's fixed table differs from
+    the one under ``chosen``, so every run also checks the projection and
+    the folding.
     """
     meta: EncodingMeta = cs.meta
     composed = build_composition(mdp, meta.encoded, chosen).full()
@@ -648,27 +864,30 @@ def full_assignment(cs: ConstraintSystem, mdp: Mdp, chosen: Dict[str, SchedulerA
     ve = VectorEvaluator(composed, meta.var_index)
     values: Dict[str, object] = {}
 
-    def put(sym, idx, support, vec, convert=None):
+    def put(sym, idx, support, vec, fixed, convert=None):
         for r in meta.tuples:
             value = vec[r] if convert is None else convert(vec[r])
-            name = sym(project(r, support), idx)
+            point = project(r, support)
+            name = sym(point, idx)
             if values.setdefault(name, value) != value:
                 raise AssertionError(f"{name} depends on components outside its support")
+            if fixed.get(point, value) != value:
+                raise AssertionError(f"{name} is fixed to {fixed[point]} but is {value} under the chosen schedulers")
 
     for node, idx in cs.subformula_index.items():
-        support = meta.supports[node]
+        support, fixed = meta.supports[node], meta.fixed[node]
         if isinstance(node, BODY_KINDS):
-            put(holds_sym, idx, support, ve.holds(node))
+            put(holds_sym, idx, support, ve.holds(node), fixed)
             continue
         if isinstance(node, ProbOf) and isinstance(node.path, BoundedUntil):
             ve.windows(node)
-        put(prob_sym, idx, support, ve.value(node))
+        put(prob_sym, idx, support, ve.value(node), fixed)
         if isinstance(node, ProbOf) and isinstance(node.path, Next):
             operand = node.path.operand
-            put(toint_sym, cs.subformula_index[operand], support, ve.holds(operand),
+            put(toint_sym, cs.subformula_index[operand], support, ve.holds(operand), {},
                 lambda h: ONE if h else ZERO)
         if isinstance(node, ProbOf) and isinstance(node.path, Until):
-            put(dist_sym, idx, support, ve.distances(node.path.right), Fraction)
+            put(dist_sym, idx, support, ve.distances(node.path), {}, Fraction)
     choices = {}
     for (family, state), _ in cs.choice_domains.items():
         choices[(family, state)] = chosen[meta.sched_names[family]].choice(state)
@@ -759,11 +978,12 @@ def run_external_solver(solver_path: str, smt_text: str, timeout: float = 600.0)
     return "sat", parse_solver_model(output)
 
 
-def check_external(cs: ConstraintSystem, smt_text: str, solver_path: str) -> SmtVerdict:
+def check_external(cs: ConstraintSystem, smt_text: str, solver_path: str, timeout: float = 600.0) -> SmtVerdict:
     """Hand an encoded system (``encode_main``) and its SMT-LIB2 text to an
-    external QF_LRA solver, decode its model."""
+    external QF_LRA solver, allowed ``timeout`` seconds, and decode its
+    model."""
     f, polarity = cs.meta.original, cs.meta.polarity
-    answer, model = run_external_solver(solver_path, smt_text)
+    answer, model = run_external_solver(solver_path, smt_text, timeout)
     if answer == "unsat":
         truth_final = polarity == "negated"
         return SmtVerdict(sat=False, polarity=polarity,

@@ -412,6 +412,19 @@ def with_never(mdp: Mdp) -> Mdp:
     return dataclasses.replace(mdp, ap=mdp.ap + ("never",))
 
 
+# -- published rows ---------------------------------------------------------------
+
+# every row of ``cases.REFERENCE_SIZES``: (family, generator parameters)
+PUBLISHED_ROWS = {
+    **{f"{family}_m{m}": (family, {"m": m}) for family in ("ta", "pw") for m in (2, 4, 6)},
+    **{f"ts_h{h1}_{h2}": ("ts", {"h1": h1, "h2": h2}) for h1, h2 in ((0, 1), (0, 15), (4, 8), (8, 15))},
+    **{f"pc_{tier}": ("pc", {"tier": tier}) for tier in ("s0", "s01", "s012")},
+}
+# the benchmark's bounded-until export case, on ta_m2
+BOUNDED_TA = ("forall sched s1. forall sched s2. forall st x(s1). forall st y(s2). "
+              "(init(x) & init(y)) -> (P(F<=20 j=0(x)) = P(F<=20 j=0(y)) & P(F<=20 j=1(x)) = P(F<=20 j=1(y)))")
+
+
 # -- solver models ------------------------------------------------------------------
 
 def solver_model(cs, mdp: Mdp, schedulers) -> dict:

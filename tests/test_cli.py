@@ -6,6 +6,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from hypermdp.formula import MAX_HEIGHT, parse_formula
 from hypermdp.model import enumerate_schedulers, parse_mdp
 from hypermdp.smt import encode_main, full_assignment, solve_eager
 from .conftest import M_COIN_TEXT
-from .helpers import solver_model
+from .helpers import BOUNDED_TA, PUBLISHED_ROWS, solver_model
 
 REACH_ONE = "exists sched s. exists st x(s). init(x) & P(F a(x)) = 1"
 REACH_HALF = "exists sched s. exists st x(s). init(x) & P(F a(x)) = 1/2"
@@ -286,7 +287,19 @@ class TestEncodingReport:
         f = parse_formula(spec.formula_text)
         expected = encode_main(spec.mdp, f)[0].variable_count()
         assert cli.encoding_variable_count(spec.mdp, f) == expected
-        assert expected == 341  # the layer above the P(...)s is encoded at the init pairs only
+        assert expected == 141  # the layer above the P(...)s at the init pairs only, fixed points folded
+
+    @pytest.mark.parametrize("row", sorted(PUBLISHED_ROWS) + ["ta_m2_bnd"])
+    def test_count_reads_the_folded_table(self, row):
+        # every published row and the benchmark's three export cases
+        # (ts_h0_1, ta_m2 and ta_m2's bounded formula)
+        if row == "ta_m2_bnd":
+            mdp, f = cases.generate("ta", m=2).mdp, parse_formula(BOUNDED_TA)
+        else:
+            family, params = PUBLISHED_ROWS[row]
+            spec = cases.generate(family, **params)
+            mdp, f = spec.mdp, spec.formula
+        assert cli.encoding_variable_count(mdp, f) == encode_main(mdp, f)[0].variable_count()
 
     def test_json_reports_guarded_count(self, tmp_path):
         # s2 is unreachable from the init state, so the guarded encoding drops it
@@ -308,6 +321,9 @@ class TestEncode:
                             "--emit", str(out_path))
         assert code == 0
         assert "variables=" in out and "constraints=" in out
+        # REACH_ONE's folded (subformula, point) values: a(x) at s0..s2, the
+        # until at s1 and s2, true, the constant 1 and init(x) at s0
+        assert "fixed=8" in out
         assert out_path.exists()
 
     def test_golden_encoding(self, coin_path, tmp_path):
@@ -467,6 +483,19 @@ class TestExternalSolver:
                           "--engine", "smt-external", "--solver", solver)
         assert code == 2
         assert list(private_tmp.iterdir()) == []
+
+    def test_timeout_option_exits_two_and_cleans_up(self, coin_path, tmp_path, private_tmp, capsys):
+        # the solver would answer unsat (exit 1) after 30 s; --timeout cuts
+        # it off first, and expiry is "undecided" (2), never "false" (1)
+        solver = self._write_fake_solver(tmp_path, "unsat\n", sleep=30)
+        start = time.perf_counter()
+        code, out = run_cli("check", coin_path, "--formula", REACH_HALF, "--engine", "smt-external",
+                            "--solver", solver, "--timeout", "0.5")
+        assert code == 2 and time.perf_counter() - start < 20
+        assert "no answer within 0.5 s" in capsys.readouterr().err
+        assert "verdict" not in out
+        assert list(private_tmp.iterdir()) == []
+        assert cli.build_parser().parse_args(["check", coin_path]).timeout == 600
 
     def test_emit_encodes_once(self, coin_path, tmp_path, monkeypatch):
         calls = []

@@ -25,13 +25,16 @@ from hypermdp.constraints import (
     evaluate_system,
     evaluate_term,
 )
-from hypermdp.enumcheck import Evaluator, build_composition, check, truth_eval
+from hypermdp.enumcheck import Evaluator, build_composition, check, replay, truth_eval
 from hypermdp.errors import IncompleteModel, MixedSchedulerBlock
 from hypermdp.formula import (
+    BODY_KINDS,
     TRUE,
     And,
     BoundedUntil,
+    Const,
     Formula,
+    Less,
     Next,
     ProbOf,
     Prop,
@@ -50,7 +53,8 @@ from hypermdp.smt import (
     solve_eager,
     transform_for_encoding,
 )
-from .helpers import guarded_formula, random_body, random_mdp, solver_model, with_never
+from .helpers import (BOUNDED_TA, PUBLISHED_ROWS, guarded_formula, random_body, random_mdp, solver_model,
+                      with_never)
 
 REACH_ONE = "exists sched s. exists st x(s). init(x) & P(F a(x)) = 1"
 REACH_A = ProbOf(Until(TRUE, Prop("a", "x")))  # the until node of P(F a(x))
@@ -85,16 +89,19 @@ class TestTransform:
 
 class TestEncodeSemantics:
     def test_negation_emits_xor_and_prop_facts(self, m_coin):
+        # no scheduler changes a negated proposition: it is folded to the
+        # complement of the labels at every state, and nothing is emitted
         f = parse_formula("exists sched s. exists st x(s). !a(x)")
         cs, _ = encode_main(m_coin, f)
-        xors = [t for t in cs.constraints if isinstance(t, XorT)]
-        assert len(xors) == 3  # one per state
+        assert cs.meta.fixed[f.body] == {("s0",): True, ("s1",): False, ("s2",): True}
+        assert cs.meta.fixed[Prop("a", "x")] == {("s0",): False, ("s1",): True, ("s2",): False}
+        assert not [t for t in cs.constraints if isinstance(t, XorT)]
         prop_facts = [
             t for t in cs.constraints
             if isinstance(t, BoolRef) or (isinstance(t, NotT) and isinstance(t.operand, BoolRef))
         ]
-        # 3 proposition facts plus nothing else at the Boolean-literal level
-        assert len(prop_facts) == 3
+        assert prop_facts == []
+        assert cs.variables == {} and cs.truth is True
 
     def test_constant_pins_every_tuple(self, m_coin):
         f = parse_formula("exists sched s. exists st x(s). exists st y(s). P(X a(x)) < 1/2")
@@ -103,37 +110,43 @@ class TestEncodeSemantics:
         for node, idx in cs.subformula_index.items():
             if cs.subformula_text[idx] == "1/2":
                 const_idx = idx
-        pins = [
-            t for t in cs.constraints
-            if isinstance(t, Cmp) and t.op == "=" and t.left.terms
-            and t.left.terms[0][1].startswith("pr_") and t.left.terms[0][1].endswith(f"_{const_idx}")
-        ]
-        # a constant has the empty support: one variable, pinned once
-        # for all |S|^2 tuples
-        assert len(pins) == 1
+        # a constant has the empty support: fixed at its one point for all
+        # |S|^2 tuples, it declares no variable and folds into every
+        # comparison that reads it
+        assert cs.meta.fixed[Const(Fraction(1, 2))] == {(): Fraction(1, 2)}
+        assert not [name for name in cs.variables if name.endswith(f"_{const_idx}")]
+        compared = [cmp for t in cs.constraints if isinstance(t, OrT)
+                    for branch in t.items if isinstance(branch, AndT)
+                    for cmp in branch.items if isinstance(cmp, Cmp) and cmp.op in ("<", ">=")]
+        assert compared and all(cmp.right == Lin(Fraction(1, 2), ()) for cmp in compared)
 
     def test_next_guard_sums_match_hand_expansion(self, m_coin):
         f = parse_formula("exists sched s. exists st x(s). P(X a(x)) < 1")
         cs, _ = encode_main(m_coin, f)
         text = emit_smtlib2(cs)
-        prop_idx = cs.subformula_text.index("a(x)")
         next_idx = cs.subformula_index[ProbOf(Next(Prop("a", "x")))]
-        alpha_line = (
-            f"(assert (=> ch_0_s0.alpha (= pr_s0_{next_idx} "
-            f"(+ (* (/ 1 2) ti_s0_{prop_idx}) (* (/ 1 2) ti_s1_{prop_idx})))))"
-        )
-        beta_line = f"(assert (=> ch_0_s0.beta (= pr_s0_{next_idx} ti_s2_{prop_idx})))"
+        # a(x) is fixed at every state, so each step indicator is a
+        # constant: alpha's sum 1/2 * [a(s0)] + 1/2 * [a(s1)] folds to 1/2,
+        # beta's [a(s2)] to 0, and no indicator is declared
+        alpha_line = f"(assert (=> ch_0_s0.alpha (= pr_s0_{next_idx} (/ 1 2))))"
+        beta_line = f"(assert (=> ch_0_s0.beta (= pr_s0_{next_idx} 0)))"
         assert alpha_line in text
         assert beta_line in text
+        assert not [kind for kind in cs.variables.values() if kind == "toint"]
+        # P(X a(x)) itself is fixed where every successor agrees on a(x)
+        assert cs.meta.fixed[ProbOf(Next(Prop("a", "x")))] == {("s1",): 1, ("s2",): 0}
 
     def test_until_pins_target_tuples(self, m_coin):
         f = parse_formula(REACH_ONE)
         cs, _ = encode_main(m_coin, f)
-        # the composed state s1 satisfies the target, so its prob var is
-        # pinned to 1 through an implication with a true antecedent
+        # the composed state s1 satisfies the target, so its until value is
+        # fixed to 1 there (s2, which never reaches it, to 0), and
+        # full_assignment checks both against the exact values
         values, choices = full_assignment(cs, m_coin, {"s": first_choice(m_coin)})
         until_idx = cs.subformula_index[REACH_A]
-        assert values[prob_sym(("s1",), until_idx)] == 1
+        assert cs.meta.fixed[REACH_A] == {("s1",): 1, ("s2",): 0}
+        assert prob_sym(("s1",), until_idx) not in values
+        assert evaluate_system(cs, values, choices)
 
     def test_bounded_until_recursion_families(self, m_coin):
         f = parse_formula("exists sched s. exists st x(s). P(true U[2,3] a(x)) > 0")
@@ -153,15 +166,22 @@ class TestTruth:
     def test_forall_is_conjunction_over_states(self, m_coin):
         f = parse_formula("exists sched s. forall st x(s). P(X a(x)) <= 1")
         cs, _ = encode_main(m_coin, f)
+        # the body is fixed true at s1 and s2, where P(X a(x)) is fixed:
+        # their conjuncts fold away
         assert isinstance(cs.truth, AndT)
-        assert len(cs.truth.items) == 3
+        assert cs.truth.items == (BoolRef(holds_sym(("s0",), 0)),)
+        assert cs.meta.fixed[f.body] == {("s1",): True, ("s2",): True}
 
     def test_exists_forall_nesting(self, m_coin):
         f = parse_formula("exists sched s. exists st x(s). forall st y(s). P(X a(x)) <= P(X a(y))")
         cs, _ = encode_main(m_coin, f)
         assert isinstance(cs.truth, OrT)
         assert len(cs.truth.items) == 3
-        assert all(isinstance(item, AndT) and len(item.items) == 3 for item in cs.truth.items)
+        assert all(isinstance(item, AndT) for item in cs.truth.items)
+        # a conjunct fixed true folds away, one fixed false stays beside the
+        # open tuples of its level, which decode_witness walks
+        assert [len(item.items) for item in cs.truth.items] == [3, 2, 1]
+        assert cs.truth.items[1].items[1] is False
 
     def test_guarded_exists_ranges_over_its_guard_states(self, m_coin):
         # init(x) is a conjunct: only s0 can witness x; y still takes every state
@@ -173,9 +193,12 @@ class TestTruth:
         assert isinstance(only, AndT) and len(only.items) == 3
 
     def test_closed_body_single_literal(self, m_coin):
+        # a closed body is fixed: its truth term is a single constant
         f = parse_formula("1/2 < 1")
         cs, _ = encode_main(m_coin, f)
-        assert isinstance(cs.truth, BoolRef)
+        assert cs.truth is True
+        assert emit_smtlib2(cs).splitlines() == ["; subformulas:", ";   [0] ([1] < [2])", ";   [1] 1/2",
+                                                 ";   [2] 1", "(set-logic QF_LRA)", "(check-sat)", "(get-model)"]
 
 
 class TestEagerSolve:
@@ -418,7 +441,9 @@ class TestGuardedTuples:
         assert guarded_cs.meta.tuples == (("s0",), ("s1",))
         assert len(full_cs.meta.tuples) == 3
         assert not any("_s2_" in name for name in guarded_cs.variables)
-        assert any("_s2_" in name for name in full_cs.variables)
+        # the unguarded encoding reaches s2, where the until is fixed to 0
+        assert ("s2",) not in guarded_cs.meta.fixed[REACH_A]
+        assert full_cs.meta.fixed[REACH_A][("s2",)] == 0
 
     def test_guard_off_init_keeps_its_witness(self):
         # the witness state carries a but not init: the encoding must still
@@ -463,7 +488,10 @@ def _instantiated_truth(cs, mdp, chosen) -> bool:
 
 
 def _read_names(term) -> set:
-    """The variables a constraint term reads; choice atoms are not variables."""
+    """The variables a constraint term reads; choice atoms are not variables,
+    and a folded constant reads none."""
+    if isinstance(term, bool):
+        return set()
     if isinstance(term, BoolRef):
         return {term.name}
     if isinstance(term, Lin):
@@ -536,12 +564,15 @@ class TestProjection:
         "init(y) & !a(z) & P(F a(x)) > 0",
     ])
     def test_one_variable_until_declares_one_variable_per_state(self, m_coin, text):
+        # one point per state, not per tuple: s1 (target) and s2 (no path)
+        # are fixed, s0 declares its probability and its distance
         cs, _ = encode_main(m_coin, parse_formula(text))
         until_idx = cs.subformula_index[REACH_A]
-        for kind in ("prob", "dist"):
+        assert sorted(cs.meta.fixed[REACH_A]) == [("s1",), ("s2",)]
+        for kind, sym in (("prob", prob_sym), ("dist", smt.dist_sym)):
             declared = [name for name, k in cs.variables.items()
                         if k == kind and name.endswith(f"_{until_idx}")]
-            assert len(declared) == len(m_coin.states), kind
+            assert declared == [sym(("s0",), until_idx)], kind
 
     def test_tampering_one_projected_until_variable_breaks_the_system(self, m_coin):
         f = parse_formula("exists sched s. exists st x(s). exists st y(s). P(F a(y)) = 1")
@@ -587,7 +618,9 @@ class TestGuardedEncoding:
 
 def _every_reachable_tuple(body, supports, tuples, truth_tuples):
     """``smt.point_table`` as if every node were read at successors: the
-    projection of every reachable tuple onto its support."""
+    projection of every reachable tuple onto its support.  The plan then
+    folds every node at all of them, and encodes the body at every open
+    reachable tuple and all that it reads."""
     return {node: smt.projected_domain(tuples, support) for node, support in supports.items()}
 
 
@@ -602,8 +635,9 @@ def _unread_truth_variables(cs) -> set:
 
 
 def _assert_subsystem(mdp, f, cs):
-    """``cs`` keeps lines of the encoding over every reachable tuple and
-    reads none of the variables that only the latter declares."""
+    """``cs`` keeps lines of the encoding over every reachable tuple, under
+    the same folding, and reads none of the variables that only the latter
+    declares."""
     with mock.patch.object(smt, "point_table", _every_reachable_tuple):
         everywhere, _ = encode_main(mdp, f)
     lines = [line for line in emit_smtlib2(cs).splitlines() if not line.startswith(";")]
@@ -623,9 +657,10 @@ GUARDED_ROWS = {
 
 
 class TestPointTable:
-    """The Boolean and arithmetic nodes above the P(...)s are encoded at the
-    truth term's tuples only; path-formula nodes at every reachable tuple
-    of their support."""
+    """The Boolean and arithmetic nodes above the P(...)s, with the P(...)s
+    they read directly, are encoded at the truth term's tuples only; nodes
+    read at successors at the reachable tuples of their support; neither
+    where its value is fixed or where only fixed readers read it."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1))
@@ -660,6 +695,116 @@ class TestPointTable:
         values, choices = full_assignment(cs, spec.mdp, result.decoded.schedulers)
         assert set(values) == set(cs.variables)
         assert evaluate_system(cs, values, choices)
+
+
+def _path_shape(rng, svars):
+    """A comparison over one path formula, coupled when it can be: a next,
+    a bounded until, an unbounded until over a conjunction of two
+    variables, or a next over a nested P(...), whose operand is fixed at
+    some points only."""
+    v, w = rng.choice(svars), rng.choice(svars)
+    k1 = rng.randint(0, 2)
+    path = rng.choice((
+        Next(Prop("a", v)),
+        BoundedUntil(Prop("b", v), Prop("a", w), k1, k1 + rng.randint(0, 3)),
+        Until(TRUE, And(Prop("a", v), Prop("b", w))),
+        Next(Less(Const(Fraction(1, 2)), ProbOf(Until(TRUE, Prop("a", w))))),
+    ))
+    bound = Const(Fraction(rng.randint(0, 4), 4))
+    return Less(bound, ProbOf(path)) if rng.random() < 0.5 else Less(ProbOf(path), bound)
+
+
+def _fixed_against_semantics(cs, mdp, chosen) -> int:
+    """Assert that every folded constant is the exact value under
+    ``chosen``, from ``VectorEvaluator`` on the composition; the number of
+    constants checked."""
+    meta = cs.meta
+    ve = smt.VectorEvaluator(build_composition(mdp, meta.encoded, chosen).full(), meta.var_index)
+    checked = 0
+    for node, table in meta.fixed.items():
+        vec = ve.holds(node) if isinstance(node, BODY_KINDS) else ve.value(node)
+        for r in meta.tuples:
+            point = smt.project(r, meta.supports[node])
+            if point in table:
+                assert table[point] == vec[r], (node, point, table[point], vec[r])
+                checked += 1
+    return checked
+
+
+class TestFolding:
+    """Values that no scheduler changes are folded into constants before
+    encoding (``smt.fixed_table``)."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_folded_constants_are_exact_and_the_system_still_decides(self, seed):
+        rng = random.Random(seed)
+        mdp = with_never(random_mdp(rng, max_states=3))
+        f = guarded_formula(rng)
+        svars = tuple(q.name for q in f.prefix if isinstance(q, StateQuant))
+        f = Formula(f.prefix, And(_path_shape(rng, svars), f.body))
+        try:
+            cs, _ = encode_main(mdp, f)
+        except MixedSchedulerBlock:
+            return
+        for _ in range(3):
+            chosen = {name: _random_scheduler(rng, mdp) for name in cs.meta.sched_names}
+            _fixed_against_semantics(cs, mdp, chosen)
+        result = solve_eager(mdp, f)
+        if result.sat:
+            values, choices = full_assignment(cs, mdp, result.decoded.schedulers)
+            assert evaluate_system(cs, values, choices)
+            model = solver_model(cs, mdp, result.decoded.schedulers)
+            assert decode_witness(cs, model, f) == result.decoded
+
+    @pytest.mark.parametrize("text, truth", [
+        ("exists sched s. exists st x(s). exists st y(s). a(x) & !a(y)", True),
+        ("forall sched s. forall st x(s). init(x) -> !a(x)", True),
+        ("forall sched s. forall st x(s). a(x) | init(x)", False),
+        ("exists sched s. exists st x(s). a(x) & !a(x)", False),
+    ])
+    def test_body_without_p_is_one_constant(self, m_coin, text, truth):
+        f = parse_formula(text)
+        cs, _ = encode_main(m_coin, f)
+        assert isinstance(cs.truth, bool) and cs.variables == {}
+        lines = [line for line in emit_smtlib2(cs).splitlines() if not line.startswith(";")]
+        assert all(line.count("(") == line.count(")") for line in lines)
+        assert all(line.startswith(("(set-logic ", "(declare-const ch_", "(assert ", "(check-sat)", "(get-model)"))
+                   for line in lines)
+        assert ("(assert false)" in lines) is not cs.truth
+        eager = solve_eager(m_coin, f)
+        assert eager.decoded.truth is truth and eager.sat is cs.truth
+        # a solver answers sat with the choices alone, or unsat
+        answer = ("sat", solver_model(cs, m_coin, eager.decoded.schedulers)) if cs.truth else ("unsat", {})
+        with mock.patch.object(smt, "run_external_solver", lambda *args: answer):
+            assert smt.check_external(cs, emit_smtlib2(cs), "fake-solver").decoded == eager.decoded
+
+    def test_oracle_rejects_a_wrong_constant(self, m_coin):
+        f = parse_formula(REACH_ONE)
+        cs, _ = encode_main(m_coin, f)
+        alpha = SchedulerAssignment(m_coin.states, ("alpha", "tau", "tau"))
+        assert _fixed_against_semantics(cs, m_coin, {"s": alpha}) > 0
+        full_assignment(cs, m_coin, {"s": alpha})
+        cs.meta.fixed[REACH_A][("s2",)] = Fraction(1, 2)  # truly 0: s2 never reaches a
+        with pytest.raises(AssertionError, match="fixed to 1/2"):
+            full_assignment(cs, m_coin, {"s": alpha})
+
+    @pytest.mark.parametrize("row", sorted(set(PUBLISHED_ROWS) - {"ta_m6", "pw_m6"}) + ["ta_m2_bnd"])
+    def test_published_row_oracle_and_round_trip(self, row):
+        # the m=6 rows take 4-6 s each here, for the oracle's full product
+        if row == "ta_m2_bnd":
+            mdp, f = cases.generate("ta", m=2).mdp, parse_formula(BOUNDED_TA)
+        else:
+            family, params = PUBLISHED_ROWS[row]
+            spec = cases.generate(family, **params)
+            mdp, f = spec.mdp, spec.formula
+        cs, _ = encode_main(mdp, f)
+        eager = solve_eager(mdp, f)
+        assert eager.decoded == check(mdp, f)
+        values, choices = full_assignment(cs, mdp, eager.decoded.schedulers)
+        assert evaluate_system(cs, values, choices)
+        assert decode_witness(cs, solver_model(cs, mdp, eager.decoded.schedulers), f) == eager.decoded
+        assert replay(mdp, f, eager.decoded) is eager.decoded.truth
 
 
 class TestChoiceNames:
@@ -762,4 +907,4 @@ class TestEmit:
         )
         text = emit_smtlib2(encode_main(die, f)[0])
         digest = hashlib.sha256(text.encode()).hexdigest()
-        assert digest == "d2db6f33d4c534899f4f9a4bf77b86c61a160f141ef86055403685b75969e677"
+        assert digest == "d98b2928f00022fdd509565bf94f962b0d149ff4e6fa80859a748c467a7d3b1e"
