@@ -21,9 +21,6 @@ from .enumcheck import Verdict, check, validate_inputs
 from .errors import HyperMdpError, MixedSchedulerBlock
 from .formula import (
     Formula,
-    Next,
-    ProbOf,
-    Until,
     check_well_formed,
     count_quantifiers,
     parse_formula,
@@ -37,6 +34,7 @@ from .smt import (
     plan_encoding,
     solve_eager,
     transform_for_encoding,
+    variable_count,
 )
 
 REPORT_SCHEMA = "hypermdp-report/1"
@@ -58,20 +56,9 @@ def subformula_count(f: Formula) -> int:
 
 
 def encoding_variable_count(mdp: Mdp, f: Formula) -> int:
-    """Declared-variable count of the encoding, without materializing it:
-    each subformula declares one truth or probability variable per point
-    of the plan's point table (the points it does not fix), an until also
-    a distance there, and a next that has points a step indicator at each
-    point of its operand."""
-    meta = plan_encoding(mdp, f)
-    total = len(meta.sched_names) * sum(len(mdp.enabled[s]) for s in mdp.states)
-    for node, points in meta.points.items():
-        total += len(points)
-        if isinstance(node, ProbOf) and isinstance(node.path, Until):
-            total += len(points)
-        if isinstance(node, ProbOf) and isinstance(node.path, Next) and points:
-            total += len(meta.points[node.path.operand])
-    return total
+    """Declared-variable count of the encoding, without materializing it
+    (``smt.variable_count``)."""
+    return variable_count(mdp, plan_encoding(mdp, f))
 
 
 def _verdict_json(verdict: Verdict) -> dict:

@@ -332,8 +332,9 @@ def fixed_table(mdp: Mdp, succ, supports, tuples, reads) -> Dict[object, Dict[tu
 
 def read_operands(node) -> tuple:
     """``(operand, read at successors)`` for each node whose variables
-    ``node``'s encoding rule reads: an unbounded until also reads itself,
-    a bounded until its next window down, and a ``[0,0]`` window only its
+    ``node``'s encoding rule reads: an unbounded until reads its target at
+    the point and at its successors, and itself at the successors, a
+    bounded until its next window down, and a ``[0,0]`` window only its
     target."""
     if isinstance(node, NotF):
         return ((node.operand, False),)
@@ -345,13 +346,20 @@ def read_operands(node) -> tuple:
     if isinstance(path, Next):
         return ((path.operand, True),)
     if isinstance(path, Until):
-        return (path.left, False), (path.right, True), (node, True)
+        return (path.left, False), (path.right, False), (path.right, True), (node, True)
     if path.k2 == 0:
         return ((path.right, False),)
     return (path.left, False), (path.right, False), (next(reduced_windows(node)), True)
 
 
-def point_table(body, supports, tuples, truth_tuples) -> Dict[object, Tuple[tuple, ...]]:
+def read_table(supports) -> Dict[object, tuple]:
+    """Each subformula's ``read_operands``, every operand as the table's own
+    key, so that a bounded until's next window down is built once, here."""
+    own = {node: node for node in supports}
+    return {node: tuple((own[operand], below) for operand, below in read_operands(node)) for node in supports}
+
+
+def point_table(body, supports, reads_of, tuples, truth_tuples) -> Dict[object, Tuple[tuple, ...]]:
     """Each subformula's points before folding: where a rule may read it.
 
     A node read at successors, and every node it reads, keeps the
@@ -359,8 +367,8 @@ def point_table(body, supports, tuples, truth_tuples) -> Dict[object, Tuple[tupl
     operand of a ``P(X ...)``, an unbounded until and a bounded until's
     inner windows.  The other nodes, the Boolean and arithmetic layer with
     the ``P``s it reads directly, are read only at the truth term's
-    ``truth_tuples`` and keep that projection.  A node no rule reads gets
-    no points.
+    ``truth_tuples`` and keep that projection.  A node no rule reads
+    (``reads_of``, from ``read_table``) gets no points.
     """
     everywhere = {}  # node -> read (transitively) at successors
     stack = [(body, False)]
@@ -368,20 +376,19 @@ def point_table(body, supports, tuples, truth_tuples) -> Dict[object, Tuple[tupl
         node, below = stack.pop()
         if node not in everywhere or below > everywhere[node]:  # revisit only to move it everywhere
             everywhere[node] = below
-            stack.extend((operand, below or at_successors) for operand, at_successors in read_operands(node))
+            stack.extend((operand, below or at_successors) for operand, at_successors in reads_of[node])
     onto = functools.cache(lambda below, s: projected_domain(tuples if below else truth_tuples, s))
     return {node: onto(everywhere[node], s) if node in everywhere else () for node, s in supports.items()}
 
 
-def encoded_points(succ, body, supports, reads, fixed) -> Dict[object, Tuple[tuple, ...]]:
+def encoded_points(succ, body, supports, reads_of, reads, fixed) -> Dict[object, Tuple[tuple, ...]]:
     """Each subformula's points where the encoding declares and constrains
     it: the body's points in ``reads`` that ``fixed`` leaves open, and every
-    open point that a rule reads from an encoded point, in ``reads`` order.
-    A point where the reader is fixed reads nothing."""
+    open point that a rule reads (``reads_of``) from an encoded point, in
+    ``reads`` order.  A point where the reader is fixed reads nothing."""
     after = functools.cache(lambda p: tuple(itertools.product(*(succ[s] for s in p))))
-    same = {node: node for node in supports}  # a window's next window down is a new, equal object
-    reads_of = {node: [(same[operand], at_successors, tuple(supports[node].index(c) for c in supports[operand]))
-                       for operand, at_successors in read_operands(node)] for node in supports}
+    positions = {node: [(operand, at_successors, tuple(supports[node].index(c) for c in supports[operand]))
+                        for operand, at_successors in reads_of[node]] for node in supports}
     needed: Dict[object, set] = {node: set() for node in supports}
     stack = [(body, p) for p in reads[body] if p not in fixed[body]]
     while stack:
@@ -389,7 +396,7 @@ def encoded_points(succ, body, supports, reads, fixed) -> Dict[object, Tuple[tup
         if p in needed[node]:
             continue
         needed[node].add(p)
-        for operand, at_successors, at in reads_of[node]:
+        for operand, at_successors, at in positions[node]:
             for t in after(p) if at_successors else (p,):
                 q = tuple(t[i] for i in at)
                 if q not in fixed[operand] and q not in needed[operand]:
@@ -411,7 +418,8 @@ def plan_encoding(mdp: Mdp, f: Formula) -> EncodingMeta:
     succ = may_successors(mdp)
     tuples = reachable_tuples(mdp.states, succ, len(state_quants), truth_tuples)
     supports = subformula_supports(f_enc.body, var_index)
-    reads = point_table(f_enc.body, supports, tuples, truth_tuples)
+    reads_of = read_table(supports)
+    reads = point_table(f_enc.body, supports, reads_of, tuples, truth_tuples)
     fixed = fixed_table(mdp, succ, supports, tuples, reads)
     return EncodingMeta(
         polarity=polarity,
@@ -426,7 +434,7 @@ def plan_encoding(mdp: Mdp, f: Formula) -> EncodingMeta:
         tuples=tuples,
         supports=supports,
         fixed=fixed,
-        points=encoded_points(succ, f_enc.body, supports, reads, fixed),
+        points=encoded_points(succ, f_enc.body, supports, reads_of, reads, fixed),
     )
 
 
@@ -673,6 +681,22 @@ class Encoder:
 
         self.cs.truth = level(())
         self.cs.add(self.cs.truth)
+
+
+def variable_count(mdp: Mdp, meta: EncodingMeta) -> int:
+    """The number of variables ``Encoder`` declares for ``meta``, without
+    building the system: the choice one-hots, one truth or value variable
+    at each encoded point, beside it a distance for an until, and a step
+    indicator at each encoded point of the operand of a next that has
+    points (``encode_next``)."""
+    total = len(meta.sched_names) * sum(len(mdp.enabled[s]) for s in mdp.states)
+    for node, points in meta.points.items():
+        total += len(points)
+        if isinstance(node, ProbOf) and isinstance(node.path, Until):
+            total += len(points)
+        if isinstance(node, ProbOf) and isinstance(node.path, Next) and points:
+            total += len(meta.points[node.path.operand])
+    return total
 
 
 def encode_main(mdp: Mdp, f: Formula) -> Tuple[ConstraintSystem, str]:

@@ -507,6 +507,13 @@ def _read_names(term) -> set:
     return names
 
 
+def _undeclared_reads(cs) -> set:
+    """Variables that a constraint or the truth term reads but no rule
+    declares: a solver rejects a script that names one."""
+    read = set().union(_read_names(cs.truth), *(_read_names(t) for t in cs.constraints))
+    return read - cs.variables.keys()
+
+
 def _random_scheduler(rng, mdp):
     return SchedulerAssignment(mdp.states, tuple(rng.choice(mdp.enabled[s]) for s in mdp.states))
 
@@ -616,7 +623,7 @@ class TestGuardedEncoding:
             assert evaluate_term(cs.truth, values, choices) == _instantiated_truth(cs, mdp, chosen)
 
 
-def _every_reachable_tuple(body, supports, tuples, truth_tuples):
+def _every_reachable_tuple(body, supports, reads_of, tuples, truth_tuples):
     """``smt.point_table`` as if every node were read at successors: the
     projection of every reachable tuple onto its support.  The plan then
     folds every node at all of them, and encodes the body at every open
@@ -672,7 +679,7 @@ class TestPointTable:
             cs, _ = encode_main(mdp, f)
         except MixedSchedulerBlock:
             return
-        assert _unread_truth_variables(cs) == set()
+        assert _unread_truth_variables(cs) == set() == _undeclared_reads(cs)
         _assert_subsystem(mdp, f, cs)
 
     def test_unread_window_operand_is_not_encoded(self, m_coin):
@@ -689,7 +696,7 @@ class TestPointTable:
         spec = cases.generate(family, **params)
         f = spec.formula if text is None else parse_formula(text)
         cs, _ = encode_main(spec.mdp, f)
-        assert _unread_truth_variables(cs) == set()
+        assert _unread_truth_variables(cs) == set() == _undeclared_reads(cs)
         _assert_subsystem(spec.mdp, f, cs)
         result = solve_eager(spec.mdp, f)
         values, choices = full_assignment(cs, spec.mdp, result.decoded.schedulers)
@@ -700,8 +707,8 @@ class TestPointTable:
 def _path_shape(rng, svars):
     """A comparison over one path formula, coupled when it can be: a next,
     a bounded until, an unbounded until over a conjunction of two
-    variables, or a next over a nested P(...), whose operand is fixed at
-    some points only."""
+    variables, or a next or an unbounded until over a nested P(...), whose
+    operand is fixed at some points only."""
     v, w = rng.choice(svars), rng.choice(svars)
     k1 = rng.randint(0, 2)
     path = rng.choice((
@@ -709,6 +716,7 @@ def _path_shape(rng, svars):
         BoundedUntil(Prop("b", v), Prop("a", w), k1, k1 + rng.randint(0, 3)),
         Until(TRUE, And(Prop("a", v), Prop("b", w))),
         Next(Less(Const(Fraction(1, 2)), ProbOf(Until(TRUE, Prop("a", w))))),
+        Until(TRUE, Less(Const(Fraction(1, 2)), ProbOf(Next(Prop("a", w))))),
     ))
     bound = Const(Fraction(rng.randint(0, 4), 4))
     return Less(bound, ProbOf(path)) if rng.random() < 0.5 else Less(ProbOf(path), bound)
@@ -747,6 +755,7 @@ class TestFolding:
             cs, _ = encode_main(mdp, f)
         except MixedSchedulerBlock:
             return
+        assert _undeclared_reads(cs) == set()
         for _ in range(3):
             chosen = {name: _random_scheduler(rng, mdp) for name in cs.meta.sched_names}
             _fixed_against_semantics(cs, mdp, chosen)
@@ -779,6 +788,19 @@ class TestFolding:
         with mock.patch.object(smt, "run_external_solver", lambda *args: answer):
             assert smt.check_external(cs, emit_smtlib2(cs), "fake-solver").decoded == eager.decoded
 
+    def test_until_reads_an_open_target_at_its_own_point(self):
+        # P(X a(x)) > 1/2 is open at s0 only, which no until point steps to:
+        # the until's rule at s0 still reads the target there
+        mdp = parse_mdp("states: s0 s1 s2\nlabels: s0: init; s1: a\naction s0 alpha: s1 1\n"
+                        "action s0 beta: s2 1\naction s1 tau: s1 1\naction s2 tau: s2 1\n")
+        f = parse_formula("exists sched s. exists st x(s). init(x) & P(F (P(X a(x)) > 1/2)) > 0")
+        cs, _ = encode_main(mdp, f)
+        assert _undeclared_reads(cs) == set()
+        eager = solve_eager(mdp, f)
+        values, choices = full_assignment(cs, mdp, eager.decoded.schedulers)
+        assert evaluate_system(cs, values, choices)
+        assert decode_witness(cs, solver_model(cs, mdp, eager.decoded.schedulers), f) == eager.decoded
+
     def test_oracle_rejects_a_wrong_constant(self, m_coin):
         f = parse_formula(REACH_ONE)
         cs, _ = encode_main(m_coin, f)
@@ -799,6 +821,7 @@ class TestFolding:
             spec = cases.generate(family, **params)
             mdp, f = spec.mdp, spec.formula
         cs, _ = encode_main(mdp, f)
+        assert _undeclared_reads(cs) == set()
         eager = solve_eager(mdp, f)
         assert eager.decoded == check(mdp, f)
         values, choices = full_assignment(cs, mdp, eager.decoded.schedulers)
