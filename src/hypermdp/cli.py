@@ -27,15 +27,8 @@ from .formula import (
     state_var_index,
     subformula_supports,
 )
-from .model import Mdp, load_mdp
-from .smt import (
-    check_external,
-    encode_main,
-    plan_encoding,
-    solve_eager,
-    transform_for_encoding,
-    variable_count,
-)
+from .model import load_mdp
+from .smt import check_external, encode_main, solve_eager, transform_for_encoding
 
 REPORT_SCHEMA = "hypermdp-report/1"
 
@@ -53,12 +46,6 @@ def subformula_count(f: Formula) -> int:
     """Distinct subformulas of the body, counting the reduced-bound windows
     that the bounded-until encoding introduces."""
     return len(subformula_supports(f.body, state_var_index(f)))
-
-
-def encoding_variable_count(mdp: Mdp, f: Formula) -> int:
-    """Declared-variable count of the encoding, without materializing it
-    (``smt.variable_count``)."""
-    return variable_count(mdp, plan_encoding(mdp, f))
 
 
 def _verdict_json(verdict: Verdict) -> dict:
@@ -90,15 +77,16 @@ def cmd_check(args, out) -> int:
     notice = None
 
     start = time.perf_counter()
-    encode_ms = 0.0
+    encode_ms, cs = 0.0, None
     if engine in ("smt-eager", "smt-external"):
         try:
             if engine == "smt-external" and not solver:
                 raise HyperMdpError("smt-external needs --solver or HYPERPROB_SOLVER")
-            if engine == "smt-external" or args.emit:
+            validate_inputs(mdp, f, args.max_sched_vars, args.max_state_vars)  # before any encoding
+            if engine == "smt-external" or args.emit or args.json:
                 t0 = time.perf_counter()
                 cs, _ = encode_main(mdp, f)
-                smt_text = emit_smtlib2(cs)
+                smt_text = emit_smtlib2(cs) if engine == "smt-external" or args.emit else None
                 encode_ms = (time.perf_counter() - t0) * 1000
                 if args.emit:
                     with open(args.emit, "w", encoding="utf-8") as fh:
@@ -137,10 +125,7 @@ def cmd_check(args, out) -> int:
             "state_vars": n,
             "subformulas": subformula_count(transform_for_encoding(f)[0] if engine != "enum" else f),
         },
-        "encoding": (
-            {"variables": encoding_variable_count(mdp, f)}
-            if engine in ("smt-eager", "smt-external") else None
-        ),
+        "encoding": None if cs is None else {"variables": cs.variable_count()},
         "timings_ms": {"encode": round(encode_ms, 3), "solve": round(solve_ms, 3)},
     }
     if args.json:

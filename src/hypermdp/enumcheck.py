@@ -82,7 +82,8 @@ class Composition:
 
     def full(self) -> Dtmc:
         """The whole n-fold self-composition; components that run under one
-        assignment share its induced chain."""
+        assignment share its induced chain.  Only the tests build it, as
+        the reference for the per-support values."""
         if not self.assignments:
             unit = ()  # zero components: a single anonymous state with a self-loop
             return Dtmc(states=(unit,), trans={unit: ((unit, _ONE),)}, ap=(), labels={unit: frozenset()})
@@ -167,8 +168,14 @@ class Evaluator:
     def value(self, node, at: tuple):
         """A body or probability expression over the formula's state
         variables, at composed tuple ``at``."""
-        self.supports.update(subformula_supports(node, self.var_index))
-        return self._compile(node, self._top)(at)
+        return self.reader(node, self._top)(at)
+
+    def reader(self, node, support: Tuple[int, ...]):
+        """``node`` under the bound combination, as a function of the
+        points of ``support``: tuples of states of those components."""
+        if node not in self.supports:
+            self.supports.update(subformula_supports(node, self.var_index))
+        return self._compile(node, support)
 
     def _compile(self, node, frame):
         """``node`` as a function of tuples over the components ``frame``, or,

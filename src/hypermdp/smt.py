@@ -41,7 +41,9 @@ equations collapse to the exact linear systems of the analysis module, so
 order and solves those systems per support; its deciding branch is the
 witness or counterexample.  The encoding itself is built only for SMT-LIB
 export, the external solver (whose model ``decode_witness`` reads) and
-the ``full_assignment`` oracle.
+the ``full_assignment`` oracle, which reads the exact value of each
+declared variable from one ``enumcheck.Evaluator`` on its subformula's
+support: no path here builds the whole n-fold product.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import analysis
 from .constraints import (
@@ -81,8 +83,8 @@ from .constraints import (
     t_or,
     var,
 )
-from .enumcheck import (Verdict, assemble_verdict, build_composition, decide, state_domains, truth_eval,
-                        validate_inputs)
+from .enumcheck import (Evaluator, JointRows, Verdict, assemble_verdict, build_composition, decide, state_domains,
+                        truth_eval, validate_inputs)
 from .errors import IncompleteModel, MixedSchedulerBlock
 from .formula import (
     ARITH_OPS,
@@ -683,22 +685,6 @@ class Encoder:
         self.cs.add(self.cs.truth)
 
 
-def variable_count(mdp: Mdp, meta: EncodingMeta) -> int:
-    """The number of variables ``Encoder`` declares for ``meta``, without
-    building the system: the choice one-hots, one truth or value variable
-    at each encoded point, beside it a distance for an until, and a step
-    indicator at each encoded point of the operand of a next that has
-    points (``encode_next``)."""
-    total = len(meta.sched_names) * sum(len(mdp.enabled[s]) for s in mdp.states)
-    for node, points in meta.points.items():
-        total += len(points)
-        if isinstance(node, ProbOf) and isinstance(node.path, Until):
-            total += len(points)
-        if isinstance(node, ProbOf) and isinstance(node.path, Next) and points:
-            total += len(meta.points[node.path.operand])
-    return total
-
-
 def encode_main(mdp: Mdp, f: Formula) -> Tuple[ConstraintSystem, str]:
     """Build the full constraint system; polarity says whether the verdict
     must be inverted (universal scheduler block)."""
@@ -710,10 +696,13 @@ def encode_main(mdp: Mdp, f: Formula) -> Tuple[ConstraintSystem, str]:
 
 
 class VectorEvaluator:
-    """Computes, per subformula, its whole vector over composed states.
+    """Computes, per subformula, its whole vector over the states of a
+    composed chain, such as the full product ``Composition.full()``.
 
-    This mirrors the encoding: under a fixed choice assignment the guarded
-    equations collapse to the exact systems solved by the analysis module.
+    No library path uses it: it is the tests' full-product reference for
+    the per-support values, and the benchmark's tracer hooks its
+    ``_bounded``.  It moves to ``tests/helpers.py`` once that hook no
+    longer names it.
     """
 
     def __init__(self, composed: Dtmc, var_index: Dict[str, int]):
@@ -772,35 +761,6 @@ class VectorEvaluator:
         return analysis.bounded_until_probs(
             self.d, self.holds(path.left), self.holds(path.right), path.k1, path.k2
         )
-
-    def windows(self, node):
-        """Fill in the vectors of a bounded until and of all its reduced-bound
-        windows from one iteration (the encoding declares every window)."""
-        if node in self._values:
-            return
-        path = node.path
-        for (k1, k2), vec in analysis.bounded_until_windows(
-            self.d, self.holds(path.left), self.holds(path.right), path.k1, path.k2
-        ):
-            self._values.setdefault(ProbOf(BoundedUntil(path.left, path.right, k1, k2)), vec)
-
-    def distances(self, path) -> dict:
-        """Fewest induced steps to a phi2 state through phi1 states
-        (``step_distances``); a state that cannot get there gets |states|
-        (any value works there: its probability is 0 and the ordering
-        clauses are vacuous)."""
-        dist = step_distances(self.d, self.holds(path.left), self.holds(path.right))
-        return {r: dist.get(r, len(self.d.states)) for r in self.d.states}
-
-
-def _restrict(composed: Dtmc, tuples: Sequence) -> Dtmc:
-    keep = tuple(tuples)
-    return Dtmc(
-        states=keep,
-        trans={r: composed.trans[r] for r in keep},
-        ap=composed.ap,
-        labels={r: composed.labels[r] for r in keep},
-    )
 
 
 # -- eager solving -------------------------------------------------------------------
@@ -872,46 +832,59 @@ def decode_witness(cs: ConstraintSystem, model: dict, f: Formula) -> Verdict:
 def full_assignment(cs: ConstraintSystem, mdp: Mdp, chosen: Dict[str, SchedulerAssignment]):
     """Complete variable assignment induced by a choice of schedulers.
 
-    Recomputes every encoded subformula's vectors on the composition via
-    the analysis module and writes each declared variable's value under its
-    projected name; used to cross-check that the emitted constraints are satisfied by the
-    exact semantics (soundness of the encoding).  Raises AssertionError
-    if two composed tuples with the same projection give one variable
-    different values, or if a value of the plan's fixed table differs from
-    the one under ``chosen``, so every run also checks the projection and
-    the folding.
+    Binds one ``enumcheck.Evaluator`` to ``chosen`` and reads each declared
+    variable at its own point, over its subformula's support only, never
+    on the whole product; used to cross-check that the emitted constraints
+    are satisfied by the exact semantics (soundness of the encoding).  A
+    bounded until takes all of its windows from one
+    ``analysis.bounded_until_windows`` call, and an until its distances
+    from one ``step_distances`` call, each on the support's chain over the
+    projection of ``meta.tuples``.  Raises AssertionError if a value of
+    the plan's fixed table differs from the one under ``chosen``, so every
+    run also checks the folding.
     """
     meta: EncodingMeta = cs.meta
-    composed = build_composition(mdp, meta.encoded, chosen).full()
-    if len(composed.states) != len(meta.tuples):
-        composed = _restrict(composed, meta.tuples)
-    ve = VectorEvaluator(composed, meta.var_index)
+    ev = Evaluator(mdp, meta.encoded)
+    ev.bind(build_composition(mdp, meta.encoded, chosen))
+
+    @functools.cache
+    def chain(support: Support) -> Dtmc:
+        rows = ev.rows(support)
+        if len(support) == 1:  # one component's rows take bare states
+            rows = JointRows((rows,))
+        return Dtmc(states=projected_domain(meta.tuples, support), trans=rows, ap=(), labels={})
+
+    def on_chain(path, support: Support):
+        """``support``'s chain, with tuple points, and ``path``'s operands there."""
+        d = chain(support)
+        left, right = ev.reader(path.left, support), ev.reader(path.right, support)
+        return d, {p: left(p) for p in d.states}, {p: right(p) for p in d.states}
+
+    windows: Dict[object, dict] = {}
     values: Dict[str, object] = {}
-
-    def put(sym, idx, support, vec, fixed, convert=None):
-        for r in meta.tuples:
-            value = vec[r] if convert is None else convert(vec[r])
-            point = project(r, support)
-            name = sym(point, idx)
-            if values.setdefault(name, value) != value:
-                raise AssertionError(f"{name} depends on components outside its support")
-            if fixed.get(point, value) != value:
-                raise AssertionError(f"{name} is fixed to {fixed[point]} but is {value} under the chosen schedulers")
-
     for node, idx in cs.subformula_index.items():
-        support, fixed = meta.supports[node], meta.fixed[node]
-        if isinstance(node, BODY_KINDS):
-            put(holds_sym, idx, support, ve.holds(node), fixed)
-            continue
-        if isinstance(node, ProbOf) and isinstance(node.path, BoundedUntil):
-            ve.windows(node)
-        put(prob_sym, idx, support, ve.value(node), fixed)
-        if isinstance(node, ProbOf) and isinstance(node.path, Next):
-            operand = node.path.operand
-            put(toint_sym, cs.subformula_index[operand], support, ve.holds(operand), {},
-                lambda h: ONE if h else ZERO)
-        if isinstance(node, ProbOf) and isinstance(node.path, Until):
-            put(dist_sym, idx, support, ve.distances(node.path), {}, Fraction)
+        support, points = meta.supports[node], meta.points[node]
+        kind = "h" if isinstance(node, BODY_KINDS) else "pr"
+        path = node.path if isinstance(node, ProbOf) else None
+        if isinstance(path, BoundedUntil):
+            if node not in windows:
+                for (k1, k2), vec in analysis.bounded_until_windows(*on_chain(path, support), path.k1, path.k2):
+                    windows.setdefault(ProbOf(BoundedUntil(path.left, path.right, k1, k2)), vec)
+            read = windows[node].__getitem__
+        else:
+            read = ev.reader(node, support)
+        for p, value in meta.fixed[node].items():
+            if read(p) != value:
+                raise AssertionError(f"{symbol(kind, p, idx)} is fixed to {value} but is {read(p)} "
+                                     "under the chosen schedulers")
+        values.update((symbol(kind, p, idx), read(p)) for p in points)
+        if points and isinstance(path, Next):
+            holds, operand_idx = ev.reader(path.operand, support), cs.subformula_index[path.operand]
+            values.update((toint_sym(p, operand_idx), ONE if holds(p) else ZERO) for p in meta.points[path.operand])
+        elif points and isinstance(path, Until):
+            # where phi2 is out of reach the probability is 0, and no clause needs the distance
+            dist = step_distances(*on_chain(path, support))
+            values.update((dist_sym(p, idx), Fraction(dist.get(p, len(meta.tuples)))) for p in points)
     choices = {}
     for (family, state), _ in cs.choice_domains.items():
         choices[(family, state)] = chosen[meta.sched_names[family]].choice(state)

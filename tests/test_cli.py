@@ -269,6 +269,13 @@ class TestDeepFormula:
         assert "error" not in capsys.readouterr().err
 
 
+def json_variable_count(model_path, formula) -> int:
+    """The variable count that ``check --json`` reports."""
+    code, out = run_cli("check", str(model_path), "--formula", formula, "--json")
+    assert code in (0, 1)
+    return json.loads(out)["encoding"]["variables"]
+
+
 class TestEncodingReport:
     """``check --json`` reports the variables the encoder really declares."""
 
@@ -277,29 +284,26 @@ class TestEncodingReport:
         "exists sched s. exists st x(s). exists st y(s). P(X a(x)) < 1/2 & P(F a(y)) > 0",
         "forall sched s. forall st x(s). P(F<=3 a(x)) >= P(true U[1,2] a(x)) * 1/2",
     ])
-    def test_coin_count_matches_encoder(self, m_coin, formula):
-        f = parse_formula(formula)
-        expected = encode_main(m_coin, f)[0].variable_count()
-        assert cli.encoding_variable_count(m_coin, f) == expected
+    def test_coin_count_matches_encoder(self, m_coin, coin_path, formula):
+        expected = encode_main(m_coin, parse_formula(formula))[0].variable_count()
+        assert json_variable_count(coin_path, formula) == expected
 
-    def test_ta_m2_count_matches_encoder(self):
+    def test_ta_m2_count_matches_encoder(self, tmp_path):
         spec = cases.generate("ta", m=2)
-        f = parse_formula(spec.formula_text)
-        expected = encode_main(spec.mdp, f)[0].variable_count()
-        assert cli.encoding_variable_count(spec.mdp, f) == expected
+        expected = encode_main(spec.mdp, spec.formula)[0].variable_count()
+        model_path, _ = cases.write_case(spec, tmp_path)
+        assert json_variable_count(model_path, spec.formula_text) == expected
         assert expected == 141  # the layer above the P(...)s at the init pairs only, fixed points folded
 
     @pytest.mark.parametrize("row", sorted(PUBLISHED_ROWS) + ["ta_m2_bnd"])
-    def test_count_reads_the_folded_table(self, row):
+    def test_count_reads_the_folded_table(self, row, tmp_path):
         # every published row and the benchmark's three export cases
         # (ts_h0_1, ta_m2 and ta_m2's bounded formula)
-        if row == "ta_m2_bnd":
-            mdp, f = cases.generate("ta", m=2).mdp, parse_formula(BOUNDED_TA)
-        else:
-            family, params = PUBLISHED_ROWS[row]
-            spec = cases.generate(family, **params)
-            mdp, f = spec.mdp, spec.formula
-        assert cli.encoding_variable_count(mdp, f) == encode_main(mdp, f)[0].variable_count()
+        family, params = ("ta", {"m": 2}) if row == "ta_m2_bnd" else PUBLISHED_ROWS[row]
+        spec = cases.generate(family, **params)
+        text = BOUNDED_TA if row == "ta_m2_bnd" else spec.formula_text
+        model_path, _ = cases.write_case(spec, tmp_path)
+        assert json_variable_count(model_path, text) == encode_main(spec.mdp, parse_formula(text))[0].variable_count()
 
     def test_json_reports_guarded_count(self, tmp_path):
         # s2 is unreachable from the init state, so the guarded encoding drops it
@@ -312,6 +316,20 @@ class TestEncodingReport:
         code, out = run_cli("check", str(path), "--formula", f, "--json")
         assert code == 0
         assert json.loads(out)["encoding"]["variables"] == guarded.variable_count()
+
+    @pytest.mark.parametrize("extra", [("--json",), ("--emit", "x.smt2"), ("--engine", "smt-external")])
+    @pytest.mark.parametrize("formula, message", [
+        ("exists sched s. exists st x(s). a(y)", "'y' is not bound"),
+        ("exists sched s. exists st x(s). zzz(x)", "['zzz']"),
+    ])
+    def test_invalid_formula_is_a_plain_error_before_encoding(self, coin_path, tmp_path, capsys, monkeypatch,
+                                                              extra, formula, message):
+        monkeypatch.chdir(tmp_path)
+        code, _ = run_cli("check", coin_path, "--formula", formula, "--solver", "never-run", *extra)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "x.smt2").exists()
 
 
 class TestEncode:

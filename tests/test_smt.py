@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypermdp import cases, smt
+from hypermdp import cases, enumcheck, smt
 from hypermdp.constraints import (
     AndT,
     BoolRef,
@@ -25,7 +25,7 @@ from hypermdp.constraints import (
     evaluate_system,
     evaluate_term,
 )
-from hypermdp.enumcheck import Evaluator, build_composition, check, replay, truth_eval
+from hypermdp.enumcheck import Composition, Evaluator, build_composition, check, replay, truth_eval
 from hypermdp.errors import IncompleteModel, MixedSchedulerBlock
 from hypermdp.formula import (
     BODY_KINDS,
@@ -549,6 +549,7 @@ class TestProjection:
             for name in names if term is not cs.truth else ():
                 readers.setdefault(name, []).append(term)
         for chosen in tried:
+            _fixed_against_semantics(cs, mdp, chosen)  # each value as on the full product
             values, choices = full_assignment(cs, mdp, chosen)
             for term in cs.constraints:
                 if term is not cs.truth:
@@ -723,19 +724,45 @@ def _path_shape(rng, svars):
 
 
 def _fixed_against_semantics(cs, mdp, chosen) -> int:
-    """Assert that every folded constant is the exact value under
-    ``chosen``, from ``VectorEvaluator`` on the composition; the number of
-    constants checked."""
+    """Assert that every folded constant and every variable that
+    ``full_assignment`` returns is the exact value under ``chosen``, from
+    ``VectorEvaluator`` on the full product, at every tuple of
+    ``meta.tuples`` that projects onto its point: truth, probability and
+    step-indicator values exactly, an until's distance wherever its target
+    is reachable through phi1; the number of values checked."""
     meta = cs.meta
-    ve = smt.VectorEvaluator(build_composition(mdp, meta.encoded, chosen).full(), meta.var_index)
-    checked = 0
-    for node, table in meta.fixed.items():
-        vec = ve.holds(node) if isinstance(node, BODY_KINDS) else ve.value(node)
+    composed = build_composition(mdp, meta.encoded, chosen).full()
+    ve = smt.VectorEvaluator(composed, meta.var_index)
+    values, _ = full_assignment(cs, mdp, chosen)
+    unchecked, checked = set(values), 0
+
+    def check_value(name, exact):
+        nonlocal checked
+        if name in values:
+            assert values[name] == exact, (name, values[name], exact)
+            unchecked.discard(name)
+            checked += 1
+
+    for node, idx in cs.subformula_index.items():
+        support, table = meta.supports[node], meta.fixed[node]
+        holds = isinstance(node, BODY_KINDS)
+        vec = ve.holds(node) if holds else ve.value(node)
+        path = node.path if isinstance(node, ProbOf) else None
+        if isinstance(path, Next):
+            operand = ve.holds(path.operand)
+        elif isinstance(path, Until):
+            dist = smt.step_distances(composed, ve.holds(path.left), ve.holds(path.right))
         for r in meta.tuples:
-            point = smt.project(r, meta.supports[node])
+            point = smt.project(r, support)
             if point in table:
                 assert table[point] == vec[r], (node, point, table[point], vec[r])
                 checked += 1
+            check_value((holds_sym if holds else prob_sym)(point, idx), vec[r])
+            if isinstance(path, Next):
+                check_value(smt.toint_sym(point, cs.subformula_index[path.operand]), int(operand[r]))
+            elif isinstance(path, Until) and r in dist:
+                check_value(smt.dist_sym(point, idx), dist[r])
+    assert {cs.variables[name] for name in unchecked} <= {"dist"}, unchecked
     return checked
 
 
@@ -811,9 +838,8 @@ class TestFolding:
         with pytest.raises(AssertionError, match="fixed to 1/2"):
             full_assignment(cs, m_coin, {"s": alpha})
 
-    @pytest.mark.parametrize("row", sorted(set(PUBLISHED_ROWS) - {"ta_m6", "pw_m6"}) + ["ta_m2_bnd"])
+    @pytest.mark.parametrize("row", sorted(PUBLISHED_ROWS) + ["ta_m2_bnd"])
     def test_published_row_oracle_and_round_trip(self, row):
-        # the m=6 rows take 4-6 s each here, for the oracle's full product
         if row == "ta_m2_bnd":
             mdp, f = cases.generate("ta", m=2).mdp, parse_formula(BOUNDED_TA)
         else:
@@ -828,6 +854,29 @@ class TestFolding:
         assert evaluate_system(cs, values, choices)
         assert decode_witness(cs, solver_model(cs, mdp, eager.decoded.schedulers), f) == eager.decoded
         assert replay(mdp, f, eager.decoded) is eager.decoded.truth
+
+
+# a true universal independence claim with a coupled operand, P(F (l=1(x) & l=1(y)))
+TS_INDEP = ("forall sched s1. forall sched s2. forall st x(s1). forall st y(s2). "
+            "(init(x) & init(y)) -> P(F (l=1(x) & l=1(y))) = P(F l=1(x)) * P(F l=1(y))")
+
+
+def test_no_library_path_builds_the_product():
+    # encoding, eager solving, the oracle and decoding read each subformula
+    # over its own support, so none composes the n-fold product
+    mdp, f = cases.generate("ts", h1=0, h2=1).mdp, parse_formula(TS_INDEP)
+    schedulers = list(enumerate_schedulers(mdp))
+    chosen = {"s1": schedulers[0], "s2": schedulers[-1]}
+    with mock.patch.object(enumcheck, "self_compose", wraps=enumcheck.self_compose) as compose, \
+            mock.patch.object(Composition, "full", autospec=True, side_effect=Composition.full) as full:
+        cs, _ = encode_main(mdp, f)
+        eager = solve_eager(mdp, f)
+        values, choices = full_assignment(cs, mdp, chosen)
+        decoded = decode_witness(cs, solver_model(cs, mdp, chosen), f)
+    assert compose.call_count == 0 and full.call_count == 0
+    assert (0, 1) in {support for node, support in cs.meta.supports.items() if isinstance(node, ProbOf)}
+    assert all(evaluate_term(t, values, choices) for t in cs.constraints if t is not cs.truth)
+    assert eager.decoded.truth is True and decoded == eager.decoded
 
 
 class TestChoiceNames:
