@@ -14,11 +14,11 @@ model and formula files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from .formula import Formula, parse_formula
+from .formula import parse_formula
 from .model import Mdp, parse_mdp
+from .record import Frozen
 
 # published benchmark sizes (states, transitions), reported next to
 # generated sizes; generated models must stay within a factor of two
@@ -30,15 +30,11 @@ REFERENCE_SIZES: Dict[str, Dict[object, Tuple[int, int]]] = {
 }
 
 
-@dataclass(frozen=True)
-class CaseSpec:
-    family: str
-    name: str
-    mdp: Mdp
-    formula: Formula
-    model_text: str
-    formula_text: str
-    reference: Optional[Tuple[int, int]]  # (states, transitions) or None
+class CaseSpec(Frozen):
+    """One generated case; ``reference`` is the published (states,
+    transitions) of its row, or None."""
+
+    __slots__ = _fields = ("family", "name", "mdp", "formula", "model_text", "formula_text", "reference")
 
 
 def _case(family: str, name: str, model_text: str, formula_text: str, ref_key) -> CaseSpec:

@@ -12,76 +12,61 @@ registration order, so emitted text is reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
+
+from .record import Frozen, Record
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class BoolRef:
-    name: str
+class BoolRef(Frozen):
+    __slots__ = _fields = ("name",)
 
 
-@dataclass(frozen=True)
-class ChoiceIs:
-    family: int
-    state: str
-    action: str
+class ChoiceIs(Frozen):
+    __slots__ = _fields = ("family", "state", "action")
 
 
-@dataclass(frozen=True)
-class Lin:
+class Lin(Frozen):
     """const + sum of coeff*var."""
 
-    const: Fraction = ZERO
-    terms: Tuple[Tuple[Fraction, str], ...] = ()
+    __slots__ = _fields = ("const", "terms")
+    _defaults = {"const": ZERO, "terms": ()}
 
 
-@dataclass(frozen=True)
-class Cmp:
-    op: str  # '=', '<', '<=', '>', '>='
-    left: Lin
-    right: Lin
+class Cmp(Frozen):
+    """``left op right`` over two ``Lin``; op is one of = < <= > >=."""
+
+    __slots__ = _fields = ("op", "left", "right")
 
 
-@dataclass(frozen=True)
-class MulEq:
+class MulEq(Frozen):
     """result = left * right over variables; only produced, as a top-level
     constraint, by a variable-times-variable product in the source formula."""
 
-    result: str
-    left: str
-    right: str
+    __slots__ = _fields = ("result", "left", "right")
 
 
-@dataclass(frozen=True)
-class NotT:
-    operand: "Term"
+class NotT(Frozen):
+    __slots__ = _fields = ("operand",)
 
 
-@dataclass(frozen=True)
-class AndT:
-    items: Tuple["Term", ...]
+class AndT(Frozen):
+    __slots__ = _fields = ("items",)
 
 
-@dataclass(frozen=True)
-class OrT:
-    items: Tuple["Term", ...]
+class OrT(Frozen):
+    __slots__ = _fields = ("items",)
 
 
-@dataclass(frozen=True)
-class ImpliesT:
-    antecedent: "Term"
-    consequent: "Term"
+class ImpliesT(Frozen):
+    __slots__ = _fields = ("antecedent", "consequent")
 
 
-@dataclass(frozen=True)
-class XorT:
-    left: "Term"
-    right: "Term"
+class XorT(Frozen):
+    __slots__ = _fields = ("left", "right")
 
 
 Term = object
@@ -135,21 +120,24 @@ def t_implies(antecedent: Term, consequent: Term) -> Term:
 # -- system -------------------------------------------------------------------
 
 
-@dataclass
-class ConstraintSystem:
+class ConstraintSystem(Record):
     """Variable pool plus constraints; the output of the encoding."""
 
+    __slots__ = _fields = ("choice_domains", "variables", "constraints", "truth", "subformula_index",
+                           "subformula_text", "meta")
+    _defaults = {"choice_domains": {}, "variables": {}, "constraints": [], "truth": None,
+                 "subformula_index": {}, "subformula_text": [], "meta": None}
     # (family, state) -> enabled actions, in order
-    choice_domains: Dict[Tuple[int, str], Tuple[str, ...]] = field(default_factory=dict)
+    choice_domains: Dict[Tuple[int, str], Tuple[str, ...]]
     # name -> kind: 'holds' | 'prob' | 'value' | 'toint' | 'dist'
-    variables: Dict[str, str] = field(default_factory=dict)
-    constraints: List[Term] = field(default_factory=list)
-    truth: Optional[Term] = None
+    variables: Dict[str, str]
+    constraints: List[Term]
+    truth: Optional[Term]
     # subformula bookkeeping: node -> index, plus printable forms
-    subformula_index: Dict[object, int] = field(default_factory=dict)
-    subformula_text: List[str] = field(default_factory=list)
+    subformula_index: Dict[object, int]
+    subformula_text: List[str]
     # decode metadata, filled by the encoder
-    meta: Optional[object] = None
+    meta: Optional[object]
 
     def declare(self, name: str, kind: str) -> str:
         existing = self.variables.get(name)

@@ -17,7 +17,6 @@ here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -52,33 +51,30 @@ from .formula import (
     subformula_supports,
 )
 from .model import Dtmc, Mdp, SchedulerAssignment, enumerate_schedulers, induce_dtmc, self_compose
+from .record import Frozen, Record
 
 
 _ONE = Fraction(1)
 
 
-@dataclass
-class Verdict:
+class Verdict(Record):
     """Truth value plus witness or counterexample instantiations.
 
     Values are recorded for the maximal leading same-kind quantifier
     chain: a true exists-led formula carries a witness, a false
-    forall-led formula a counterexample.
+    forall-led formula a counterexample.  ``mode`` is 'witness',
+    'counterexample' or 'none'.
     """
 
-    truth: bool
-    mode: str = "none"  # 'witness' | 'counterexample' | 'none'
-    schedulers: Dict[str, SchedulerAssignment] = field(default_factory=dict)
-    states: Dict[str, str] = field(default_factory=dict)
+    __slots__ = _fields = ("truth", "mode", "schedulers", "states")
+    _defaults = {"mode": "none", "schedulers": {}, "states": {}}
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(Frozen):
     """One scheduler combination of a formula: the assignment that each
     component of the self-composition (one per state variable) runs under."""
 
-    mdp: Mdp
-    assignments: Tuple[SchedulerAssignment, ...]
+    __slots__ = _fields = ("mdp", "assignments")
 
     def full(self) -> Dtmc:
         """The whole n-fold self-composition; components that run under one

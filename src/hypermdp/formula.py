@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple, Union
 
@@ -41,40 +40,20 @@ from .errors import (
     UnboundSchedulerVariable,
     UnboundStateVariable,
 )
+from .record import Frozen
 
 # -- AST ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SchedQuant:
-    exists: bool
-    name: str
+class SchedQuant(Frozen):
+    __slots__ = _fields = ("exists", "name")
 
 
-@dataclass(frozen=True)
-class StateQuant:
-    exists: bool
-    name: str
-    sched: str
+class StateQuant(Frozen):
+    __slots__ = _fields = ("exists", "name", "sched")
 
 
 Quantifier = Union[SchedQuant, StateQuant]
-
-
-def _node(cls):
-    """``dataclass(frozen=True)`` whose hash and equality do not recurse: a
-    node's hash and ``height`` (nodes on its longest path down) are computed
-    when it is built, from its fields', and equality walks both in a loop."""
-    def __post_init__(self):
-        values = tuple(self.__dict__.values())
-        object.__setattr__(self, "_hash", hash(values))
-        object.__setattr__(self, "height", 1 + max((v.height for v in values if is_dataclass(v)), default=0))
-
-    cls.__post_init__ = __post_init__
-    cls = dataclass(frozen=True, eq=False)(cls)
-    cls.__hash__ = lambda self: self._hash
-    cls.__eq__ = _same_node
-    return cls
 
 
 def _same_node(a, b) -> bool:
@@ -83,86 +62,88 @@ def _same_node(a, b) -> bool:
         x, y = pairs.pop()
         if type(x) is not type(y) or hash(x) != hash(y):
             return False
-        for u, v in zip(x.__dict__.values(), y.__dict__.values()):
+        for u, v in zip(x._values, y._values):
             if u is v:
                 continue
-            if is_dataclass(u):
+            if isinstance(u, Node):
                 pairs.append((u, v))
             elif u != v:
                 return False
     return True
 
 
-@_node
-class TrueF:
-    pass
+class Node(Frozen):
+    """An AST node, whose hash and equality do not recurse: a node's hash
+    and ``height`` (nodes on its longest path down) are computed when it is
+    built, from its fields', and equality walks both in a loop."""
+
+    __slots__ = ("height",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        values, height = self._values, 0
+        for v in values:  # a loop: a generator would double the cost of building a node
+            if isinstance(v, Node) and v.height > height:
+                height = v.height
+        object.__setattr__(self, "_hash", hash(values))
+        object.__setattr__(self, "height", height + 1)
+
+    __eq__ = _same_node
+    __hash__ = Frozen.__hash__
 
 
-@_node
-class Prop:
-    name: str
-    var: str
+class TrueF(Node):
+    __slots__ = _fields = ()
 
 
-@_node
-class And:
-    left: "Body"
-    right: "Body"
+class Prop(Node):
+    __slots__ = _fields = ("name", "var")
 
 
-@_node
-class NotF:
-    operand: "Body"
+class And(Node):
+    __slots__ = _fields = ("left", "right")
 
 
-@_node
-class Less:
-    left: "PExpr"
-    right: "PExpr"
+class NotF(Node):
+    __slots__ = _fields = ("operand",)
+
+
+class Less(Node):
+    __slots__ = _fields = ("left", "right")
 
 
 BODY_KINDS = (TrueF, Prop, And, NotF, Less)
 Body = Union[BODY_KINDS]
 
 
-@_node
-class Const:
-    value: Fraction
+class Const(Node):
+    __slots__ = _fields = ("value",)
 
 
-@_node
-class ProbOf:
-    path: "Path"
+class ProbOf(Node):
+    __slots__ = _fields = ("path",)
 
 
-@_node
-class Arith:
-    op: str  # '+', '-', '*'
-    left: "PExpr"
-    right: "PExpr"
+class Arith(Node):
+    """``left op right``; op is one of + - *."""
+
+    __slots__ = _fields = ("op", "left", "right")
 
 
 PExpr = Union[Const, ProbOf, Arith]
 ARITH_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-@_node
-class Next:
-    operand: Body
+class Next(Node):
+    __slots__ = _fields = ("operand",)
 
 
-@_node
-class Until:
-    left: Body
-    right: Body
+class Until(Node):
+    __slots__ = _fields = ("left", "right")
 
 
-@_node
-class BoundedUntil:
-    left: Body
-    right: Body
-    k1: int
-    k2: int
+class BoundedUntil(Node):
+    __slots__ = _fields = ("left", "right", "k1", "k2")
 
 
 Path = Union[Next, Until, BoundedUntil]
@@ -170,12 +151,10 @@ Path = Union[Next, Until, BoundedUntil]
 TRUE = TrueF()
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(Frozen):
     """Quantifier prefix (in source order) over a desugared body."""
 
-    prefix: Tuple[Quantifier, ...]
-    body: Body
+    __slots__ = _fields = ("prefix", "body")
 
 
 # -- desugaring helpers --------------------------------------------------------
@@ -451,7 +430,7 @@ def subformulas(node):
         if id(node) not in seen:
             seen.add(id(node))
             yield node
-            stack.extend(v for v in (getattr(node, fld.name) for fld in fields(node)) if is_dataclass(v))
+            stack.extend(v for v in node._values if isinstance(v, Node))
 
 
 def check_well_formed(f: Formula) -> None:
@@ -564,9 +543,8 @@ def rename_vars(node, names: dict):
     if isinstance(node, Prop):
         return Prop(node.name, names[node.var])
     values = []  # a loop, not a generator: one frame per level of ``node``
-    for fld in fields(node):
-        value = getattr(node, fld.name)
-        values.append(rename_vars(value, names) if is_dataclass(value) else value)
+    for value in node._values:
+        values.append(rename_vars(value, names) if isinstance(value, Node) else value)
     return type(node)(*values)
 
 

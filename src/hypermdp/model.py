@@ -19,9 +19,8 @@ from __future__ import annotations
 import itertools
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import (
     ArityZero,
@@ -31,6 +30,7 @@ from .errors import (
     NoEnabledAction,
     RowSumError,
 )
+from .record import Frozen, Record
 
 StateId = str
 ComposedState = Tuple[StateId, ...]
@@ -42,29 +42,19 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:=[A-Za-z0-9_]+)?$")
 _PROB_RE = re.compile(r"(\d+)(?:/(\d+))?$")
 
 
-@dataclass(frozen=True)
-class Dtmc:
+class Dtmc(Frozen):
     """Discrete-time Markov chain; every row sums to exactly 1."""
 
-    states: Tuple[StateId, ...]
-    trans: Mapping[StateId, Tuple[Tuple[StateId, Fraction], ...]]
-    ap: Tuple[str, ...]
-    labels: Mapping[StateId, frozenset]
+    __slots__ = _fields = ("states", "trans", "ap", "labels")
 
     def transition_count(self) -> int:
         return sum(len(row) for row in self.trans.values())
 
 
-@dataclass(frozen=True)
-class Mdp:
+class Mdp(Frozen):
     """Markov decision process with per-state nonempty enabled action sets."""
 
-    states: Tuple[StateId, ...]
-    actions: Tuple[str, ...]
-    enabled: Mapping[StateId, Tuple[str, ...]]
-    trans: Mapping[Tuple[StateId, str], Tuple[Tuple[StateId, Fraction], ...]]
-    ap: Tuple[str, ...]
-    labels: Mapping[StateId, frozenset]
+    __slots__ = _fields = ("states", "actions", "enabled", "trans", "ap", "labels")
 
     def transition_count(self) -> int:
         return sum(len(row) for row in self.trans.values())
@@ -76,12 +66,10 @@ class Mdp:
         return size
 
 
-@dataclass(frozen=True)
-class SchedulerAssignment:
+class SchedulerAssignment(Frozen):
     """Total map state -> enabled action (memoryless, non-probabilistic)."""
 
-    states: Tuple[StateId, ...]
-    actions: Tuple[str, ...]
+    __slots__ = _fields = ("states", "actions")
 
     def choice(self, s: StateId) -> str:
         return self.actions[self.states.index(s)]
@@ -90,16 +78,17 @@ class SchedulerAssignment:
         return dict(zip(self.states, self.actions))
 
 
-@dataclass
-class RawModel:
+class RawModel(Record):
     """Parsed but unvalidated model description."""
 
-    states: List[StateId] = field(default_factory=list)
-    labels: Dict[StateId, List[str]] = field(default_factory=dict)
+    __slots__ = _fields = ("states", "labels", "rows", "row_lines")
+    _defaults = {"states": [], "labels": {}, "rows": {}, "row_lines": {}}
+    states: List[StateId]
+    labels: Dict[StateId, List[str]]
     # (state, action) -> list of (target, prob), in declaration order
-    rows: Dict[Tuple[StateId, str], List[Tuple[StateId, Fraction]]] = field(default_factory=dict)
+    rows: Dict[Tuple[StateId, str], List[Tuple[StateId, Fraction]]]
     # line number of each action row, for error reporting
-    row_lines: Dict[Tuple[StateId, str], int] = field(default_factory=dict)
+    row_lines: Dict[Tuple[StateId, str], int]
 
 
 def _parse_prob(text: str, lineno: int) -> Fraction:
@@ -332,4 +321,4 @@ def enumerate_schedulers(mdp: Mdp) -> Iterator[SchedulerAssignment]:
     declared state and action orders.
     """
     for combo in itertools.product(*(mdp.enabled[s] for s in mdp.states)):
-        yield SchedulerAssignment(states=mdp.states, actions=combo)
+        yield SchedulerAssignment(mdp.states, combo)

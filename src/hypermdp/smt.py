@@ -54,11 +54,8 @@ import math
 import operator
 import os
 import re
-import subprocess
-import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from . import analysis
 from .constraints import (
@@ -110,6 +107,7 @@ from .formula import (
 )
 from .model import Dtmc, Mdp, SchedulerAssignment
 from .model import enumerate_schedulers  # noqa: F401  bench/tracing.py hooks smt.enumerate_schedulers
+from .record import Record
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -133,10 +131,11 @@ def transform_for_encoding(f: Formula) -> Tuple[Formula, str]:
     return Formula(prefix=prefix, body=NotF(f.body)), "negated"
 
 
-@dataclass
-class EncodingMeta:
+class EncodingMeta(Record):
     """Everything needed to decode a model back into a verdict."""
 
+    __slots__ = _fields = ("polarity", "original", "encoded", "sched_names", "state_quants", "domains",
+                           "fam_of_component", "var_index", "states", "tuples", "supports", "fixed", "points")
     polarity: str
     original: Formula
     encoded: Formula
@@ -766,12 +765,11 @@ class VectorEvaluator:
 # -- eager solving -------------------------------------------------------------------
 
 
-@dataclass
-class SmtVerdict:
-    sat: bool
-    polarity: str
-    model: Optional[dict] = None  # the external solver's model; None from solve_eager
-    decoded: Optional[Verdict] = None
+class SmtVerdict(Record):
+    """``model`` is the external solver's model, None from ``solve_eager``."""
+
+    __slots__ = _fields = ("sat", "polarity", "model", "decoded")
+    _defaults = {"model": None, "decoded": None}
 
 
 def solve_eager(mdp: Mdp, f: Formula, max_sched_vars: int = 3, max_state_vars: int = 3) -> SmtVerdict:
@@ -954,10 +952,12 @@ def run_external_solver(solver_path: str, smt_text: str, timeout: float = 600.0)
     unsat is reported with the last lines of its stderr; both raise
     IncompleteModel.
     """
-    with tempfile.NamedTemporaryFile("w", suffix=".smt2", delete=False) as fh:
-        fh.write(smt_text)
-        path = fh.name
+    import subprocess  # only this run needs these two: importing the package does not load them
+    import tempfile
+    fd, path = tempfile.mkstemp(suffix=".smt2")
     try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(smt_text)
         proc = subprocess.run(
             [solver_path, path], capture_output=True, text=True, timeout=timeout, check=False
         )

@@ -6,7 +6,6 @@ probabilities come from explicit path enumeration, well-formedness from a
 separate scope evaluator, so library bugs cannot cancel out.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -409,7 +408,8 @@ def guarded_formula(rng: random.Random) -> Formula:
 
 def with_never(mdp: Mdp) -> Mdp:
     """``mdp`` with the proposition ``never`` in its alphabet and on no state."""
-    return dataclasses.replace(mdp, ap=mdp.ap + ("never",))
+    return Mdp(states=mdp.states, actions=mdp.actions, enabled=mdp.enabled, trans=mdp.trans,
+               ap=mdp.ap + ("never",), labels=mdp.labels)
 
 
 # -- published rows ---------------------------------------------------------------

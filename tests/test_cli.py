@@ -490,6 +490,12 @@ class TestExternalSolver:
         assert code == 1
         assert list(private_tmp.iterdir()) == []
 
+    def test_script_file_is_removed_when_the_write_fails(self, tmp_path, private_tmp):
+        # a lone surrogate has no encoding, so writing the script raises
+        with pytest.raises(UnicodeEncodeError):
+            smt.run_external_solver(str(tmp_path / "no-solver"), "(check-sat)\ud800\n")
+        assert list(private_tmp.iterdir()) == []
+
     def test_timeout_is_incomplete_and_cleans_up(self, coin_path, tmp_path, private_tmp,
                                                  monkeypatch):
         solver = self._write_fake_solver(tmp_path, "unsat\n", sleep=30)

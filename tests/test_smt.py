@@ -1,7 +1,6 @@
 import collections
 import random
 import re
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from unittest import mock
 
@@ -44,6 +43,7 @@ from hypermdp.formula import (
     parse_formula,
 )
 from hypermdp.model import SchedulerAssignment, enumerate_schedulers, parse_mdp
+from hypermdp.record import Record
 from hypermdp.smt import (
     decode_witness,
     encode_main,
@@ -499,10 +499,10 @@ def _read_names(term) -> set:
     if isinstance(term, MulEq):
         return {term.result, term.left, term.right}
     names = set()
-    for fld in fields(term):
-        value = getattr(term, fld.name)
+    for name in term._fields:
+        value = getattr(term, name)
         for item in value if isinstance(value, tuple) else (value,):
-            if is_dataclass(item) and not isinstance(item, ChoiceIs):
+            if isinstance(item, Record) and not isinstance(item, ChoiceIs):
                 names |= _read_names(item)
     return names
 
