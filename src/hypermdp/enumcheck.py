@@ -8,10 +8,14 @@ other state unable to decide the quantifier, the states that carry the
 guards.  The quantifier-free body is evaluated at the composed tuples the
 state quantifiers visit, each path formula on the chains of only the
 components it mentions and only at the states reachable from where it is
-read.  ``check``, ``replay`` and the eager engine (``smt.solve_eager``,
-on the encoded formula) are thin front ends to it; the encoder and the
-decoder read the same domains.  Mixed scheduler prefixes are supported
-here.
+read.  A solved value is reused under every later combination that keeps
+the choices it can reach: those at the states the MDP may reach from the
+value's point, per component.  At most m^|K| vectors are kept per path
+(m scheduler quantifiers, K the components it mentions), so memory is
+bounded by the model and formula.  ``check``, ``replay`` and the eager
+engine (``smt.solve_eager``, on the encoded formula) are thin front ends
+to it; the encoder and the decoder read the same domains.  Mixed
+scheduler prefixes are supported here.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from .record import Frozen, Record
 
 
 _ONE = Fraction(1)
+_NOWHERE = frozenset()
 
 
 class Verdict(Record):
@@ -109,14 +114,16 @@ class JointRows(dict):
         return row
 
 
-def _walk(rows: Mapping, point, stop: Mapping) -> list:
-    """``point`` and the points reachable from it without entering ``stop``."""
+def _walk(rows: Mapping, point, stop: Mapping, reuse=None) -> list:
+    """``point`` and the points reachable from it without entering ``stop``,
+    nor a point that ``reuse`` puts into ``stop``."""
     points, seen = [point], {point}
     for q in points:  # breadth first: the loop reaches what it appends
         for t, _ in rows[q]:
             if t not in seen and t not in stop:
                 seen.add(t)
-                points.append(t)
+                if reuse is None or not reuse(t):
+                    points.append(t)
     return points
 
 
@@ -132,9 +139,21 @@ class Evaluator:
     solve's known boundary, so each point is solved once; next reads p's row
     only; bounded until solves the whole chain on its first miss, since its
     windows at solved points do not cover the steps still to go.
-    Rows and vectors are cached by the assignments of K and the path renamed
-    to positions in K, so ``P(F a(x))`` and ``P(F a(y))`` under one scheduler
-    share a vector; the caches keep only entries whose assignments are bound.
+
+    Vectors are kept per path renamed to positions in K, so ``P(F a(x))``
+    and ``P(F a(y))`` under one scheduler share one, and within it per
+    assignments of K.  A value at p depends only on the choices that each
+    component's assignment makes at the states the MDP may reach (under
+    any action) from p's state of that component; nested ``P(...)``
+    operands have supports inside K and reach no further.  So a value is
+    reused while those choices stay the same: a read that misses takes the
+    value from another vector of the path whose assignments agree there,
+    and an until's walk stops at such points as it stops at solved ones.
+    A path keeps at most m^|K| vectors, m the number of scheduler
+    quantifiers, as many as one combination can use: a new one replaces
+    the least recently used vector that the bound combination does not
+    use, keeping its values that stay the same.  Rows and closures are kept
+    only for the bound assignments.
     """
 
     def __init__(self, mdp: Mdp, f: Formula):
@@ -142,20 +161,29 @@ class Evaluator:
         self.var_index = state_var_index(f)
         self.supports = subformula_supports(f.body, self.var_index)
         self.assignments: Tuple[SchedulerAssignment, ...] = ()
-        self.cache = {}  # (assignments of K, renamed path, or None for K's rows) -> vector or rows
+        self.vectors = {}  # renamed path -> {assignments of K: vector}, least recently used first
+        self.chains = {}  # assignments of K -> K's rows
         self.closures = {}  # (assignments of K, point) -> the points reachable from it
+        self._schedulers = count_quantifiers(f)[0]
+        self._bound = set()  # ids of the bound assignments
+        self._taints = {}  # (assignment, assignment) -> the states that may reach a choice where they differ
+        self._preds = None  # state -> the states with an edge to it under some action
         self._stamp = 0  # counts binds; a reader refetches its vector when it moves
         self._fns = {}
         self._top = tuple(range(len(self.var_index)))
         self._body = self._compile(f.body, self._top)
 
     def bind(self, composition: Composition) -> None:
-        """Evaluate under ``composition`` from now on; drop cache entries
-        whose assignments it does not bind."""
+        """Evaluate under ``composition`` from now on; drop the rows and
+        closures of assignments it does not bind (tested by identity, so no
+        assignment is compared by value).  Vectors stay, within their
+        bound."""
         bound = self.assignments = composition.assignments
         self._stamp += 1
-        keep = lambda cache: {key: v for key, v in cache.items() if all(a in bound for a in key[0])}
-        self.cache, self.closures = keep(self.cache), keep(self.closures)
+        ids = self._bound = {id(a) for a in bound}
+        self.chains = {key: rows for key, rows in self.chains.items() if all(id(a) in ids for a in key)}
+        self.closures = {key: v for key, v in self.closures.items() if all(id(a) in ids for a in key[0])}
+        self._taints = {}
 
     def holds(self, at: tuple) -> bool:
         """The body at composed tuple ``at``."""
@@ -211,16 +239,19 @@ class Evaluator:
         support = self.supports[node]
         names = {v: support.index(i - 1) for v, i in self.var_index.items() if i - 1 in support}
         renamed = rename_vars(node.path, names)
-        held = [None, None]  # (stamp, vector) of the last bind
+        vectors = self.vectors.setdefault(renamed, {})
+        held = [None, None, None, None]  # stamp of the last bind, assignments of K, vector, reuse or False
 
         def read(point):
             if held[0] != self._stamp:
-                key = (tuple(self.assignments[c] for c in support), renamed)
-                held[0], held[1] = self._stamp, self.cache.setdefault(key, {})
-            value = held[1].get(point)
+                key = tuple(self.assignments[c] for c in support)
+                held[:] = self._stamp, key, self._vector(vectors, key), False
+            value = held[2].get(point)
             if value is None:
-                self._solve(node.path, support, held[1], point)
-                value = held[1][point]
+                if held[3] is False:  # the first miss under this bind
+                    held[3] = self._reuser(vectors, held[1], held[2])
+                self._solve(node.path, support, held[2], point, held[3])
+                value = held[2][point]
             return value
 
         if isinstance(frame, int):  # the support is (frame,) or ()
@@ -231,9 +262,89 @@ class Evaluator:
             return lambda t: read(t[p])
         return lambda t: read(tuple(t[p] for p in pos))
 
-    def _solve(self, path, support, vec: dict, point) -> None:
+    def _vector(self, vectors: dict, key: tuple) -> dict:
+        """The vector under ``key``, the assignments of the support, of the
+        path whose vectors are ``vectors``, made the most recently used.  A
+        new one, if the path holds m^|K| already, takes the place of the
+        least recently used vector whose assignments are not all bound, and
+        starts with its values that stay the same under ``key``."""
+        vec = vectors.pop(key, None)
+        if vec is None:
+            vec = {}
+            if vectors and len(vectors) >= self._schedulers ** len(key):
+                ids = self._bound
+                old = next((k for k in vectors if not all(id(a) in ids for a in k)), next(iter(vectors)))
+                stale = self._stale(key, old)
+                # a copy: a reader may still hold the old vector as a donor of old's values
+                vec = {p: v for p, v in vectors.pop(old).items() if not stale(p)}
+        vectors[key] = vec
+        return vec
+
+    def _reuser(self, vectors: dict, key: tuple, vec: dict):
+        """A function that copies a point's value into ``vec`` from another
+        of the path's ``vectors`` whose assignments agree with ``key``
+        wherever the point's value can reach, and says whether it found one;
+        None if the path has no other vector."""
+        donors = [[other, k, None] for k, other in reversed(vectors.items()) if other is not vec]
+        if not donors:
+            return None
+
+        def reuse(point) -> bool:
+            for donor in donors:  # most recently used first
+                value = donor[0].get(point)
+                if value is not None:
+                    if donor[2] is None:
+                        donor[2] = self._stale(key, donor[1])
+                    if not donor[2](point):
+                        vec[point] = value
+                        return True
+            return False
+
+        return reuse
+
+    def _stale(self, key: tuple, other: tuple):
+        """Whether a point's value may differ between the assignments ``key``
+        and ``other`` of one support: whether one of its components' states
+        may reach a state where the two choose differently."""
+        if len(key) == 1:
+            return self._taint(key[0], other[0]).__contains__
+        taints = [(i, t) for i, t in enumerate(map(self._taint, key, other)) if t]
+        if len(taints) == 1:
+            ((i, taint),) = taints
+            return lambda p: p[i] in taint
+        return lambda p: any(p[i] in t for i, t in taints)
+
+    def _taint(self, a: SchedulerAssignment, b: SchedulerAssignment) -> set:
+        """The states from which the MDP may reach, under any actions, a
+        state where ``a`` and ``b`` choose differently."""
+        if a is b:
+            return _NOWHERE
+        taint = self._taints.get((a, b))
+        if taint is None:
+            preds = self._preds
+            if preds is None:
+                mdp = self.mdp
+                preds = self._preds = {s: set() for s in mdp.states}
+                for s in mdp.states:
+                    for action in mdp.enabled[s]:
+                        for t, _ in mdp.trans[s, action]:
+                            preds[t].add(s)
+            frontier = [s for s, x, y in zip(a.states, a.actions, b.actions) if x != y]
+            taint = set(frontier)
+            for t in frontier:  # the loop reaches what it appends
+                for s in preds[t]:
+                    if s not in taint:
+                        taint.add(s)
+                        frontier.append(s)
+            self._taints[a, b] = self._taints[b, a] = taint
+        return taint
+
+    def _solve(self, path, support, vec: dict, point, reuse) -> None:
         """Add to ``vec`` the values of ``path`` at ``point`` and at the
-        points its value there depends on."""
+        points its value there depends on, taking from ``reuse`` (if not
+        None) those that another vector already holds."""
+        if reuse is not None and reuse(point):
+            return
         rows = self.rows(support)
         frame = support[0] if len(support) == 1 else support
         if isinstance(path, Next):
@@ -244,11 +355,11 @@ class Evaluator:
         if not isinstance(path, Until):  # windows at solved points do not cover the steps still to go
             states = self.mdp.states
             points = list(states if isinstance(frame, int) else itertools.product(states, repeat=len(frame)))
-        elif not vec:  # a first miss: the closure of point, shared by the vectors on these rows
+        elif not vec and reuse is None:  # a first miss: the closure of point, shared by the vectors on these rows
             key = (tuple(self.assignments[c] for c in support), point)
             points = self.closures[key] = self.closures.get(key) or _walk(rows, point, {})
         else:
-            points = _walk(rows, point, vec)
+            points = _walk(rows, point, vec, reuse)
         fn1, fn2 = self._compile(path.left, frame), self._compile(path.right, frame)
         phi1, phi2 = {q: fn1(q) for q in points}, {q: fn2(q) for q in points}
         d = Dtmc(states=tuple(points), trans=rows, ap=(), labels={})
@@ -259,14 +370,14 @@ class Evaluator:
 
     def rows(self, support: Tuple[int, ...]):
         """``support``'s rows under the bound combination: ``JointRows`` unless one component."""
-        key = (tuple(self.assignments[c] for c in support), None)
-        rows = self.cache.get(key)
+        key = tuple(self.assignments[c] for c in support)
+        rows = self.chains.get(key)
         if rows is None:
             if len(support) == 1:
-                rows = induce_dtmc(self.mdp, key[0][0]).trans
+                rows = induce_dtmc(self.mdp, key[0]).trans
             else:
                 rows = JointRows(tuple(self.rows((c,)) for c in support))
-            self.cache[key] = rows
+            self.chains[key] = rows
         return rows
 
 

@@ -200,8 +200,10 @@ class TestProperties:
                 with mock.patch.object(analysis, "until_probs", wraps=analysis.until_probs) as spy:
                     assert ev.value(reach_y, at) == x_value
                     assert spy.call_count == 0
-            # one cached vector on the induced chain serves both variables
-            assert [key[1] for key in ev.cache if key[1] is not None] == [Until(TrueF(), Prop("a", 0))]
+            # one stored vector on the induced chain serves both variables
+            assert list(ev.vectors) == [Until(TrueF(), Prop("a", 0))]
+            (vectors,) = ev.vectors.values()
+            assert list(vectors) == [(assignment,)]
 
     def test_composition_instrumentation_on_benchmark_shapes(self, m_coin):
         # state variables sharing one scheduler variable are composed from

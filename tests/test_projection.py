@@ -8,6 +8,7 @@ time, and that the work, the caches and the eager sweep stay bounded by
 the model and formula.
 """
 
+import collections
 import itertools
 import random
 import tracemalloc
@@ -237,9 +238,120 @@ def test_cache_stays_bounded_through_a_full_sweep():
         ev.bind(build_composition(mdp, f, {"s1": first, "s2": second}))
         for at in itertools.product(mdp.states, repeat=2):
             ev.holds(at)
-        assert all(a in (first, second) for cache in (ev.cache, ev.closures) for key in cache for a in key[0])
-        largest = max(largest, len(ev.cache), len(ev.closures))
+        # rows and closures only for bound assignments
+        keys = [*ev.chains, *(key for key, _ in ev.closures)]
+        assert all(a is first or a is second for key in keys for a in key)
+        # at most m^|K| entries per (renamed path, point), m = 2 scheduler quantifiers
+        for vectors in ev.vectors.values():
+            entries = collections.Counter(point for vec in vectors.values() for point in vec)
+            assert all(len(vectors) <= 2 ** len(key) for key in vectors)
+            assert all(entries[point] <= 2 ** len(key) for key in vectors for point in vectors[key])
+        largest = max(largest, len(ev.chains) + sum(map(len, ev.vectors.values())), len(ev.closures))
     assert largest <= bound
+
+
+@st.composite
+def mixed_formulas(draw):
+    """Like ``formulas``, but each scheduler quantifier draws its own kind."""
+    f = draw(formulas())
+    kinds = draw(st.lists(st.booleans(), min_size=len(f.prefix), max_size=len(f.prefix)))
+    prefix = tuple(SchedQuant(exists, q.name) if isinstance(q, SchedQuant) else q
+                   for q, exists in zip(f.prefix, kinds))
+    return Formula(prefix=prefix, body=f.body)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10**6), f=mixed_formulas(), order_seed=st.integers(0, 10**6))
+def test_reused_values_equal_a_fresh_evaluator_in_any_sweep_order(seed, f, order_seed):
+    # one evaluator runs through every combination, reusing values across
+    # them; at every tuple it must give what an evaluator bound to that
+    # combination alone gives, whatever the order of the sweep
+    mdp = random_mdp(random.Random(seed), max_states=3)
+    names = [q.name for q in f.prefix if isinstance(q, SchedQuant)]
+    tuples = list(itertools.product(mdp.states, repeat=len(state_var_index(f))))
+    nodes = [node for node in Evaluator(mdp, f).supports if isinstance(node, ProbOf)]
+
+    def values(ev, combo, points):
+        ev.bind(build_composition(mdp, f, dict(zip(names, combo))))
+        return {at: (ev.holds(at), [ev.value(node, at) for node in nodes]) for at in points}
+
+    combos = list(itertools.product(list(enumerate_schedulers(mdp)), repeat=len(names)))
+    expected = {combo: values(Evaluator(mdp, f), combo, tuples) for combo in combos}
+    # the reversed sweep binds equal assignments that are distinct objects,
+    # as decide does when it enumerates a scheduler variable afresh
+    apart = itertools.product(*(list(enumerate_schedulers(mdp)) for _ in names))
+    shuffled = random.Random(order_seed).sample(combos, len(combos))
+    for order, points in ((combos, tuples), (list(apart)[::-1], tuples[::-1]), (shuffled, tuples)):
+        ev = Evaluator(mdp, f)
+        for combo in order:
+            assert values(ev, combo, points) == expected[combo], combo
+
+
+def _fork() -> Mdp:
+    """q0 loops to itself and falls into q1 (labelled a); q2 chooses
+    between q1 ("left") and a coin over q1 and q3 ("right").  Nothing
+    reaches q2 from q0 or q1."""
+    half = Fraction(1, 2)
+    trans = {("q0", "go"): (("q0", half), ("q1", half)), ("q1", "go"): (("q1", Fraction(1)),),
+             ("q2", "left"): (("q1", Fraction(1)),), ("q2", "right"): (("q1", half), ("q3", half)),
+             ("q3", "go"): (("q3", Fraction(1)),)}
+    enabled = {"q0": ("go",), "q1": ("go",), "q2": ("left", "right"), "q3": ("go",)}
+    return Mdp(states=("q0", "q1", "q2", "q3"), actions=("go", "left", "right"), enabled=enabled,
+               trans=trans, ap=("a",), labels={s: frozenset({"a"} if s == "q1" else ()) for s in enabled})
+
+
+def _solves(ev, node, at):
+    """The value of ``node`` at ``at``, and the states of each until solve it makes."""
+    solved = []
+
+    def spy(d, *args, solve=analysis.until_probs):
+        solved.append(set(d.states))
+        return solve(d, *args)
+
+    with mock.patch.object(analysis, "until_probs", spy):
+        return ev.value(node, at), solved
+
+
+REACH = ProbOf(Until(TrueF(), Prop("a", "x")))
+ONE_SCHEDULER = parse_formula("forall sched s. forall st x(s). P(F a(x)) > 0")
+BOTH = ProbOf(Until(TrueF(), And(Prop("a", "x"), Prop("a", "y"))))
+TWO_SCHEDULERS = parse_formula("forall sched s1. forall sched s2. forall st x(s1). forall st y(s2). "
+                               "P(F (a(x) & a(y))) > 0")
+
+
+def _bind(ev: Evaluator, f: Formula, *assignments) -> Evaluator:
+    names = [q.name for q in f.prefix if isinstance(q, SchedQuant)]
+    ev.bind(build_composition(ev.mdp, f, dict(zip(names, assignments))))
+    return ev
+
+
+def test_a_choice_the_point_cannot_reach_is_not_solved_again():
+    mdp = _fork()
+    left, right = enumerate_schedulers(mdp)
+    ev = _bind(Evaluator(mdp, ONE_SCHEDULER), ONE_SCHEDULER, left)
+    assert _solves(ev, REACH, ("q0",)) == (1, [{"q0", "q1"}])
+    _bind(ev, ONE_SCHEDULER, right)
+    assert _solves(ev, REACH, ("q0",)) == (1, [])
+    # coupled: the second component differs only at q2, which (q0, q0) cannot reach
+    ev = _bind(Evaluator(mdp, TWO_SCHEDULERS), TWO_SCHEDULERS, left, left)
+    assert _solves(ev, BOTH, ("q0", "q0"))[0] == 1
+    _bind(ev, TWO_SCHEDULERS, left, right)
+    assert _solves(ev, BOTH, ("q0", "q0")) == (1, [])
+
+
+def test_a_choice_the_point_can_reach_is_solved_again():
+    mdp = _fork()
+    left, right = enumerate_schedulers(mdp)
+    ev = _bind(Evaluator(mdp, ONE_SCHEDULER), ONE_SCHEDULER, left)
+    assert _solves(ev, REACH, ("q2",)) == (1, [{"q1", "q2"}])
+    _bind(ev, ONE_SCHEDULER, right)
+    # q2 is solved again; q1, which cannot reach q2, keeps its value
+    assert _solves(ev, REACH, ("q2",)) == (Fraction(1, 2), [{"q2", "q3"}])
+    ev = _bind(Evaluator(mdp, TWO_SCHEDULERS), TWO_SCHEDULERS, left, left)
+    assert _solves(ev, BOTH, ("q0", "q2"))[0] == 1
+    _bind(ev, TWO_SCHEDULERS, left, right)
+    # the points of the earlier vector that cannot reach q2 bound the solve
+    assert _solves(ev, BOTH, ("q0", "q2")) == (Fraction(1, 2), [{("q0", "q2"), ("q0", "q3"), ("q1", "q3")}])
 
 
 def _loops(choices: int) -> Mdp:

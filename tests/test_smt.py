@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypermdp import cases, enumcheck, smt
+from hypermdp import analysis, cases, enumcheck, smt
 from hypermdp.constraints import (
     AndT,
     BoolRef,
@@ -877,6 +877,49 @@ def test_no_library_path_builds_the_product():
     assert (0, 1) in {support for node, support in cs.meta.supports.items() if isinstance(node, ProbOf)}
     assert all(evaluate_term(t, values, choices) for t in cs.constraints if t is not cs.truth)
     assert eager.decoded.truth is True and decoded == eager.decoded
+
+
+
+def test_true_sweep_reuses_values_across_combinations():
+    # all 64 pairs are tried; a value is solved again only where a new
+    # combination changes a choice the value can reach: 137 until solves
+    # per check, against 380 when every combination solved its own
+    mdp, f = cases.generate("ts", h1=0, h2=1).mdp, parse_formula(TS_INDEP)
+    with mock.patch.object(analysis, "until_probs", wraps=analysis.until_probs) as spy:
+        assert check(mdp, f).truth is True
+    assert spy.call_count <= 137
+
+
+def test_bind_compares_no_assignment_by_value(monkeypatch):
+    # bind keeps rows and closures by the identity of the bound assignments
+    mdp, f = cases.generate("ts", h1=0, h2=1).mdp, parse_formula(TS_INDEP)
+    calls, inside = [], [False]
+    eq, bind = Record.__eq__, Evaluator.bind
+
+    def counting_eq(self, other):
+        if inside[0]:
+            calls.append(type(self).__name__)
+        return eq(self, other)
+
+    def counting_bind(self, composition):
+        inside[0] = True
+        try:
+            bind(self, composition)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(Record, "__eq__", counting_eq)
+    monkeypatch.setattr(Evaluator, "bind", counting_bind)
+    assert check(mdp, f).truth is True
+    assert calls == []
+
+
+def test_ta_m2_independence_sweep_decides_true_on_both_engines():
+    # all 256 pairs of ta_m2
+    mdp, f = cases.generate("ta", m=2).mdp, parse_formula(TS_INDEP.replace("l=1", "j=0"))
+    verdict = check(mdp, f)
+    assert (verdict.truth, verdict.mode) == (True, "none")
+    assert solve_eager(mdp, f).decoded == verdict
 
 
 class TestChoiceNames:
