@@ -25,10 +25,9 @@ from .formula import (
     count_quantifiers,
     parse_formula,
     state_var_index,
-    subformula_supports,
 )
 from .model import load_mdp
-from .smt import check_external, encode_main, solve_eager, transform_for_encoding
+from .smt import check_external, encode_main, encoding_supports, solve_eager, transform_for_encoding
 
 REPORT_SCHEMA = "hypermdp-report/1"
 
@@ -43,9 +42,9 @@ def _load_formula(args) -> Formula:
 
 
 def subformula_count(f: Formula) -> int:
-    """Distinct subformulas of the body, counting the reduced-bound windows
-    that the bounded-until encoding introduces."""
-    return len(subformula_supports(f.body, state_var_index(f)))
+    """The encoder's subformula table's size: distinct subformulas of the
+    body, counting the reduced-bound windows of its bounded untils."""
+    return len(encoding_supports(f.body, state_var_index(f)))
 
 
 def _verdict_json(verdict: Verdict) -> dict:

@@ -47,7 +47,6 @@ from .formula import (
     StateQuant,
     TrueF,
     Until,
-    body_propositions,
     check_well_formed,
     count_quantifiers,
     rename_vars,
@@ -382,9 +381,9 @@ class Evaluator:
 
 
 def validate_inputs(mdp: Mdp, f: Formula, max_sched_vars: int, max_state_vars: int) -> None:
-    """Shared entry checks: well-formedness, quantifier caps, alphabet."""
+    """Shared entry checks, from one walk of the body: well-formedness, quantifier caps, alphabet."""
     try:
-        check_well_formed(f)
+        props = check_well_formed(f)
     except (UnboundStateVariable, UnboundSchedulerVariable, QuantifierOrderViolation) as exc:
         raise IllFormed(str(exc)) from exc
     m, n = count_quantifiers(f)
@@ -392,7 +391,7 @@ def validate_inputs(mdp: Mdp, f: Formula, max_sched_vars: int, max_state_vars: i
         raise CapExceeded(f"{m} scheduler variables exceed the cap of {max_sched_vars}")
     if n > max_state_vars:
         raise CapExceeded(f"{n} state variables exceed the cap of {max_state_vars}")
-    unknown = body_propositions(f.body) - set(mdp.ap)
+    unknown = {node.name for node in props} - set(mdp.ap)
     if unknown:
         raise UnknownProposition(f"propositions not in the model alphabet: {sorted(unknown)}")
 

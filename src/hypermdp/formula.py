@@ -25,6 +25,8 @@ operators formulas.  Prefix ``!`` takes a comparison (``!P(X a(x)) < 1``
 negates ``<``), unary minus a factor; path operands are whole formulas.
 
 The parsed AST is fully desugared; only core constructs appear below.
+``operands`` is its one child relation.  A bounded until's reduced-bound
+windows are no subformulas here: only ``smt``'s encoding has them.
 """
 
 from __future__ import annotations
@@ -421,20 +423,33 @@ def parse_formula(text: str) -> Formula:
 # -- well-formedness -------------------------------------------------------------
 
 
+def operands(node) -> tuple:
+    """The subformulas directly below ``node``: a ``P(...)``'s path operands.
+    The one child relation of the AST, which every walk of it follows."""
+    if isinstance(node, NotF):
+        return (node.operand,)
+    if isinstance(node, (And, Less, Arith)):
+        return node.left, node.right
+    if not isinstance(node, ProbOf):
+        return ()
+    return (node.path.operand,) if isinstance(node.path, Next) else (node.path.left, node.path.right)
+
+
 def subformulas(node):
-    """``node`` and every node below it, each node object once (desugaring
-    shares subtrees), in a loop, so any depth is walked."""
+    """``node`` and every subformula below it (``operands``), each node object
+    once (desugaring shares subtrees), in a loop, so any depth is walked."""
     stack, seen = [node], set()
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
             yield node
-            stack.extend(v for v in node._values if isinstance(v, Node))
+            stack.extend(operands(node))
 
 
-def check_well_formed(f: Formula) -> None:
-    """Scheduler-then-state prefix order, binding of every variable use."""
+def check_well_formed(f: Formula) -> set:
+    """Scheduler-then-state prefix order, binding of every variable use.
+    Returns the body's propositions, found by the same walk."""
     all_sched = {q.name for q in f.prefix if isinstance(q, SchedQuant)}
     sched_vars = []
     state_vars = []
@@ -461,10 +476,11 @@ def check_well_formed(f: Formula) -> None:
             if q.name in state_vars:
                 raise UnboundStateVariable(f"state variable {q.name!r} bound twice")
             state_vars.append(q.name)
-    used = {node.var for node in subformulas(f.body) if isinstance(node, Prop)}
-    for var in sorted(used):
+    props = {node for node in subformulas(f.body) if isinstance(node, Prop)}
+    for var in sorted({node.var for node in props}):
         if var not in state_vars:
             raise UnboundStateVariable(f"state variable {var!r} is not bound")
+    return props
 
 
 def count_quantifiers(f: Formula) -> Tuple[int, int]:
@@ -482,27 +498,14 @@ def state_var_index(f: Formula) -> dict:
     return index
 
 
-def reduced_windows(node: ProbOf):
-    """The reduced-bound windows below a bounded until ``[k1,k2]``, which
-    its encoding steps through, outermost first:
-    ``[max(k1-1,0), k2-1]``, ..., ``[0,0]``."""
-    path = node.path
-    k1, k2 = path.k1, path.k2
-    while k2 > 0:
-        k1, k2 = max(k1 - 1, 0), k2 - 1
-        yield ProbOf(BoundedUntil(path.left, path.right, k1, k2))
-
-
 def subformula_supports(body, var_index: dict) -> dict:
-    """Every subformula, with its support: the sorted 0-based composition
-    components its state variables map to.
+    """Every subformula of ``body``, with its support: the sorted 0-based
+    composition components its state variables map to.
 
-    A proposition on x has support (x,); ``true`` and constants have the
-    empty one; every other node takes the union of its operands'.  The
-    dict's order is the registration order of the encoding: a node comes
-    before its operands, and a bounded until before its reduced-bound
-    windows, which are walked in a loop so that a deep bound does not
-    recurse.
+    A proposition on x has support (x,); every other node takes the union
+    of its ``operands``', so ``true`` and constants have the empty one.
+    The dict lists a node before its operands, the left one first; the
+    encoder's table (``smt.encoding_supports``) adds the windows.
     """
     support = {}
 
@@ -512,25 +515,11 @@ def subformula_supports(body, var_index: dict) -> dict:
         support[node] = ()  # holds the node's place in registration order
         if isinstance(node, Prop):
             result = (var_index[node.var] - 1,)
-        elif isinstance(node, (TrueF, Const)):
-            result = ()
-        elif isinstance(node, NotF):
-            result = visit(node.operand)
-        elif isinstance(node, (And, Less, Arith)):
-            result = tuple(sorted(set(visit(node.left)) | set(visit(node.right))))
-        elif isinstance(node.path, Next):
-            result = visit(node.path.operand)
         else:
-            windows = []
-            if isinstance(node.path, BoundedUntil):
-                for window in reduced_windows(node):
-                    if window in support:
-                        break
-                    support[window] = ()
-                    windows.append(window)
-            result = tuple(sorted(set(visit(node.path.left)) | set(visit(node.path.right))))
-            for window in windows:
-                support[window] = result
+            result = ()
+            for below in map(visit, operands(node)):
+                if below and below != result:
+                    result = tuple(sorted({*result, *below})) if result else below
         support[node] = result
         return result
 
@@ -546,11 +535,6 @@ def rename_vars(node, names: dict):
     for value in node._values:
         values.append(rename_vars(value, names) if isinstance(value, Node) else value)
     return type(node)(*values)
-
-
-def body_propositions(body: Body) -> set:
-    """All proposition names used in a body."""
-    return {node.name for node in subformulas(body) if isinstance(node, Prop)}
 
 
 # -- printing ---------------------------------------------------------------------

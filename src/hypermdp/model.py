@@ -47,9 +47,6 @@ class Dtmc(Frozen):
 
     __slots__ = _fields = ("states", "trans", "ap", "labels")
 
-    def transition_count(self) -> int:
-        return sum(len(row) for row in self.trans.values())
-
 
 class Mdp(Frozen):
     """Markov decision process with per-state nonempty enabled action sets."""

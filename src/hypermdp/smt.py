@@ -10,8 +10,8 @@ independently.  The truth term nests its disjunctions and conjunctions
 over the state quantifiers' domains (``enumcheck.state_domains``), and
 ``decode_witness`` walks the solver's model there.  The plan
 (``plan_encoding``) lists every subformula once, with every
-reduced-bound window of a bounded until, and fixes three tables before
-any constraint:
+reduced-bound window of a bounded until (``encoding_supports``: only this
+encoding has windows), and fixes three tables before any constraint:
 
 - ``point_table``: where a rule may read each subformula.  A node read at
   successors (an until, the operand of a ``P(X ...)``, an inner window)
@@ -57,7 +57,7 @@ import re
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from . import analysis
+from . import analysis, formula
 from .constraints import (
     AndT,
     BoolRef,
@@ -101,7 +101,6 @@ from .formula import (
     TrueF,
     Until,
     format_node,
-    reduced_windows,
     state_var_index,
     subformula_supports,
 )
@@ -201,27 +200,43 @@ def step_distances(d: Dtmc, phi1, phi2) -> dict:
     return dist
 
 
-def operands(node) -> tuple:
-    """The subformulas directly below ``node``: a ``P(...)``'s path operands."""
-    if isinstance(node, NotF):
-        return (node.operand,)
-    if isinstance(node, (And, Less, Arith)):
-        return node.left, node.right
-    if not isinstance(node, ProbOf):
-        return ()
-    return (node.path.operand,) if isinstance(node.path, Next) else (node.path.left, node.path.right)
+def reduced_windows(node: ProbOf):
+    """The reduced-bound windows below a bounded until ``[k1,k2]``, which
+    its encoding steps through, outermost first:
+    ``[max(k1-1,0), k2-1]``, ..., ``[0,0]``."""
+    path = node.path
+    k1, k2 = path.k1, path.k2
+    while k2 > 0:
+        k1, k2 = max(k1 - 1, 0), k2 - 1
+        yield ProbOf(BoundedUntil(path.left, path.right, k1, k2))
+
+
+def encoding_supports(body, var_index: Dict[str, int]) -> Dict[object, Support]:
+    """The encoder's subformula table: ``formula.subformula_supports``, with
+    each bounded until's ``reduced_windows`` right after it, on its
+    support, up to the first one already listed.  A subformula's position
+    is its index in the encoding."""
+    table = {}
+    for node, support in subformula_supports(body, var_index).items():
+        table[node] = support  # a window listed already keeps its place
+        if isinstance(node, ProbOf) and isinstance(node.path, BoundedUntil):
+            for window in reduced_windows(node):
+                if window in table:
+                    break  # and so are the windows below it
+                table[window] = support
+    return table
 
 
 def operands_first(nodes) -> list:
-    """``nodes`` ordered so that each comes after its ``operands`` (registration
-    order puts a shared subformula before some of the nodes above it), in a
-    loop, so any depth is walked."""
+    """``nodes`` ordered so that each comes after its ``formula.operands``
+    (registration order puts a shared subformula before some of the nodes
+    above it), in a loop, so any depth is walked."""
     order, placed = [], set()
     for root in nodes:
         stack = [root]
         while stack:
             node = stack[-1]
-            pending = [] if node in placed else [v for v in operands(node) if v not in placed]
+            pending = [] if node in placed else [v for v in formula.operands(node) if v not in placed]
             if pending:
                 stack.extend(pending)
                 continue
@@ -249,11 +264,13 @@ def fixed_table(mdp: Mdp, succ, supports, tuples, reads) -> Dict[object, Dict[tu
     - ``P(X φ)`` is 0 where no successor may satisfy φ, and 1 where every
       successor is fixed to satisfy it;
     - an unbounded until is 1 where its target is fixed true, and 0 on the
-      Prob0 set of the may graph (``analysis.qualitative_sets``);
+      Prob0 set of the may graph: where no step distance to a target
+      through phi1 exists (one search per support and pair of operands,
+      shared with the bounded untils on them);
     - a bounded-until window ``[k1', k2']`` is 1 where its target is fixed
       true and ``k1' = 0``, and 0 where the fewest steps to a target
-      through phi1 exceed ``k2'`` (one search per bounded until, shared by
-      its windows) or where phi1 is fixed false and ``k1' > 0``.
+      through phi1 exceed ``k2'`` or where phi1 is fixed false and
+      ``k1' > 0``.
 
     Nothing else is fixed to 1 (no Prob1 over the may graph).
     """
@@ -314,10 +331,8 @@ def fixed_table(mdp: Mdp, succ, supports, tuples, reads) -> Dict[object, Dict[tu
                 if after == {False} or after == {True}:
                     values[p] = ONE if True in after else ZERO
         elif isinstance(node.path, Until):
-            target = reader(node.path.right, support)
-            s_zero, _ = analysis.qualitative_sets(graph(support), may_hold(node.path.left, support),
-                                                  may_hold(node.path.right, support))
-            values = {p: ONE if target(p) else ZERO for p in points if target(p) or p in s_zero}
+            target, dist = reader(node.path.right, support), distances(node.path.left, node.path.right, support)
+            values = {p: ONE if target(p) else ZERO for p in points if target(p) or p not in dist}
         else:
             path = node.path
             source, target = reader(path.left, support), reader(path.right, support)
@@ -408,8 +423,10 @@ def encoded_points(succ, body, supports, reads_of, reads, fixed) -> Dict[object,
 def plan_encoding(mdp: Mdp, f: Formula) -> EncodingMeta:
     """What the encoding fixes before any constraint: polarity, scheduler
     families, the state quantifiers' domains, the composed tuples reachable
-    from them, every subformula's support, its values that no scheduler
-    changes and the points where it is encoded (``encoded_points``)."""
+    from them, every subformula's support, with the reduced-bound windows
+    that only the encoding has (``encoding_supports``), its values that no
+    scheduler changes and the points where it is encoded
+    (``encoded_points``)."""
     f_enc, polarity = transform_for_encoding(f)
     sched_names = tuple(q.name for q in f_enc.prefix if isinstance(q, SchedQuant))
     state_quants = tuple(q for q in f_enc.prefix if isinstance(q, StateQuant))
@@ -418,7 +435,7 @@ def plan_encoding(mdp: Mdp, f: Formula) -> EncodingMeta:
     truth_tuples = tuple(itertools.product(*domains))
     succ = may_successors(mdp)
     tuples = reachable_tuples(mdp.states, succ, len(state_quants), truth_tuples)
-    supports = subformula_supports(f_enc.body, var_index)
+    supports = encoding_supports(f_enc.body, var_index)
     reads_of = read_table(supports)
     reads = point_table(f_enc.body, supports, reads_of, tuples, truth_tuples)
     fixed = fixed_table(mdp, succ, supports, tuples, reads)

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypermdp import analysis, cases, enumcheck
+from hypermdp import analysis, cases, enumcheck, formula
 from hypermdp.enumcheck import (
     Evaluator,
     assemble_verdict,
@@ -41,7 +41,7 @@ from hypermdp.model import (
     self_compose,
 )
 from hypermdp.smt import VectorEvaluator, solve_eager
-from .helpers import guarded_formula, random_mdp, with_never
+from .helpers import BOUNDED_TA, guarded_formula, random_mdp, with_never
 
 REACH_ONE = "exists sched s. exists st x(s). init(x) & P(F a(x)) = 1"
 REACH_HALF = "exists sched s. exists st x(s). init(x) & P(F a(x)) = 1/2"
@@ -92,6 +92,15 @@ class TestErrors:
         with pytest.raises(UnknownProposition):
             check(m_coin, parse_formula("exists sched s. exists st x(s). zzz(x)"))
 
+    def test_validate_inputs_walks_the_body_once(self, m_coin, monkeypatch):
+        # one walk gives both the bound variables' uses and the alphabet's names
+        walks = []
+        walk = formula.subformulas
+        monkeypatch.setattr(formula, "subformulas", lambda node: walks.append(node) or walk(node))
+        f = parse_formula("exists sched s. exists st x(s). init(x) & P(F a(x)) = 1")
+        enumcheck.validate_inputs(m_coin, f, 3, 3)
+        assert walks == [f.body]
+
     def test_cap_exceeded(self, m_coin):
         f = parse_formula(
             "exists sched s. exists st x(s). exists st y(s). exists st z(s). exists st w(s). "
@@ -99,6 +108,14 @@ class TestErrors:
         )
         with pytest.raises(CapExceeded):
             check(m_coin, f, max_state_vars=3)
+
+
+def test_evaluator_builds_no_reduced_window():
+    # the windows [0,19] .. [0,0] of each F<=20 belong to the encoding alone
+    f = parse_formula(BOUNDED_TA)
+    supports = Evaluator(cases.generate("ta", m=2).mdp, f).supports
+    assert {node.path.k2 for node in supports if isinstance(node, ProbOf)} == {20}
+    assert len(supports) == len({node for node in formula.subformulas(f.body)})
 
 
 def bound_evaluator(mdp, names=("x",)):

@@ -856,6 +856,39 @@ class TestFolding:
         assert replay(mdp, f, eager.decoded) is eager.decoded.truth
 
 
+WINDOW_CHAIN = """\
+states: s0 s1 s2
+labels: s0: init a; s1: a; s2: b
+action s0 go: s1 1/2, s2 1/2
+action s0 stay: s0 1
+action s1 tau: s0 1/2, s2 1/2
+action s2 tau: s2 1
+"""
+
+
+def _window(k2):
+    return ProbOf(BoundedUntil(Prop("a", "x"), Prop("b", "x"), 0, k2))
+
+
+@pytest.mark.parametrize("text, order", [
+    # [0,3] is written first: its windows follow it, and [0,4]'s stop at it
+    ("P(a(x) U[0,3] b(x)) < P(a(x) U[0,4] b(x))", [3, 2, 1, 0, "a", "b", 4]),
+    # [0,4] is written first: [0,3] is its first window, listed once
+    ("P(a(x) U[0,4] b(x)) - P(a(x) U[0,3] b(x)) > 0", ["0", "-", 4, 3, 2, 1, 0, "a", "b"]),
+])
+def test_windows_follow_their_bounded_until_once(text, order):
+    mdp, f = parse_mdp(WINDOW_CHAIN), parse_formula("exists sched s. exists st x(s). " + text)
+    cs, _ = encode_main(mdp, f)
+    body = f.body
+    named = {"a": Prop("a", "x"), "b": Prop("b", "x"), "0": Const(Fraction(0)), "-": body.right}
+    assert list(cs.subformula_index) == [body] + [named[k] if isinstance(k, str) else _window(k) for k in order]
+    assert list(cs.subformula_index.values()) == list(range(len(order) + 1))
+    eager = solve_eager(mdp, f)
+    assert eager.decoded == check(mdp, f) and eager.decoded.mode == "witness"
+    values, choices = full_assignment(cs, mdp, eager.decoded.schedulers)
+    assert evaluate_system(cs, values, choices)
+
+
 # a true universal independence claim with a coupled operand, P(F (l=1(x) & l=1(y)))
 TS_INDEP = ("forall sched s1. forall sched s2. forall st x(s1). forall st y(s2). "
             "(init(x) & init(y)) -> P(F (l=1(x) & l=1(y))) = P(F l=1(x)) * P(F l=1(y))")
