@@ -5,23 +5,23 @@ the memoryless non-probabilistic assignments, and under each combination
 ``truth_eval`` walks the state quantifiers over their domains
 (``state_domains``): all states, or, where the body's guards make every
 other state unable to decide the quantifier, the states that carry the
-guards.  The quantifier-free body is evaluated at the composed tuples the
-state quantifiers visit, each path formula on the chains of only the
-components it mentions and only at the states reachable from where it is
-read.  A solved value is reused under every later combination that keeps
-the choices it can reach: those at the states the MDP may reach from the
-value's point, per component.  At most m^|K| vectors are kept per path
-(m scheduler quantifiers, K the components it mentions), so memory is
-bounded by the model and formula.  ``check``, ``replay`` and the eager
-engine (``smt.solve_eager``, on the encoded formula) are thin front ends
-to it; the encoder and the decoder read the same domains.  Mixed
-scheduler prefixes are supported here.
+guards.  A combination is the tuple of assignments its components run
+under (``build_composition``).  The quantifier-free body is evaluated at
+the composed tuples the state quantifiers visit, each path formula on the
+chains of only the components it mentions and only at the states
+reachable from where it is read.  A solved value is reused under every
+later combination that keeps the choices it can reach: those at the
+states the MDP may reach from the value's point, per component.  At most
+m^|K| vectors are kept per path (m scheduler quantifiers, K the
+components it mentions), so memory is bounded by the model and formula.
+``check``, ``replay`` and the eager engine (``smt.solve_eager``, on the
+encoded formula) are thin front ends to it; the encoder and the decoder
+read the same domains.  Mixed scheduler prefixes are supported here.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Dict, Mapping, Optional, Tuple
 
 from . import analysis
@@ -53,11 +53,11 @@ from .formula import (
     state_var_index,
     subformula_supports,
 )
-from .model import Dtmc, Mdp, SchedulerAssignment, enumerate_schedulers, induce_dtmc, self_compose
-from .record import Frozen, Record
+from .model import Dtmc, JointRows, Mdp, SchedulerAssignment, enumerate_schedulers, induce_dtmc
+from .model import self_compose  # noqa: F401  bench/tracing.py hooks enumcheck.self_compose
+from .record import Record
 
 
-_ONE = Fraction(1)
 _NOWHERE = frozenset()
 
 
@@ -74,43 +74,10 @@ class Verdict(Record):
     _defaults = {"mode": "none", "schedulers": {}, "states": {}}
 
 
-class Composition(Frozen):
-    """One scheduler combination of a formula: the assignment that each
+def build_composition(mdp: Mdp, f: Formula, chosen: Dict[str, SchedulerAssignment]) -> Tuple[SchedulerAssignment, ...]:
+    """One scheduler combination of ``f``: the assignment that each
     component of the self-composition (one per state variable) runs under."""
-
-    __slots__ = _fields = ("mdp", "assignments")
-
-    def full(self) -> Dtmc:
-        """The whole n-fold self-composition; components that run under one
-        assignment share its induced chain.  Only the tests build it, as
-        the reference for the per-support values."""
-        if not self.assignments:
-            unit = ()  # zero components: a single anonymous state with a self-loop
-            return Dtmc(states=(unit,), trans={unit: ((unit, _ONE),)}, ap=(), labels={unit: frozenset()})
-        induced = {a: induce_dtmc(self.mdp, a) for a in dict.fromkeys(self.assignments)}
-        return self_compose([induced[a] for a in self.assignments])
-
-
-def build_composition(mdp: Mdp, f: Formula, chosen: Dict[str, SchedulerAssignment]) -> Composition:
-    """Bind each state variable's component to its scheduler's assignment."""
-    return Composition(mdp, tuple(chosen[q.sched] for q in f.prefix if isinstance(q, StateQuant)))
-
-
-class JointRows(dict):
-    """Rows of the product of the chains whose rows are ``components``, each
-    built on first read, in ``self_compose``'s order and with its products
-    formed from the second component on."""
-
-    def __init__(self, components: Tuple[Mapping, ...]):
-        super().__init__()
-        self.components = components
-
-    def __missing__(self, point: tuple):
-        row = [((), _ONE)]
-        for rows, s in zip(self.components, point):
-            row = [(joint + (t,), p * q if joint else q) for joint, p in row for t, q in rows[s]]
-        row = self[point] = tuple(row)
-        return row
+    return tuple(chosen[q.sched] for q in f.prefix if isinstance(q, StateQuant))
 
 
 def _walk(rows: Mapping, point, stop: Mapping, reuse=None) -> list:
@@ -132,8 +99,8 @@ class Evaluator:
 
     A path formula is solved on the chain of only the components its state
     variables map to, its support K: one component's induced chain, or
-    ``JointRows`` over several, never the whole product.  Its vector is
-    filled lazily at K-local points: a read that misses at p solves the
+    ``model.JointRows`` over several, never the whole product.  Its vector
+    is filled lazily at K-local points: a read that misses at p solves the
     points reachable from p.  Until stops at points solved before, the
     solve's known boundary, so each point is solved once; next reads p's row
     only; bounded until solves the whole chain on its first miss, since its
@@ -172,12 +139,12 @@ class Evaluator:
         self._top = tuple(range(len(self.var_index)))
         self._body = self._compile(f.body, self._top)
 
-    def bind(self, composition: Composition) -> None:
-        """Evaluate under ``composition`` from now on; drop the rows and
-        closures of assignments it does not bind (tested by identity, so no
-        assignment is compared by value).  Vectors stay, within their
-        bound."""
-        bound = self.assignments = composition.assignments
+    def bind(self, assignments: Tuple[SchedulerAssignment, ...]) -> None:
+        """Evaluate under ``assignments`` (``build_composition``) from now on;
+        drop the rows and closures of assignments it does not bind (tested
+        by identity, so no assignment is compared by value).  Vectors stay,
+        within their bound."""
+        bound = self.assignments = assignments
         self._stamp += 1
         ids = self._bound = {id(a) for a in bound}
         self.chains = {key: rows for key, rows in self.chains.items() if all(id(a) in ids for a in key)}
@@ -368,7 +335,8 @@ class Evaluator:
             vec.update(analysis.bounded_until_probs(d, phi1, phi2, path.k1, path.k2))
 
     def rows(self, support: Tuple[int, ...]):
-        """``support``'s rows under the bound combination: ``JointRows`` unless one component."""
+        """``support``'s rows under the bound combination: one component's
+        induced chain, or ``model.JointRows`` over several."""
         key = tuple(self.assignments[c] for c in support)
         rows = self.chains.get(key)
         if rows is None:

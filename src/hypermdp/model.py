@@ -1,8 +1,10 @@
 """Explicit-state probabilistic models over exact rationals.
 
 Markov decision processes, memoryless non-probabilistic schedulers, induced
-chains and n-ary self-composition.  All probabilities are `fractions.Fraction`;
-no floating point enters probability state anywhere.
+chains and n-ary self-composition, whose rows ``joint_row`` builds: the one
+product of component rows, also behind ``JointRows`` and the encoder's
+steps.  All probabilities are `fractions.Fraction`; no floating point
+enters probability state anywhere.
 
 Model text format (``.mdpx``, line oriented, ``#`` comments)::
 
@@ -20,7 +22,7 @@ import itertools
 import re
 import sys
 from fractions import Fraction
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from .errors import (
     ArityZero,
@@ -279,14 +281,36 @@ def dtmc_as_mdp(d: Dtmc, action: str = "tau") -> Mdp:
     )
 
 
+def joint_row(rows: Sequence[Sequence[Tuple[StateId, Fraction]]]) -> tuple:
+    """The product of one row per component: each tuple of targets, in
+    ``itertools.product`` order, with the product of their probabilities,
+    formed from the second component on."""
+    row = [((), _ONE)]
+    for component in rows:
+        row = [(joint + (t,), p * q if joint else q) for joint, p in row for t, q in component]
+    return tuple(row)
+
+
+class JointRows(dict):
+    """Rows of the product of the chains whose rows are ``components``, each
+    a ``joint_row`` built on first read."""
+
+    def __init__(self, components: Tuple[Mapping, ...]):
+        super().__init__()
+        self.components = components
+
+    def __missing__(self, point: tuple):
+        row = self[point] = joint_row([rows[s] for rows, s in zip(self.components, point)])
+        return row
+
+
 def self_compose(dtmcs: Sequence[Dtmc]) -> Dtmc:
     """n-ary product chain with component propositions renamed ``a@i``.
 
-    Component i's proposition a becomes ``a@i`` (i is 1-based); an edge's
-    probability is the product of the component edge probabilities.
+    Component i's proposition a becomes ``a@i`` (i is 1-based); a state's
+    row is the ``joint_row`` of its components' rows.
     """
-    n = len(dtmcs)
-    if n == 0:
+    if not dtmcs:
         raise ArityZero("self-composition needs at least one chain")
     base = dtmcs[0].states
     for d in dtmcs[1:]:
@@ -301,13 +325,7 @@ def self_compose(dtmcs: Sequence[Dtmc]) -> Dtmc:
         labels[joint] = frozenset(
             f"{a}@{i}" for i, (d, s) in enumerate(zip(dtmcs, joint), start=1) for a in d.labels[s]
         )
-        row = []
-        for combo in itertools.product(*(d.trans[s] for d, s in zip(dtmcs, joint))):
-            prob = _ONE
-            for _, p in combo:
-                prob *= p
-            row.append((tuple(t for t, _ in combo), prob))
-        trans[joint] = tuple(row)
+        trans[joint] = joint_row([d.trans[s] for d, s in zip(dtmcs, joint)])
     return Dtmc(states=states, trans=trans, ap=ap, labels=labels)
 
 

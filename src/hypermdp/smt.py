@@ -57,7 +57,7 @@ import re
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from . import analysis, formula
+from . import analysis
 from .constraints import (
     AndT,
     BoolRef,
@@ -80,8 +80,8 @@ from .constraints import (
     t_or,
     var,
 )
-from .enumcheck import (Evaluator, JointRows, Verdict, assemble_verdict, build_composition, decide, state_domains,
-                        truth_eval, validate_inputs)
+from .enumcheck import (Evaluator, Verdict, assemble_verdict, build_composition, decide, state_domains, truth_eval,
+                        validate_inputs)
 from .errors import IncompleteModel, MixedSchedulerBlock
 from .formula import (
     ARITH_OPS,
@@ -104,7 +104,7 @@ from .formula import (
     state_var_index,
     subformula_supports,
 )
-from .model import Dtmc, Mdp, SchedulerAssignment
+from .model import Dtmc, JointRows, Mdp, SchedulerAssignment, joint_row
 from .model import enumerate_schedulers  # noqa: F401  bench/tracing.py hooks smt.enumerate_schedulers
 from .record import Record
 
@@ -227,26 +227,6 @@ def encoding_supports(body, var_index: Dict[str, int]) -> Dict[object, Support]:
     return table
 
 
-def operands_first(nodes) -> list:
-    """``nodes`` ordered so that each comes after its ``formula.operands``
-    (registration order puts a shared subformula before some of the nodes
-    above it), in a loop, so any depth is walked."""
-    order, placed = [], set()
-    for root in nodes:
-        stack = [root]
-        while stack:
-            node = stack[-1]
-            pending = [] if node in placed else [v for v in formula.operands(node) if v not in placed]
-            if pending:
-                stack.extend(pending)
-                continue
-            if node not in placed:
-                placed.add(node)
-                order.append(node)
-            stack.pop()
-    return order
-
-
 def fixed_table(mdp: Mdp, succ, supports, tuples, reads) -> Dict[object, Dict[tuple, object]]:
     """Each subformula's values that no scheduler choice can change, at its
     points in ``reads`` (``point_table``): a truth value, or an exact
@@ -272,7 +252,8 @@ def fixed_table(mdp: Mdp, succ, supports, tuples, reads) -> Dict[object, Dict[tu
       through phi1 exceed ``k2'`` or where phi1 is fixed false and
       ``k1' > 0``.
 
-    Nothing else is fixed to 1 (no Prob1 over the may graph).
+    Nothing else is fixed to 1 (no Prob1 over the may graph).  Nodes go by
+    ``Node.height``: operands are lower, and a window reads only its path's.
     """
     domain = functools.cache(lambda support: projected_domain(tuples, support))
 
@@ -298,7 +279,7 @@ def fixed_table(mdp: Mdp, succ, supports, tuples, reads) -> Dict[object, Dict[tu
         return step_distances(graph(support), may_hold(left, support), may_hold(right, support))
 
     fixed: Dict[object, Dict[tuple, object]] = {}
-    for node in operands_first(supports):
+    for node in sorted(supports, key=operator.attrgetter("height")):  # each node after its operands
         support, points = supports[node], reads[node]
         values = {}
         if isinstance(node, TrueF):
@@ -535,18 +516,16 @@ class Encoder:
     # steps ------------------------------------------------------------------
 
     def steps(self, support: Support, p) -> list:
-        """(guard, joint successors with their probabilities) per action
-        tuple at point ``p`` of ``support``, built once and read by every
-        path rule there."""
+        """(guard, joint successors: the ``model.joint_row`` of its rows) per
+        action tuple at point ``p`` of ``support``, built once and read by
+        every path rule there."""
         table = self.step_table.get((support, p))
         if table is None:
             table = self.step_table[(support, p)] = []
             for alpha in itertools.product(*(self.mdp.enabled[s] for s in p)):
                 guard = tuple(dict.fromkeys(
                     ChoiceIs(self.meta.fam_of_component[c], s, a) for c, s, a in zip(support, p, alpha)))
-                combos = itertools.product(*(self.mdp.trans[(s, a)] for s, a in zip(p, alpha)))
-                succs = [(tuple(t for t, _ in combo), math.prod((q for _, q in combo), start=ONE)) for combo in combos]
-                table.append((guard, succs))
+                table.append((guard, joint_row([self.mdp.trans[(s, a)] for s, a in zip(p, alpha)])))
         return table
 
     def expectation(self, kind: str, ref, succs) -> Lin:
@@ -713,12 +692,10 @@ def encode_main(mdp: Mdp, f: Formula) -> Tuple[ConstraintSystem, str]:
 
 class VectorEvaluator:
     """Computes, per subformula, its whole vector over the states of a
-    composed chain, such as the full product ``Composition.full()``.
-
-    No library path uses it: it is the tests' full-product reference for
-    the per-support values, and the benchmark's tracer hooks its
-    ``_bounded``.  It moves to ``tests/helpers.py`` once that hook no
-    longer names it.
+    composed chain.  No library path uses it: it is the tests' reference on
+    the full product for the per-support values, and the benchmark's tracer
+    hooks its ``_bounded``.  It moves to ``tests/helpers.py`` once that hook
+    no longer names it.
     """
 
     def __init__(self, composed: Dtmc, var_index: Dict[str, int]):

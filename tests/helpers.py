@@ -27,7 +27,7 @@ from hypermdp.formula import (
     f_implies,
 )
 from hypermdp.constraints import choice_sym
-from hypermdp.model import Dtmc, Mdp
+from hypermdp.model import Dtmc, Mdp, induce_dtmc, self_compose
 from hypermdp.smt import full_assignment
 
 ZERO = Fraction(0)
@@ -423,6 +423,17 @@ PUBLISHED_ROWS = {
 # the benchmark's bounded-until export case, on ta_m2
 BOUNDED_TA = ("forall sched s1. forall sched s2. forall st x(s1). forall st y(s2). "
               "(init(x) & init(y)) -> (P(F<=20 j=0(x)) = P(F<=20 j=0(y)) & P(F<=20 j=1(x)) = P(F<=20 j=1(y)))")
+
+
+# -- the full product -----------------------------------------------------------------
+
+def full_product(mdp: Mdp, assignments) -> Dtmc:
+    """The whole n-fold self-composition under ``assignments``, one per
+    component (``enumcheck.build_composition``); components that run under
+    one assignment share its induced chain.  The reference for the
+    per-support values, which no library path builds."""
+    induced = {a: induce_dtmc(mdp, a) for a in dict.fromkeys(assignments)}
+    return self_compose([induced[a] for a in assignments])
 
 
 # -- solver models ------------------------------------------------------------------

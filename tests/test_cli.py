@@ -398,6 +398,14 @@ class TestGen:
         code, _ = run_cli("gen", "ta", "--m", "0", "--out-dir", str(tmp_path))
         assert code == 2
 
+    @pytest.mark.parametrize("family, message", [
+        ("ta", "ta needs --m"), ("ts", "ts needs --h H1 H2"), ("pc", "pc needs --tier")])
+    def test_missing_size_flag_exits_two(self, tmp_path, capsys, family, message):
+        code, out = run_cli("gen", family, "--out-dir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_generated_files_round_trip(self, tmp_path):
         run_cli("gen", "ts", "--h", "0", "1", "--out-dir", str(tmp_path))
         mdp = parse_mdp((tmp_path / "ts_h0_1.mdpx").read_text())

@@ -109,6 +109,11 @@ class TestErrors:
         with pytest.raises(CapExceeded):
             check(m_coin, f, max_state_vars=3)
 
+    def test_cap_exceeded_on_scheduler_variables(self, m_coin):
+        f = parse_formula("exists sched s. exists sched t. exists st x(s). exists st y(t). a(x) & a(y)")
+        with pytest.raises(CapExceeded, match=r"^2 scheduler variables exceed the cap of 1$"):
+            check(m_coin, f, max_sched_vars=1)
+
 
 def test_evaluator_builds_no_reduced_window():
     # the windows [0,19] .. [0,0] of each F<=20 belong to the encoding alone
@@ -228,7 +233,9 @@ class TestProperties:
         # variables get genuinely independent chains
         from unittest import mock
 
-        from hypermdp import enumcheck
+        from hypermdp import enumcheck, model
+
+        from . import helpers
 
         shared = parse_formula(
             "exists sched s. forall st x(s). exists st y(s). P(F a(x)) = P(F a(y))"
@@ -238,12 +245,12 @@ class TestProperties:
             "P(F a(x)) = P(F a(y))"
         )
         first, second = list(enumerate_schedulers(m_coin))[:2]
-        with mock.patch.object(enumcheck, "self_compose", wraps=enumcheck.self_compose) as spy:
-            build_composition(m_coin, shared, {"s": first}).full()
+        with mock.patch.object(helpers, "self_compose", wraps=helpers.self_compose) as spy:
+            helpers.full_product(m_coin, build_composition(m_coin, shared, {"s": first}))
             components = spy.call_args[0][0]
             assert components[0] is components[1]
-        with mock.patch.object(enumcheck, "self_compose", wraps=enumcheck.self_compose) as spy:
-            build_composition(m_coin, split, {"s1": first, "s2": second}).full()
+        with mock.patch.object(helpers, "self_compose", wraps=helpers.self_compose) as spy:
+            helpers.full_product(m_coin, build_composition(m_coin, split, {"s1": first, "s2": second}))
             components = spy.call_args[0][0]
             assert components[0] is not components[1]
             assert components[0].trans != components[1].trans
@@ -255,10 +262,11 @@ class TestProperties:
                                         (split, {"s1": first, "s2": second}, False)):
             ev = Evaluator(m_coin, f)
             ev.bind(build_composition(m_coin, f, chosen))
-            with mock.patch.object(enumcheck, "self_compose", wraps=enumcheck.self_compose) as spy:
+            with mock.patch.object(enumcheck, "self_compose", wraps=enumcheck.self_compose) as spy, \
+                    mock.patch.object(model, "self_compose", wraps=model.self_compose) as model_spy:
                 ev.holds(("s0", "s0"))
                 ev.value(coupled, ("s0", "s0"))
-                assert spy.call_count == 0
+                assert spy.call_count == 0 and model_spy.call_count == 0
             rows = ev.rows((0, 1))
             assert len(rows) > 0  # the coupled solve read joint rows
             left, right = rows.components

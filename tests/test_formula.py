@@ -9,6 +9,7 @@ from hypermdp.cases import generate
 from hypermdp.errors import (
     FormulaSyntaxError,
     QuantifierOrderViolation,
+    UnboundSchedulerVariable,
     UnboundStateVariable,
 )
 from hypermdp.formula import (
@@ -336,6 +337,20 @@ class TestWellFormed:
         )
         with pytest.raises(QuantifierOrderViolation):
             check_well_formed(f)
+
+    @pytest.mark.parametrize("prefix, error, message", [
+        ("exists sched s. exists st x(s). exists sched t.", QuantifierOrderViolation,
+         "scheduler quantifier 't' after a state quantifier"),
+        ("exists sched s. exists sched s. exists st x(s).", UnboundSchedulerVariable,
+         "scheduler variable 's' bound twice"),
+        ("exists sched s. exists st x(s). exists st x(s).", UnboundStateVariable, "state variable 'x' bound twice"),
+        ("exists sched s. exists st x(t).", UnboundSchedulerVariable,
+         "state quantifier 'x' uses unbound scheduler variable 't'"),
+    ])
+    def test_prefix_rejections(self, prefix, error, message):
+        with pytest.raises(error) as exc:
+            check_well_formed(parse_formula(prefix + " a(x)"))
+        assert type(exc.value) is error and str(exc.value) == message
 
     def test_matches_independent_scope_checker(self):
         rng = random.Random(42)

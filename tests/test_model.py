@@ -6,6 +6,7 @@ import pytest
 from hypermdp.errors import (
     ArityZero,
     DanglingReference,
+    HyperMdpError,
     IncompatibleScheduler,
     ModelSyntaxError,
     NoEnabledAction,
@@ -210,6 +211,34 @@ class TestEnumerate:
             assignments = list(enumerate_schedulers(mdp))
             assert len(set(assignments)) == len(assignments)
             assert len(assignments) == mdp.scheduler_space_size()
+
+
+def _compose_two_state_spaces():
+    one, two = parse_mdp(M_COIN_TEXT), parse_mdp(D_HALF_TEXT)
+    return self_compose([induce_dtmc(m, next(enumerate_schedulers(m))) for m in (one, two)])
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: parse_mdp("states: s0\naction s0 a: s0 x\n"), ModelSyntaxError, "line 2: bad probability 'x'"),
+    (lambda: parse_mdp("states: s0\naction s0 a: s0 1/0\n"), ModelSyntaxError, "line 2: zero denominator in '1/0'"),
+    (lambda: parse_mdp("states: s0\nstates: s1\n"), ModelSyntaxError, "line 2: duplicate states: line"),
+    (lambda: parse_mdp("states: 0s\n"), ModelSyntaxError, "line 1: bad state id '0s'"),
+    (lambda: parse_mdp("states: s0 s0\n"), ModelSyntaxError, "line 1: duplicate state 's0'"),
+    (lambda: parse_mdp("states: s0\nlabels: s0 a\n"), ModelSyntaxError, "line 2: bad label entry 's0 a'"),
+    (lambda: parse_mdp("states: s0\nlabels: s0: 1a\n"), ModelSyntaxError, "line 2: bad proposition '1a'"),
+    (lambda: parse_mdp("states: s0\naction s0: s0 1\n"), ModelSyntaxError, "line 2: bad action header 'action s0'"),
+    (lambda: parse_mdp("states: s0\naction s0 1a: s0 1\n"), ModelSyntaxError, "line 2: bad action name '1a'"),
+    (lambda: parse_mdp("states: s0\naction s0 a: s0\n"), ModelSyntaxError, "line 2: bad transition entry 's0'"),
+    (lambda: parse_mdp("states: s0\naction s0 a: s0 1/2, s0 1/2\n"), ModelSyntaxError,
+     "line 2: duplicate target 's0' in row"),
+    (lambda: parse_mdp("states: s0\naction s0 a: s0 1\naction s1 a: s0 1\n"), DanglingReference,
+     "line 3: action row for undeclared state 's1'"),
+    (_compose_two_state_spaces, ArityZero, "all composed chains must share one state space"),
+])
+def test_input_rejections(build, error, message):
+    with pytest.raises(HyperMdpError) as exc:
+        build()
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 def test_garbage_model_input_raises_only_package_errors():

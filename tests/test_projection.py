@@ -39,7 +39,7 @@ from hypermdp.formula import (
 )
 from hypermdp.model import Mdp, enumerate_schedulers
 from hypermdp.smt import VectorEvaluator, solve_eager
-from .helpers import AP_POOL, random_mdp
+from .helpers import AP_POOL, full_product, random_mdp
 
 STATE_VARS = ("x", "y", "z")
 
@@ -98,7 +98,7 @@ def test_every_probability_matches_the_full_composition(seed, f):
     for combo in itertools.product(list(enumerate_schedulers(mdp)), repeat=len(names)):
         composition = build_composition(mdp, f, dict(zip(names, combo)))
         ev.bind(composition)
-        full = VectorEvaluator(composition.full(), ev.var_index)
+        full = VectorEvaluator(full_product(mdp, composition), ev.var_index)
         body = full.holds(f.body)
         for at, holds in body.items():
             assert ev.holds(at) == holds
@@ -149,9 +149,9 @@ def test_partial_reads_match_the_full_composition(seed, f, data):
     names = [q.name for q in f.prefix if isinstance(q, SchedQuant)]
     schedulers = list(enumerate_schedulers(mdp))
     composition = build_composition(mdp, f, {name: data.draw(st.sampled_from(schedulers)) for name in names})
-    tuples = list(itertools.product(mdp.states, repeat=len(composition.assignments)))
+    tuples = list(itertools.product(mdp.states, repeat=len(composition)))
     first = data.draw(st.sampled_from(tuples))
-    full = VectorEvaluator(composition.full(), state_var_index(f))
+    full = VectorEvaluator(full_product(mdp, composition), state_var_index(f))
     for g in (f, init_guarded(f)):
         ev = Evaluator(mdp, g)
         ev.bind(composition)
@@ -174,7 +174,7 @@ def test_reverse_reads_of_plain_until_match_the_full_composition():
     for _ in range(150):
         mdp = random_mdp(rng, max_states=6)
         composition = build_composition(mdp, f, {"s": rng.choice(list(enumerate_schedulers(mdp)))})
-        full = VectorEvaluator(composition.full(), {"x": 1, "y": 2})
+        full = VectorEvaluator(full_product(mdp, composition), {"x": 1, "y": 2})
         ev = Evaluator(mdp, f)
         ev.bind(composition)
         for node in [node for node in ev.supports if isinstance(node, ProbOf)]:

@@ -24,7 +24,7 @@ from hypermdp.constraints import (
     evaluate_system,
     evaluate_term,
 )
-from hypermdp.enumcheck import Composition, Evaluator, build_composition, check, replay, truth_eval
+from hypermdp.enumcheck import Evaluator, build_composition, check, replay, truth_eval
 from hypermdp.errors import IncompleteModel, MixedSchedulerBlock
 from hypermdp.formula import (
     BODY_KINDS,
@@ -49,12 +49,13 @@ from hypermdp.smt import (
     encode_main,
     full_assignment,
     holds_sym,
+    parse_solver_model,
     prob_sym,
     solve_eager,
     transform_for_encoding,
 )
-from .helpers import (BOUNDED_TA, PUBLISHED_ROWS, guarded_formula, random_body, random_mdp, solver_model,
-                      with_never)
+from .helpers import (BOUNDED_TA, PUBLISHED_ROWS, full_product, guarded_formula, random_body, random_mdp,
+                      solver_model, with_never)
 
 REACH_ONE = "exists sched s. exists st x(s). init(x) & P(F a(x)) = 1"
 REACH_A = ProbOf(Until(TRUE, Prop("a", "x")))  # the until node of P(F a(x))
@@ -346,6 +347,22 @@ class TestDecode:
         broken.pop("ch_0_s0.beta")
         with pytest.raises(IncompleteModel):
             decode_witness(cs, broken, f)
+
+    def test_missing_truth_variable(self, m_coin):
+        # the body is open at s0, so its truth there is read from the model
+        f = parse_formula(REACH_ONE)
+        cs, _ = encode_main(m_coin, f)
+        broken = solver_model(cs, m_coin, solve_eager(m_coin, f).decoded.schedulers)
+        del broken[holds_sym(("s0",), cs.subformula_index[f.body])]
+        with pytest.raises(IncompleteModel, match=r"^missing truth value h_s0_0$"):
+            decode_witness(cs, broken, f)
+
+    def test_solver_model_reads_negative_values(self):
+        # a solver prints a negative real as a unary or binary minus
+        text = ("sat\n(model (define-fun d_s0_1 () Real (- 3))\n"
+                "  (define-fun pr_s0_2 () Real (- (/ 1 2)))\n"
+                "  (define-fun pr_s1_2 () Real (- 1 (/ 1 2))))")
+        assert parse_solver_model(text) == {"d_s0_1": -3, "pr_s0_2": Fraction(-1, 2), "pr_s1_2": Fraction(1, 2)}
 
 
 class TestPointwiseSoundness:
@@ -731,7 +748,7 @@ def _fixed_against_semantics(cs, mdp, chosen) -> int:
     step-indicator values exactly, an until's distance wherever its target
     is reachable through phi1; the number of values checked."""
     meta = cs.meta
-    composed = build_composition(mdp, meta.encoded, chosen).full()
+    composed = full_product(mdp, build_composition(mdp, meta.encoded, chosen))
     ve = smt.VectorEvaluator(composed, meta.var_index)
     values, _ = full_assignment(cs, mdp, chosen)
     unchecked, checked = set(values), 0
@@ -889,6 +906,38 @@ def test_windows_follow_their_bounded_until_once(text, order):
     assert evaluate_system(cs, values, choices)
 
 
+def test_zero_window_is_its_target_indicator(m_coin):
+    # F<=2's innermost window [0,0] is 1 where its target holds and 0
+    # elsewhere; the target, P(X a(x)) > 1/3, is open at s0 only
+    f = parse_formula("exists sched s. exists st x(s). P(F<=2 (P(X a(x)) > 1/3)) > 0")
+    cs, _ = encode_main(m_coin, f)
+    path = f.body.right.path
+    window = prob_sym(("s0",), cs.subformula_index[ProbOf(BoundedUntil(path.left, path.right, 0, 0))])
+    assert cs.variables[window] == "prob"
+    for assignment in enumerate_schedulers(m_coin):
+        values, choices = full_assignment(cs, m_coin, {"s": assignment})
+        # P(X a(x)) at s0 is 1/2 under alpha, 0 under beta
+        assert values[window] == (1 if assignment.choice("s0") == "alpha" else 0)
+        assert evaluate_system(cs, values, choices)
+    enum_verdict, eager = check(m_coin, f), solve_eager(m_coin, f)
+    assert enum_verdict == eager.decoded and enum_verdict.truth is True and enum_verdict.mode == "witness"
+    assert replay(m_coin, f, enum_verdict) is True
+
+
+def test_negative_coefficients_are_emitted_and_exact(m_coin):
+    # a difference of probabilities subtracts with coefficient -1
+    f = parse_formula("exists sched s. exists st x(s). init(x) & P(G !a(x)) - P(X a(x)) < 1/2")
+    cs, _ = encode_main(m_coin, f)
+    assert "(* (- 1) " in emit_smtlib2(cs)
+    for assignment in enumerate_schedulers(m_coin):
+        assert _fixed_against_semantics(cs, m_coin, {"s": assignment}) > 0
+    eager = solve_eager(m_coin, f)
+    assert eager.decoded == check(m_coin, f) and eager.decoded.mode == "witness"
+    values, choices = full_assignment(cs, m_coin, eager.decoded.schedulers)
+    assert evaluate_system(cs, values, choices)
+    assert replay(m_coin, f, eager.decoded) is True
+
+
 # a true universal independence claim with a coupled operand, P(F (l=1(x) & l=1(y)))
 TS_INDEP = ("forall sched s1. forall sched s2. forall st x(s1). forall st y(s2). "
             "(init(x) & init(y)) -> P(F (l=1(x) & l=1(y))) = P(F l=1(x)) * P(F l=1(y))")
@@ -900,13 +949,14 @@ def test_no_library_path_builds_the_product():
     mdp, f = cases.generate("ts", h1=0, h2=1).mdp, parse_formula(TS_INDEP)
     schedulers = list(enumerate_schedulers(mdp))
     chosen = {"s1": schedulers[0], "s2": schedulers[-1]}
-    with mock.patch.object(enumcheck, "self_compose", wraps=enumcheck.self_compose) as compose, \
-            mock.patch.object(Composition, "full", autospec=True, side_effect=Composition.full) as full:
+    compose = enumcheck.self_compose
+    with mock.patch.object(enumcheck, "self_compose", wraps=compose) as hooked, \
+            mock.patch("hypermdp.model.self_compose", wraps=compose) as product:
         cs, _ = encode_main(mdp, f)
         eager = solve_eager(mdp, f)
         values, choices = full_assignment(cs, mdp, chosen)
         decoded = decode_witness(cs, solver_model(cs, mdp, chosen), f)
-    assert compose.call_count == 0 and full.call_count == 0
+    assert hooked.call_count == 0 and product.call_count == 0
     assert (0, 1) in {support for node, support in cs.meta.supports.items() if isinstance(node, ProbOf)}
     assert all(evaluate_term(t, values, choices) for t in cs.constraints if t is not cs.truth)
     assert eager.decoded.truth is True and decoded == eager.decoded
