@@ -14,6 +14,10 @@ later combination that keeps the choices it can reach: those at the
 states the MDP may reach from the value's point, per component.  At most
 m^|K| vectors are kept per path (m scheduler quantifiers, K the
 components it mentions), so memory is bounded by the model and formula.
+Where swapping two scheduler quantifiers, with their state variables,
+leaves the body the same up to operand order (``swappable``), each
+unordered pair of their assignments is tried once, as in symmetry
+reduction (Emerson & Sistla, FMSD 1996).
 ``check``, ``replay`` and the eager engine (``smt.solve_eager``, on the
 encoded formula) are thin front ends to it; the encoder and the decoder
 read the same domains.  Mixed scheduler prefixes are supported here.
@@ -22,7 +26,7 @@ read the same domains.  Mixed scheduler prefixes are supported here.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Collection, Dict, Mapping, Optional, Tuple
 
 from . import analysis
 from .errors import (
@@ -49,6 +53,7 @@ from .formula import (
     Until,
     check_well_formed,
     count_quantifiers,
+    interned_key,
     rename_vars,
     state_var_index,
     subformula_supports,
@@ -74,7 +79,7 @@ class Verdict(Record):
     _defaults = {"mode": "none", "schedulers": {}, "states": {}}
 
 
-def build_composition(mdp: Mdp, f: Formula, chosen: Dict[str, SchedulerAssignment]) -> Tuple[SchedulerAssignment, ...]:
+def build_composition(f: Formula, chosen: Dict[str, SchedulerAssignment]) -> Tuple[SchedulerAssignment, ...]:
     """One scheduler combination of ``f``: the assignment that each
     component of the self-composition (one per state variable) runs under."""
     return tuple(chosen[q.sched] for q in f.prefix if isinstance(q, StateQuant))
@@ -413,14 +418,65 @@ def truth_eval(state_quants, domains, holds) -> Tuple[bool, dict]:
     return level(0, ())
 
 
+def swappable(f: Formula, pinned: Collection[int] = ()) -> frozenset:
+    """The scheduler positions i such that swapping the quantifiers at i and
+    i+1, with their state variables, leaves ``f``'s truth the same under
+    every combination: the truth under (a, b) there is the truth under
+    (b, a).
+
+    That holds when neither of the two, nor a state variable of theirs, is
+    ``pinned``; both are of one kind; each binds as many state variables,
+    and the state quantifiers from the first of those to the last are of one
+    kind, so the swap only reorders adjacent quantifiers of one kind; and
+    the body with those variables swapped (paired in prefix order) equals
+    the body up to the operand order of ``&``, ``+`` and ``*``
+    (``formula.interned_key``).  Its guards are then the same for paired
+    variables, and so are their ``state_domains``."""
+    m, _ = count_quantifiers(f)
+    binds: Dict[str, list] = {}  # scheduler name -> prefix positions of its state quantifiers
+    for k in range(m, len(f.prefix)):
+        binds.setdefault(f.prefix[k].sched, []).append(k)
+    table, found, plain = {}, set(), None
+    for i in range(m - 1):
+        a, b = f.prefix[i:i + 2]
+        xs, ys = binds.get(a.name, []), binds.get(b.name, [])
+        bound = xs + ys
+        span = f.prefix[min(bound):max(bound) + 1] if bound else ()
+        if (a.exists != b.exists or len(xs) != len(ys) or any(k in pinned for k in (i, i + 1, *bound))
+                or len({q.exists for q in span}) > 1):
+            continue
+        names = {}
+        for x, y in zip(xs, ys):
+            names[f.prefix[x].name], names[f.prefix[y].name] = f.prefix[y].name, f.prefix[x].name
+        if plain is None:
+            plain = interned_key(f.body, {}, table)
+        if interned_key(f.body, names, table) == plain:
+            found.add(i)
+    return frozenset(found)
+
+
 def decide(mdp: Mdp, f: Formula, pinned: Optional[Mapping[int, object]] = None) -> Tuple[bool, dict]:
     """The truth of ``f`` and the values on its deciding branch.
 
-    Scheduler quantifiers take every assignment in lexicographic order,
+    Scheduler quantifiers take the assignments in lexicographic order,
     then, under one ``bind`` per combination, ``truth_eval`` walks the
     state quantifiers over ``state_domains``.  The quantifier at prefix
     position i takes only ``pinned[i]`` if given.  Values are keyed by
     prefix position, so a scheduler and a state variable may share a name.
+
+    Where the quantifiers at i and i+1 are ``swappable``, the one at i+1
+    starts at the assignment chosen at i, so a true ``forall s1. forall
+    s2`` sweep over |S| assignments binds |S|(|S|+1)/2 combinations, not
+    |S|².  A skipped combination (a, b), b before a, has the truth of its
+    mirror (b, a), which comes before it.  The values found stay the same,
+    so ``check``, ``smt.solve_eager`` and ``replay`` report the witnesses
+    and counterexamples they would without the skip: a run of quantifiers
+    of one kind takes the lexicographically first combination under which
+    the rest decides, and in it a ≤ b at every swappable pair; were b
+    before a, the mirror would decide too and come first.  Detection runs
+    once, when an outer scheduler quantifier first moves past its first
+    assignment: until then every loop starts at the first assignment
+    anyway, so a formula decided under it pays nothing.
     """
     pinned = pinned or {}
     evaluator = Evaluator(mdp, f)
@@ -429,14 +485,23 @@ def decide(mdp: Mdp, f: Formula, pinned: Optional[Mapping[int, object]] = None) 
     domains = tuple((pinned[m + d],) if m + d in pinned else states
                     for d, states in enumerate(state_domains(mdp, f)))
     chosen: Dict[str, SchedulerAssignment] = {}
+    mirrored = None  # ``swappable`` positions, once an outer loop moves on
 
     def walk(i: int):
+        nonlocal mirrored
         if i == m:  # reached once per scheduler combination
-            evaluator.bind(build_composition(mdp, f, chosen))
+            evaluator.bind(build_composition(f, chosen))
             truth, picks = truth_eval(state_quants, domains, evaluator.holds)
             return truth, {m + depth: s for depth, s in picks.items()}
         q = f.prefix[i]
-        for v in (pinned[i],) if i in pinned else enumerate_schedulers(mdp):
+        if i in pinned:
+            values = (pinned[i],)
+        else:
+            start = chosen[f.prefix[i - 1].name] if mirrored and i - 1 in mirrored else None
+            values = enumerate_schedulers(mdp, start)
+        for n, v in enumerate(values):
+            if n == 1 and mirrored is None and i < m - 1:
+                mirrored = swappable(f, pinned)
             chosen[q.name] = v
             truth, trace = walk(i + 1)
             if truth == q.exists:

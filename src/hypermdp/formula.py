@@ -537,6 +537,36 @@ def rename_vars(node, names: dict):
     return type(node)(*values)
 
 
+def interned_key(node, names: dict, table: dict) -> int:
+    """An int that names ``node`` up to the operand order of ``&``, ``+``
+    and ``*``, each state variable ``v`` read as ``names.get(v, v)``.
+
+    ``table`` interns one key per distinct (kind, non-node fields, operand
+    keys) tuple, the operand keys sorted at those three kinds, so nodes keyed
+    through one table are equal that way iff their keys are.  A loop over
+    the shared subtrees, each keyed once, so any depth is walked."""
+    keys = {}  # id of a node -> its key
+    stack = [node]
+    while stack:
+        top = stack[-1]
+        if id(top) in keys:
+            stack.pop()
+            continue
+        below = [v for v in top._values if isinstance(v, Node) and id(v) not in keys]
+        if below:
+            stack += below
+            continue
+        stack.pop()
+        if isinstance(top, Prop):
+            fields = (top.name, names.get(top.var, top.var))
+        else:
+            fields = tuple(keys[id(v)] if isinstance(v, Node) else v for v in top._values)
+            if isinstance(top, And) or (isinstance(top, Arith) and top.op != "-"):
+                fields = fields[:-2] + tuple(sorted(fields[-2:]))
+        keys[id(top)] = table.setdefault((type(top), fields), len(table))
+    return keys[id(node)]
+
+
 # -- printing ---------------------------------------------------------------------
 
 

@@ -22,7 +22,7 @@ import itertools
 import re
 import sys
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     ArityZero,
@@ -329,11 +329,26 @@ def self_compose(dtmcs: Sequence[Dtmc]) -> Dtmc:
     return Dtmc(states=states, trans=trans, ap=ap, labels=labels)
 
 
-def enumerate_schedulers(mdp: Mdp) -> Iterator[SchedulerAssignment]:
-    """Stream all memoryless non-probabilistic schedulers.
+def enumerate_schedulers(mdp: Mdp, start: Optional[SchedulerAssignment] = None) -> Iterator[SchedulerAssignment]:
+    """Stream all memoryless non-probabilistic schedulers, or those from the
+    assignment ``start`` on.
 
-    Yields exactly prod_s |enabled(s)| assignments, lexicographic over the
-    declared state and action orders.
+    All are exactly prod_s |enabled(s)| assignments, lexicographic over the
+    declared state and action orders; ``start`` yields the tail of that
+    order from it, without building the part before it.
     """
-    for combo in itertools.product(*(mdp.enabled[s] for s in mdp.states)):
+    choices = [mdp.enabled[s] for s in mdp.states]
+    combos = itertools.product(*choices) if start is None else _combos_from(choices, start.actions)
+    for combo in combos:
         yield SchedulerAssignment(mdp.states, combo)
+
+
+def _combos_from(choices: List[Tuple[str, ...]], first: Tuple[str, ...]) -> Iterator[Tuple[str, ...]]:
+    """``first`` and the combinations of ``choices`` after it: those that
+    first exceed it at position j, the last j first."""
+    yield first
+    for j in reversed(range(len(choices))):
+        options = choices[j]
+        for action in options[options.index(first[j]) + 1:]:
+            for rest in itertools.product(*choices[j + 1:]):
+                yield first[:j] + (action,) + rest

@@ -837,7 +837,7 @@ def full_assignment(cs: ConstraintSystem, mdp: Mdp, chosen: Dict[str, SchedulerA
     """
     meta: EncodingMeta = cs.meta
     ev = Evaluator(mdp, meta.encoded)
-    ev.bind(build_composition(mdp, meta.encoded, chosen))
+    ev.bind(build_composition(meta.encoded, chosen))
 
     @functools.cache
     def chain(support: Support) -> Dtmc:

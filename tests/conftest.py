@@ -1,6 +1,16 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from hypermdp.model import parse_mdp
+
+# CI (which sets the CI variable) runs every property test on the fixed
+# example sequence and without a per-example deadline, so a slow runner
+# cannot make one flake; a failure prints the blob that reproduces it.
+settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 M_COIN_TEXT = """\
 # two-action coin gadget

@@ -6,8 +6,10 @@ probabilities come from explicit path enumeration, well-formedness from a
 separate scope evaluator, so library bugs cannot cancel out.
 """
 
+import contextlib
 import random
 from fractions import Fraction
+from unittest import mock
 
 from hypermdp.formula import (
     And,
@@ -27,6 +29,7 @@ from hypermdp.formula import (
     f_implies,
 )
 from hypermdp.constraints import choice_sym
+from hypermdp.enumcheck import Evaluator
 from hypermdp.model import Dtmc, Mdp, induce_dtmc, self_compose
 from hypermdp.smt import full_assignment
 
@@ -420,6 +423,10 @@ PUBLISHED_ROWS = {
     **{f"ts_h{h1}_{h2}": ("ts", {"h1": h1, "h2": h2}) for h1, h2 in ((0, 1), (0, 15), (4, 8), (8, 15))},
     **{f"pc_{tier}": ("pc", {"tier": tier}) for tier in ("s0", "s01", "s012")},
 }
+# a true universal independence claim with a coupled operand, P(F (l=1(x) & l=1(y))):
+# the benchmark's sweep on ts_h0_1
+TS_INDEP = ("forall sched s1. forall sched s2. forall st x(s1). forall st y(s2). "
+            "(init(x) & init(y)) -> P(F (l=1(x) & l=1(y))) = P(F l=1(x)) * P(F l=1(y))")
 # the benchmark's bounded-until export case, on ta_m2
 BOUNDED_TA = ("forall sched s1. forall sched s2. forall st x(s1). forall st y(s2). "
               "(init(x) & init(y)) -> (P(F<=20 j=0(x)) = P(F<=20 j=0(y)) & P(F<=20 j=1(x)) = P(F<=20 j=1(y)))")
@@ -434,6 +441,20 @@ def full_product(mdp: Mdp, assignments) -> Dtmc:
     per-support values, which no library path builds."""
     induced = {a: induce_dtmc(mdp, a) for a in dict.fromkeys(assignments)}
     return self_compose([induced[a] for a in assignments])
+
+
+@contextlib.contextmanager
+def counting_binds():
+    """The scheduler combinations ``Evaluator.bind`` is given, in order, while
+    the block runs: one per combination a quantifier walk tries."""
+    binds, bind = [], Evaluator.bind
+
+    def counting(self, assignments):
+        binds.append(assignments)
+        bind(self, assignments)
+
+    with mock.patch.object(Evaluator, "bind", counting):
+        yield binds
 
 
 # -- solver models ------------------------------------------------------------------

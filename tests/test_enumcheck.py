@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -15,15 +16,18 @@ from hypermdp.enumcheck import (
     decide,
     replay,
     state_domains,
+    swappable,
 )
 from hypermdp.errors import CapExceeded, IllFormed, UnknownProposition
 from hypermdp.formula import (
+    MAX_HEIGHT,
     And,
     Arith,
     Const,
     Formula,
     Less,
     NotF,
+    Next,
     ProbOf,
     Prop,
     SchedQuant,
@@ -31,7 +35,9 @@ from hypermdp.formula import (
     TrueF,
     Until,
     count_quantifiers,
+    f_implies,
     parse_formula,
+    rename_vars,
 )
 from hypermdp.model import (
     SchedulerAssignment,
@@ -41,7 +47,8 @@ from hypermdp.model import (
     self_compose,
 )
 from hypermdp.smt import VectorEvaluator, solve_eager
-from .helpers import BOUNDED_TA, guarded_formula, random_mdp, with_never
+from .helpers import (BOUNDED_TA, PUBLISHED_ROWS, TS_INDEP, counting_binds, guarded_formula, random_body,
+                      random_mdp, with_never)
 
 REACH_ONE = "exists sched s. exists st x(s). init(x) & P(F a(x)) = 1"
 REACH_HALF = "exists sched s. exists st x(s). init(x) & P(F a(x)) = 1/2"
@@ -129,7 +136,7 @@ def bound_evaluator(mdp, names=("x",)):
     f = Formula(prefix=(SchedQuant(True, "s"),) + tuple(StateQuant(True, v, "s") for v in names),
                 body=TrueF())
     ev = Evaluator(mdp, f)
-    ev.bind(build_composition(mdp, f, {"s": next(enumerate_schedulers(mdp))}))
+    ev.bind(build_composition(f, {"s": next(enumerate_schedulers(mdp))}))
     return ev
 
 
@@ -214,7 +221,7 @@ class TestProperties:
         reach_x = ProbOf(Until(TrueF(), Prop("a", "x")))
         reach_y = ProbOf(Until(TrueF(), Prop("a", "y")))
         for assignment in enumerate_schedulers(m_coin):
-            ev.bind(build_composition(m_coin, f, {"s": assignment}))
+            ev.bind(build_composition(f, {"s": assignment}))
             for s in m_coin.states:
                 at = (s, s)
                 x_value = ev.value(reach_x, at)
@@ -246,11 +253,11 @@ class TestProperties:
         )
         first, second = list(enumerate_schedulers(m_coin))[:2]
         with mock.patch.object(helpers, "self_compose", wraps=helpers.self_compose) as spy:
-            helpers.full_product(m_coin, build_composition(m_coin, shared, {"s": first}))
+            helpers.full_product(m_coin, build_composition(shared, {"s": first}))
             components = spy.call_args[0][0]
             assert components[0] is components[1]
         with mock.patch.object(helpers, "self_compose", wraps=helpers.self_compose) as spy:
-            helpers.full_product(m_coin, build_composition(m_coin, split, {"s1": first, "s2": second}))
+            helpers.full_product(m_coin, build_composition(split, {"s1": first, "s2": second}))
             components = spy.call_args[0][0]
             assert components[0] is not components[1]
             assert components[0].trans != components[1].trans
@@ -261,7 +268,7 @@ class TestProperties:
         for f, chosen, shared_chain in ((shared, {"s": first}, True),
                                         (split, {"s1": first, "s2": second}, False)):
             ev = Evaluator(m_coin, f)
-            ev.bind(build_composition(m_coin, f, chosen))
+            ev.bind(build_composition(f, chosen))
             with mock.patch.object(enumcheck, "self_compose", wraps=enumcheck.self_compose) as spy, \
                     mock.patch.object(model, "self_compose", wraps=model.self_compose) as model_spy:
                 ev.holds(("s0", "s0"))
@@ -409,3 +416,154 @@ class TestStateDomains:
         assert decide(mdp, f) == unrestricted
         verdict = assemble_verdict(f, *unrestricted)
         assert replay(mdp, f, verdict) is verdict.truth
+
+
+PAIR = "forall sched s1. forall sched s2. forall st x(s1). forall st y(s2). "
+
+
+def eager(mdp, f, **caps):
+    return solve_eager(mdp, f, **caps).decoded
+
+
+class TestSwappable:
+    """``swappable`` finds the scheduler quantifier pairs whose swap, with
+    their state variables, leaves the body the same up to operand order."""
+
+    @pytest.mark.parametrize("text", [
+        TS_INDEP,
+        PAIR + "P(F a(x)) * P(F a(y)) < 1/2",  # the * operands reorder
+        PAIR + "a(x) & !a(y) | a(y) & !a(x)",  # the & below the desugared | reorders
+        PAIR + "P(X a(x)) + P(X a(y)) = 1",  # the + operands reorder
+        "exists sched s1. exists sched s2. exists st x(s1). exists st z(s1). exists st y(s2). "
+        "exists st w(s2). P(F a(x)) = P(F a(y)) & (init(z) & init(w))",
+    ])
+    def test_bodies_equal_to_their_swap_up_to_operand_order(self, text):
+        f = parse_formula(text)
+        names = {"x": "y", "y": "x", "z": "w", "w": "z"}
+        assert rename_vars(f.body, names) != f.body
+        assert swappable(f) == {0}
+
+    @pytest.mark.parametrize("row", [row for row in PUBLISHED_ROWS if row[:2] in ("ta", "pw")])
+    def test_published_timing_rows(self, row):
+        family, params = PUBLISHED_ROWS[row]
+        assert swappable(cases.generate(family, **params).formula) == {0}
+
+    @pytest.mark.parametrize("text", [
+        PAIR + "P(F a(x)) < P(F a(y))",
+        PAIR + "P(a(x) U a(y)) > 0",
+        "forall sched s1. exists sched s2. forall st x(s1). forall st y(s2). P(F a(x)) = P(F a(y))",
+        # s1 binds two state variables, s2 one
+        "forall sched s1. forall sched s2. forall st x(s1). forall st z(s1). forall st y(s2). "
+        "P(F a(x)) = P(F a(y)) & a(z)",
+        "forall sched s1. forall sched s2. forall st x(s1). exists st y(s2). P(F a(x)) = P(F a(y))",
+        # the swap would move x and y across z, a quantifier of the other kind
+        "forall sched s1. forall sched s2. forall sched s3. forall st x(s1). exists st z(s3). "
+        "forall st y(s2). P(F a(x)) = P(F a(y)) & a(z)",
+    ])
+    def test_asymmetric_prefixes_and_bodies(self, text):
+        assert swappable(parse_formula(text)) == frozenset()
+
+    def test_pinned_quantifiers_are_not_swapped(self, m_coin):
+        f = parse_formula(PAIR + "P(F a(x)) + P(F a(y)) >= 0")
+        first, second = enumerate_schedulers(m_coin)
+        assert swappable(f) == {0}
+        assert swappable(f, {0: second}) == swappable(f, {3: "s0"}) == frozenset()
+        # a replay with s1 pinned to its last assignment still tries every s2
+        pinned = enumcheck.Verdict(truth=False, mode="counterexample", schedulers={"s1": second})
+        with counting_binds() as binds:
+            assert replay(m_coin, f, pinned) is True
+        assert [s2 for _, s2 in binds] == [first, second]
+
+    def test_deep_symmetric_body_is_keyed_in_a_loop(self, m_coin):
+        # a true sweep, so the outer loop moves on and detection runs
+        text = PAIR + "P(F a(x)) + P(F a(y)) >= 0"
+        filler = " & (!(init(x) & !init(x)) & !(init(y) & !init(y)))"
+        n = MAX_HEIGHT - parse_formula(text).body.height
+        f = parse_formula(text + filler * n)
+        assert f.body.height == MAX_HEIGHT
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(MAX_HEIGHT // 2)  # below the body's height: no recursion over it
+        try:
+            found = swappable(f)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert found == {0}
+        with counting_binds() as binds:
+            assert check(m_coin, f).truth is True
+        assert len(binds) == 3  # (alpha, alpha), (alpha, beta), (beta, beta)
+
+
+def mirrored_formula(rng: random.Random) -> Formula:
+    """Two scheduler quantifiers of one kind, each binding as many state
+    variables, all of one kind and in a random order, over ``phi &
+    phi[swap]`` under a guard ``g & g[swap]`` on a next probability, so
+    that the first assignment is often not the one that decides."""
+    k, kind, state_kind = rng.randint(1, 2), rng.random() < 0.5, rng.random() < 0.5
+    xs, ys = ("x", "z")[:k], ("y", "w")[:k]
+    swap = {**dict(zip(xs, ys)), **dict(zip(ys, xs))}
+    states = [StateQuant(state_kind, v, "s1") for v in xs] + [StateQuant(state_kind, v, "s2") for v in ys]
+    rng.shuffle(states)
+    phi = random_body(rng, xs + ys, 2)
+    g = Less(Const(Fraction(rng.randint(0, 3), 4)), ProbOf(Next(Prop(rng.choice("ab"), "x"))))
+    guard, core = And(g, rename_vars(g, swap)), And(phi, rename_vars(phi, swap))
+    body = And(guard, core) if kind else f_implies(guard, core)
+    return Formula(prefix=(SchedQuant(kind, "s1"), SchedQuant(kind, "s2"), *states), body=body)
+
+
+class TestMirroredCombinations:
+    """``decide`` tries one of each mirrored pair of combinations, and
+    answers as the walk over every combination does."""
+
+    @pytest.mark.parametrize("engine", [check, eager])
+    def test_true_sweep_binds_each_unordered_pair_once(self, engine):
+        mdp = cases.generate("ts", h1=0, h2=1).mdp
+        order = {a: k for k, a in enumerate(enumerate_schedulers(mdp))}
+        with counting_binds() as binds:
+            verdict = engine(mdp, parse_formula(TS_INDEP))
+        assert (verdict.truth, verdict.mode) == (True, "none")
+        assert len(order) == 8 and len(binds) == 36  # 8 * 9 / 2, not 8 * 8
+        assert len(set(binds)) == 36 and all(order[a] <= order[b] for a, b in binds)
+
+    @pytest.mark.parametrize("row, count", [
+        ("ts_h0_1", 2), ("ta_m2", 3), ("pw_m2", 2), ("pc_s0", 1), ("ta_m2_bnd", 3),
+    ])
+    @pytest.mark.parametrize("engine", [check, eager])
+    def test_early_rows_bind_as_before_and_detect_nothing(self, row, count, engine):
+        # each decides under the first outer assignment: no detection runs
+        family, params = PUBLISHED_ROWS[row.replace("_bnd", "")]
+        spec = cases.generate(family, **params)
+        f = parse_formula(BOUNDED_TA) if row.endswith("_bnd") else spec.formula
+        with counting_binds() as binds, \
+                mock.patch.object(enumcheck, "swappable", wraps=enumcheck.swappable) as detector:
+            verdict = engine(spec.mdp, f)
+        assert len(binds) == count and detector.call_count == 0
+        assert verdict.truth is (family == "pc")
+
+    def test_skipping_mirrors_keeps_every_verdict(self):
+        reduced = []
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(seed=st.integers(0, 2 ** 32 - 1), mirrored=st.booleans())
+        def compare(seed, mirrored):
+            rng = random.Random(seed)
+            mdp = with_never(random_mdp(rng, max_states=3))
+            f = mirrored_formula(rng) if mirrored else guarded_formula(rng)
+            one_kind = len({q.exists for q in f.prefix if isinstance(q, SchedQuant)}) == 1
+            engines = (check, eager) if one_kind else (check,)
+            runs = []
+            for detector in (swappable, lambda f, pinned=(): frozenset()):
+                with mock.patch.object(enumcheck, "swappable", detector), counting_binds() as binds:
+                    verdicts = [engine(mdp, f, max_state_vars=4) for engine in engines]
+                    replays = [replay(mdp, f, verdict) for verdict in verdicts]
+                runs.append((verdicts, replays, len(binds)))
+            (verdicts, replays, count), (plain, plain_replays, plain_count) = runs
+            assert verdicts == plain and replays == plain_replays
+            assert replays == [verdict.truth for verdict in verdicts]
+            first = next(enumerate_schedulers(mdp))
+            late = verdicts[0].mode != "none" and verdicts[0].schedulers[f.prefix[0].name] != first
+            reduced.append((count < plain_count, late))
+
+        compare()
+        assert sum(skipped for skipped, _ in reduced) >= 50
+        # a witness or counterexample found after skipping, with the outer quantifier moved on
+        assert sum(skipped and late for skipped, late in reduced) >= 2

@@ -212,6 +212,15 @@ class TestEnumerate:
             assert len(set(assignments)) == len(assignments)
             assert len(assignments) == mdp.scheduler_space_size()
 
+    def test_start_streams_the_tail_of_the_order(self):
+        rng = random.Random(12)
+        three = parse_mdp("states: q0 q1\naction q0 a: q1 1\naction q0 b: q0 1\n"
+                          "action q1 a: q0 1\naction q1 b: q1 1\naction q1 c: q1 1\n")
+        for mdp in [three] + [random_mdp(rng) for _ in range(20)]:
+            assignments = list(enumerate_schedulers(mdp))
+            for k, start in enumerate(assignments):
+                assert list(enumerate_schedulers(mdp, start)) == assignments[k:]
+
 
 def _compose_two_state_spaces():
     one, two = parse_mdp(M_COIN_TEXT), parse_mdp(D_HALF_TEXT)

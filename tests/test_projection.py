@@ -96,7 +96,7 @@ def test_every_probability_matches_the_full_composition(seed, f):
     nodes = [node for node in ev.supports if isinstance(node, ProbOf)]
     names = [q.name for q in f.prefix if isinstance(q, SchedQuant)]
     for combo in itertools.product(list(enumerate_schedulers(mdp)), repeat=len(names)):
-        composition = build_composition(mdp, f, dict(zip(names, combo)))
+        composition = build_composition(f, dict(zip(names, combo)))
         ev.bind(composition)
         full = VectorEvaluator(full_product(mdp, composition), ev.var_index)
         body = full.holds(f.body)
@@ -148,7 +148,7 @@ def test_partial_reads_match_the_full_composition(seed, f, data):
     mdp = random_mdp(random.Random(seed), max_states=6)
     names = [q.name for q in f.prefix if isinstance(q, SchedQuant)]
     schedulers = list(enumerate_schedulers(mdp))
-    composition = build_composition(mdp, f, {name: data.draw(st.sampled_from(schedulers)) for name in names})
+    composition = build_composition(f, {name: data.draw(st.sampled_from(schedulers)) for name in names})
     tuples = list(itertools.product(mdp.states, repeat=len(composition)))
     first = data.draw(st.sampled_from(tuples))
     full = VectorEvaluator(full_product(mdp, composition), state_var_index(f))
@@ -173,7 +173,7 @@ def test_reverse_reads_of_plain_until_match_the_full_composition():
     rng = random.Random(11)
     for _ in range(150):
         mdp = random_mdp(rng, max_states=6)
-        composition = build_composition(mdp, f, {"s": rng.choice(list(enumerate_schedulers(mdp)))})
+        composition = build_composition(f, {"s": rng.choice(list(enumerate_schedulers(mdp)))})
         full = VectorEvaluator(full_product(mdp, composition), {"x": 1, "y": 2})
         ev = Evaluator(mdp, f)
         ev.bind(composition)
@@ -199,7 +199,7 @@ def test_reads_from_the_sink_end_of_a_path_solve_each_point_once():
     unbounded = ProbOf(Until(TrueF(), Prop("a", "x")))
     bounded = ProbOf(BoundedUntil(TrueF(), Prop("a", "x"), 0, 3))
     ev = Evaluator(mdp, f)
-    ev.bind(build_composition(mdp, f, {"s": next(enumerate_schedulers(mdp))}))
+    ev.bind(build_composition(f, {"s": next(enumerate_schedulers(mdp))}))
     # the unbounded vector solves each point once; the bounded one solves
     # the whole chain in one call on its first miss
     for name, node in (("until_probs", unbounded), ("bounded_until_probs", bounded)):
@@ -235,7 +235,7 @@ def test_cache_stays_bounded_through_a_full_sweep():
     assert len(schedulers) ** 2 > 4 * bound
     largest = 0
     for first, second in itertools.product(schedulers, repeat=2):
-        ev.bind(build_composition(mdp, f, {"s1": first, "s2": second}))
+        ev.bind(build_composition(f, {"s1": first, "s2": second}))
         for at in itertools.product(mdp.states, repeat=2):
             ev.holds(at)
         # rows and closures only for bound assignments
@@ -272,7 +272,7 @@ def test_reused_values_equal_a_fresh_evaluator_in_any_sweep_order(seed, f, order
     nodes = [node for node in Evaluator(mdp, f).supports if isinstance(node, ProbOf)]
 
     def values(ev, combo, points):
-        ev.bind(build_composition(mdp, f, dict(zip(names, combo))))
+        ev.bind(build_composition(f, dict(zip(names, combo))))
         return {at: (ev.holds(at), [ev.value(node, at) for node in nodes]) for at in points}
 
     combos = list(itertools.product(list(enumerate_schedulers(mdp)), repeat=len(names)))
@@ -321,7 +321,7 @@ TWO_SCHEDULERS = parse_formula("forall sched s1. forall sched s2. forall st x(s1
 
 def _bind(ev: Evaluator, f: Formula, *assignments) -> Evaluator:
     names = [q.name for q in f.prefix if isinstance(q, SchedQuant)]
-    ev.bind(build_composition(ev.mdp, f, dict(zip(names, assignments))))
+    ev.bind(build_composition(f, dict(zip(names, assignments))))
     return ev
 
 

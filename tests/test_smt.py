@@ -54,8 +54,8 @@ from hypermdp.smt import (
     solve_eager,
     transform_for_encoding,
 )
-from .helpers import (BOUNDED_TA, PUBLISHED_ROWS, full_product, guarded_formula, random_body, random_mdp,
-                      solver_model, with_never)
+from .helpers import (BOUNDED_TA, PUBLISHED_ROWS, TS_INDEP, counting_binds, full_product, guarded_formula, random_body,
+                      random_mdp, solver_model, with_never)
 
 REACH_ONE = "exists sched s. exists st x(s). init(x) & P(F a(x)) = 1"
 REACH_A = ProbOf(Until(TRUE, Prop("a", "x")))  # the until node of P(F a(x))
@@ -400,7 +400,7 @@ class TestPointwiseSoundness:
                     encoded_truth = evaluate_term(cs.truth, values, choices)
                     # direct instantiation of the same quantifier structure
                     ev = Evaluator(mdp, meta.encoded)
-                    ev.bind(build_composition(mdp, meta.encoded, chosen))
+                    ev.bind(build_composition(meta.encoded, chosen))
 
                     def instantiate(idx, partial):
                         if idx == len(meta.state_quants):
@@ -500,7 +500,7 @@ def _instantiated_truth(cs, mdp, chosen) -> bool:
     decided by direct instantiation with the enumeration engine's evaluator."""
     meta = cs.meta
     ev = Evaluator(mdp, meta.encoded)
-    ev.bind(build_composition(mdp, meta.encoded, chosen))
+    ev.bind(build_composition(meta.encoded, chosen))
     return truth_eval(meta.state_quants, (mdp.states,) * len(meta.state_quants), ev.holds)[0]
 
 
@@ -748,7 +748,7 @@ def _fixed_against_semantics(cs, mdp, chosen) -> int:
     step-indicator values exactly, an until's distance wherever its target
     is reachable through phi1; the number of values checked."""
     meta = cs.meta
-    composed = full_product(mdp, build_composition(mdp, meta.encoded, chosen))
+    composed = full_product(mdp, build_composition(meta.encoded, chosen))
     ve = smt.VectorEvaluator(composed, meta.var_index)
     values, _ = full_assignment(cs, mdp, chosen)
     unchecked, checked = set(values), 0
@@ -938,11 +938,6 @@ def test_negative_coefficients_are_emitted_and_exact(m_coin):
     assert replay(m_coin, f, eager.decoded) is True
 
 
-# a true universal independence claim with a coupled operand, P(F (l=1(x) & l=1(y)))
-TS_INDEP = ("forall sched s1. forall sched s2. forall st x(s1). forall st y(s2). "
-            "(init(x) & init(y)) -> P(F (l=1(x) & l=1(y))) = P(F l=1(x)) * P(F l=1(y))")
-
-
 def test_no_library_path_builds_the_product():
     # encoding, eager solving, the oracle and decoding read each subformula
     # over its own support, so none composes the n-fold product
@@ -964,13 +959,14 @@ def test_no_library_path_builds_the_product():
 
 
 def test_true_sweep_reuses_values_across_combinations():
-    # all 64 pairs are tried; a value is solved again only where a new
-    # combination changes a choice the value can reach: 137 until solves
-    # per check, against 380 when every combination solved its own
+    # 36 of the 64 pairs are tried, one of each mirrored pair; a value is
+    # solved again only where a new combination changes a choice the value
+    # can reach: 90 until solves per check, against 137 over all 64 pairs
+    # and 380 when every combination solved its own
     mdp, f = cases.generate("ts", h1=0, h2=1).mdp, parse_formula(TS_INDEP)
     with mock.patch.object(analysis, "until_probs", wraps=analysis.until_probs) as spy:
         assert check(mdp, f).truth is True
-    assert spy.call_count <= 137
+    assert spy.call_count <= 90
 
 
 def test_bind_compares_no_assignment_by_value(monkeypatch):
@@ -998,11 +994,14 @@ def test_bind_compares_no_assignment_by_value(monkeypatch):
 
 
 def test_ta_m2_independence_sweep_decides_true_on_both_engines():
-    # all 256 pairs of ta_m2
+    # 136 of the 256 pairs of ta_m2 (16 * 17 / 2), one of each mirrored pair
     mdp, f = cases.generate("ta", m=2).mdp, parse_formula(TS_INDEP.replace("l=1", "j=0"))
-    verdict = check(mdp, f)
-    assert (verdict.truth, verdict.mode) == (True, "none")
-    assert solve_eager(mdp, f).decoded == verdict
+    with counting_binds() as binds:
+        verdict = check(mdp, f)
+    assert (verdict.truth, verdict.mode) == (True, "none") and len(binds) == 136
+    with counting_binds() as binds:
+        assert solve_eager(mdp, f).decoded == verdict
+    assert len(binds) == 136
 
 
 class TestChoiceNames:
