@@ -335,20 +335,11 @@ def enumerate_schedulers(mdp: Mdp, start: Optional[SchedulerAssignment] = None) 
 
     All are exactly prod_s |enabled(s)| assignments, lexicographic over the
     declared state and action orders; ``start`` yields the tail of that
-    order from it, without building the part before it.
+    order from it.
     """
     choices = [mdp.enabled[s] for s in mdp.states]
-    combos = itertools.product(*choices) if start is None else _combos_from(choices, start.actions)
+    combos = itertools.product(*choices)
+    if start is not None:
+        combos = itertools.dropwhile(start.actions.__ne__, combos)
     for combo in combos:
         yield SchedulerAssignment(mdp.states, combo)
-
-
-def _combos_from(choices: List[Tuple[str, ...]], first: Tuple[str, ...]) -> Iterator[Tuple[str, ...]]:
-    """``first`` and the combinations of ``choices`` after it: those that
-    first exceed it at position j, the last j first."""
-    yield first
-    for j in reversed(range(len(choices))):
-        options = choices[j]
-        for action in options[options.index(first[j]) + 1:]:
-            for rest in itertools.product(*choices[j + 1:]):
-                yield first[:j] + (action,) + rest
