@@ -398,24 +398,24 @@ def state_domains(mdp: Mdp, f: Formula) -> Tuple[Tuple[str, ...], ...]:
     )
 
 
-def truth_eval(state_quants, domains, holds) -> Tuple[bool, dict]:
-    """The state quantifiers over ``domains``, each left to right, on the
-    body's truth ``holds`` at composed tuples, short-circuiting on
-    exists-success and forall-failure.
+def truth_eval(state_quants, domains, holds, depth: int = 0, at: tuple = ()) -> Tuple[bool, dict]:
+    """The state quantifiers from ``depth`` on over ``domains``, each left to
+    right, below the states ``at`` chosen above, on the body's truth
+    ``holds`` at composed tuples, short-circuiting on exists-success and
+    forall-failure.
 
     Returns the truth and, keyed by depth, the states on the deciding branch.
+    A plain recursive function: a nested one would form a reference cycle
+    per call, left to the cyclic garbage collector.
     """
-    def level(depth: int, at: tuple):
-        if depth == len(state_quants):
-            return holds(at), {}
-        q = state_quants[depth]
-        for s in domains[depth]:
-            truth, picks = level(depth + 1, at + (s,))
-            if truth == q.exists:
-                return truth, {depth: s, **picks}
-        return not q.exists, {}
-
-    return level(0, ())
+    if depth == len(state_quants):
+        return holds(at), {}
+    q = state_quants[depth]
+    for s in domains[depth]:
+        truth, picks = truth_eval(state_quants, domains, holds, depth + 1, at + (s,))
+        if truth == q.exists:
+            return truth, {depth: s, **picks}
+    return not q.exists, {}
 
 
 def swappable(f: Formula, pinned: Collection[int] = ()) -> frozenset:

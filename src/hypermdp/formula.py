@@ -34,7 +34,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .errors import (
     FormulaSyntaxError,
@@ -82,16 +82,23 @@ class Node(Frozen):
     __slots__ = ("height",)
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        values, height = self._values, 0
-        for v in values:  # a loop: a generator would double the cost of building a node
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = tuple(self._complete(args, kwargs))
+        height = i = 0
+        for v in args:  # one pass, in a loop: a generator would double the cost of building a node
+            setters[i](self, v)
+            i += 1
             if isinstance(v, Node) and v.height > height:
                 height = v.height
-        object.__setattr__(self, "_hash", hash(values))
-        object.__setattr__(self, "height", height + 1)
+        _set_hash(self, hash(args))  # the slots' own setters, which the frozen __setattr__ does not guard
+        _set_height(self, height + 1)
 
     __eq__ = _same_node
     __hash__ = Frozen.__hash__
+
+
+_set_hash, _set_height = Frozen._hash.__set__, Node.height.__set__
 
 
 class TrueF(Node):
@@ -190,24 +197,22 @@ def cmp_le(a: PExpr, b: PExpr) -> Body:
 
 # -- tokenizer ------------------------------------------------------------------
 
+# One scan over the text: white space is what no group matches, so the scan
+# skips it; every other character starts a match, and the last group takes
+# any that starts no token or comment, which the scan reports as unexpected
+# at its line and column.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
+    (?P<comment>\#[^\n]*)
   | (?P<number>\d+(?:/\d+|\.\d+)?)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*(?:=[A-Za-z0-9_]+)?)
   | (?P<op><->|->|<=|>=|!=|[().,\[\]<>=+*&|!^-])
+  | (?P<unexpected>\S)
     """,
     re.VERBOSE,
 )
 
 _KEYWORDS = {"forall", "exists", "sched", "st", "true", "false", "P", "X", "U", "F", "G", "xor"}
-
-
-class Token(NamedTuple):
-    kind: str  # 'number' | 'name' | 'op' | 'kw' | 'eof'
-    text: str
-    offset: int  # into the formula text; line and column are found only on error
 
 
 def _syntax_error(text: str, offset: int, message: str) -> FormulaSyntaxError:
@@ -217,18 +222,17 @@ def _syntax_error(text: str, offset: int, message: str) -> FormulaSyntaxError:
 
 
 def _tokenize(text: str):
+    """The (kind, text, offset) of each token, kind one of 'number', 'name',
+    'op', 'kw' and, last, 'eof'; line and column are found only on error."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise _syntax_error(text, pos, f"unexpected character {text[pos]!r}")
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind not in ("ws", "comment"):
+        if kind != "comment":
             value = m.group()
-            tokens.append(Token("kw" if kind == "name" and value in _KEYWORDS else kind, value, pos))
-        pos = m.end()
-    tokens.append(Token("eof", "", pos))
+            if kind == "unexpected":
+                raise _syntax_error(text, m.start(), f"unexpected character {value!r}")
+            tokens.append(("kw" if kind == "name" and value in _KEYWORDS else kind, value, m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
@@ -249,53 +253,48 @@ _BINARY = {
 
 
 class _Parser:
+    """Recursive descent over the tokens' kinds, texts and offsets, at
+    ``pos``; a keyword or operator token is known by its text alone."""
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.kinds, self.texts, self.offsets = zip(*_tokenize(text))
         self.pos = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def error(self, message: str):
-        raise _syntax_error(self.text, self.peek().offset, message)
+        raise _syntax_error(self.text, self.offsets[self.pos], message)
 
-    def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        tok = self.peek()
-        if tok.kind == kind and (text is None or tok.text == text):
-            return self.advance()
-        return None
+    def expect(self, text: str) -> None:
+        if self.texts[self.pos] != text:
+            self.error(f"expected {text!r}, found {self.texts[self.pos]!r}")
+        self.pos += 1
 
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.accept(kind, text)
-        if tok is None:
-            want = text if text is not None else kind
-            self.error(f"expected {want!r}, found {self.peek().text!r}")
-        return tok
+    def expect_kind(self, kind: str) -> str:
+        """The text of the next token, which must be a 'name' or 'number'."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            self.error(f"expected {kind!r}, found {self.texts[pos]!r}")
+        self.pos = pos + 1
+        return self.texts[pos]
 
     # -- grammar ---------------------------------------------------------
 
     def parse_formula(self) -> Formula:
         prefix = []
-        while self.peek().text in ("forall", "exists") and self.tokens[self.pos + 1].text in ("sched", "st"):
-            exists = self.advance().text == "exists"
-            kind = self.advance().text
-            name = self.expect("name").text
+        texts = self.texts
+        while texts[self.pos] in ("forall", "exists") and texts[self.pos + 1] in ("sched", "st"):
+            exists = texts[self.pos] == "exists"
+            kind = texts[self.pos + 1]
+            self.pos += 2
+            name = self.expect_kind("name")
             if kind == "sched":
                 prefix.append(SchedQuant(exists, name))
             else:
-                self.expect("op", "(")
-                prefix.append(StateQuant(exists, name, self.expect("name").text))
-                self.expect("op", ")")
-            self.expect("op", ".")
+                prefix.append(StateQuant(exists, name, self.parse_var()))
+            self.expect(".")
         body = self.parse_body()
-        if self.peek().kind != "eof":
-            self.error(f"trailing input {self.peek().text!r}")
+        if self.kinds[self.pos] != "eof":
+            self.error(f"trailing input {texts[self.pos]!r}")
         return Formula(prefix=tuple(prefix), body=body)
 
     def parse_body(self, floor: int = 0) -> Body:
@@ -309,8 +308,10 @@ class _Parser:
         tighter; with ``pexpr`` only ``+ - *``, so the result is a
         probability expression."""
         left = self.parse_operand(pexpr)
+        texts = self.texts
         while True:
-            prec, build = _BINARY.get(self.peek().text, (-1, None))
+            op = texts[self.pos]
+            prec, build = _BINARY.get(op, (-1, None))
             if prec < floor or (pexpr and prec <= _CMP):
                 return left
             if isinstance(left, BODY_KINDS):
@@ -318,7 +319,7 @@ class _Parser:
                     return left  # a formula is no operand here; the caller reports
             elif prec < _CMP:
                 self.error("expected comparison operator")
-            op = self.advance().text
+            self.pos += 1
             if prec < _CMP:
                 right = self.parse_body(prec if op == "->" else prec + 1)
             else:
@@ -330,77 +331,89 @@ class _Parser:
         (``0 - x``) over a factor, a constant, ``P(path)``, a parenthesized
         expression, or, unless ``pexpr``, ``true``, ``false`` or a
         proposition."""
-        op = self.peek().text
-        if op == "-" or (op == "!" and not pexpr):
-            count = 0
-            while self.accept("op", op):
-                count += 1
-            node = self.parse_body(_CMP) if op == "!" else self.parse_operand(pexpr=True)
-            for _ in range(count):
-                node = NotF(node) if op == "!" else Arith("-", Const(Fraction(0)), node)
+        pos = self.pos
+        text = self.texts[pos]
+        if text == "-" or (text == "!" and not pexpr):
+            texts, end = self.texts, pos + 1
+            while texts[end] == text:
+                end += 1
+            self.pos = end
+            node = self.parse_body(_CMP) if text == "!" else self.parse_operand(pexpr=True)
+            for _ in range(end - pos):
+                node = NotF(node) if text == "!" else Arith("-", Const(Fraction(0)), node)
             return node
-        num = self.accept("number")
-        if num is not None:
+        kind = self.kinds[pos]
+        self.pos = pos + 1  # taken, unless the last line reports it
+        if kind == "number":
             try:
-                return Const(Fraction(num.text))
+                return Const(Fraction(text))
             except ZeroDivisionError:
                 self.error("zero denominator in constant")
-        if self.accept("kw", "P"):
-            self.expect("op", "(")
+        if text == "P":
+            self.expect("(")
             path_expr = self.parse_path()
-            self.expect("op", ")")
+            self.expect(")")
             return path_expr
-        if self.accept("op", "("):
+        if text == "(":
             inner = self.parse_expr(pexpr=pexpr)
-            self.expect("op", ")")
+            self.expect(")")
             return inner
         if not pexpr:
-            if self.accept("kw", "true"):
+            if text == "true":
                 return TRUE
-            if self.accept("kw", "false"):
+            if text == "false":
                 return FALSE
-            name = self.accept("name")
-            if name is not None:
-                self.expect("op", "(")
-                var = self.expect("name").text
-                self.expect("op", ")")
-                return Prop(name.text, var)
+            if kind == "name":
+                return Prop(text, self.parse_var())
+        self.pos = pos
         want = "probability expression" if pexpr else "formula"
-        self.error(f"expected {want}, found {self.peek().text!r}")
+        self.error(f"expected {want}, found {text!r}")
+
+    def parse_var(self) -> str:
+        """``( name )``: a state quantifier's scheduler, a proposition's state."""
+        self.expect("(")
+        name = self.expect_kind("name")
+        self.expect(")")
+        return name
 
     def parse_int(self) -> int:
-        tok = self.expect("number")
-        if not tok.text.isdigit():
-            self.error(f"expected a nonnegative integer, found {tok.text!r}")
-        return int(tok.text)
+        text = self.expect_kind("number")
+        if not text.isdigit():
+            self.error(f"expected a nonnegative integer, found {text!r}")
+        return int(text)
 
     def parse_bounds(self) -> Optional[Tuple[int, int]]:
-        if self.accept("op", "["):
+        text = self.texts[self.pos]
+        if text == "[":
+            self.pos += 1
             k1 = self.parse_int()
-            self.expect("op", ",")
+            self.expect(",")
             k2 = self.parse_int()
-            self.expect("op", "]")
+            self.expect("]")
             if k1 > k2:
                 self.error(f"bounds [{k1},{k2}] need k1 <= k2")
             return (k1, k2)
-        if self.accept("op", "<="):
+        if text == "<=":
+            self.pos += 1
             return (0, self.parse_int())
         return None
 
     def parse_path(self) -> PExpr:
         """Parse a path formula inside P(...); sugar folds into PExpr."""
-        if self.accept("kw", "X"):
+        word = self.texts[self.pos]
+        if word == "X":
+            self.pos += 1
             return ProbOf(Next(self.parse_body()))
-        globally = self.accept("kw", "G") is not None
-        if globally or self.accept("kw", "F"):
+        if word == "F" or word == "G":
+            self.pos += 1
             left = TRUE  # P(F phi) = P(true U phi); P(G phi) = 1 - P(F !phi)
         else:
             left = self.parse_body()
-            self.expect("kw", "U")
+            self.expect("U")
         bounds = self.parse_bounds()
-        right = NotF(self.parse_body()) if globally else self.parse_body()
+        right = NotF(self.parse_body()) if word == "G" else self.parse_body()
         reach = ProbOf(Until(left, right) if bounds is None else BoundedUntil(left, right, *bounds))
-        return Arith("-", Const(Fraction(1)), reach) if globally else reach
+        return Arith("-", Const(Fraction(1)), reach) if word == "G" else reach
 
 
 # Compiling, encoding and printing recurse once per level of a formula; this

@@ -4,7 +4,9 @@ Markov decision processes, memoryless non-probabilistic schedulers, induced
 chains and n-ary self-composition, whose rows ``joint_row`` builds: the one
 product of component rows, also behind ``JointRows`` and the encoder's
 steps.  All probabilities are `fractions.Fraction`; no floating point
-enters probability state anywhere.
+enters probability state anywhere.  A load parses each distinct
+probability text once and sums each row in integers, over the least
+common multiple of its denominators.
 
 Model text format (``.mdpx``, line oriented, ``#`` comments)::
 
@@ -19,6 +21,7 @@ Model text format (``.mdpx``, line oriented, ``#`` comments)::
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import sys
 from fractions import Fraction
@@ -38,7 +41,6 @@ StateId = str
 ComposedState = Tuple[StateId, ...]
 
 _ONE = Fraction(1)
-_ZERO = Fraction(0)
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:=[A-Za-z0-9_]+)?$")
 _PROB_RE = re.compile(r"(\d+)(?:/(\d+))?$")
@@ -106,8 +108,11 @@ def parse_model_text(text: str) -> RawModel:
 
     State, action and proposition names are interned, so every load of a
     model shares one copy of each name with the others and with whatever
-    they leave behind (verdicts, schedulers)."""
+    they leave behind (verdicts, schedulers).  Each distinct probability
+    text is parsed once per call, into a table that the call drops."""
     raw = RawModel()
+    declared = set()
+    probs: Dict[str, Fraction] = {}
     seen_states_line = False
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -121,8 +126,9 @@ def parse_model_text(text: str) -> RawModel:
             for name in map(sys.intern, names):
                 if not _NAME_RE.match(name):
                     raise ModelSyntaxError(f"bad state id {name!r}", lineno)
-                if name in raw.states:
+                if name in declared:
                     raise ModelSyntaxError(f"duplicate state {name!r}", lineno)
+                declared.add(name)
                 raw.states.append(name)
         elif line.startswith("labels:"):
             body = line[len("labels:"):]
@@ -145,7 +151,7 @@ def parse_model_text(text: str) -> RawModel:
             parts = head.split()
             if len(parts) != 3:
                 raise ModelSyntaxError(f"bad action header {head!r}", lineno)
-            _, state, action = map(sys.intern, parts)
+            state, action = sys.intern(parts[1]), sys.intern(parts[2])
             if not _NAME_RE.match(action):
                 raise ModelSyntaxError(f"bad action name {action!r}", lineno)
             key = (state, action)
@@ -154,18 +160,19 @@ def parse_model_text(text: str) -> RawModel:
             entries = []
             targets = set()
             for item in tail.split(","):
-                item = item.strip()
-                if not item:
-                    continue
                 pieces = item.split()
                 if len(pieces) != 2:
-                    raise ModelSyntaxError(f"bad transition entry {item!r}", lineno)
+                    if not pieces:
+                        continue
+                    raise ModelSyntaxError(f"bad transition entry {item.strip()!r}", lineno)
                 target, prob = sys.intern(pieces[0]), pieces[1]
                 if target in targets:
                     raise ModelSyntaxError(f"duplicate target {target!r} in row", lineno)
                 targets.add(target)
-                p = _parse_prob(prob, lineno)
-                if p > 0:  # zero-probability edges are dropped at parse time
+                p = probs.get(prob)
+                if p is None:
+                    p = probs[prob] = _parse_prob(prob, lineno)
+                if p:  # zero-probability edges are dropped at parse time
                     entries.append((target, p))
             raw.rows[key] = entries
             raw.row_lines[key] = lineno
@@ -180,7 +187,8 @@ def validate_mdp(raw: RawModel) -> Mdp:
     """Check a raw description against the MDP invariants and freeze it.
 
     An action is enabled in a state iff its row sums to exactly 1; rows
-    summing to anything else but 0 are rejected.
+    summing to anything else but 0 are rejected.  A row is summed in
+    integers, over the least common multiple of its denominators.
     """
     declared = set(raw.states)
     for state, props in raw.labels.items():
@@ -194,19 +202,22 @@ def validate_mdp(raw: RawModel) -> Mdp:
             if target not in declared:
                 raise DanglingReference(f"undeclared target state {target!r}", lineno)
 
-    actions: List[str] = []
+    actions: Dict[str, None] = {}  # in first-seen order
     enabled: Dict[StateId, List[str]] = {s: [] for s in raw.states}
     trans: Dict[Tuple[StateId, str], Tuple[Tuple[StateId, Fraction], ...]] = {}
     for (state, action), entries in raw.rows.items():
-        total = sum((p for _, p in entries), _ZERO)
-        if total == _ONE:
-            if action not in actions:
-                actions.append(action)
+        total, whole = 0, 1  # the sum so far is total / whole, whole the lcm of its denominators
+        for _, p in entries:  # loops, not comprehensions: a comprehension's frame costs more
+            num, den = p.as_integer_ratio()
+            common = math.lcm(whole, den)
+            total, whole = total * (common // whole) + num * (common // den), common
+        if total == whole:
+            actions[action] = None
             enabled[state].append(action)
             trans[(state, action)] = tuple(entries)
-        elif total != _ZERO:
+        elif total:
             raise RowSumError(
-                f"row {state} {action} sums to {total}, expected 0 or 1",
+                f"row {state} {action} sums to {Fraction(total, whole)}, expected 0 or 1",
                 raw.row_lines.get((state, action)),
             )
 
@@ -214,22 +225,14 @@ def validate_mdp(raw: RawModel) -> Mdp:
         if not enabled[state]:
             raise NoEnabledAction(f"state {state!r} has no enabled action")
 
-    ap: List[str] = []
-    labels: Dict[StateId, frozenset] = {}
-    for state in raw.states:
-        props = raw.labels.get(state, [])
-        for prop in props:
-            if prop not in ap:
-                ap.append(prop)
-        labels[state] = frozenset(props)
-
+    props = [raw.labels.get(state, ()) for state in raw.states]
     return Mdp(
         states=tuple(raw.states),
         actions=tuple(actions),
         enabled={s: tuple(a) for s, a in enabled.items()},
         trans=trans,
-        ap=tuple(ap),
-        labels=labels,
+        ap=tuple(dict.fromkeys(itertools.chain.from_iterable(props))),
+        labels=dict(zip(raw.states, map(frozenset, props))),
     )
 
 

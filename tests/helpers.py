@@ -196,10 +196,16 @@ def _random_row(rng: random.Random, targets):
     return tuple((t, Fraction(p, den)) for t, p in zip(chosen, parts))
 
 
+def _action_names(max_actions: int) -> tuple:
+    """``go`` and ``jump``, then ``a2``, ``a3``, ...: as many as asked for,
+    so draws with at most two actions are those of the two-name helpers."""
+    return ("go", "jump") + tuple(f"a{i}" for i in range(2, max_actions))
+
+
 def random_mdp(rng: random.Random, max_states=4, max_actions=2) -> Mdp:
     n = rng.randint(2, max_states)
     states = tuple(f"q{i}" for i in range(n))
-    action_names = ("go", "jump")
+    action_names = _action_names(max_actions)
     enabled = {}
     trans = {}
     for s in states:
@@ -218,7 +224,7 @@ def random_acyclic_mdp(rng: random.Random, max_states=4, max_actions=2) -> Mdp:
     """Forward-edge-only MDP; the last state is absorbing."""
     n = rng.randint(2, max_states)
     states = tuple(f"q{i}" for i in range(n))
-    action_names = ("go", "jump")
+    action_names = _action_names(max_actions)
     enabled = {}
     trans = {}
     for i, s in enumerate(states):

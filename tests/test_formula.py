@@ -175,6 +175,16 @@ class TestParse:
             parse_formula(text)
         assert (exc.value.line, exc.value.col) == (line, col)
 
+    @pytest.mark.parametrize("text, message", [
+        (QE + "\n  a(x) @ b(x)", "2:8: unexpected character '@'"),
+        (QE + "a(x) &\n b(x)%", "2:6: unexpected character '%'"),  # the text's last character
+        (QE + "a(x) # comment @\n & b(x)$", "2:8: unexpected character '$'"),
+    ])
+    def test_unexpected_character_is_reported_where_it_is(self, text, message):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_formula(text)
+        assert str(exc.value) == message
+
     def test_deep_parentheses_parse(self):
         f = parse_formula("(" * 300 + "a(x)" + ")" * 300)
         assert f.body == Prop("a", "x")

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypermdp.errors import (
     ArityZero,
@@ -242,12 +243,46 @@ def _compose_two_state_spaces():
      "line 2: duplicate target 's0' in row"),
     (lambda: parse_mdp("states: s0\naction s0 a: s0 1\naction s1 a: s0 1\n"), DanglingReference,
      "line 3: action row for undeclared state 's1'"),
+    (lambda: parse_mdp("states: s0 s1\naction s0 a: s0 1/3, s1 1/3\n"), RowSumError,
+     "line 2: row s0 a sums to 2/3, expected 0 or 1"),
+    (lambda: parse_mdp("states: s0 s1\naction s0 a: s0 1/6, s1 1/6\n"), RowSumError,
+     "line 2: row s0 a sums to 1/3, expected 0 or 1"),
+    (lambda: parse_mdp("states: s0\naction s0 a: s0 1\n\naction s0 b: s0 1/0\n"), ModelSyntaxError,
+     "line 4: zero denominator in '1/0'"),
+    (lambda: parse_mdp("states: " + " ".join(f"q{i}" for i in range(300)) + " q17 q300\n"), ModelSyntaxError,
+     "line 1: duplicate state 'q17'"),
     (_compose_two_state_spaces, ArityZero, "all composed chains must share one state space"),
 ])
 def test_input_rejections(build, error, message):
     with pytest.raises(HyperMdpError) as exc:
         build()
     assert type(exc.value) is error and str(exc.value) == message
+
+
+@pytest.mark.parametrize("row, trans", [
+    ("s1 2/4, s2 2/4", (("s1", HALF), ("s2", HALF))),
+    ("s1 1/6, s2 1/10, s3 1/15, s0 2/3",  # the common denominator 30 is none of the row's
+     (("s1", Fraction(1, 6)), ("s2", Fraction(1, 10)), ("s3", Fraction(1, 15)), ("s0", Fraction(2, 3)))),
+    ("s1 1, s2 0/5", (("s1", ONE),)),
+    ("s1 0, s2 0/5", None),  # sums to 0: disabled
+])
+def test_row_sums_and_zero_entries(row, trans):
+    mdp = parse_mdp("states: s0 s1 s2 s3\n"
+                    f"action s0 a: {row}\n"
+                    "action s0 b: s0 1\n" + "".join(f"action s{i} t: s{i} 1\n" for i in (1, 2, 3)))
+    assert mdp.trans.get(("s0", "a")) == trans
+    assert mdp.enabled["s0"] == (("a", "b") if trans else ("b",))
+    assert mdp.actions == (("a", "b", "t") if trans else ("b", "t"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_format_parse_round_trip_on_random_models(seed):
+    mdp = random_mdp(random.Random(seed), max_actions=3)
+    again = parse_mdp(format_mdp(mdp))
+    used = tuple(a for a in mdp.actions if any(a in mdp.enabled[s] for s in mdp.states))
+    assert again.actions == used and again.states == mdp.states and again.enabled == mdp.enabled
+    assert again.trans == mdp.trans and again.labels == mdp.labels
 
 
 def test_garbage_model_input_raises_only_package_errors():
