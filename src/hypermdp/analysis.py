@@ -3,9 +3,10 @@
 Qualitative reachability sets by graph analysis; unbounded until by Prob0
 and Prob1 precomputation followed by an exact solve of the remaining
 states one strongly connected component at a time, sinks first; bounded
-until by one iteration that passes through every reduced-bound window;
-one-step probabilities; and a value-iteration oracle used only for
-cross-checking.  Every result is an exact ``Fraction``; nothing is
+until by one iteration that passes through every reduced-bound window,
+stops a phase once it settles and, for the last window alone, squares the
+step map of a phase still moving after |S| steps; one-step probabilities;
+and a value-iteration oracle used only for cross-checking.  Every result is an exact ``Fraction``; nothing is
 computed in floating point.
 """
 
@@ -224,7 +225,7 @@ def _solve_linear(matrix, rhs):
     return solution
 
 
-def _bounded_steps(d: Dtmc, phi1: Predicate, phi2: Predicate, k1: int, k2: int):
+def _bounded_steps(d: Dtmc, phi1: Predicate, phi2: Predicate, k1: int, k2: int, every: bool = True):
     """The iteration behind ``P(phi1 U[k1,k2] phi2)``, from the phi2 indicator.
 
     The first k2 - k1 steps are windowed: phi2 states stay 1, the other
@@ -235,9 +236,16 @@ def _bounded_steps(d: Dtmc, phi1: Predicate, phi2: Predicate, k1: int, k2: int):
     ``(max(j - (k2 - k1), 0), j)``, so the steps pass through every
     reduced-bound window from (0, 0) up to (k1, k2).
 
+    Within a phase the step map is fixed, so once a step leaves the vector
+    unchanged, the phase has settled and takes no more steps.  Unless
+    ``every`` step is asked for, a phase still moving after |S| steps has a
+    cycle among its live states, and takes the rest of its steps as one
+    power of its step map (``_power``) where that costs less.
+
     The arithmetic is exact over integers: with D the common denominator
     of the transition probabilities, the vector after j steps times D^j
-    is integral.  Yields ``(window, unit, vec)`` with ``unit = D^j``.
+    is integral.  Yields ``(first, last, unit, vec)``: ``vec`` over ``unit``
+    is the vector after every step count from first to last.
     """
     if k1 < 0 or k2 < 0 or k1 > k2:
         raise BoundError(f"bad bounds [{k1},{k2}]")
@@ -245,34 +253,75 @@ def _bounded_steps(d: Dtmc, phi1: Predicate, phi2: Predicate, k1: int, k2: int):
     rows = {s: [(t, p.numerator * (scale // p.denominator)) for t, p in d.trans[s]]
             for s in d.states if phi1[s]}
     vec = {s: (1 if phi2[s] else 0) for s in d.states}
-    unit = 1  # the integer that stands for probability 1 after this step
-    yield (0, 0), unit, vec
-    for step in range(k2):
-        windowed = step < k2 - k1
-        unit *= scale
-        nxt = {}
-        for s in d.states:
-            if windowed and phi2[s]:
-                nxt[s] = unit
-            elif not phi1[s]:
-                nxt[s] = 0
-            else:
-                nxt[s] = sum([w * vec[t] for t, w in rows[s] if vec[t]])
-        vec = nxt
-        yield (max(step + 1 - (k2 - k1), 0), step + 1), unit, vec
+    unit = 1  # the integer that stands for probability 1
+    yield 0, 0, unit, vec
+    step = 0
+    for windowed, end in ((True, k2 - k1), (False, k2)):
+        start = step
+        while step < end:
+            if step - start == len(d.states) and not every and (
+                    power := _power(rows, phi2 if windowed else _NOTHING, scale, unit, vec, end - step)):
+                unit, vec = power
+                yield end, end, unit, vec
+                break
+            nxt = {}
+            for s in d.states:
+                if windowed and phi2[s]:
+                    nxt[s] = unit * scale
+                elif not phi1[s]:
+                    nxt[s] = 0
+                else:
+                    nxt[s] = sum([w * vec[t] for t, w in rows[s] if vec[t]])
+            step += 1
+            if all(nxt[s] == scale * v for s, v in vec.items()):  # settled: vec over unit stays
+                yield step, end, unit, vec
+                break
+            unit, vec = unit * scale, nxt
+            yield step, step, unit, vec
+        step = end
+
+
+def _power(rows, held: Mapping, scale: int, unit: int, vec: dict, rest: int):
+    """``(unit, vec)`` after ``rest`` more steps of a phase whose ``held``
+    states stay 1, whose other states with ``rows`` are live and whose rest
+    stay 0, by repeated squaring of the step map on the L live states plus
+    the unit; None where the r steps over the live rows cost less than
+    about log2(r) (L+1)^3 products."""
+    index = {s: i for i, s in enumerate(t for t in rows if not held.get(t))}
+    n = len(index)
+    if rest.bit_length() * (n + 1) ** 3 >= rest * sum(len(rows[s]) for s in index):
+        return None
+    matrix = [[0] * (n + 1) for _ in index] + [[0] * n + [scale]]
+    for s, i in index.items():
+        for t, w in rows[s]:
+            j = n if held.get(t) else index.get(t)
+            if j is not None:
+                matrix[i][j] += w
+    x = [vec[s] for s in index] + [unit]
+    while rest:
+        if rest & 1:
+            x = [sum([a * b for a, b in zip(row, x) if a]) for row in matrix]
+        rest >>= 1
+        if rest:
+            cols = list(zip(*matrix))
+            matrix = [[sum([a * b for a, b in zip(row, col) if a and b]) for col in cols] for row in matrix]
+    return x[n], {s: x[index[s]] if s in index else x[n] if held.get(s) else 0 for s in vec}
 
 
 def bounded_until_windows(d: Dtmc, phi1: Predicate, phi2: Predicate, k1: int, k2: int):
     """``((k1', k2'), P(phi1 U[k1',k2'] phi2))`` for every reduced-bound
-    window of ``[k1, k2]``, innermost (0, 0) first, all from one iteration."""
-    for window, unit, vec in _bounded_steps(d, phi1, phi2, k1, k2):
-        yield window, {s: Fraction(v, unit) for s, v in vec.items()}
+    window of ``[k1, k2]``, innermost (0, 0) first, all from one iteration
+    that squares nothing: the windows of a settled phase share its vector."""
+    for first, last, unit, vec in _bounded_steps(d, phi1, phi2, k1, k2):
+        probs = {s: Fraction(v, unit) for s, v in vec.items()}
+        for step in range(first, last + 1):
+            yield (max(step - (k2 - k1), 0), step), probs
 
 
 def bounded_until_probs(d: Dtmc, phi1: Predicate, phi2: Predicate, k1: int, k2: int) -> ProbVector:
-    """``P(phi1 U[k1,k2] phi2)``: the last vector of the iteration, divided
-    by D^k2 once at the end."""
-    for _, unit, vec in _bounded_steps(d, phi1, phi2, k1, k2):
+    """``P(phi1 U[k1,k2] phi2)``: the last vector of the iteration, which
+    may square its step map, divided by its unit once at the end."""
+    for _, _, unit, vec in _bounded_steps(d, phi1, phi2, k1, k2, every=False):
         pass
     return {s: Fraction(v, unit) for s, v in vec.items()}
 

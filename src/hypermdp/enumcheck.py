@@ -85,10 +85,10 @@ def build_composition(f: Formula, chosen: Dict[str, SchedulerAssignment]) -> Tup
     return tuple(chosen[q.sched] for q in f.prefix if isinstance(q, StateQuant))
 
 
-def _walk(rows: Mapping, point, stop: Mapping, reuse=None) -> list:
-    """``point`` and the points reachable from it without entering ``stop``,
-    nor a point that ``reuse`` puts into ``stop``."""
-    points, seen = [point], {point}
+def _walk(rows: Mapping, starts, stop: Mapping, reuse=None) -> list:
+    """``starts`` and the points reachable from them without entering
+    ``stop``, nor a point that ``reuse`` puts into ``stop``."""
+    points, seen = list(starts), set(starts)
     for q in points:  # breadth first: the loop reaches what it appends
         for t, _ in rows[q]:
             if t not in seen and t not in stop:
@@ -107,9 +107,12 @@ class Evaluator:
     ``model.JointRows`` over several, never the whole product.  Its vector
     is filled lazily at K-local points: a read that misses at p solves the
     points reachable from p.  Until stops at points solved before, the
-    solve's known boundary, so each point is solved once; next reads p's row
-    only; bounded until solves the whole chain on its first miss, since its
-    windows at solved points do not cover the steps still to go.
+    solve's known boundary, so each point is solved once, and read in the
+    body its first miss under a bind also solves from every point of K that
+    the quantifier walk may read (``domains``).  Next reads p's row only;
+    bounded until solves the whole chain on its first miss, since its
+    windows at solved points do not cover the steps still to go (in steps
+    that stop where they settle: ``analysis.bounded_until_probs``).
 
     Vectors are kept per path renamed to positions in K, so ``P(F a(x))``
     and ``P(F a(y))`` under one scheduler share one, and within it per
@@ -127,8 +130,9 @@ class Evaluator:
     only for the bound assignments.
     """
 
-    def __init__(self, mdp: Mdp, f: Formula):
+    def __init__(self, mdp: Mdp, f: Formula, domains: Optional[tuple] = None):
         self.mdp = mdp
+        self.domains = domains  # per state variable, the states the quantifier walk reads
         self.var_index = state_var_index(f)
         self.supports = subformula_supports(f.body, self.var_index)
         self.assignments: Tuple[SchedulerAssignment, ...] = ()
@@ -212,6 +216,10 @@ class Evaluator:
         renamed = rename_vars(node.path, names)
         vectors = self.vectors.setdefault(renamed, {})
         held = [None, None, None, None]  # stamp of the last bind, assignments of K, vector, reuse or False
+        seeds = ()  # the points of K that the quantifier walk may read here
+        if self.domains is not None and frame is self._top and isinstance(node.path, Until):
+            domains = [self.domains[c] for c in support]
+            seeds = domains[0] if len(support) == 1 else tuple(itertools.product(*domains))
 
         def read(point):
             if held[0] != self._stamp:
@@ -219,9 +227,10 @@ class Evaluator:
                 held[:] = self._stamp, key, self._vector(vectors, key), False
             value = held[2].get(point)
             if value is None:
-                if held[3] is False:  # the first miss under this bind
+                first = held[3] is False  # the first miss under this bind solves from every seed
+                if first:
                     held[3] = self._reuser(vectors, held[1], held[2])
-                self._solve(node.path, support, held[2], point, held[3])
+                self._solve(node.path, support, held[2], point, held[3], seeds if first else ())
                 value = held[2][point]
             return value
 
@@ -310,11 +319,13 @@ class Evaluator:
             self._taints[a, b] = self._taints[b, a] = taint
         return taint
 
-    def _solve(self, path, support, vec: dict, point, reuse) -> None:
-        """Add to ``vec`` the values of ``path`` at ``point`` and at the
-        points its value there depends on, taking from ``reuse`` (if not
-        None) those that another vector already holds."""
-        if reuse is not None and reuse(point):
+    def _solve(self, path, support, vec: dict, point, reuse, seeds=()) -> None:
+        """Add to ``vec`` the values of ``path`` at ``point``, at those of
+        ``seeds`` that it lacks, and at the points their values depend on,
+        taking from ``reuse`` (if not None) those that another vector
+        already holds."""
+        starts = [p for p in dict.fromkeys((point, *seeds)) if p not in vec and not (reuse and reuse(p))]
+        if not starts:
             return
         rows = self.rows(support)
         frame = support[0] if len(support) == 1 else support
@@ -326,11 +337,11 @@ class Evaluator:
         if not isinstance(path, Until):  # windows at solved points do not cover the steps still to go
             states = self.mdp.states
             points = list(states if isinstance(frame, int) else itertools.product(states, repeat=len(frame)))
-        elif not vec and reuse is None:  # a first miss: the closure of point, shared by the vectors on these rows
-            key = (tuple(self.assignments[c] for c in support), point)
-            points = self.closures[key] = self.closures.get(key) or _walk(rows, point, {})
+        elif not vec and reuse is None:  # a first miss: the closure of starts, shared by the vectors on these rows
+            key = (tuple(self.assignments[c] for c in support), tuple(starts))
+            points = self.closures[key] = self.closures.get(key) or _walk(rows, starts, {})
         else:
-            points = _walk(rows, point, vec, reuse)
+            points = _walk(rows, starts, vec, reuse)
         fn1, fn2 = self._compile(path.left, frame), self._compile(path.right, frame)
         phi1, phi2 = {q: fn1(q) for q in points}, {q: fn2(q) for q in points}
         d = Dtmc(states=tuple(points), trans=rows, ap=(), labels={})
@@ -479,11 +490,11 @@ def decide(mdp: Mdp, f: Formula, pinned: Optional[Mapping[int, object]] = None) 
     anyway, so a formula decided under it pays nothing.
     """
     pinned = pinned or {}
-    evaluator = Evaluator(mdp, f)
     m, _ = count_quantifiers(f)
     state_quants = f.prefix[m:]
     domains = tuple((pinned[m + d],) if m + d in pinned else states
                     for d, states in enumerate(state_domains(mdp, f)))
+    evaluator = Evaluator(mdp, f, domains)
     chosen: Dict[str, SchedulerAssignment] = {}
     mirrored = None  # ``swappable`` positions, once an outer loop moves on
 

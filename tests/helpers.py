@@ -7,6 +7,7 @@ separate scope evaluator, so library bugs cannot cancel out.
 """
 
 import contextlib
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -27,10 +28,11 @@ from hypermdp.formula import (
     TrueF,
     Until,
     f_implies,
+    f_or,
 )
 from hypermdp.constraints import choice_sym
-from hypermdp.enumcheck import Evaluator
-from hypermdp.model import Dtmc, Mdp, induce_dtmc, self_compose
+from hypermdp.enumcheck import Evaluator, build_composition
+from hypermdp.model import Dtmc, Mdp, enumerate_schedulers, induce_dtmc, self_compose
 from hypermdp.smt import full_assignment
 
 ZERO = Fraction(0)
@@ -90,6 +92,33 @@ def brute_bounded_until(d: Dtmc, phi1, phi2, k1, k2, start) -> Fraction:
         return total
 
     return walk([start], ONE)
+
+
+def reference_bounded_steps(d: Dtmc, phi1, phi2, k1: int, k2: int):
+    """Every step of ``P(phi1 U[k1,k2] phi2)``, as the library took them
+    before its phases stopped at their fixed point or squared their step
+    map: k2 - k1 windowed steps, then k1 plain ones, over integers with D,
+    the common denominator, so that ``unit = D^j`` stands for 1.  Yields
+    ``(window, unit, vec)`` after each step j, from (0, 0) on."""
+    scale = math.lcm(*(p.denominator for s in d.states for _, p in d.trans[s]))
+    rows = {s: [(t, p.numerator * (scale // p.denominator)) for t, p in d.trans[s]]
+            for s in d.states if phi1[s]}
+    vec = {s: (1 if phi2[s] else 0) for s in d.states}
+    unit = 1  # the integer that stands for probability 1 after this step
+    yield (0, 0), unit, vec
+    for step in range(k2):
+        windowed = step < k2 - k1
+        unit *= scale
+        nxt = {}
+        for s in d.states:
+            if windowed and phi2[s]:
+                nxt[s] = unit
+            elif not phi1[s]:
+                nxt[s] = 0
+            else:
+                nxt[s] = sum([w * vec[t] for t, w in rows[s] if vec[t]])
+        vec = nxt
+        yield (max(step + 1 - (k2 - k1), 0), step + 1), unit, vec
 
 
 # -- interval-iteration oracle ----------------------------------------------------
@@ -419,6 +448,53 @@ def with_never(mdp: Mdp) -> Mdp:
     """``mdp`` with the proposition ``never`` in its alphabet and on no state."""
     return Mdp(states=mdp.states, actions=mdp.actions, enabled=mdp.enabled, trans=mdp.trans,
                ap=mdp.ap + ("never",), labels=mdp.labels)
+
+
+def late_case(rng: random.Random):
+    """``(mdp, f)``: a ``random_mdp`` of up to three states and a formula
+    that the first assignment of its outer scheduler quantifier cannot
+    decide, so that its witness or counterexample, if it has one, comes
+    from a later outer assignment.
+
+    One or two scheduler quantifiers and their state variables x and y,
+    all of one kind, over a strict threshold on a random ``P(...)`` at x:
+    past c under ``exists``, not past c under ``forall``, where c is its
+    value under the first assignment at the one state labelled ``mark``,
+    which guards x.  Models are drawn until a later assignment changes the
+    value at some state; ``mark`` goes to one of those, and "past" points
+    the way it changes there.  Half of the bodies join the threshold with a
+    random body over x and y, by ``&`` under ``exists`` and ``|`` under
+    ``forall``."""
+    kind, m = rng.random() < 0.5, rng.randint(1, 2)
+
+    def operand():
+        return rng.choice((TrueF(), Prop("a", "x"), Prop("b", "x"), random_body(rng, ["x"], 1)))
+
+    for _ in range(20):
+        mdp = random_mdp(rng, max_states=3)
+        prob = ProbOf(rng.choice((Next(operand()), Until(operand(), operand()),
+                                  BoundedUntil(operand(), operand(), rng.randint(0, 1), rng.randint(1, 3)))))
+        one = Formula(prefix=(SchedQuant(kind, "s1"), StateQuant(kind, "x", "s1")), body=Less(Const(ONE), prob))
+        ev, values = Evaluator(mdp, one), []
+        for a in enumerate_schedulers(mdp):
+            ev.bind(build_composition(one, {"s1": a}))
+            values.append({s: ev.value(prob, (s,)) for s in mdp.states})
+        changed = [s for s in mdp.states if any(v[s] != values[0][s] for v in values)]
+        if changed:
+            break
+    mark = rng.choice(changed or mdp.states)
+    mdp = Mdp(states=mdp.states, actions=mdp.actions, enabled=mdp.enabled, trans=mdp.trans, ap=mdp.ap + ("mark",),
+              labels={s: labels | {"mark"} if s == mark else labels for s, labels in mdp.labels.items()})
+    c = Const(values[0][mark])
+    threshold = Less(c, prob) if any(v[mark] > c.value for v in values) else Less(prob, c)
+    names = ("x", "y")[:m]
+    prefix = [SchedQuant(kind, f"s{j + 1}") for j in range(m)]
+    prefix += [StateQuant(kind, v, f"s{j + 1}") for j, v in enumerate(names)]
+    body = And(Prop("mark", "x"), threshold) if kind else f_implies(Prop("mark", "x"), NotF(threshold))
+    if rng.random() < 0.5:
+        rest = random_body(rng, list(names), 1)
+        body = And(body, rest) if kind else f_or(body, rest)
+    return mdp, Formula(prefix=tuple(prefix), body=body)
 
 
 # -- published rows ---------------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example as hypothesis_example
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,7 @@ from .helpers import (
     dense_until,
     random_acyclic_mdp,
     random_mdp,
+    reference_bounded_steps,
 )
 
 ONE = Fraction(1)
@@ -418,6 +420,91 @@ class TestBoundedWindows:
         # (all 3,001 would be quadratic)
         for (w1, w2), vec in windows[::250] + windows[-2:]:
             assert vec == bounded_until_probs(d, phi1, phi2, w1, w2)
+
+
+HALF = Fraction(1, 2)
+# q0 stays with 1/2 at each step, so its value never settles; q1 is the target
+LOOP = {"q0": [("q0", HALF), ("q1", HALF)], "q1": [("q2", 1)], "q2": [("q2", 1)]}
+# u0 reaches the target u1 or the sink u2 in one step, so every phase settles
+FORK = {"u0": [("u1", HALF), ("u2", HALF)], "u1": [("u1", 1)], "u2": [("u2", 1)]}
+
+
+def case(rows, live, k1, k2, targets=("q1", "u1")):
+    """``(d, phi1, phi2, k1, k2)`` on ``raw_chain(rows)``: phi1 holds at the
+    ``live`` states, phi2 at the ``targets``."""
+    d = raw_chain(rows, targets)
+    return d, {s: s in live for s in d.states}, pred(d, "a"), k1, k2
+
+
+@st.composite
+def bounded_cases(draw):
+    """``case``s on ``random_mdp`` chains of up to five states, drawn with or
+    without an absorbing sink and a 1/2 self-loop on q0 whose other half
+    leaves it, and with bounds 0 <= k1 <= k2 <= 10**4, half of them small."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    mdp = random_mdp(rng, max_states=5, max_actions=1)
+    rows = dict(induce_dtmc(mdp, next(enumerate_schedulers(mdp))).trans)
+    states = mdp.states
+    if draw(st.booleans()):
+        rows[states[-1]] = ((states[-1], ONE),)
+    if draw(st.booleans()):
+        rows[states[0]] = ((states[0], HALF), (states[1], HALF))
+    live = [s for s in states if draw(st.integers(0, 3))]
+    targets = [s for s in states if draw(st.integers(0, 2)) == 0]
+    k2 = draw(st.one_of(st.integers(0, 40), st.integers(0, 10**4)))
+    return case(rows, live, draw(st.integers(0, k2)), k2, targets)
+
+
+EXAMPLES = [
+    case(FORK, FORK, 0, 10**4),  # settles after two steps
+    case(LOOP, LOOP, 0, 10**4),  # never settles: squares the windowed phase
+    case(LOOP, LOOP, 9000, 10**4),  # squares the plain phase
+    case(LOOP, ("q0",), 3, 5),  # the plain phase halves q0 at each step
+    case(FORK, FORK, 2, 10),  # a plain phase after a settled windowed one
+    case(LOOP, LOOP, 0, 0),
+]
+
+
+def with_examples(test):
+    for example in EXAMPLES:
+        test = hypothesis_example(c=example)(test)
+    return test
+
+
+class TestBoundedAgainstEveryStep:
+    """Settled phases and squared ones give the vectors that taking every
+    step gives (``helpers.reference_bounded_steps``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @with_examples
+    @given(c=bounded_cases())
+    def test_last_vector(self, c):
+        *_, (_, unit, vec) = reference_bounded_steps(*c)
+        assert bounded_until_probs(*c) == {s: Fraction(v, unit) for s, v in vec.items()}
+
+    @settings(max_examples=30, deadline=None)
+    @with_examples
+    @given(c=bounded_cases())
+    def test_every_window(self, c):
+        windows = bounded_until_windows(*c)
+        for (window, unit, vec), (got_window, got) in itertools.zip_longest(reference_bounded_steps(*c), windows):
+            assert got_window == window
+            assert all(got[s].numerator * unit == v * got[s].denominator for s, v in vec.items()), window
+
+    def test_a_settled_phase_takes_no_more_steps(self):
+        d, phi1, phi2, k1, k2 = case(FORK, FORK, 10**5, 10**9)
+        steps = [(first, last) for first, last, _, _ in analysis._bounded_steps(d, phi1, phi2, k1, k2)]
+        # u0 is 1/2 after one step and stays; the plain phase starts settled
+        assert steps == [(0, 0), (1, 1), (2, k2 - k1), (k2 - k1 + 1, k2)]
+        assert bounded_until_probs(d, phi1, phi2, k1, k2) == {"u0": HALF, "u1": ONE, "u2": ZERO}
+
+    def test_a_moving_phase_squares_the_rest_unless_every_window_is_asked_for(self):
+        d, phi1, phi2, _, k = case(LOOP, LOOP, 0, 10**6)
+        steps = [(first, last) for first, last, _, _ in analysis._bounded_steps(d, phi1, phi2, 0, k, every=False)]
+        assert steps == [(j, j) for j in range(4)] + [(k, k)]
+        assert bounded_until_probs(d, phi1, phi2, 0, k)["q0"] == ONE - HALF ** k
+        windows = itertools.islice(bounded_until_windows(d, phi1, phi2, 0, k), 100)
+        assert all(vec["q0"] == ONE - HALF ** j for (_, j), vec in windows)
 
 
 class TestNext:

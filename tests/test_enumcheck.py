@@ -47,8 +47,8 @@ from hypermdp.model import (
     self_compose,
 )
 from hypermdp.smt import VectorEvaluator, solve_eager
-from .helpers import (BOUNDED_TA, PUBLISHED_ROWS, TS_INDEP, counting_binds, guarded_formula, random_body,
-                      random_mdp, with_never)
+from .helpers import (BOUNDED_TA, PUBLISHED_ROWS, TS_INDEP, counting_binds, guarded_formula, late_case,
+                      random_body, random_mdp, with_never)
 
 REACH_ONE = "exists sched s. exists st x(s). init(x) & P(F a(x)) = 1"
 REACH_HALF = "exists sched s. exists st x(s). init(x) & P(F a(x)) = 1/2"
@@ -567,3 +567,20 @@ class TestMirroredCombinations:
         assert sum(skipped for skipped, _ in reduced) >= 50
         # a witness or counterexample found after skipping, with the outer quantifier moved on
         assert sum(skipped and late for skipped, late in reduced) >= 2
+
+
+def test_verdicts_decided_after_the_outer_scheduler_moves_on():
+    # the first outer assignment never decides a ``late_case``, so its binds
+    # after the first are where the evaluator's later solves happen: the
+    # engines, replay and an evaluator that solves from each read point
+    # alone (no truth tuples) must agree there
+    rng, late, examples = random.Random(23), 0, 150
+    for _ in range(examples):
+        mdp, f = late_case(rng)
+        verdict = check(mdp, f)
+        assert eager(mdp, f) == verdict
+        assert replay(mdp, f, verdict) is verdict.truth
+        with mock.patch.object(enumcheck, "Evaluator", lambda mdp, f, domains: Evaluator(mdp, f)):
+            assert check(mdp, f) == verdict
+        late += verdict.mode != "none" and verdict.schedulers["s1"] != next(enumerate_schedulers(mdp))
+    assert late >= examples / 5, late

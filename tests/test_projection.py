@@ -12,14 +12,16 @@ import collections
 import gc
 import itertools
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hypermdp import analysis
+from hypermdp import analysis, cases
 from hypermdp.enumcheck import Evaluator, build_composition, check, replay
 from hypermdp.formula import (
     And,
@@ -184,11 +186,10 @@ def test_reverse_reads_of_plain_until_match_the_full_composition():
                 assert ev.value(node, at) == vector[at], (node, at)
 
 
-def test_reads_from_the_sink_end_of_a_path_solve_each_point_once():
-    # q0 -> q1 -> ... -> q199, the sink and the only a-state
-    n = 200
+def _path(n: int) -> Mdp:
+    """q0 -> q1 -> ... -> q(n-1), the sink and the only a-state."""
     states = tuple(f"q{i}" for i in range(n))
-    mdp = Mdp(
+    return Mdp(
         states=states,
         actions=("go",),
         enabled={s: ("go",) for s in states},
@@ -196,6 +197,12 @@ def test_reads_from_the_sink_end_of_a_path_solve_each_point_once():
         ap=("a",),
         labels={s: frozenset({"a"} if s == states[-1] else ()) for s in states},
     )
+
+
+def test_reads_from_the_sink_end_of_a_path_solve_each_point_once():
+    n = 200
+    mdp = _path(n)
+    states = mdp.states
     f = parse_formula("exists sched s. exists st x(s). true")
     unbounded = ProbOf(Until(TrueF(), Prop("a", "x")))
     bounded = ProbOf(BoundedUntil(TrueF(), Prop("a", "x"), 0, 3))
@@ -217,6 +224,61 @@ def test_reads_from_the_sink_end_of_a_path_solve_each_point_once():
                 assert ev.value(node, (states[i],)) == expected
         assert 0 < sum(sizes) <= 2 * n, (name, sizes)
         assert node is unbounded or sizes == [n], sizes
+
+
+def _bounded_values(mdp: Mdp, f: Formula, verdict) -> dict:
+    """The values of ``f``'s one bounded until at every state, under the
+    scheduler of ``verdict``, or the first one."""
+    ev = Evaluator(mdp, f)
+    (node,) = [node for node in ev.supports if isinstance(node, ProbOf)]
+    ev.bind(build_composition(f, verdict.schedulers or {"s": next(enumerate_schedulers(mdp))}))
+    return {s: ev.value(node, (s,)) for s in mdp.states}
+
+
+def test_a_bound_of_a_million_on_the_coin_decides_through_check(m_coin):
+    # s0's value still moves after |S| steps, so the rest of the bound is one squared power of the step map
+    k = 10**6
+    f = parse_formula(f"exists sched s. exists st x(s). P(F<={k} a(x)) > 1/2")
+    start = time.perf_counter()
+    verdict = check(m_coin, f)
+    assert time.perf_counter() - start < 10
+    assert (verdict.truth, verdict.mode, verdict.states) == (True, "witness", {"x": "s0"})
+    assert verdict.schedulers["s"].actions[0] == "alpha"
+    # under alpha s0 stays with 1/2 at each step: it reaches a within k steps with 1 - 2^-k
+    assert _bounded_values(m_coin, f, verdict) == {"s0": 1 - Fraction(1, 2**k), "s1": 1, "s2": 0}
+
+
+def test_a_bound_past_the_end_of_a_path_decides_at_once():
+    # every state reaches the sink within 199 steps, so the phase settles
+    # there and the remaining steps of 10^9 are never taken
+    mdp = _path(200)
+    for k, truth in ((10**9, True), (150, False)):
+        f = parse_formula(f"forall sched s. forall st x(s). P(F<={k} a(x)) = 1")
+        start = time.perf_counter()
+        verdict = check(mdp, f)
+        assert time.perf_counter() - start < 2
+        assert verdict.truth is truth
+        assert _bounded_values(mdp, f, verdict) == {s: int(199 - i <= k) for i, s in enumerate(mdp.states)}
+
+
+@pytest.mark.parametrize("family, params, calls, states", [
+    ("pc", {"tier": "s0"}, 6, 120),
+    ("pc", {"tier": "s01"}, 6, 120),
+    ("ts", {"h1": 0, "h2": 1}, 3, 16),
+])
+def test_one_until_solve_per_path_and_bind(family, params, calls, states):
+    # the first miss under a bind solves from every point the quantifier
+    # walk may read, so a second init state's read starts no solve of its own
+    spec = cases.generate(family, **params)
+    sizes = []
+
+    def spy(d, *args, solve=analysis.until_probs):
+        sizes.append(len(d.states))
+        return solve(d, *args)
+
+    with mock.patch.object(analysis, "until_probs", spy):
+        check(spec.mdp, spec.formula)
+    assert (len(sizes), sum(sizes)) == (calls, states)
 
 
 def test_cache_stays_bounded_through_a_full_sweep():

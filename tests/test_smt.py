@@ -961,12 +961,14 @@ def test_no_library_path_builds_the_product():
 def test_true_sweep_reuses_values_across_combinations():
     # 36 of the 64 pairs are tried, one of each mirrored pair; a value is
     # solved again only where a new combination changes a choice the value
-    # can reach: 90 until solves per check, against 137 over all 64 pairs
-    # and 380 when every combination solved its own
+    # can reach, and each bind solves a path once from every point the
+    # quantifier walk may read: 56 until solves per check, against 90 when
+    # each read that missed solved its own, 137 over all 64 pairs and 380
+    # when every combination solved its own
     mdp, f = cases.generate("ts", h1=0, h2=1).mdp, parse_formula(TS_INDEP)
     with mock.patch.object(analysis, "until_probs", wraps=analysis.until_probs) as spy:
         assert check(mdp, f).truth is True
-    assert spy.call_count <= 90
+    assert spy.call_count <= 56
 
 
 def test_bind_compares_no_assignment_by_value(monkeypatch):
