@@ -14,6 +14,13 @@ later combination that keeps the choices it can reach: those at the
 states the MDP may reach from the value's point, per component.  At most
 m^|K| vectors are kept per path (m scheduler quantifiers, K the
 components it mentions), so memory is bounded by the model and formula.
+The body's truth at a composed tuple likewise depends only on the
+choices at the choice states (two or more actions) that each component's
+state may reach, so from the second combination on ``decide`` memoizes it
+under the tuple and those choices (``_TruthMemo``), binding the evaluator
+to a combination only at its first miss.  The memo starts empty, finds a
+state's choice states by one forward search at its first use, and keeps
+at most (m·|S|)^n truths (n state quantifiers), starting over when full.
 Where swapping two scheduler quantifiers, with their state variables,
 leaves the body the same up to operand order (``swappable``), each
 unordered pair of their assignments is tried once, as in symmetry
@@ -26,6 +33,8 @@ read the same domains.  Mixed scheduler prefixes are supported here.
 from __future__ import annotations
 
 import itertools
+import operator
+import weakref
 from typing import Collection, Dict, Mapping, Optional, Tuple
 
 from . import analysis
@@ -83,6 +92,15 @@ def build_composition(f: Formula, chosen: Dict[str, SchedulerAssignment]) -> Tup
     """One scheduler combination of ``f``: the assignment that each
     component of the self-composition (one per state variable) runs under."""
     return tuple(chosen[q.sched] for q in f.prefix if isinstance(q, StateQuant))
+
+
+def _is_equality(node) -> bool:
+    """Whether ``node`` is ``!(a < b) & !(b < a)``: ``a = b``."""
+    if not (isinstance(node, And) and isinstance(node.left, NotF) and isinstance(node.right, NotF)):
+        return False
+    left, right = node.left.operand, node.right.operand
+    return (isinstance(left, Less) and isinstance(right, Less)
+            and left.left == right.right and left.right == right.left)
 
 
 def _walk(rows: Mapping, starts, stop: Mapping, reuse=None) -> list:
@@ -143,7 +161,7 @@ class Evaluator:
         self._bound = set()  # ids of the bound assignments
         self._taints = {}  # (assignment, assignment) -> the states that may reach a choice where they differ
         self._preds = None  # state -> the states with an edge to it under some action
-        self._stamp = 0  # counts binds; a reader refetches its vector when it moves
+        self._stamp = [0]  # counts binds; a reader refetches its vector when it moves
         self._fns = {}
         self._top = tuple(range(len(self.var_index)))
         self._body = self._compile(f.body, self._top)
@@ -154,7 +172,7 @@ class Evaluator:
         by identity, so no assignment is compared by value).  Vectors stay,
         within their bound."""
         bound = self.assignments = assignments
-        self._stamp += 1
+        self._stamp[0] += 1
         ids = self._bound = {id(a) for a in bound}
         self.chains = {key: rows for key, rows in self.chains.items() if all(id(a) in ids for a in key)}
         self.closures = {key: v for key, v in self.closures.items() if all(id(a) in ids for a in key[0])}
@@ -171,7 +189,8 @@ class Evaluator:
 
     def reader(self, node, support: Tuple[int, ...]):
         """``node`` under the bound combination, as a function of the
-        points of ``support``: tuples of states of those components."""
+        points of ``support``: tuples of states of those components.  It
+        holds the evaluator weakly, so it is read while the evaluator lives."""
         if node not in self.supports:
             self.supports.update(subformula_supports(node, self.var_index))
         return self._compile(node, support)
@@ -179,7 +198,11 @@ class Evaluator:
     def _compile(self, node, frame):
         """``node`` as a function of tuples over the components ``frame``, or,
         for an int frame, of that component's bare states (faster to hash).
-        One call per level of ``node``, which ``parse_formula`` bounds."""
+        One call per level of ``node``, which ``parse_formula`` bounds.
+
+        ``!!φ`` is φ, and ``!(a < b) & !(b < a)``, which ``formula.cmp_eq``
+        builds for ``=``, is ``a == b``: exact on ``Fraction``s, and each
+        operand is read once, not twice."""
         fn = self._fns.get((node, frame))
         if fn is not None:
             return fn
@@ -194,10 +217,16 @@ class Evaluator:
                 pos = frame.index(self.var_index[node.var] - 1)
                 fn = lambda t: name in labels[t[pos]]
         elif isinstance(node, NotF):
-            inner = self._compile(node.operand, frame)
-            fn = lambda t: not inner(t)
+            if isinstance(node.operand, NotF):
+                fn = self._compile(node.operand.operand, frame)
+            else:
+                inner = self._compile(node.operand, frame)
+                fn = lambda t: not inner(t)
         elif isinstance(node, ProbOf):
             fn = self._reader(node, frame)
+        elif _is_equality(node):
+            left, right = self._compile(node.left.operand.left, frame), self._compile(node.left.operand.right, frame)
+            fn = lambda t: left(t) == right(t)
         else:
             left, right = self._compile(node.left, frame), self._compile(node.right, frame)
             if isinstance(node, And):
@@ -220,17 +249,22 @@ class Evaluator:
         if self.domains is not None and frame is self._top and isinstance(node.path, Until):
             domains = [self.domains[c] for c in support]
             seeds = domains[0] if len(support) == 1 else tuple(itertools.product(*domains))
+        # kept in ``_fns``, a reader that held the evaluator itself would form
+        # a reference cycle, left to the cyclic garbage collector
+        stamp, this = self._stamp, weakref.ref(self)
 
         def read(point):
-            if held[0] != self._stamp:
-                key = tuple(self.assignments[c] for c in support)
-                held[:] = self._stamp, key, self._vector(vectors, key), False
+            if held[0] != stamp[0]:
+                ev = this()
+                key = tuple(ev.assignments[c] for c in support)
+                held[:] = stamp[0], key, ev._vector(vectors, key), False
             value = held[2].get(point)
             if value is None:
+                ev = this()
                 first = held[3] is False  # the first miss under this bind solves from every seed
                 if first:
-                    held[3] = self._reuser(vectors, held[1], held[2])
-                self._solve(node.path, support, held[2], point, held[3], seeds if first else ())
+                    held[3] = ev._reuser(vectors, held[1], held[2])
+                ev._solve(node.path, support, held[2], point, held[3], seeds if first else ())
                 value = held[2][point]
             return value
 
@@ -264,17 +298,19 @@ class Evaluator:
         """A function that copies a point's value into ``vec`` from another
         of the path's ``vectors`` whose assignments agree with ``key``
         wherever the point's value can reach, and says whether it found one;
-        None if the path has no other vector."""
+        None if the path has no other vector.  Held by a reader, it holds
+        the evaluator weakly as the reader does."""
         donors = [[other, k, None] for k, other in reversed(vectors.items()) if other is not vec]
         if not donors:
             return None
+        this = weakref.ref(self)
 
         def reuse(point) -> bool:
             for donor in donors:  # most recently used first
                 value = donor[0].get(point)
                 if value is not None:
                     if donor[2] is None:
-                        donor[2] = self._stale(key, donor[1])
+                        donor[2] = this()._stale(key, donor[1])
                     if not donor[2](point):
                         vec[point] = value
                         return True
@@ -466,18 +502,80 @@ def swappable(f: Formula, pinned: Collection[int] = ()) -> frozenset:
     return frozenset(found)
 
 
+class _TruthMemo:
+    """The body's truths, keyed by the composed tuple and, per component,
+    its assignment's actions at the choice states its state may reach."""
+
+    def __init__(self, mdp: Mdp, m: int, n: int):
+        self.mdp, self.limit = mdp, (m * len(mdp.states)) ** n
+        self.truths = {}
+        self.getters = {}  # state -> its key's getter over an assignment's actions in model order
+
+    def getter(self, s):
+        """``s``'s getter, from one forward search of the may graph."""
+        mdp, reached, frontier = self.mdp, {s}, [s]
+        for u in frontier:  # the loop reaches what it appends
+            for action in mdp.enabled[u]:
+                for t, _ in mdp.trans[u, action]:
+                    if t not in reached:
+                        reached.add(t)
+                        frontier.append(t)
+        positions = [i for i, t in enumerate(mdp.states) if t in reached and len(mdp.enabled[t]) > 1]
+        getter = self.getters[s] = operator.itemgetter(*positions) if positions else _no_choice
+        return getter
+
+    def holds(self, evaluator: Evaluator, assignments: Tuple[SchedulerAssignment, ...]):
+        """The body's truth under ``assignments``; the first tuple the memo
+        lacks binds ``evaluator`` to them."""
+        states = self.mdp.states
+        actions = [a.actions if a.states == states else tuple(map(a.as_dict().get, states)) for a in assignments]
+        truths, getters, getter = self.truths, self.getters, self.getter
+        bound = False
+
+        def holds(at: tuple) -> bool:
+            nonlocal bound
+            key = (at, *[(getters.get(s) or getter(s))(acts) for s, acts in zip(at, actions)])
+            truth = truths.get(key)
+            if truth is None:
+                if not bound:
+                    evaluator.bind(assignments)
+                    bound = True
+                truth = evaluator.holds(at)
+                if len(truths) >= self.limit:
+                    truths.clear()
+                truths[key] = truth
+            return truth
+
+        return holds
+
+
+def _no_choice(actions) -> tuple:
+    """The getter of a state that may reach no choice state."""
+    return ()
+
+
 def decide(mdp: Mdp, f: Formula, pinned: Optional[Mapping[int, object]] = None) -> Tuple[bool, dict]:
     """The truth of ``f`` and the values on its deciding branch.
 
     Scheduler quantifiers take the assignments in lexicographic order,
-    then, under one ``bind`` per combination, ``truth_eval`` walks the
-    state quantifiers over ``state_domains``.  The quantifier at prefix
+    then, under each combination, ``truth_eval`` walks the state
+    quantifiers over ``state_domains``.  The quantifier at prefix
     position i takes only ``pinned[i]`` if given.  Values are keyed by
     prefix position, so a scheduler and a state variable may share a name.
 
+    From the second combination on, the body's truth at a tuple comes from
+    a memo where an earlier combination made the same choices at every
+    choice state that each component's state may reach, which is exact:
+    the truth depends on no other choice.  The evaluator is bound to a
+    combination only at its first tuple the memo lacks.  The first
+    combination does no memo work, so a formula decided there pays
+    nothing, and the memo keeps at most (m·|S|)^n truths (m and n the
+    scheduler and state quantifiers): memory set by the model and
+    formula, not by the scheduler space.
+
     Where the quantifiers at i and i+1 are ``swappable``, the one at i+1
     starts at the assignment chosen at i, so a true ``forall s1. forall
-    s2`` sweep over |S| assignments binds |S|(|S|+1)/2 combinations, not
+    s2`` sweep over |S| assignments tries |S|(|S|+1)/2 combinations, not
     |S|².  A skipped combination (a, b), b before a, has the truth of its
     mirror (b, a), which comes before it.  The values found stay the same,
     so ``check``, ``smt.solve_eager`` and ``replay`` report the witnesses
@@ -497,12 +595,19 @@ def decide(mdp: Mdp, f: Formula, pinned: Optional[Mapping[int, object]] = None) 
     evaluator = Evaluator(mdp, f, domains)
     chosen: Dict[str, SchedulerAssignment] = {}
     mirrored = None  # ``swappable`` positions, once an outer loop moves on
+    memo = None  # the body's truths, from the second combination on
 
     def walk(i: int):
-        nonlocal mirrored
+        nonlocal mirrored, memo
         if i == m:  # reached once per scheduler combination
-            evaluator.bind(build_composition(f, chosen))
-            truth, picks = truth_eval(state_quants, domains, evaluator.holds)
+            assignments = build_composition(f, chosen)
+            if memo is None:  # the first combination does no memo work
+                memo = _TruthMemo(mdp, m, len(state_quants))
+                evaluator.bind(assignments)
+                holds = evaluator.holds
+            else:
+                holds = memo.holds(evaluator, assignments)
+            truth, picks = truth_eval(state_quants, domains, holds)
             return truth, {m + depth: s for depth, s in picks.items()}
         q = f.prefix[i]
         if i in pinned:
@@ -519,7 +624,10 @@ def decide(mdp: Mdp, f: Formula, pinned: Optional[Mapping[int, object]] = None) 
                 return truth, {i: v, **trace}
         return not q.exists, {}
 
-    return walk(0)
+    try:
+        return walk(0)
+    finally:
+        del walk  # empties the cell through which walk calls itself: no reference cycle
 
 
 def check(mdp: Mdp, f: Formula, max_sched_vars: int = 3, max_state_vars: int = 3) -> Verdict:

@@ -537,6 +537,7 @@ def subformula_supports(body, var_index: dict) -> dict:
         return result
 
     visit(body)
+    del visit  # empties the cell through which visit calls itself: no reference cycle
     return support
 
 

@@ -27,11 +27,13 @@ from hypermdp.formula import (
     StateQuant,
     TrueF,
     Until,
+    cmp_eq,
     f_implies,
     f_or,
 )
 from hypermdp.constraints import choice_sym
-from hypermdp.enumcheck import Evaluator, build_composition
+from hypermdp import enumcheck
+from hypermdp.enumcheck import Evaluator, build_composition, truth_eval
 from hypermdp.model import Dtmc, Mdp, enumerate_schedulers, induce_dtmc, self_compose
 from hypermdp.smt import full_assignment
 
@@ -450,6 +452,32 @@ def with_never(mdp: Mdp) -> Mdp:
                ap=mdp.ap + ("never",), labels=mdp.labels)
 
 
+def valued_formula(rng: random.Random, mdp: Mdp) -> Formula:
+    """One or two scheduler quantifiers, mixed or not, over x and perhaps
+    y, whose body compares a random ``P(...)``, coupled over x and y where
+    both exist, by ``=`` or ``!=`` with its value at a random tuple under a
+    random combination.  The body's truth then turns with nearly every
+    choice the value can reach, as a threshold's seldom does."""
+    sched = [SchedQuant(rng.random() < 0.5, f"s{j}") for j in range(rng.randint(1, 2))]
+    names = ("x", "y")[:rng.randint(1, 2)]
+    prefix = (*sched, *(StateQuant(rng.random() < 0.5, v, rng.choice(sched).name) for v in names))
+    atoms = [TrueF(), *(Prop(p, v) for p in ("a", "b") for v in names)]
+    if len(names) == 2:
+        atoms.append(And(Prop("a", "x"), Prop(rng.choice(("a", "b")), "y")))
+
+    def operand():
+        return rng.choice(atoms)
+
+    k1 = rng.randint(0, 1)
+    prob = ProbOf(rng.choice((Next(operand()), Until(operand(), operand()),
+                              BoundedUntil(operand(), operand(), k1, k1 + rng.randint(0, 3)))))
+    probe = Formula(prefix=prefix, body=Less(Const(ZERO), prob))
+    ev, schedulers = Evaluator(mdp, probe), list(enumerate_schedulers(mdp))
+    ev.bind(build_composition(probe, {q.name: rng.choice(schedulers) for q in sched}))
+    equal = cmp_eq(prob, Const(ev.value(prob, tuple(rng.choice(mdp.states) for _ in names))))
+    return Formula(prefix=prefix, body=equal if rng.random() < 0.5 else NotF(equal))
+
+
 def late_case(rng: random.Random):
     """``(mdp, f)``: a ``random_mdp`` of up to three states and a formula
     that the first assignment of its outer scheduler quantifier cannot
@@ -525,18 +553,48 @@ def full_product(mdp: Mdp, assignments) -> Dtmc:
     return self_compose([induced[a] for a in assignments])
 
 
+def reference_decide(mdp: Mdp, f: Formula, pinned=None):
+    """``enumcheck.decide`` without its savings: every scheduler combination
+    in lexicographic order, no mirrored pair skipped, a fresh ``Evaluator``
+    bound to each, and the state quantifiers over every state (or their
+    pinned one).  Returns the truth and the values on the deciding branch,
+    keyed by prefix position."""
+    pinned = pinned or {}
+    m = sum(isinstance(q, SchedQuant) for q in f.prefix)
+    state_quants = f.prefix[m:]
+    domains = [(pinned[m + d],) if m + d in pinned else mdp.states for d in range(len(state_quants))]
+    chosen = {}
+
+    def walk(i):
+        if i == m:
+            ev = Evaluator(mdp, f)
+            ev.bind(build_composition(f, chosen))
+            truth, picks = truth_eval(state_quants, domains, ev.holds)
+            return truth, {m + depth: s for depth, s in picks.items()}
+        q = f.prefix[i]
+        for v in (pinned[i],) if i in pinned else enumerate_schedulers(mdp):
+            chosen[q.name] = v
+            truth, trace = walk(i + 1)
+            if truth == q.exists:
+                return truth, {i: v, **trace}
+        return not q.exists, {}
+
+    return walk(0)
+
+
 @contextlib.contextmanager
-def counting_binds():
-    """The scheduler combinations ``Evaluator.bind`` is given, in order, while
-    the block runs: one per combination a quantifier walk tries."""
-    binds, bind = [], Evaluator.bind
+def counting_combinations():
+    """The scheduler combinations ``enumcheck.decide`` forms
+    (``build_composition``), in order, while the block runs: one per
+    combination it tries, whether or not it binds the evaluator to it."""
+    combos = []
 
-    def counting(self, assignments):
-        binds.append(assignments)
-        bind(self, assignments)
+    def counting(f, chosen):
+        combos.append(build_composition(f, chosen))
+        return combos[-1]
 
-    with mock.patch.object(Evaluator, "bind", counting):
-        yield binds
+    with mock.patch.object(enumcheck, "build_composition", counting):
+        yield combos
 
 
 # -- solver models ------------------------------------------------------------------

@@ -20,6 +20,7 @@ from hypermdp.enumcheck import (
 )
 from hypermdp.errors import CapExceeded, IllFormed, UnknownProposition
 from hypermdp.formula import (
+    ARITH_OPS,
     MAX_HEIGHT,
     And,
     Arith,
@@ -34,6 +35,8 @@ from hypermdp.formula import (
     StateQuant,
     TrueF,
     Until,
+    cmp_eq,
+    cmp_le,
     count_quantifiers,
     f_implies,
     parse_formula,
@@ -47,8 +50,9 @@ from hypermdp.model import (
     self_compose,
 )
 from hypermdp.smt import VectorEvaluator, solve_eager
-from .helpers import (BOUNDED_TA, PUBLISHED_ROWS, TS_INDEP, counting_binds, guarded_formula, late_case,
-                      random_body, random_mdp, with_never)
+from .helpers import (BOUNDED_TA, PUBLISHED_ROWS, TS_INDEP, counting_combinations, guarded_formula, late_case,
+                      random_body, random_formula, random_mdp, random_pexpr, reference_decide,
+                      valued_formula, with_never)
 
 REACH_ONE = "exists sched s. exists st x(s). init(x) & P(F a(x)) = 1"
 REACH_HALF = "exists sched s. exists st x(s). init(x) & P(F a(x)) = 1/2"
@@ -470,9 +474,9 @@ class TestSwappable:
         assert swappable(f, {0: second}) == swappable(f, {3: "s0"}) == frozenset()
         # a replay with s1 pinned to its last assignment still tries every s2
         pinned = enumcheck.Verdict(truth=False, mode="counterexample", schedulers={"s1": second})
-        with counting_binds() as binds:
+        with counting_combinations() as combos:
             assert replay(m_coin, f, pinned) is True
-        assert [s2 for _, s2 in binds] == [first, second]
+        assert [s2 for _, s2 in combos] == [first, second]
 
     def test_deep_symmetric_body_is_keyed_in_a_loop(self, m_coin):
         # a true sweep, so the outer loop moves on and detection runs
@@ -488,9 +492,9 @@ class TestSwappable:
         finally:
             sys.setrecursionlimit(limit)
         assert found == {0}
-        with counting_binds() as binds:
+        with counting_combinations() as combos:
             assert check(m_coin, f).truth is True
-        assert len(binds) == 3  # (alpha, alpha), (alpha, beta), (beta, beta)
+        assert len(combos) == 3  # (alpha, alpha), (alpha, beta), (beta, beta)
 
 
 def mirrored_formula(rng: random.Random) -> Formula:
@@ -518,11 +522,23 @@ class TestMirroredCombinations:
     def test_true_sweep_binds_each_unordered_pair_once(self, engine):
         mdp = cases.generate("ts", h1=0, h2=1).mdp
         order = {a: k for k, a in enumerate(enumerate_schedulers(mdp))}
-        with counting_binds() as binds:
+        with counting_combinations() as combos:
             verdict = engine(mdp, parse_formula(TS_INDEP))
         assert (verdict.truth, verdict.mode) == (True, "none")
-        assert len(order) == 8 and len(binds) == 36  # 8 * 9 / 2, not 8 * 8
-        assert len(set(binds)) == 36 and all(order[a] <= order[b] for a, b in binds)
+        assert len(order) == 8 and len(combos) == 36  # 8 * 9 / 2, not 8 * 8
+        assert len(set(combos)) == 36 and all(order[a] <= order[b] for a, b in combos)
+
+    @pytest.mark.parametrize("engine", [check, eager])
+    def test_true_sweep_binds_the_evaluator_once_per_new_choice_pattern(self, engine):
+        # of the 36 combinations tried, 15 find the body's truth at every
+        # tuple they read in the memo, under an earlier combination that
+        # makes the same choices wherever each component's state may reach
+        mdp = cases.generate("ts", h1=0, h2=1).mdp
+        with mock.patch.object(Evaluator, "bind", autospec=True, side_effect=Evaluator.bind) as bind, \
+                counting_combinations() as combos:
+            verdict = engine(mdp, parse_formula(TS_INDEP))
+        assert (verdict.truth, verdict.mode) == (True, "none")
+        assert len(combos) == 36 and bind.call_count <= 21
 
     @pytest.mark.parametrize("row, count", [
         ("ts_h0_1", 2), ("ta_m2", 3), ("pw_m2", 2), ("pc_s0", 1), ("ta_m2_bnd", 3),
@@ -533,10 +549,10 @@ class TestMirroredCombinations:
         family, params = PUBLISHED_ROWS[row.replace("_bnd", "")]
         spec = cases.generate(family, **params)
         f = parse_formula(BOUNDED_TA) if row.endswith("_bnd") else spec.formula
-        with counting_binds() as binds, \
+        with counting_combinations() as combos, \
                 mock.patch.object(enumcheck, "swappable", wraps=enumcheck.swappable) as detector:
             verdict = engine(spec.mdp, f)
-        assert len(binds) == count and detector.call_count == 0
+        assert len(combos) == count and detector.call_count == 0
         assert verdict.truth is (family == "pc")
 
     def test_skipping_mirrors_keeps_every_verdict(self):
@@ -552,10 +568,10 @@ class TestMirroredCombinations:
             engines = (check, eager) if one_kind else (check,)
             runs = []
             for detector in (swappable, lambda f, pinned=(): frozenset()):
-                with mock.patch.object(enumcheck, "swappable", detector), counting_binds() as binds:
+                with mock.patch.object(enumcheck, "swappable", detector), counting_combinations() as combos:
                     verdicts = [engine(mdp, f, max_state_vars=4) for engine in engines]
                     replays = [replay(mdp, f, verdict) for verdict in verdicts]
-                runs.append((verdicts, replays, len(binds)))
+                runs.append((verdicts, replays, len(combos)))
             (verdicts, replays, count), (plain, plain_replays, plain_count) = runs
             assert verdicts == plain and replays == plain_replays
             assert replays == [verdict.truth for verdict in verdicts]
@@ -584,3 +600,124 @@ def test_verdicts_decided_after_the_outer_scheduler_moves_on():
             assert check(mdp, f) == verdict
         late += verdict.mode != "none" and verdict.schedulers["s1"] != next(enumerate_schedulers(mdp))
     assert late >= examples / 5, late
+
+
+class TestTruthMemo:
+    """``decide`` reads the body's truth from its memo where an earlier
+    combination made the same choices at every choice state each
+    component's state may reach, and answers as a walk that binds a fresh
+    evaluator to every combination does."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), corpus=st.sampled_from(("guarded", "random", "valued")))
+    def test_decide_equals_the_reference_walk(self, seed, corpus):
+        rng = random.Random(seed)
+        mdp = with_never(random_mdp(rng, max_states=3, max_actions=3))
+        corpora = {"guarded": guarded_formula, "random": random_formula, "valued": lambda rng: valued_formula(rng, mdp)}
+        f = corpora[corpus](rng)
+        memo_holds = enumcheck._TruthMemo.holds
+
+        def checked(memo, evaluator, assignments):
+            # every truth the memo gives, a hit or not, is a fresh evaluator's
+            holds, fresh = memo_holds(memo, evaluator, assignments), Evaluator(mdp, f)
+            fresh.bind(assignments)
+
+            def both(at):
+                truth = holds(at)
+                assert truth == fresh.holds(at)
+                return truth
+
+            return both
+
+        with mock.patch.object(enumcheck._TruthMemo, "holds", checked):
+            result = decide(mdp, f)
+        assert result == reference_decide(mdp, f)
+        verdict = assemble_verdict(f, *result)
+        # the verdict's schedulers listing the model's states backwards
+        backwards = enumcheck.Verdict(truth=verdict.truth, mode=verdict.mode, states=verdict.states, schedulers={
+            name: SchedulerAssignment(a.states[::-1], a.actions[::-1]) for name, a in verdict.schedulers.items()})
+        recorded = [backwards.schedulers if isinstance(q, SchedQuant) else backwards.states for q in f.prefix]
+        pinned = {i: values[q.name] for i, (q, values) in enumerate(zip(f.prefix, recorded)) if q.name in values}
+        assert decide(mdp, f, pinned) == reference_decide(mdp, f, pinned)
+        assert replay(mdp, f, backwards) is verdict.truth
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), valued=st.booleans())
+    def test_every_truth_equals_a_fresh_evaluator_in_any_sweep_order(self, seed, valued):
+        # ``decide`` stops where the body decides, so it reads few truths
+        # that turn, and on these small models the memo fills and starts
+        # over every few combinations; here it keeps every truth, and every
+        # combination reads every tuple, in random orders, so a key missing
+        # a choice that a truth depends on shows
+        rng = random.Random(seed)
+        mdp = random_mdp(rng, max_states=3, max_actions=3)
+        f = valued_formula(rng, mdp) if valued else random_formula(rng)
+        m, n = count_quantifiers(f)
+        names = [q.name for q in f.prefix[:m]]
+        schedulers = list(enumerate_schedulers(mdp))
+        combos = [build_composition(f, dict(zip(names, c))) for c in itertools.product(schedulers, repeat=m)]
+        rng.shuffle(combos)
+        memo, ev = enumcheck._TruthMemo(mdp, m, n), Evaluator(mdp, f)
+        tuples = list(itertools.product(mdp.states, repeat=n))
+        memo.limit = len(combos) * len(tuples)
+        for assignments in combos[:40]:
+            holds, fresh = memo.holds(ev, assignments), Evaluator(mdp, f)
+            fresh.bind(assignments)
+            rng.shuffle(tuples)
+            for at in tuples:
+                assert holds(at) == fresh.holds(at)
+
+
+# the parser's desugaring of ``=``, ``!=``, ``<=`` and ``>=``, all built on ``formula.cmp_eq``
+COMPARISONS = {"=": cmp_eq, "!=": lambda a, b: NotF(cmp_eq(a, b)),
+               "<=": cmp_le, ">=": lambda a, b: cmp_le(b, a)}
+
+
+def comparison_body(rng: random.Random, vars_, depth: int = 2):
+    """A random body over ``vars_`` whose comparisons are ``=``, ``!=``,
+    ``<=`` and ``>=``, an operand sometimes compared with itself."""
+    kind = rng.choice(("prop", "and", "not", "compare", "compare") if depth else ("prop", "compare"))
+    if kind == "prop":
+        return Prop(rng.choice(("a", "b", "init")), rng.choice(vars_))
+    if kind == "and":
+        return And(comparison_body(rng, vars_, depth - 1), comparison_body(rng, vars_, depth - 1))
+    if kind == "not":
+        return NotF(comparison_body(rng, vars_, depth - 1))
+    left = random_pexpr(rng, vars_, 1)
+    right = left if rng.random() < 0.2 else random_pexpr(rng, vars_, 1)
+    return COMPARISONS[rng.choice(sorted(COMPARISONS))](left, right)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_compiled_comparisons_equal_the_desugared_tree(seed):
+    # the evaluator compiles ``!!φ`` to φ and ``!(a < b) & !(b < a)`` to a
+    # single ``a == b``; the body's tree, walked as written, must agree
+    rng = random.Random(seed)
+    mdp = random_mdp(rng, max_states=3, max_actions=3)
+    names = ("x", "y")[:rng.randint(1, 2)]
+    f = Formula(prefix=(SchedQuant(True, "s1"), SchedQuant(True, "s2"),
+                        *(StateQuant(True, v, f"s{i + 1}") for i, v in enumerate(names))),
+                body=comparison_body(rng, list(names)))
+    ev = Evaluator(mdp, f)
+    schedulers = list(enumerate_schedulers(mdp))
+    ev.bind(build_composition(f, {"s1": rng.choice(schedulers), "s2": rng.choice(schedulers)}))
+
+    def tree(node, at):
+        if isinstance(node, Prop):
+            return node.name in mdp.labels[at[names.index(node.var)]]
+        if isinstance(node, NotF):
+            return not tree(node.operand, at)
+        if isinstance(node, And):
+            return tree(node.left, at) and tree(node.right, at)
+        return term(node.left, at) < term(node.right, at)
+
+    def term(node, at):
+        if isinstance(node, Const):
+            return node.value
+        if isinstance(node, Arith):
+            return ARITH_OPS[node.op](term(node.left, at), term(node.right, at))
+        return ev.value(node, at)
+
+    for at in itertools.product(mdp.states, repeat=len(names)):
+        assert ev.holds(at) == tree(f.body, at)

@@ -14,6 +14,7 @@ import itertools
 import random
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hypermdp import analysis, cases
+from hypermdp import analysis, cases, enumcheck
 from hypermdp.enumcheck import Evaluator, build_composition, check, replay
 from hypermdp.formula import (
     And,
@@ -432,8 +433,10 @@ def _loops(choices: int) -> Mdp:
     )
 
 
-def _sweep_peak(choices: int) -> int:
-    f = parse_formula("exists sched s. exists st x(s). P(X a(x)) > 0")
+def _sweep_peak(choices: int, text: str = "exists sched s. exists st x(s). P(X a(x)) > 0") -> int:
+    """The traced peak of ``solve_eager`` on ``text``, a formula whose
+    scheduler quantifier tries every assignment of ``_loops(choices)``."""
+    f = parse_formula(text)
     mdp = _loops(choices)
     # Only the solve is measured: collecting first keeps earlier tests'
     # garbage (and its finalizers) out of the window and starts the collector
@@ -448,7 +451,7 @@ def _sweep_peak(choices: int) -> int:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.decoded.truth is False
+    assert result.decoded.truth is not f.prefix[0].exists  # a false exists or a true forall: no early exit
     return peak
 
 
@@ -457,3 +460,55 @@ def test_false_existential_sweep_memory_does_not_grow_with_the_scheduler_space()
     small, large = _sweep_peak(8), _sweep_peak(12)
     # holding the 2^12 schedulers or their combinations would take about 1 MB
     assert large - small < 64 * 1024, (small, large)
+
+
+class _Largest(dict):
+    """A dict that records the most entries it held."""
+
+    largest = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.largest = max(self.largest, len(self))
+
+
+def test_true_universal_sweep_memory_does_not_grow_with_the_scheduler_space():
+    # every state is its own only successor, so the truth memo's keys are
+    # the 12 states with their own choices: more than its 1 * 12 entries
+    # hold, so it fills and starts over
+    text = "forall sched s. forall st x(s). P(X a(x)) = 0"
+    _sweep_peak(8, text)
+    small, large = _sweep_peak(8, text), _sweep_peak(12, text)
+    assert large - small < 64 * 1024, (small, large)
+    memos = []
+
+    class Recording(enumcheck._TruthMemo):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.truths = _Largest()
+            memos.append(self)
+
+    with mock.patch.object(enumcheck, "_TruthMemo", Recording):
+        assert check(_loops(12), parse_formula(text)).truth is True
+    (memo,) = memos
+    assert memo.limit == 1 * 12 and memo.truths.largest == memo.limit
+
+
+def test_check_and_eager_free_their_evaluators_on_return():
+    # no reference cycle holds an evaluator: with the cyclic collector off,
+    # it goes when the call returns
+    spec, refs = cases.generate("ta", m=2), []
+
+    def made(*args):
+        ev = Evaluator(*args)
+        refs.append(weakref.ref(ev))
+        return ev
+
+    gc.disable()
+    try:
+        with mock.patch.object(enumcheck, "Evaluator", made):
+            assert check(spec.mdp, spec.formula).truth is False
+            assert solve_eager(spec.mdp, spec.formula).decoded.truth is False
+        assert len(refs) == 2 and all(ref() is None for ref in refs)
+    finally:
+        gc.enable()

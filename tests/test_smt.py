@@ -54,8 +54,8 @@ from hypermdp.smt import (
     solve_eager,
     transform_for_encoding,
 )
-from .helpers import (BOUNDED_TA, PUBLISHED_ROWS, TS_INDEP, counting_binds, full_product, guarded_formula, random_body,
-                      random_mdp, solver_model, with_never)
+from .helpers import (BOUNDED_TA, PUBLISHED_ROWS, TS_INDEP, counting_combinations, full_product, guarded_formula,
+                      random_body, random_mdp, solver_model, with_never)
 
 REACH_ONE = "exists sched s. exists st x(s). init(x) & P(F a(x)) = 1"
 REACH_A = ProbOf(Until(TRUE, Prop("a", "x")))  # the until node of P(F a(x))
@@ -961,14 +961,15 @@ def test_no_library_path_builds_the_product():
 def test_true_sweep_reuses_values_across_combinations():
     # 36 of the 64 pairs are tried, one of each mirrored pair; a value is
     # solved again only where a new combination changes a choice the value
-    # can reach, and each bind solves a path once from every point the
-    # quantifier walk may read: 56 until solves per check, against 90 when
-    # each read that missed solved its own, 137 over all 64 pairs and 380
-    # when every combination solved its own
+    # can reach, each bind solves a path once from every point the
+    # quantifier walk may read, and a tuple whose truth the memo holds is
+    # not read: 42 until solves per check, against 56 when every tried
+    # combination was bound, 90 when each read that missed solved its own,
+    # 137 over all 64 pairs and 380 when every combination solved its own
     mdp, f = cases.generate("ts", h1=0, h2=1).mdp, parse_formula(TS_INDEP)
     with mock.patch.object(analysis, "until_probs", wraps=analysis.until_probs) as spy:
         assert check(mdp, f).truth is True
-    assert spy.call_count <= 56
+    assert spy.call_count <= 42
 
 
 def test_bind_compares_no_assignment_by_value(monkeypatch):
@@ -998,12 +999,12 @@ def test_bind_compares_no_assignment_by_value(monkeypatch):
 def test_ta_m2_independence_sweep_decides_true_on_both_engines():
     # 136 of the 256 pairs of ta_m2 (16 * 17 / 2), one of each mirrored pair
     mdp, f = cases.generate("ta", m=2).mdp, parse_formula(TS_INDEP.replace("l=1", "j=0"))
-    with counting_binds() as binds:
+    with counting_combinations() as combos:
         verdict = check(mdp, f)
-    assert (verdict.truth, verdict.mode) == (True, "none") and len(binds) == 136
-    with counting_binds() as binds:
+    assert (verdict.truth, verdict.mode) == (True, "none") and len(combos) == 136
+    with counting_combinations() as combos:
         assert solve_eager(mdp, f).decoded == verdict
-    assert len(binds) == 136
+    assert len(combos) == 136
 
 
 class TestChoiceNames:
