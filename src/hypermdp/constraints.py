@@ -13,6 +13,7 @@ registration order, so emitted text is reproducible byte for byte.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from .record import Frozen, Record
@@ -76,8 +77,12 @@ def var(name: str) -> Lin:
     return Lin(ZERO, ((ONE, name),))
 
 
+_SHARED = {0: Lin(ZERO, ()), 1: Lin(ONE, ())}  # the constants every path rule writes
+
+
 def const(value) -> Lin:
-    return Lin(Fraction(value), ())
+    shared = _SHARED.get(value)
+    return Lin(Fraction(value), ()) if shared is None else shared
 
 
 def eq(left: Lin, right: Lin) -> Cmp:
@@ -238,35 +243,32 @@ def _lin_sexpr(lin: Lin) -> str:
 
 
 def term_sexpr(term: Term) -> str:
-    if isinstance(term, bool):
-        return "true" if term else "false"
-    if isinstance(term, BoolRef):
-        return term.name
-    if isinstance(term, ChoiceIs):
-        return choice_sym(term.family, term.state, term.action)
-    if isinstance(term, Cmp):
-        return f"({term.op} {_lin_sexpr(term.left)} {_lin_sexpr(term.right)})"
-    if isinstance(term, MulEq):
-        return f"(= {term.result} (* {term.left} {term.right}))"
-    if isinstance(term, NotT):
-        return f"(not {term_sexpr(term.operand)})"
-    if isinstance(term, AndT):
-        if not term.items:
-            return "true"
-        if len(term.items) == 1:
-            return term_sexpr(term.items[0])
-        return "(and " + " ".join(term_sexpr(t) for t in term.items) + ")"
-    if isinstance(term, OrT):
-        if not term.items:
-            return "false"
-        if len(term.items) == 1:
-            return term_sexpr(term.items[0])
-        return "(or " + " ".join(term_sexpr(t) for t in term.items) + ")"
-    if isinstance(term, ImpliesT):
-        return f"(=> {term_sexpr(term.antecedent)} {term_sexpr(term.consequent)})"
-    if isinstance(term, XorT):
-        return f"(xor {term_sexpr(term.left)} {term_sexpr(term.right)})"
-    raise AssertionError(term)
+    return _SEXPR[type(term)](term)
+
+
+def _items_sexpr(op: str, empty: str):
+    """The formatter of an ``AndT`` or ``OrT``: one item stands alone."""
+    def sexpr(term) -> str:
+        items = term.items
+        if len(items) > 1:
+            return f"({op} " + " ".join(map(term_sexpr, items)) + ")"
+        return term_sexpr(items[0]) if items else empty
+    return sexpr
+
+
+# one formatter per term type, found with one lookup
+_SEXPR = {
+    bool: lambda term: "true" if term else "false",
+    BoolRef: attrgetter("name"),
+    ChoiceIs: lambda term: choice_sym(term.family, term.state, term.action),
+    Cmp: lambda term: f"({term.op} {_lin_sexpr(term.left)} {_lin_sexpr(term.right)})",
+    MulEq: lambda term: f"(= {term.result} (* {term.left} {term.right}))",
+    NotT: lambda term: f"(not {term_sexpr(term.operand)})",
+    AndT: _items_sexpr("and", "true"),
+    OrT: _items_sexpr("or", "false"),
+    ImpliesT: lambda term: f"(=> {term_sexpr(term.antecedent)} {term_sexpr(term.consequent)})",
+    XorT: lambda term: f"(xor {term_sexpr(term.left)} {term_sexpr(term.right)})",
+}
 
 
 def emit_smtlib2(cs: ConstraintSystem) -> str:

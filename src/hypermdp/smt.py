@@ -9,9 +9,11 @@ composed state, since the components of a self-composition move
 independently.  The truth term nests its disjunctions and conjunctions
 over the state quantifiers' domains (``enumcheck.state_domains``), and
 ``decode_witness`` walks the solver's model there.  The plan
-(``plan_encoding``) lists every subformula once, with every
+(``plan_encoding``) numbers every subformula once, with every
 reduced-bound window of a bounded until (``encoding_supports``: only this
-encoding has windows), and fixes three tables before any constraint:
+encoding has windows, each built once), resolves each one's operand reads
+into positions and projectors once (``resolve_operands``), and fixes three
+tables, each per position, before any constraint:
 
 - ``point_table``: where a rule may read each subformula.  A node read at
   successors (an until, the operand of a ``P(X ...)``, an inner window)
@@ -101,6 +103,7 @@ from .formula import (
     TrueF,
     Until,
     format_node,
+    operands,
     state_var_index,
     subformula_supports,
 )
@@ -170,16 +173,20 @@ def reachable_tuples(states, succ, n: int, starts) -> Tuple[Tuple[str, ...], ...
     return tuple(r for r in itertools.product(states, repeat=n) if r in seen)
 
 
-def project(r: tuple, support: Support) -> tuple:
-    """The components of composed tuple ``r`` that ``support`` names."""
-    return tuple(r[c] for c in support)
+def projector(positions):
+    """``p -> tuple(p[i] for i in positions)`` on a tuple ``p``, in C: an
+    ``operator.itemgetter``, of a one-item slice for one position, since
+    an item alone would come back bare."""
+    if len(positions) > 1:
+        return operator.itemgetter(*positions)
+    return operator.itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
 
 
 def projected_domain(tuples, support: Support) -> Tuple[tuple, ...]:
     """The projection of ``tuples`` onto ``support``, deduplicated in tuple
     order.  A projection of a successor-closed set is closed under
     successors again, since the other components always move."""
-    return tuple(dict.fromkeys(project(r, support) for r in tuples))
+    return tuple(dict.fromkeys(map(projector(support), tuples)))
 
 
 def step_distances(d: Dtmc, phi1, phi2) -> dict:
@@ -215,7 +222,8 @@ def encoding_supports(body, var_index: Dict[str, int]) -> Dict[object, Support]:
     """The encoder's subformula table: ``formula.subformula_supports``, with
     each bounded until's ``reduced_windows`` right after it, on its
     support, up to the first one already listed.  A subformula's position
-    is its index in the encoding."""
+    is its index in the encoding; the windows built here are the only ones
+    an encoding builds."""
     table = {}
     for node, support in subformula_supports(body, var_index).items():
         table[node] = support  # a window listed already keeps its place
@@ -227,10 +235,11 @@ def encoding_supports(body, var_index: Dict[str, int]) -> Dict[object, Support]:
     return table
 
 
-def fixed_table(mdp: Mdp, succ, supports, tuples, reads) -> Dict[object, Dict[tuple, object]]:
+def fixed_table(mdp: Mdp, succ, nodes, supports, args, tuples, reads) -> List[Dict[tuple, object]]:
     """Each subformula's values that no scheduler choice can change, at its
     points in ``reads`` (``point_table``): a truth value, or an exact
-    probability or arithmetic value.
+    probability or arithmetic value.  Every table is per position, ``args``
+    giving the positions of each node's ``formula.operands``.
 
     The graph is the "may" graph on the points of a support that
     ``tuples`` reach: a point's successors are the union over all of its
@@ -262,25 +271,25 @@ def fixed_table(mdp: Mdp, succ, supports, tuples, reads) -> Dict[object, Dict[tu
         trans = {p: tuple((t, ONE) for t in itertools.product(*(succ[s] for s in p))) for p in domain(support)}
         return Dtmc(states=domain(support), trans=trans, ap=(), labels={})
 
-    def reader(operand, support: Support):
-        """``operand``'s fixed value (None where it is not fixed) at a point of ``support``."""
-        table = fixed[operand]
-        if supports[operand] == support:
+    def reader(j: int, support: Support):
+        """Operand ``j``'s fixed value (None where it is not fixed) at a point of ``support``."""
+        table = fixed[j]
+        if supports[j] == support:
             return table.get
-        positions = [support.index(c) for c in supports[operand]]
-        return lambda p: table.get(tuple(p[i] for i in positions))
+        get = projector([support.index(c) for c in supports[j]])
+        return lambda p: table.get(get(p))
 
-    def may_hold(operand, support: Support) -> dict:
-        value = reader(operand, support)
+    def may_hold(j: int, support: Support) -> dict:
+        value = reader(j, support)
         return {p: value(p) is not False for p in domain(support)}
 
     @functools.cache
-    def distances(left, right, support: Support) -> dict:
+    def distances(left: int, right: int, support: Support) -> dict:
         return step_distances(graph(support), may_hold(left, support), may_hold(right, support))
 
-    fixed: Dict[object, Dict[tuple, object]] = {}
-    for node in sorted(supports, key=operator.attrgetter("height")):  # each node after its operands
-        support, points = supports[node], reads[node]
+    fixed: List[Dict[tuple, object]] = [None] * len(nodes)
+    for i in sorted(range(len(nodes)), key=[node.height for node in nodes].__getitem__):  # operands first
+        node, support, points, at = nodes[i], supports[i], reads[i], args[i]
         values = {}
         if isinstance(node, TrueF):
             values = dict.fromkeys(points, True)
@@ -289,10 +298,10 @@ def fixed_table(mdp: Mdp, succ, supports, tuples, reads) -> Dict[object, Dict[tu
         elif isinstance(node, Const):
             values = dict.fromkeys(points, node.value)
         elif isinstance(node, NotF):
-            operand = reader(node.operand, support)
+            operand = reader(at[0], support)
             values = {p: not v for p in points if (v := operand(p)) is not None}
         elif isinstance(node, (And, Less, Arith)):
-            left, right = reader(node.left, support), reader(node.right, support)
+            left, right = reader(at[0], support), reader(at[1], support)
             if isinstance(node, And):
                 op, absorbing = operator.and_, False  # one false conjunct decides
             elif isinstance(node, Less):
@@ -306,33 +315,35 @@ def fixed_table(mdp: Mdp, succ, supports, tuples, reads) -> Dict[object, Dict[tu
                 elif absorbing is not None and absorbing in pair:
                     values[p] = absorbing
         elif isinstance(node.path, Next):
-            operand, trans = fixed[node.path.operand], graph(support).trans
+            operand, trans = fixed[at[0]], graph(support).trans
             for p in points:
                 after = {operand.get(t) for t, _ in trans[p]}
                 if after == {False} or after == {True}:
                     values[p] = ONE if True in after else ZERO
         elif isinstance(node.path, Until):
-            target, dist = reader(node.path.right, support), distances(node.path.left, node.path.right, support)
+            target, dist = reader(at[1], support), distances(*at, support)
             values = {p: ONE if target(p) else ZERO for p in points if target(p) or p not in dist}
         else:
             path = node.path
-            source, target = reader(path.left, support), reader(path.right, support)
-            dist = distances(path.left, path.right, support)
+            source, target = reader(at[0], support), reader(at[1], support)
+            dist = distances(*at, support)
             for p in points:
                 if path.k1 == 0 and target(p):
                     values[p] = ONE
                 elif dist.get(p, math.inf) > path.k2 or (path.k1 and source(p) is False):
                     values[p] = ZERO
-        fixed[node] = values
+        fixed[i] = values
     return fixed
 
 
-def read_operands(node) -> tuple:
+def read_operands(node, windows=None) -> tuple:
     """``(operand, read at successors)`` for each node whose variables
     ``node``'s encoding rule reads: an unbounded until reads its target at
     the point and at its successors, and itself at the successors, a
-    bounded until its next window down, and a ``[0,0]`` window only its
-    target."""
+    bounded until its next window down, which ``windows`` holds by its
+    ``(left, right, k1, k2)``, and a ``[0,0]`` window only its target.
+    ``resolve_operands`` calls this once per node of a plan, so that the
+    windows ``encoding_supports`` built are the only ones."""
     if isinstance(node, NotF):
         return ((node.operand, False),)
     if isinstance(node, (And, Less, Arith)):
@@ -346,18 +357,31 @@ def read_operands(node) -> tuple:
         return (path.left, False), (path.right, False), (path.right, True), (node, True)
     if path.k2 == 0:
         return ((path.right, False),)
-    return (path.left, False), (path.right, False), (next(reduced_windows(node)), True)
+    below = windows[path.left, path.right, max(path.k1 - 1, 0), path.k2 - 1]
+    return (path.left, False), (path.right, False), (below, True)
 
 
-def read_table(supports) -> Dict[object, tuple]:
-    """Each subformula's ``read_operands``, every operand as the table's own
-    key, so that a bounded until's next window down is built once, here."""
-    own = {node: node for node in supports}
-    return {node: tuple((own[operand], below) for operand, below in read_operands(node)) for node in supports}
+def resolve_operands(nodes, supports) -> Tuple[list, list]:
+    """Per position of the plan: the positions of the node's
+    ``formula.operands``, and its ``read_operands`` as entries ``(operand
+    position, read at successors, projector from the node's support onto
+    the operand's)``.  An operand is found by identity, or by equality
+    where desugaring left an equal copy of a node; after this no node is
+    hashed, compared or built again."""
+    at, index = {id(node): i for i, node in enumerate(nodes)}, dict(zip(nodes, itertools.count()))
+    position = lambda node: at[id(node)] if id(node) in at else index[node]
+    windows = {(node.path.left, node.path.right, node.path.k1, node.path.k2): node for node in nodes
+               if isinstance(node, ProbOf) and isinstance(node.path, BoundedUntil)}
+    onto = functools.cache(lambda outer, inner: projector([outer.index(c) for c in inner]))
+    reads = []
+    for i, node in enumerate(nodes):
+        entries = [(position(operand), at_successors) for operand, at_successors in read_operands(node, windows)]
+        reads.append(tuple((j, at_successors, onto(supports[i], supports[j])) for j, at_successors in entries))
+    return [tuple(map(position, operands(node))) for node in nodes], reads
 
 
-def point_table(body, supports, reads_of, tuples, truth_tuples) -> Dict[object, Tuple[tuple, ...]]:
-    """Each subformula's points before folding: where a rule may read it.
+def point_table(supports, reads, tuples, truth_tuples) -> List[Tuple[tuple, ...]]:
+    """Each position's points before folding: where a rule may read it.
 
     A node read at successors, and every node it reads, keeps the
     projection of the reachable ``tuples`` (closed under successors): the
@@ -365,49 +389,54 @@ def point_table(body, supports, reads_of, tuples, truth_tuples) -> Dict[object, 
     inner windows.  The other nodes, the Boolean and arithmetic layer with
     the ``P``s it reads directly, are read only at the truth term's
     ``truth_tuples`` and keep that projection.  A node no rule reads
-    (``reads_of``, from ``read_table``) gets no points.
+    (``reads``, from ``resolve_operands``) gets no points; the body is
+    position 0.
     """
-    everywhere = {}  # node -> read (transitively) at successors
-    stack = [(body, False)]
+    everywhere = {}  # position -> read (transitively) at successors
+    stack = [(0, False)]
     while stack:
-        node, below = stack.pop()
-        if node not in everywhere or below > everywhere[node]:  # revisit only to move it everywhere
-            everywhere[node] = below
-            stack.extend((operand, below or at_successors) for operand, at_successors in reads_of[node])
+        i, below = stack.pop()
+        if i not in everywhere or below > everywhere[i]:  # revisit only to move it everywhere
+            everywhere[i] = below
+            stack.extend((j, below or at_successors) for j, at_successors, _ in reads[i])
     onto = functools.cache(lambda below, s: projected_domain(tuples if below else truth_tuples, s))
-    return {node: onto(everywhere[node], s) if node in everywhere else () for node, s in supports.items()}
+    return [onto(everywhere[i], s) if i in everywhere else () for i, s in enumerate(supports)]
 
 
-def encoded_points(succ, body, supports, reads_of, reads, fixed) -> Dict[object, Tuple[tuple, ...]]:
-    """Each subformula's points where the encoding declares and constrains
-    it: the body's points in ``reads`` that ``fixed`` leaves open, and every
-    open point that a rule reads (``reads_of``) from an encoded point, in
-    ``reads`` order.  A point where the reader is fixed reads nothing."""
+def encoded_points(succ, reads, points, fixed) -> List[Tuple[tuple, ...]]:
+    """Each position's points where the encoding declares and constrains
+    it: the body's ``points`` that ``fixed`` leaves open, and every open
+    point that a rule reads (``reads``) from an encoded point, in
+    ``points`` order.  A point where the reader is fixed reads nothing."""
     after = functools.cache(lambda p: tuple(itertools.product(*(succ[s] for s in p))))
-    positions = {node: [(operand, at_successors, tuple(supports[node].index(c) for c in supports[operand]))
-                        for operand, at_successors in reads_of[node]] for node in supports}
-    needed: Dict[object, set] = {node: set() for node in supports}
-    stack = [(body, p) for p in reads[body] if p not in fixed[body]]
+    needed = [set() for _ in reads]
+    # each entry holds its operand's tables by reference, beside its position
+    links = [tuple((fixed[j], needed[j], j, at_successors, get) for j, at_successors, get in entries)
+             for entries in reads]
+    stack = [(0, p) for p in points[0] if p not in fixed[0]]
     while stack:
-        node, p = stack.pop()
-        if p in needed[node]:
+        i, p = stack.pop()
+        if p in needed[i]:
             continue
-        needed[node].add(p)
-        for operand, at_successors, at in positions[node]:
+        needed[i].add(p)
+        for operand_fixed, operand_needed, j, at_successors, get in links[i]:
             for t in after(p) if at_successors else (p,):
-                q = tuple(t[i] for i in at)
-                if q not in fixed[operand] and q not in needed[operand]:
-                    stack.append((operand, q))
-    return {node: tuple(p for p in reads[node] if p in needed[node]) for node in supports}
+                q = get(t)
+                if q not in operand_fixed and q not in operand_needed:
+                    stack.append((j, q))
+    return [tuple(p for p in pts if p in need) for pts, need in zip(points, needed)]
 
 
-def plan_encoding(mdp: Mdp, f: Formula) -> EncodingMeta:
+def plan_encoding(mdp: Mdp, f: Formula) -> Tuple[EncodingMeta, list]:
     """What the encoding fixes before any constraint: polarity, scheduler
     families, the state quantifiers' domains, the composed tuples reachable
     from them, every subformula's support, with the reduced-bound windows
-    that only the encoding has (``encoding_supports``), its values that no
-    scheduler changes and the points where it is encoded
-    (``encoded_points``)."""
+    that only the encoding has (``encoding_supports``), each built once,
+    its values that no scheduler changes and the points where it is
+    encoded (``encoded_points``).  The subformulas are numbered once: every
+    table is per position, and the node-keyed dicts of the result, in
+    position order, are built at the end, beside each position's
+    ``resolve_operands`` entries, which the encoder reads."""
     f_enc, polarity = transform_for_encoding(f)
     sched_names = tuple(q.name for q in f_enc.prefix if isinstance(q, SchedQuant))
     state_quants = tuple(q for q in f_enc.prefix if isinstance(q, StateQuant))
@@ -417,10 +446,11 @@ def plan_encoding(mdp: Mdp, f: Formula) -> EncodingMeta:
     succ = may_successors(mdp)
     tuples = reachable_tuples(mdp.states, succ, len(state_quants), truth_tuples)
     supports = encoding_supports(f_enc.body, var_index)
-    reads_of = read_table(supports)
-    reads = point_table(f_enc.body, supports, reads_of, tuples, truth_tuples)
-    fixed = fixed_table(mdp, succ, supports, tuples, reads)
-    return EncodingMeta(
+    nodes, sups = tuple(supports), tuple(supports.values())
+    args, reads_of = resolve_operands(nodes, sups)
+    reads = point_table(sups, reads_of, tuples, truth_tuples)
+    fixed = fixed_table(mdp, succ, nodes, sups, args, tuples, reads)
+    meta = EncodingMeta(
         polarity=polarity,
         original=f,
         encoded=f_enc,
@@ -432,9 +462,10 @@ def plan_encoding(mdp: Mdp, f: Formula) -> EncodingMeta:
         states=mdp.states,
         tuples=tuples,
         supports=supports,
-        fixed=fixed,
-        points=encoded_points(succ, f_enc.body, supports, reads_of, reads, fixed),
+        fixed=dict(zip(nodes, fixed)),
+        points=dict(zip(nodes, encoded_points(succ, reads_of, reads, fixed))),
     )
+    return meta, reads_of
 
 
 # -- variable naming shared by encoder, eager solver and decoder -------------------
@@ -458,48 +489,46 @@ dist_sym = functools.partial(symbol, "d")  # indexed by the until node
 class Encoder:
     """Declares and constrains each subformula once per point of its domain.
 
-    ``encode`` walks the plan's subformula table (``meta.supports``) once,
-    in reverse registration order, so each subformula comes after its
-    operands; the table already lists every reduced-bound window of a
-    bounded until.  Each node kind has one rule, which constrains the node
-    at every point of its domain and reads its operands by name, so the
-    order of the nodes does not change what the system means.
+    ``encode`` walks the plan's subformula table once, by position, from
+    the last, so each subformula comes after its operands; the table
+    already lists every reduced-bound window of a bounded until, each built
+    once.  Each node kind has one rule, which constrains the node at every
+    point of its domain and reads its operands by name, so the order of the
+    nodes does not change what the system means.
 
     A point is a tuple of states of the subformula's support components;
     a node is constrained at its points in ``meta.points``.  Guards,
     action tuples and joint successors range over the support components
     only, and an operand is read at the point's projection onto the
     operand's support: as its variable, or as the constant that
-    ``meta.fixed`` gives there.  Constants fold into the terms and linear
-    sums that read them (``constraints.t_and`` and the others).
+    ``meta.fixed`` gives there.  Every table is per position, and a rule
+    reads its operands through the plan's ``reads`` entries, never by
+    node.  Constants fold into the terms and linear sums that read them
+    (``constraints.t_and`` and the others).
     """
 
-    def __init__(self, mdp: Mdp, meta: EncodingMeta):
+    def __init__(self, mdp: Mdp, meta: EncodingMeta, reads: list):
         self.mdp = mdp
         self.meta = meta
+        self.reads = reads
         self.cs = ConstraintSystem()
-        self.support = meta.supports
         self.step_table: Dict[tuple, list] = {}
-        # the plan lists each subformula once: its position is its index
-        self.cs.subformula_index = {node: idx for idx, node in enumerate(meta.supports)}
+        # per position: the plan's dicts list each subformula once, in one order
+        self.nodes, self.supports = tuple(meta.supports), tuple(meta.supports.values())
+        self.fixed, self.points = tuple(meta.fixed.values()), tuple(meta.points.values())
+        self.cs.subformula_index = dict(zip(self.nodes, itertools.count()))
         # one line per subformula over its operands' indices: the header grows linearly
         index = lambda operand: f"[{self.cs.subformula_index[operand]}]"
-        self.cs.subformula_text = [format_node(node, index) for node in meta.supports]
+        self.cs.subformula_text = [format_node(node, index) for node in self.nodes]
 
     # naming ---------------------------------------------------------------
 
-    def ref(self, node, outer: Support):
-        """How a point of support ``outer`` reads ``node``: (node index,
-        positions of the node's support within ``outer``, its fixed values)."""
-        return (self.cs.subformula_index[node], tuple(outer.index(c) for c in self.support[node]),
-                self.meta.fixed[node])
-
     def read(self, kind: str, ref, p):
         """``ref``'s ``kind`` variable at (the projection of) point ``p``, or
-        its fixed value there."""
-        idx, positions, fixed = ref
-        point = tuple(p[i] for i in positions)
-        value = fixed.get(point)
+        its fixed value there; a ref is a plan entry (``resolve_operands``)."""
+        idx, _, get = ref
+        point = get(p)
+        value = self.fixed[idx].get(point)
         return symbol(kind, point, idx) if value is None else value
 
     def holds(self, ref, p) -> Term:
@@ -510,8 +539,8 @@ class Encoder:
         value = self.read("pr", ref, p)
         return var(value) if isinstance(value, str) else const(value)
 
-    def declare(self, kind: str, ref, p, var_kind: str) -> str:
-        return self.cs.declare(symbol(kind, p, ref[0]), var_kind)
+    def declare(self, kind: str, idx: int, p, var_kind: str) -> str:
+        return self.cs.declare(symbol(kind, p, idx), var_kind)
 
     # steps ------------------------------------------------------------------
 
@@ -549,41 +578,42 @@ class Encoder:
             for s in self.mdp.states:
                 self.cs.choice_domains[(family, s)] = self.mdp.enabled[s]
                 self.cs.add(OrT(tuple(ChoiceIs(family, s, a) for a in self.mdp.enabled[s])))
-        for node in reversed(self.meta.supports):
-            points = self.meta.points[node]
+        for i in reversed(range(len(self.nodes))):
+            points = self.points[i]
             if points:  # true, propositions and constants never have any
-                support = self.support[node]
+                node = self.nodes[i]
                 rule = self.RULES[type(node.path) if isinstance(node, ProbOf) else type(node)]
-                rule(self, node, support, self.ref(node, support), points)
+                rule(self, node, self.supports[i], i, points, self.reads[i])
         self.encode_truth()
         self.cs.meta = self.meta
         return self.cs
 
-    # one rule per node kind: constrain ``node``, read through ``own``, at ``points`` --
+    # one rule per node kind: constrain ``node``, position ``i``, at ``points``,
+    # reading its operands through ``refs``, in ``read_operands`` order --
 
-    def encode_and(self, node, support, own, points):
-        left, right = self.ref(node.left, support), self.ref(node.right, support)
+    def encode_and(self, node, support, i, points, refs):
+        left, right = refs
         for p in points:
-            h = BoolRef(self.declare("h", own, p, "holds"))
+            h = BoolRef(self.declare("h", i, p, "holds"))
             h1, h2 = self.holds(left, p), self.holds(right, p)
             self.cs.add(t_or((t_and((h, h1, h2)), t_and((NotT(h), t_or((t_not(h1), t_not(h2))))))))
 
-    def encode_not(self, node, support, own, points):
-        operand = self.ref(node.operand, support)
+    def encode_not(self, node, support, i, points, refs):
+        (operand,) = refs
         for p in points:
-            self.cs.add(XorT(BoolRef(self.declare("h", own, p, "holds")), self.holds(operand, p)))
+            self.cs.add(XorT(BoolRef(self.declare("h", i, p, "holds")), self.holds(operand, p)))
 
-    def encode_less(self, node, support, own, points):
-        left, right = self.ref(node.left, support), self.ref(node.right, support)
+    def encode_less(self, node, support, i, points, refs):
+        left, right = refs
         for p in points:
-            h = BoolRef(self.declare("h", own, p, "holds"))
+            h = BoolRef(self.declare("h", i, p, "holds"))
             p1, p2 = self.value(left, p), self.value(right, p)
             self.cs.add(OrT((AndT((h, Cmp("<", p1, p2))), AndT((NotT(h), Cmp(">=", p1, p2))))))
 
-    def encode_arith(self, node, support, own, points):
-        left, right = self.ref(node.left, support), self.ref(node.right, support)
+    def encode_arith(self, node, support, i, points, refs):
+        left, right = refs
         for p in points:
-            out = self.declare("pr", own, p, "value")
+            out = self.declare("pr", i, p, "value")
             p1, p2 = self.value(left, p), self.value(right, p)
             # constant factors stay linear; variable*variable escalates the logic
             if node.op != "*":
@@ -594,22 +624,23 @@ class Encoder:
             else:
                 self.cs.add(MulEq(out, p1.terms[0][1], p2.terms[0][1]))
 
-    def encode_next(self, node, support, own, points):
+    def encode_next(self, node, support, i, points, refs):
         """The step indicator ``ti`` of the operand at the operand's points,
         every successor it may be read at; ``pr`` at the node's own."""
-        operand = self.ref(node.path.operand, support)
-        for p in self.meta.points[node.path.operand]:
-            ti, h = var(self.declare("ti", operand, p, "toint")), self.holds(operand, p)
+        (operand,) = refs  # on the node's support, so its projector keeps a point
+        for p in self.points[operand[0]]:
+            ti, h = var(self.declare("ti", operand[0], p, "toint")), self.holds(operand, p)
             self.cs.add(OrT((AndT((eq(ti, const(1)), h)), AndT((eq(ti, const(0)), NotT(h))))))
         for p in points:
-            pr = var(self.declare("pr", own, p, "prob"))
+            pr = var(self.declare("pr", i, p, "prob"))
             for guard, succs in self.steps(support, p):
                 self.cs.add(t_implies(t_and(guard), eq(pr, self.expectation("ti", operand, succs))))
 
-    def encode_until(self, node, support, own, points):
-        left, right = self.ref(node.path.left, support), self.ref(node.path.right, support)
+    def encode_until(self, node, support, i, points, refs):
+        left, right, _, own = refs  # own: the until itself, read at successors
+        fixed = self.fixed[i]
         for p in points:
-            pr, d_p = var(self.declare("pr", own, p, "prob")), var(self.declare("d", own, p, "dist"))
+            pr, d_p = var(self.declare("pr", i, p, "prob")), var(self.declare("d", i, p, "dist"))
             h1, h2 = self.holds(left, p), self.holds(right, p)
             self.cs.add(t_implies(h2, eq(pr, const(1))))
             self.cs.add(t_implies(t_and((t_not(h1), t_not(h2))), eq(pr, const(0))))
@@ -618,8 +649,8 @@ class Encoder:
                 # that is a target or strictly closer to one; one fixed to 0
                 # is neither in the least solution, one fixed to 1 a target
                 progress = t_or(tuple(
-                    t_or((self.holds(right, succ), Cmp(">", d_p, var(symbol("d", succ, own[0])))))
-                    if own[2].get(succ) is None else bool(own[2][succ])
+                    t_or((self.holds(right, succ), Cmp(">", d_p, var(symbol("d", succ, i)))))
+                    if fixed.get(succ) is None else bool(fixed[succ])
                     for succ, _ in succs
                 ))
                 self.cs.add(t_implies(
@@ -628,15 +659,14 @@ class Encoder:
                            t_implies(Cmp(">", pr, const(0)), progress))),
                 ))
 
-    def encode_window(self, node, support, own, points):
+    def encode_window(self, node, support, i, points, refs):
         """One window of a bounded until: at [0,0] the target indicator,
         otherwise one step to the next window down, ``reduced_windows``'s
-        first, which the table lists too."""
+        first, which the plan's table lists and ``refs`` reads last."""
         path = node.path
-        left, right = self.ref(path.left, support), self.ref(path.right, support)
-        child = self.ref(next(reduced_windows(node)), support) if path.k2 else None
+        left, right, child = refs if path.k2 else (None, *refs, None)
         for p in points:
-            pr, h2 = var(self.declare("pr", own, p, "prob")), self.holds(right, p)
+            pr, h2 = var(self.declare("pr", i, p, "prob")), self.holds(right, p)
             if path.k2 == 0:
                 self.cs.add(t_implies(h2, eq(pr, const(1))))
                 self.cs.add(t_implies(t_not(h2), eq(pr, const(0))))
@@ -659,12 +689,13 @@ class Encoder:
 
     def encode_truth(self):
         """The state quantifiers as nested disjunctions and conjunctions over
-        their domains, of the body's truth at the tuples they reach.  A
-        constant that cannot decide its level drops out, and a level of
-        constants folds; every open tuple stays read, even beside a deciding
-        constant, since ``decode_witness`` walks the quantifiers in order."""
+        their domains, of the body's truth (position 0) at the tuples they
+        reach.  A constant that cannot decide its level drops out, and a
+        level of constants folds; every open tuple stays read, even beside a
+        deciding constant, since ``decode_witness`` walks the quantifiers in
+        order."""
         quants, domains = self.meta.state_quants, self.meta.domains
-        body_ref = self.ref(self.meta.encoded.body, tuple(range(len(quants))))
+        body_ref = (0, False, projector(self.supports[0]))
 
         def level(at: tuple) -> Term:
             if len(at) == len(quants):
@@ -677,14 +708,15 @@ class Encoder:
             return OrT(items) if exists else AndT(items)
 
         self.cs.truth = level(())
+        del level  # empties the cell through which level calls itself: no reference cycle
         self.cs.add(self.cs.truth)
 
 
 def encode_main(mdp: Mdp, f: Formula) -> Tuple[ConstraintSystem, str]:
     """Build the full constraint system; polarity says whether the verdict
     must be inverted (universal scheduler block)."""
-    meta = plan_encoding(mdp, f)
-    return Encoder(mdp, meta).encode(), meta.polarity
+    meta, reads = plan_encoding(mdp, f)
+    return Encoder(mdp, meta, reads).encode(), meta.polarity
 
 
 # -- vectorized evaluation under a fixed scheduler choice ---------------------------
@@ -804,10 +836,10 @@ def decode_witness(cs: ConstraintSystem, model: dict, f: Formula) -> Verdict:
     }
 
     body = meta.encoded.body
-    body_support, body_index, body_fixed = meta.supports[body], cs.subformula_index[body], meta.fixed[body]
+    onto_body, body_index, body_fixed = projector(meta.supports[body]), cs.subformula_index[body], meta.fixed[body]
 
     def body_holds(r):
-        point = project(r, body_support)
+        point = onto_body(r)
         if point in body_fixed:
             return body_fixed[point]
         key = holds_sym(point, body_index)

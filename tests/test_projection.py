@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hypermdp import analysis, cases, enumcheck
+from hypermdp import analysis, cases, enumcheck, smt
 from hypermdp.enumcheck import Evaluator, build_composition, check, replay
 from hypermdp.formula import (
     And,
@@ -510,5 +510,23 @@ def test_check_and_eager_free_their_evaluators_on_return():
             assert check(spec.mdp, spec.formula).truth is False
             assert solve_eager(spec.mdp, spec.formula).decoded.truth is False
         assert len(refs) == 2 and all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+def test_encode_main_frees_its_encoder_on_return():
+    # nor one that holds the encoder: its system outlives it, by reference
+    spec, refs = cases.generate("ta", m=2), []
+
+    class Recording(smt.Encoder):
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
+
+    gc.disable()
+    try:
+        with mock.patch.object(smt, "Encoder", Recording):
+            cs, _ = smt.encode_main(spec.mdp, spec.formula)
+        assert cs.constraints and len(refs) == 1 and refs[0]() is None
     finally:
         gc.enable()

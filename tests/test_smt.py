@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypermdp import analysis, cases, enumcheck, smt
+from hypermdp import analysis, cases, enumcheck, formula, smt
 from hypermdp.constraints import (
     AndT,
     BoolRef,
@@ -641,12 +641,12 @@ class TestGuardedEncoding:
             assert evaluate_term(cs.truth, values, choices) == _instantiated_truth(cs, mdp, chosen)
 
 
-def _every_reachable_tuple(body, supports, reads_of, tuples, truth_tuples):
+def _every_reachable_tuple(supports, reads, tuples, truth_tuples):
     """``smt.point_table`` as if every node were read at successors: the
-    projection of every reachable tuple onto its support.  The plan then
-    folds every node at all of them, and encodes the body at every open
-    reachable tuple and all that it reads."""
-    return {node: smt.projected_domain(tuples, support) for node, support in supports.items()}
+    projection of every reachable tuple onto its support, per position.
+    The plan then folds every node at all of them, and encodes the body at
+    every open reachable tuple and all that it reads."""
+    return [smt.projected_domain(tuples, support) for support in supports]
 
 
 def _unread_truth_variables(cs) -> set:
@@ -761,7 +761,7 @@ def _fixed_against_semantics(cs, mdp, chosen) -> int:
             checked += 1
 
     for node, idx in cs.subformula_index.items():
-        support, table = meta.supports[node], meta.fixed[node]
+        onto, table = smt.projector(meta.supports[node]), meta.fixed[node]
         holds = isinstance(node, BODY_KINDS)
         vec = ve.holds(node) if holds else ve.value(node)
         path = node.path if isinstance(node, ProbOf) else None
@@ -770,7 +770,7 @@ def _fixed_against_semantics(cs, mdp, chosen) -> int:
         elif isinstance(path, Until):
             dist = smt.step_distances(composed, ve.holds(path.left), ve.holds(path.right))
         for r in meta.tuples:
-            point = smt.project(r, support)
+            point = onto(r)
             if point in table:
                 assert table[point] == vec[r], (node, point, table[point], vec[r])
                 checked += 1
@@ -1108,3 +1108,50 @@ class TestEmit:
         text = emit_smtlib2(encode_main(die, f)[0])
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == "d98b2928f00022fdd509565bf94f962b0d149ff4e6fa80859a748c467a7d3b1e"
+
+    @pytest.mark.parametrize("row, text, digest, counts", [
+        ("ts_h0_1", None, "8f654cffe6ef36cb", (95, 83, 121)),
+        ("ta_m2", None, "6abd879a820ba000", (141, 114, 148)),
+        ("ta_m2", BOUNDED_TA, "c100b5b580f53709", (91, 100, 858)),
+        ("pw_m2", None, "cd5757d567089369", (177, 138, 208)),
+        ("pc_s0", None, "a85039c03b5d4180", (462, 1101, 607)),
+    ])
+    def test_export_bytes_pinned(self, row, text, digest, counts):
+        # the benchmark's export cases and two more rows: SHA-256 prefix of
+        # the SMT-LIB, variables, constraints and folded values
+        import hashlib
+
+        family, params = PUBLISHED_ROWS[row]
+        spec = cases.generate(family, **params)
+        cs, _ = encode_main(spec.mdp, spec.formula if text is None else parse_formula(text))
+        assert hashlib.sha256(emit_smtlib2(cs).encode()).hexdigest()[:16] == digest
+        folded = sum(len(values) for values in cs.meta.fixed.values())
+        assert (cs.variable_count(), cs.constraint_count(), folded) == counts
+
+
+def test_plan_builds_each_window_once_and_reads_operands_by_position():
+    # ta_m2 under F<=20: 4 bounded untils, 20 windows below each
+    spec, f = cases.generate("ta", m=2), parse_formula(BOUNDED_TA)
+    calls = collections.Counter()
+
+    def counting(name, method):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return spy
+
+    with mock.patch.object(formula.BoundedUntil, "__init__", counting("built", formula.BoundedUntil.__init__)), \
+            mock.patch.object(formula.Node, "__eq__", counting("compared", formula.Node.__eq__)), \
+            mock.patch.object(formula.Node, "__hash__", counting("hashed", formula.Node.__hash__)):
+        cs, _ = encode_main(spec.mdp, f)
+    windows = sum(isinstance(getattr(node, "path", None), BoundedUntil) for node in cs.meta.supports) - 4
+    assert calls["built"] == windows == 80
+    assert calls["compared"] == 0
+    assert calls["hashed"] < 2000  # a fixed number per node: none per point
+
+
+@given(positions=st.lists(st.integers(0, 3), max_size=3), point=st.lists(st.text(max_size=2), min_size=4, max_size=4))
+def test_projector_takes_the_components_at_its_positions(positions, point):
+    point = tuple(point)
+    for given_as in (positions, tuple(positions)):
+        assert smt.projector(given_as)(point) == tuple(point[i] for i in positions)
