@@ -9,18 +9,19 @@ guards.  A combination is the tuple of assignments its components run
 under (``build_composition``).  The quantifier-free body is evaluated at
 the composed tuples the state quantifiers visit, each path formula on the
 chains of only the components it mentions and only at the states
-reachable from where it is read.  A solved value is reused under every
-later combination that keeps the choices it can reach: those at the
-states the MDP may reach from the value's point, per component.  At most
-m^|K| vectors are kept per path (m scheduler quantifiers, K the
-components it mentions), so memory is bounded by the model and formula.
-The body's truth at a composed tuple likewise depends only on the
-choices at the choice states (two or more actions) that each component's
-state may reach, so from the second combination on ``decide`` memoizes it
-under the tuple and those choices (``_TruthMemo``), binding the evaluator
-to a combination only at its first miss.  The memo starts empty, finds a
-state's choice states by one forward search at its first use, and keeps
-at most (m·|S|)^n truths (n state quantifiers), starting over when full.
+reachable from where it is read.  A value or truth at a point depends
+only on the point's signature: per component, the actions its assignment
+takes at the choice states (two or more actions) that the MDP may reach
+from the point's state (``choice_getters``, built once per evaluator, at
+its second combination).  That is the one reuse key.  A value solved under
+one combination enters its path's table, under its signature, when the
+next is bound, and is reused under every later combination with the same
+signature; a point keeps at most 4·m^|K| signatures (m scheduler
+quantifiers, K the components the path mentions), dropping its oldest, so
+memory is bounded by the model and formula.  From the second combination
+on ``decide`` memoizes the body's truth under the composed tuple and its
+signature (``_TruthMemo``), binding the evaluator to a combination only at
+its first miss; a tuple keeps at most 4·m^n truths (n state quantifiers).
 Where swapping two scheduler quantifiers, with their state variables,
 leaves the body the same up to operand order (``swappable``), each
 unordered pair of their assignments is tried once, as in symmetry
@@ -63,16 +64,12 @@ from .formula import (
     check_well_formed,
     count_quantifiers,
     interned_key,
-    rename_vars,
     state_var_index,
     subformula_supports,
 )
 from .model import Dtmc, JointRows, Mdp, SchedulerAssignment, enumerate_schedulers, induce_dtmc
 from .model import self_compose  # noqa: F401  bench/tracing.py hooks enumcheck.self_compose
 from .record import Record
-
-
-_NOWHERE = frozenset()
 
 
 class Verdict(Record):
@@ -116,6 +113,38 @@ def _walk(rows: Mapping, starts, stop: Mapping, reuse=None) -> list:
     return points
 
 
+def _actions(states: tuple, assignment: SchedulerAssignment) -> tuple:
+    """``assignment``'s actions in the model's state order ``states``."""
+    return assignment.actions if assignment.states == states else tuple(map(assignment.as_dict().get, states))
+
+
+def choice_getters(mdp: Mdp) -> dict:
+    """Per state s, the getter of s's signature: of an assignment's actions
+    in model order, those at the choice states (two or more actions) that
+    the MDP may reach from s under any actions.  One backward search per
+    choice state, so O(|C|·|E|) for C the choice states: few wherever the
+    2^|C| or more assignments can be enumerated."""
+    preds = {s: [] for s in mdp.states}
+    for (s, _), row in mdp.trans.items():
+        for t, _ in row:
+            preds[t].append(s)
+    reach = {s: [] for s in mdp.states}  # state -> the positions of the choice states it may reach, ascending
+    for i, c in enumerate(mdp.states):
+        if len(mdp.enabled[c]) > 1:
+            reach[c].append(i)
+            frontier = [c]
+            for t in frontier:  # the loop reaches what it appends
+                for s in preds[t]:
+                    if not reach[s] or reach[s][-1] != i:
+                        reach[s].append(i)
+                        frontier.append(s)
+    made = {}  # one getter per set of positions; of none, the empty slice
+    for positions in map(tuple, reach.values()):
+        if positions not in made:
+            made[positions] = operator.itemgetter(*positions or (slice(0),))
+    return {s: made[tuple(positions)] for s, positions in reach.items()}
+
+
 class Evaluator:
     """Evaluates a formula's body at composed tuples, one scheduler
     combination (``bind``) at a time.
@@ -132,20 +161,24 @@ class Evaluator:
     windows at solved points do not cover the steps still to go (in steps
     that stop where they settle: ``analysis.bounded_until_probs``).
 
-    Vectors are kept per path renamed to positions in K, so ``P(F a(x))``
-    and ``P(F a(y))`` under one scheduler share one, and within it per
-    assignments of K.  A value at p depends only on the choices that each
-    component's assignment makes at the states the MDP may reach (under
-    any action) from p's state of that component; nested ``P(...)``
-    operands have supports inside K and reach no further.  So a value is
-    reused while those choices stay the same: a read that misses takes the
-    value from another vector of the path whose assignments agree there,
-    and an until's walk stops at such points as it stops at solved ones.
-    A path keeps at most m^|K| vectors, m the number of scheduler
-    quantifiers, as many as one combination can use: a new one replaces
-    the least recently used vector that the bound combination does not
-    use, keeping its values that stay the same.  Rows and closures are kept
-    only for the bound assignments.
+    Values are kept per path renamed to positions in K, up to the operand
+    order of ``&``, ``+`` and ``*`` (``formula.interned_key``), so
+    ``P(F a(x))`` and ``P(F a(y))`` under one scheduler share them.  A
+    vector per assignments of K, keyed by their actions so equal
+    assignments share it, holds what the bound combination reads, and
+    stays while they stay bound, as K's rows do.  A value at p depends
+    only on p's signature: per component, the actions its assignment takes
+    at the choice states the MDP may reach (under any action) from p's
+    state of that component (``choice_getters``); nested ``P(...)``
+    operands have supports inside K and reach no further.  So each path
+    also keeps a table, point -> {signature: value}: a read that misses its
+    vector takes the value from there where the point's signature is held,
+    and an until's walk stops at such points as at solved ones.  The values
+    solved under one bind enter the table at the next, so an evaluator
+    bound once signs nothing.  A point keeps at most 4·m^|K| signatures, m
+    the number of scheduler quantifiers, dropping its oldest: memory set by
+    the model and formula, which one combination, reading at most m^|K|
+    assignments of K, cannot empty.
     """
 
     def __init__(self, mdp: Mdp, f: Formula, domains: Optional[tuple] = None):
@@ -154,13 +187,14 @@ class Evaluator:
         self.var_index = state_var_index(f)
         self.supports = subformula_supports(f.body, self.var_index)
         self.assignments: Tuple[SchedulerAssignment, ...] = ()
-        self.vectors = {}  # renamed path -> {assignments of K: vector}, least recently used first
-        self.chains = {}  # assignments of K -> K's rows
-        self.closures = {}  # (assignments of K, point) -> the points reachable from it
+        self.actions: Tuple[tuple, ...] = ()  # per component, its assignment's actions in model order
+        self.vectors = {}  # (renamed path, actions of K) -> vector
+        self.chains = {}  # actions of K -> K's rows
+        self.table = {}  # renamed path -> {point: {signature: value}}, oldest first
+        self._keys = {}  # ``interned_key``'s table: a renamed path is its key through it
+        self._solved = []  # (renamed path, actions of K, values) solved this bind, signed at the next
         self._schedulers = count_quantifiers(f)[0]
-        self._bound = set()  # ids of the bound assignments
-        self._taints = {}  # (assignment, assignment) -> the states that may reach a choice where they differ
-        self._preds = None  # state -> the states with an edge to it under some action
+        self._getters = None
         self._stamp = [0]  # counts binds; a reader refetches its vector when it moves
         self._fns = {}
         self._top = tuple(range(len(self.var_index)))
@@ -168,15 +202,26 @@ class Evaluator:
 
     def bind(self, assignments: Tuple[SchedulerAssignment, ...]) -> None:
         """Evaluate under ``assignments`` (``build_composition``) from now on;
-        drop the rows and closures of assignments it does not bind (tested
-        by identity, so no assignment is compared by value).  Vectors stay,
-        within their bound."""
-        bound = self.assignments = assignments
+        drop the vectors and rows of assignments it does not bind (tested
+        by the identity of their actions, so no assignment is compared by
+        value), and sign the values solved under the previous bind into the
+        table."""
+        states = self.mdp.states
+        self.assignments = assignments
+        self.actions = tuple(_actions(states, a) for a in assignments)
         self._stamp[0] += 1
-        ids = self._bound = {id(a) for a in bound}
+        solved, self._solved = self._solved, []
+        for renamed, key, values in solved:  # the previous bind's values enter the table
+            self._sign(renamed, key, values)
+        ids = {id(a) for a in self.actions}
         self.chains = {key: rows for key, rows in self.chains.items() if all(id(a) in ids for a in key)}
-        self.closures = {key: v for key, v in self.closures.items() if all(id(a) in ids for a in key[0])}
-        self._taints = {}
+        self.vectors = {key: vec for key, vec in self.vectors.items() if all(id(a) in ids for a in key[1])}
+
+    def getters(self) -> dict:
+        """The model's ``choice_getters``, built at the first call."""
+        if self._getters is None:
+            self._getters = choice_getters(self.mdp)
+        return self._getters
 
     def holds(self, at: tuple) -> bool:
         """The body at composed tuple ``at``."""
@@ -242,9 +287,8 @@ class Evaluator:
     def _reader(self, node: ProbOf, frame):
         support = self.supports[node]
         names = {v: support.index(i - 1) for v, i in self.var_index.items() if i - 1 in support}
-        renamed = rename_vars(node.path, names)
-        vectors = self.vectors.setdefault(renamed, {})
-        held = [None, None, None, None]  # stamp of the last bind, assignments of K, vector, reuse or False
+        renamed = interned_key(node.path, names, self._keys)
+        held = [None, None, True]  # stamp of the last bind, vector, whether no read under it missed
         seeds = ()  # the points of K that the quantifier walk may read here
         if self.domains is not None and frame is self._top and isinstance(node.path, Until):
             domains = [self.domains[c] for c in support]
@@ -256,16 +300,13 @@ class Evaluator:
         def read(point):
             if held[0] != stamp[0]:
                 ev = this()
-                key = tuple(ev.assignments[c] for c in support)
-                held[:] = stamp[0], key, ev._vector(vectors, key), False
-            value = held[2].get(point)
-            if value is None:
-                ev = this()
-                first = held[3] is False  # the first miss under this bind solves from every seed
-                if first:
-                    held[3] = ev._reuser(vectors, held[1], held[2])
-                ev._solve(node.path, support, held[2], point, held[3], seeds if first else ())
-                value = held[2][point]
+                key = (renamed, tuple(ev.actions[c] for c in support))
+                held[:] = stamp[0], ev.vectors.setdefault(key, {}), True
+            value = held[1].get(point)
+            if value is None:  # the first miss under this bind solves from every seed
+                this()._solve(node.path, support, renamed, held[1], point, seeds if held[2] else ())
+                held[2] = False
+                value = held[1][point]
             return value
 
         if isinstance(frame, int):  # the support is (frame,) or ()
@@ -276,90 +317,47 @@ class Evaluator:
             return lambda t: read(t[p])
         return lambda t: read(tuple(t[p] for p in pos))
 
-    def _vector(self, vectors: dict, key: tuple) -> dict:
-        """The vector under ``key``, the assignments of the support, of the
-        path whose vectors are ``vectors``, made the most recently used.  A
-        new one, if the path holds m^|K| already, takes the place of the
-        least recently used vector whose assignments are not all bound, and
-        starts with its values that stay the same under ``key``."""
-        vec = vectors.pop(key, None)
-        if vec is None:
-            vec = {}
-            if vectors and len(vectors) >= self._schedulers ** len(key):
-                ids = self._bound
-                old = next((k for k in vectors if not all(id(a) in ids for a in k)), next(iter(vectors)))
-                stale = self._stale(key, old)
-                # a copy: a reader may still hold the old vector as a donor of old's values
-                vec = {p: v for p, v in vectors.pop(old).items() if not stale(p)}
-        vectors[key] = vec
-        return vec
-
-    def _reuser(self, vectors: dict, key: tuple, vec: dict):
-        """A function that copies a point's value into ``vec`` from another
-        of the path's ``vectors`` whose assignments agree with ``key``
-        wherever the point's value can reach, and says whether it found one;
-        None if the path has no other vector.  Held by a reader, it holds
-        the evaluator weakly as the reader does."""
-        donors = [[other, k, None] for k, other in reversed(vectors.items()) if other is not vec]
-        if not donors:
-            return None
-        this = weakref.ref(self)
-
-        def reuse(point) -> bool:
-            for donor in donors:  # most recently used first
-                value = donor[0].get(point)
-                if value is not None:
-                    if donor[2] is None:
-                        donor[2] = this()._stale(key, donor[1])
-                    if not donor[2](point):
-                        vec[point] = value
-                        return True
-            return False
-
-        return reuse
-
-    def _stale(self, key: tuple, other: tuple):
-        """Whether a point's value may differ between the assignments ``key``
-        and ``other`` of one support: whether one of its components' states
-        may reach a state where the two choose differently."""
+    def _signer(self, key: tuple):
+        """A point's signature under ``key``, the actions of its support's
+        assignments."""
+        getters = self.getters()
         if len(key) == 1:
-            return self._taint(key[0], other[0]).__contains__
-        taints = [(i, t) for i, t in enumerate(map(self._taint, key, other)) if t]
-        if len(taints) == 1:
-            ((i, taint),) = taints
-            return lambda p: p[i] in taint
-        return lambda p: any(p[i] in t for i, t in taints)
+            (actions,) = key
+            return lambda p: getters[p](actions)
+        return lambda p: tuple([getters[s](actions) for s, actions in zip(p, key)])
 
-    def _taint(self, a: SchedulerAssignment, b: SchedulerAssignment) -> set:
-        """The states from which the MDP may reach, under any actions, a
-        state where ``a`` and ``b`` choose differently."""
-        if a is b:
-            return _NOWHERE
-        taint = self._taints.get((a, b))
-        if taint is None:
-            preds = self._preds
-            if preds is None:
-                mdp = self.mdp
-                preds = self._preds = {s: set() for s in mdp.states}
-                for s in mdp.states:
-                    for action in mdp.enabled[s]:
-                        for t, _ in mdp.trans[s, action]:
-                            preds[t].add(s)
-            frontier = [s for s, x, y in zip(a.states, a.actions, b.actions) if x != y]
-            taint = set(frontier)
-            for t in frontier:  # the loop reaches what it appends
-                for s in preds[t]:
-                    if s not in taint:
-                        taint.add(s)
-                        frontier.append(s)
-            self._taints[a, b] = self._taints[b, a] = taint
-        return taint
+    def _sign(self, renamed, key: tuple, values: Mapping) -> None:
+        """Enter ``values`` of the path ``renamed``, solved under ``key``, into
+        its table, each point dropping its oldest signature when full."""
+        table, sign, limit = self.table.setdefault(renamed, {}), self._signer(key), 4 * self._schedulers ** len(key)
+        for p, value in values.items():
+            row = table.get(p)
+            if row is None:
+                table[p] = {sign(p): value}
+                continue
+            signature = sign(p)
+            if signature not in row:
+                if len(row) >= limit:
+                    del row[next(iter(row))]
+                row[signature] = value
 
-    def _solve(self, path, support, vec: dict, point, reuse, seeds=()) -> None:
+    def _solve(self, path, support, renamed, vec: dict, point, seeds=()) -> None:
         """Add to ``vec`` the values of ``path`` at ``point``, at those of
         ``seeds`` that it lacks, and at the points their values depend on,
-        taking from ``reuse`` (if not None) those that another vector
-        already holds."""
+        taking from the table those whose signature it holds; the values
+        solved are signed at the next bind."""
+        key = tuple(self.actions[c] for c in support)
+        table, reuse = self.table.get(renamed), None
+        if table:
+            sign = self._signer(key)
+
+            def reuse(p) -> bool:
+                row = table.get(p)
+                value = row and row.get(sign(p))
+                if value is not None:
+                    vec[p] = value
+                return value is not None
+
         starts = [p for p in dict.fromkeys((point, *seeds)) if p not in vec and not (reuse and reuse(p))]
         if not starts:
             return
@@ -368,32 +366,31 @@ class Evaluator:
         if isinstance(path, Next):
             holds = self._compile(path.operand, frame)
             d = Dtmc(states=(point,), trans=rows, ap=(), labels={})
-            vec.update(analysis.next_probs(d, {t: holds(t) for t, _ in rows[point]}))
-            return
-        if not isinstance(path, Until):  # windows at solved points do not cover the steps still to go
-            states = self.mdp.states
-            points = list(states if isinstance(frame, int) else itertools.product(states, repeat=len(frame)))
-        elif not vec and reuse is None:  # a first miss: the closure of starts, shared by the vectors on these rows
-            key = (tuple(self.assignments[c] for c in support), tuple(starts))
-            points = self.closures[key] = self.closures.get(key) or _walk(rows, starts, {})
+            values = analysis.next_probs(d, {t: holds(t) for t, _ in rows[point]})
         else:
-            points = _walk(rows, starts, vec, reuse)
-        fn1, fn2 = self._compile(path.left, frame), self._compile(path.right, frame)
-        phi1, phi2 = {q: fn1(q) for q in points}, {q: fn2(q) for q in points}
-        d = Dtmc(states=tuple(points), trans=rows, ap=(), labels={})
-        if isinstance(path, Until):
-            vec.update(analysis.until_probs(d, phi1, phi2, vec))
-        else:
-            vec.update(analysis.bounded_until_probs(d, phi1, phi2, path.k1, path.k2))
+            if isinstance(path, Until):
+                points = _walk(rows, starts, vec, reuse)
+            else:  # windows at solved points do not cover the steps still to go
+                states = self.mdp.states
+                points = list(states if isinstance(frame, int) else itertools.product(states, repeat=len(frame)))
+            fn1, fn2 = self._compile(path.left, frame), self._compile(path.right, frame)
+            phi1, phi2 = {q: fn1(q) for q in points}, {q: fn2(q) for q in points}
+            d = Dtmc(states=tuple(points), trans=rows, ap=(), labels={})
+            if isinstance(path, Until):
+                values = analysis.until_probs(d, phi1, phi2, vec)
+            else:
+                values = analysis.bounded_until_probs(d, phi1, phi2, path.k1, path.k2)
+        vec.update(values)
+        self._solved.append((renamed, key, values))
 
     def rows(self, support: Tuple[int, ...]):
         """``support``'s rows under the bound combination: one component's
         induced chain, or ``model.JointRows`` over several."""
-        key = tuple(self.assignments[c] for c in support)
+        key = tuple(self.actions[c] for c in support)
         rows = self.chains.get(key)
         if rows is None:
             if len(support) == 1:
-                rows = induce_dtmc(self.mdp, key[0]).trans
+                rows = induce_dtmc(self.mdp, self.assignments[support[0]]).trans
             else:
                 rows = JointRows(tuple(self.rows((c,)) for c in support))
             self.chains[key] = rows
@@ -503,55 +500,40 @@ def swappable(f: Formula, pinned: Collection[int] = ()) -> frozenset:
 
 
 class _TruthMemo:
-    """The body's truths, keyed by the composed tuple and, per component,
-    its assignment's actions at the choice states its state may reach."""
+    """The body's truths, per composed tuple keyed by its signature: per
+    component, its assignment's actions at the choice states its state may
+    reach (``Evaluator.getters``).  A tuple keeps at most 4·m^n signatures
+    (m and n the scheduler and state quantifiers), dropping its oldest."""
 
     def __init__(self, mdp: Mdp, m: int, n: int):
-        self.mdp, self.limit = mdp, (m * len(mdp.states)) ** n
-        self.truths = {}
-        self.getters = {}  # state -> its key's getter over an assignment's actions in model order
-
-    def getter(self, s):
-        """``s``'s getter, from one forward search of the may graph."""
-        mdp, reached, frontier = self.mdp, {s}, [s]
-        for u in frontier:  # the loop reaches what it appends
-            for action in mdp.enabled[u]:
-                for t, _ in mdp.trans[u, action]:
-                    if t not in reached:
-                        reached.add(t)
-                        frontier.append(t)
-        positions = [i for i, t in enumerate(mdp.states) if t in reached and len(mdp.enabled[t]) > 1]
-        getter = self.getters[s] = operator.itemgetter(*positions) if positions else _no_choice
-        return getter
+        self.mdp, self.limit = mdp, 4 * m ** n
+        self.truths = {}  # composed tuple -> {signature: truth}, oldest first
 
     def holds(self, evaluator: Evaluator, assignments: Tuple[SchedulerAssignment, ...]):
         """The body's truth under ``assignments``; the first tuple the memo
         lacks binds ``evaluator`` to them."""
-        states = self.mdp.states
-        actions = [a.actions if a.states == states else tuple(map(a.as_dict().get, states)) for a in assignments]
-        truths, getters, getter = self.truths, self.getters, self.getter
+        actions = [_actions(self.mdp.states, a) for a in assignments]
+        truths, getters, limit = self.truths, evaluator.getters(), self.limit
         bound = False
 
         def holds(at: tuple) -> bool:
             nonlocal bound
-            key = (at, *[(getters.get(s) or getter(s))(acts) for s, acts in zip(at, actions)])
-            truth = truths.get(key)
+            row = truths.get(at)
+            if row is None:
+                row = truths[at] = {}
+            key = tuple([getters[s](acts) for s, acts in zip(at, actions)])
+            truth = row.get(key)
             if truth is None:
                 if not bound:
                     evaluator.bind(assignments)
                     bound = True
                 truth = evaluator.holds(at)
-                if len(truths) >= self.limit:
-                    truths.clear()
-                truths[key] = truth
+                if len(row) >= limit:
+                    del row[next(iter(row))]
+                row[key] = truth
             return truth
 
         return holds
-
-
-def _no_choice(actions) -> tuple:
-    """The getter of a state that may reach no choice state."""
-    return ()
 
 
 def decide(mdp: Mdp, f: Formula, pinned: Optional[Mapping[int, object]] = None) -> Tuple[bool, dict]:
@@ -569,8 +551,8 @@ def decide(mdp: Mdp, f: Formula, pinned: Optional[Mapping[int, object]] = None) 
     the truth depends on no other choice.  The evaluator is bound to a
     combination only at its first tuple the memo lacks.  The first
     combination does no memo work, so a formula decided there pays
-    nothing, and the memo keeps at most (m·|S|)^n truths (m and n the
-    scheduler and state quantifiers): memory set by the model and
+    nothing, and the memo keeps at most 4·m^n truths per tuple (m and n
+    the scheduler and state quantifiers): memory set by the model and
     formula, not by the scheduler space.
 
     Where the quantifiers at i and i+1 are ``swappable``, the one at i+1

@@ -861,11 +861,13 @@ def full_assignment(cs: ConstraintSystem, mdp: Mdp, chosen: Dict[str, SchedulerA
     on the whole product; used to cross-check that the emitted constraints
     are satisfied by the exact semantics (soundness of the encoding).  A
     bounded until takes all of its windows from one
-    ``analysis.bounded_until_windows`` call, and an until its distances
-    from one ``step_distances`` call, each on the support's chain over the
-    projection of ``meta.tuples``.  Raises AssertionError if a value of
-    the plan's fixed table differs from the one under ``chosen``, so every
-    run also checks the folding.
+    ``analysis.bounded_until_windows`` call, kept by its operands' identity
+    and the window's bounds, so no window is built again, and an until its
+    distances from one ``step_distances`` call, each on the support's chain
+    over the projection of ``meta.tuples``.  The plan's tables are read by
+    position.  Raises AssertionError if a value of the plan's fixed table
+    differs from the one under ``chosen``, so every run also checks the
+    folding.
     """
     meta: EncodingMeta = cs.meta
     ev = Evaluator(mdp, meta.encoded)
@@ -884,31 +886,36 @@ def full_assignment(cs: ConstraintSystem, mdp: Mdp, chosen: Dict[str, SchedulerA
         left, right = ev.reader(path.left, support), ev.reader(path.right, support)
         return d, {p: left(p) for p in d.states}, {p: right(p) for p in d.states}
 
-    windows: Dict[object, dict] = {}
+    # per position of the plan; ``reduced_windows`` gives a window its until's operands
+    fixed, points = tuple(meta.fixed.values()), tuple(meta.points.values())
+    position = {id(node): i for i, node in enumerate(meta.supports)}
+    windows: Dict[tuple, dict] = {}  # (id(left), id(right), k1, k2) -> the window's vector
     values: Dict[str, object] = {}
-    for node, idx in cs.subformula_index.items():
-        support, points = meta.supports[node], meta.points[node]
+    for idx, (node, support) in enumerate(meta.supports.items()):
         kind = "h" if isinstance(node, BODY_KINDS) else "pr"
         path = node.path if isinstance(node, ProbOf) else None
         if isinstance(path, BoundedUntil):
-            if node not in windows:
+            operands = (id(path.left), id(path.right))
+            if (*operands, path.k1, path.k2) not in windows:
                 for (k1, k2), vec in analysis.bounded_until_windows(*on_chain(path, support), path.k1, path.k2):
-                    windows.setdefault(ProbOf(BoundedUntil(path.left, path.right, k1, k2)), vec)
-            read = windows[node].__getitem__
+                    windows.setdefault((*operands, k1, k2), vec)
+            read = windows[(*operands, path.k1, path.k2)].__getitem__
         else:
             read = ev.reader(node, support)
-        for p, value in meta.fixed[node].items():
+        for p, value in fixed[idx].items():
             if read(p) != value:
                 raise AssertionError(f"{symbol(kind, p, idx)} is fixed to {value} but is {read(p)} "
                                      "under the chosen schedulers")
-        values.update((symbol(kind, p, idx), read(p)) for p in points)
-        if points and isinstance(path, Next):
-            holds, operand_idx = ev.reader(path.operand, support), cs.subformula_index[path.operand]
-            values.update((toint_sym(p, operand_idx), ONE if holds(p) else ZERO) for p in meta.points[path.operand])
-        elif points and isinstance(path, Until):
+        values.update((symbol(kind, p, idx), read(p)) for p in points[idx])
+        if points[idx] and isinstance(path, Next):
+            holds = ev.reader(path.operand, support)
+            operand = path.operand  # the plan's node, or an equal copy of it that desugaring left
+            operand = position[id(operand)] if id(operand) in position else cs.subformula_index[operand]
+            values.update((toint_sym(p, operand), ONE if holds(p) else ZERO) for p in points[operand])
+        elif points[idx] and isinstance(path, Until):
             # where phi2 is out of reach the probability is 0, and no clause needs the distance
             dist = step_distances(*on_chain(path, support))
-            values.update((dist_sym(p, idx), Fraction(dist.get(p, len(meta.tuples)))) for p in points)
+            values.update((dist_sym(p, idx), Fraction(dist.get(p, len(meta.tuples)))) for p in points[idx])
     choices = {}
     for (family, state), _ in cs.choice_domains.items():
         choices[(family, state)] = chosen[meta.sched_names[family]].choice(state)

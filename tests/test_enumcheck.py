@@ -233,10 +233,12 @@ class TestProperties:
                 with mock.patch.object(analysis, "until_probs", wraps=analysis.until_probs) as spy:
                     assert ev.value(reach_y, at) == x_value
                     assert spy.call_count == 0
-            # one stored vector on the induced chain serves both variables
-            assert list(ev.vectors) == [Until(TrueF(), Prop("a", 0))]
-            (vectors,) = ev.vectors.values()
-            assert list(vectors) == [(assignment,)]
+            # one vector on the induced chain serves both variables, and one
+            # table keeps the path's signed values, at most 4 * 1^1 per state
+            ((reach, key),) = ev.vectors
+            assert key == (assignment.actions,) and set(ev.table) <= {reach}
+            assert all(len(row) <= 4 for row in ev.table.get(reach, {}).values())
+        assert set(ev.table) == {reach}
 
     def test_composition_instrumentation_on_benchmark_shapes(self, m_coin):
         # state variables sharing one scheduler variable are composed from
@@ -645,10 +647,9 @@ class TestTruthMemo:
     @given(seed=st.integers(0, 2 ** 32 - 1), valued=st.booleans())
     def test_every_truth_equals_a_fresh_evaluator_in_any_sweep_order(self, seed, valued):
         # ``decide`` stops where the body decides, so it reads few truths
-        # that turn, and on these small models the memo fills and starts
-        # over every few combinations; here it keeps every truth, and every
-        # combination reads every tuple, in random orders, so a key missing
-        # a choice that a truth depends on shows
+        # that turn; here the memo keeps every truth, and every combination
+        # reads every tuple, in random orders, so a key missing a choice
+        # that a truth depends on shows
         rng = random.Random(seed)
         mdp = random_mdp(rng, max_states=3, max_actions=3)
         f = valued_formula(rng, mdp) if valued else random_formula(rng)

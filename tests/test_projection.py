@@ -8,7 +8,6 @@ time, and that the work, the caches and the eager sweep stay bounded by
 the model and formula.
 """
 
-import collections
 import gc
 import itertools
 import random
@@ -292,26 +291,28 @@ def test_cache_stays_bounded_through_a_full_sweep():
     ev = Evaluator(mdp, f)
     paths = {node for node in ev.supports if isinstance(node, ProbOf)}
     supports = {ev.supports[node] for node in paths}
-    # at most one entry per path formula and per support chain for each way
-    # of filling a two-component support from the two bound assignments
+    # at most one vector per path formula and rows per support chain for each
+    # way of filling a two-component support from the two bound assignments
     bound = (len(paths) + len(supports)) * 2 ** 2
     schedulers = list(enumerate_schedulers(mdp))
     assert len(schedulers) ** 2 > 4 * bound
-    largest = 0
+    largest, widths, full = 0, {}, set()
     for first, second in itertools.product(schedulers, repeat=2):
         ev.bind(build_composition(f, {"s1": first, "s2": second}))
         for at in itertools.product(mdp.states, repeat=2):
             ev.holds(at)
-        # rows and closures only for bound assignments
-        keys = [*ev.chains, *(key for key, _ in ev.closures)]
-        assert all(a is first or a is second for key in keys for a in key)
-        # at most m^|K| entries per (renamed path, point), m = 2 scheduler quantifiers
-        for vectors in ev.vectors.values():
-            entries = collections.Counter(point for vec in vectors.values() for point in vec)
-            assert all(len(vectors) <= 2 ** len(key) for key in vectors)
-            assert all(entries[point] <= 2 ** len(key) for key in vectors for point in vectors[key])
-        largest = max(largest, len(ev.chains) + sum(map(len, ev.vectors.values())), len(ev.closures))
+        # vectors and rows only for bound assignments
+        keys = [*ev.chains, *(key for _, key in ev.vectors)]
+        assert all(a is first.actions or a is second.actions for key in keys for a in key)
+        largest = max(largest, len(ev.chains) + len(ev.vectors))
+        # at most 4 * m^|K| signatures per (renamed path, point), m = 2 scheduler quantifiers
+        widths.update((renamed, len(key)) for renamed, key in ev.vectors)
+        for renamed, table in ev.table.items():
+            limit = 4 * 2 ** widths[renamed]
+            assert all(len(row) <= limit for row in table.values())
+            full.update((renamed, point) for point, row in table.items() if len(row) == limit)
     assert largest <= bound
+    assert full  # the sweep meets more signatures than a point keeps
 
 
 @st.composite
@@ -462,20 +463,11 @@ def test_false_existential_sweep_memory_does_not_grow_with_the_scheduler_space()
     assert large - small < 64 * 1024, (small, large)
 
 
-class _Largest(dict):
-    """A dict that records the most entries it held."""
-
-    largest = 0
-
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        self.largest = max(self.largest, len(self))
-
-
 def test_true_universal_sweep_memory_does_not_grow_with_the_scheduler_space():
     # every state is its own only successor, so the truth memo's keys are
-    # the 12 states with their own choices: more than its 1 * 12 entries
-    # hold, so it fills and starts over
+    # the 12 states with their own choices: 24 keys, 2 per tuple, within its
+    # 4 * 1^1 per tuple, so after the first combination, whose 12 reads it
+    # does not memoize, the body is evaluated once per key
     text = "forall sched s. forall st x(s). P(X a(x)) = 0"
     _sweep_peak(8, text)
     small, large = _sweep_peak(8, text), _sweep_peak(12, text)
@@ -485,13 +477,14 @@ def test_true_universal_sweep_memory_does_not_grow_with_the_scheduler_space():
     class Recording(enumcheck._TruthMemo):
         def __init__(self, *args):
             super().__init__(*args)
-            self.truths = _Largest()
             memos.append(self)
 
-    with mock.patch.object(enumcheck, "_TruthMemo", Recording):
+    with mock.patch.object(enumcheck, "_TruthMemo", Recording), \
+            mock.patch.object(Evaluator, "holds", autospec=True, side_effect=Evaluator.holds) as holds:
         assert check(_loops(12), parse_formula(text)).truth is True
     (memo,) = memos
-    assert memo.limit == 1 * 12 and memo.truths.largest == memo.limit
+    assert memo.limit == 4 * 1 ** 1 and holds.call_count <= 12 + 24
+    assert len(memo.truths) == 12 and all(len(row) == 2 for row in memo.truths.values())
 
 
 def test_check_and_eager_free_their_evaluators_on_return():

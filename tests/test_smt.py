@@ -957,23 +957,48 @@ def test_no_library_path_builds_the_product():
     assert eager.decoded.truth is True and decoded == eager.decoded
 
 
+def test_the_oracle_builds_no_window_again():
+    # ``full_assignment`` keeps a bounded until's windows by its operands and
+    # bounds and reads the plan's tables by position: on ta_m2 ``F<=20`` it
+    # built 88 ``BoundedUntil`` nodes and hashed nodes about 1,800 times before
+    mdp, f = cases.generate("ta", m=2).mdp, parse_formula(BOUNDED_TA)
+    cs, _ = encode_main(mdp, f)
+    chosen = dict.fromkeys(cs.meta.sched_names, next(enumerate_schedulers(mdp)))
+    built, hashes = [], []
+    init, node_hash = formula.Node.__init__, formula.Node.__hash__
+
+    def counting_init(self, *args):
+        built.append(type(self))
+        init(self, *args)
+
+    def counting_hash(self):
+        hashes.append(type(self))
+        return node_hash(self)
+
+    with mock.patch.object(formula.Node, "__init__", counting_init), \
+            mock.patch.object(formula.Node, "__hash__", counting_hash):
+        values, choices = full_assignment(cs, mdp, chosen)
+    assert BoundedUntil not in built and len(hashes) < 450
+    assert all(evaluate_term(t, values, choices) for t in cs.constraints if t is not cs.truth)
+
 
 def test_true_sweep_reuses_values_across_combinations():
     # 36 of the 64 pairs are tried, one of each mirrored pair; a value is
     # solved again only where a new combination changes a choice the value
     # can reach, each bind solves a path once from every point the
     # quantifier walk may read, and a tuple whose truth the memo holds is
-    # not read: 42 until solves per check, against 56 when every tried
-    # combination was bound, 90 when each read that missed solved its own,
-    # 137 over all 64 pairs and 380 when every combination solved its own
+    # not read: 26 until solves per check, against 42 when values were
+    # reused from the vectors of the combinations still kept, 56 when every
+    # tried combination was bound, 90 when each read that missed solved its
+    # own, 137 over all 64 pairs and 380 when every combination solved its own
     mdp, f = cases.generate("ts", h1=0, h2=1).mdp, parse_formula(TS_INDEP)
     with mock.patch.object(analysis, "until_probs", wraps=analysis.until_probs) as spy:
         assert check(mdp, f).truth is True
-    assert spy.call_count <= 42
+    assert spy.call_count <= 26
 
 
 def test_bind_compares_no_assignment_by_value(monkeypatch):
-    # bind keeps rows and closures by the identity of the bound assignments
+    # bind keeps vectors and rows by the identity of the bound assignments' actions
     mdp, f = cases.generate("ts", h1=0, h2=1).mdp, parse_formula(TS_INDEP)
     calls, inside = [], [False]
     eq, bind = Record.__eq__, Evaluator.bind
@@ -999,9 +1024,11 @@ def test_bind_compares_no_assignment_by_value(monkeypatch):
 def test_ta_m2_independence_sweep_decides_true_on_both_engines():
     # 136 of the 256 pairs of ta_m2 (16 * 17 / 2), one of each mirrored pair
     mdp, f = cases.generate("ta", m=2).mdp, parse_formula(TS_INDEP.replace("l=1", "j=0"))
-    with counting_combinations() as combos:
+    with counting_combinations() as combos, \
+            mock.patch.object(analysis, "until_probs", wraps=analysis.until_probs) as spy:
         verdict = check(mdp, f)
     assert (verdict.truth, verdict.mode) == (True, "none") and len(combos) == 136
+    assert spy.call_count <= 270  # 236, where values were reused from the vectors still kept: 270
     with counting_combinations() as combos:
         assert solve_eager(mdp, f).decoded == verdict
     assert len(combos) == 136
