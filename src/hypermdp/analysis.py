@@ -1,12 +1,13 @@
 """Exact probability computation on discrete-time Markov chains.
 
-Qualitative reachability sets by graph analysis; unbounded until by Prob0
-and Prob1 precomputation followed by an exact solve of the remaining
-states one strongly connected component at a time, sinks first; bounded
-until by one iteration that passes through every reduced-bound window,
-stops a phase once it settles and, for the last window alone, squares the
-step map of a phase still moving after |S| steps; one-step probabilities;
-and a value-iteration oracle used only for cross-checking.  Every result is an exact ``Fraction``; nothing is
+Qualitative reachability sets by graph analysis; unbounded until in one
+pass over the strongly connected components of its live states, sinks
+first, each settled as it closes, to 0 or 1 from its exits or by an exact
+solve in integers; bounded until by one iteration that passes through
+every reduced-bound window, stops a phase once it settles and, for the
+last window alone, squares the step map of a phase still moving after |S|
+steps; one-step probabilities; and a value-iteration oracle used only for
+cross-checking.  Every result is an exact ``Fraction``; nothing is
 computed in floating point.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Tuple
 
 from .errors import BoundError, SingularSystem
 from .model import Dtmc
@@ -62,167 +63,147 @@ def qualitative_sets(d: Dtmc, phi1: Predicate, phi2: Predicate,
 def until_probs(d: Dtmc, phi1: Predicate, phi2: Predicate, known: Mapping = _NOTHING) -> ProbVector:
     """Exact least-fixed-point solution of ``P(phi1 U phi2)`` per state.
 
-    1 on S_yes and 0 on S_zero (which covers the not-phi1-nor-phi2
-    states).  Of the other states, those that cannot reach S_zero without
-    passing a phi2 state reach phi2 almost surely and get exactly 1
-    (Prob1).  The rest are solved per strongly connected component in
-    reverse topological order, so every successor outside a component is
-    known when the component is solved: a singleton is one dot product, a
-    self-loop of probability p divides it by 1 - p, and a larger component
-    is an exact linear system of its own size.
-
-    A row may lead out of ``d.states`` to a point solved earlier, whose
-    value ``known`` gives: a positive one seeds Prob0 as a phi2 state does,
-    one below 1 seeds Prob1 as S_zero does, and the components read it as a
-    solved component.  The result covers ``d.states`` only.
+    1 on the phi2 states and 0 on the states that are neither.  The live
+    states, phi1 and not phi2, are settled in one pass: a Tarjan search
+    over their edges of positive probability, with an explicit stack
+    instead of recursion, closes each strongly connected component after
+    every component it can reach, and settles it there from its exits,
+    its edges of positive probability out of it (``_settle``): to 0 when
+    no exit has a positive value, to 1 when every exit has value 1, and
+    otherwise by an exact solve in integers.  A row may lead out of
+    ``d.states`` to a point solved earlier, whose value ``known`` gives,
+    and which an exit reads as a settled state.  The result covers
+    ``d.states`` only.
     """
-    s_zero, s_yes = qualitative_sets(d, phi1, phi2, known)
     result: ProbVector = {}
-    unknown = []
+    live = {}  # the live states, in the order of d.states
     for s in d.states:
-        if s in s_yes:
+        if phi2[s]:
             result[s] = _ONE
-        elif s in s_zero:
-            result[s] = _ZERO
+        elif phi1[s]:
+            live[s] = None
         else:
-            unknown.append(s)
-    if not unknown:
-        return result
-
-    # Prob1: an unknown state is below 1 iff it reaches S_zero through
-    # unknown states; backward reachability from the states next to S_zero
-    succ: Dict = {s: [] for s in unknown}
-    preds: Dict = {s: [] for s in unknown}
-    below = set()
-    for s in unknown:
-        for t, p in d.trans[s]:
-            if not p:
-                continue
-            if t in succ:
-                succ[s].append(t)
-                preds[t].append(s)
-            elif t in s_zero or (t not in s_yes and known[t] < 1):
-                below.add(s)
-    frontier = list(below)
-    while frontier:
-        t = frontier.pop()
-        for s in preds[t]:
-            if s not in below:
-                below.add(s)
-                frontier.append(s)
-    for s in unknown:
-        if s not in below:
-            result[s] = _ONE
-
-    for comp in _sccs([s for s in unknown if s in below], succ):
-        if len(comp) == 1:
-            s = comp[0]
-            loop = _ZERO
-            acc = _ZERO
-            for t, p in d.trans[s]:
-                if t == s:
-                    loop += p
-                else:
-                    v = result[t] if t in result else known[t]
-                    if v:
-                        acc += p * v
-            if loop:
-                if loop == _ONE:
-                    raise SingularSystem(f"self-loop of probability 1 at {s!r}")
-                acc /= _ONE - loop
-            result[s] = acc
-            continue
-        # p_s - sum_{s' in comp} P(s,s') p_s' = sum_{s' outside comp} P(s,s') p_s'
-        index = {s: i for i, s in enumerate(comp)}
-        m = len(comp)
-        matrix = [[_ZERO] * m for _ in range(m)]
-        rhs = [_ZERO] * m
-        for s, i in index.items():
-            row = matrix[i]
-            row[i] = _ONE
-            for t, p in d.trans[s]:
-                j = index.get(t)
-                if j is not None:
-                    row[j] -= p
-                else:
-                    v = result[t] if t in result else known[t]
-                    if v:
-                        rhs[i] += p * v
-        for s, value in zip(comp, _solve_linear(matrix, rhs)):
-            result[s] = value
-    return result
-
-
-def _sccs(nodes, succ: Mapping) -> Iterator[List]:
-    """Strongly connected components of the graph ``succ`` on ``nodes``,
-    each one yielded after every component it can reach (Tarjan, with an
-    explicit stack instead of recursion)."""
+            result[s] = _ZERO
     index: Dict = {}
     low: Dict = {}
     stack: List = []
-    on_stack = set()
-    for root in nodes:
+    for root in live:
         if root in index:
             continue
         index[root] = low[root] = len(index)
         stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(succ[root]))]
+        work = [(root, iter(d.trans[root]))]
         while work:
-            v, it = work[-1]
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ[w])))
-                    break
-                if w in on_stack and index[w] < low[v]:
-                    low[v] = index[w]
+            v, edges = work[-1]
+            for t, p in edges:
+                if p and t in live and t not in result:  # new, or on the stack
+                    if t not in index:
+                        index[t] = low[t] = len(index)
+                        stack.append(t)
+                        work.append((t, iter(d.trans[t])))
+                        break
+                    if index[t] < low[v]:
+                        low[v] = index[t]
             else:
                 work.pop()
-                if work:
-                    u = work[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
                 if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == v:
-                            break
-                    yield comp
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    _settle(d, comp, result, known)
+    return result
+
+
+def _settle(d: Dtmc, comp: List, result: ProbVector, known: Mapping) -> None:
+    """Enter into ``result`` the values of the strongly connected
+    component ``comp``, each of whose exits leads to a state of ``result``
+    or a point of ``known``.
+
+    Unless its exits settle it to 0 or 1, the row of each state s, with D
+    its common denominator, is the integer equation
+    ``D x_s - sum w_t x_t = sum w_u v_u`` over its weights w, in-component
+    on the left and exits on the right: a singleton is that dot product
+    over D less its self-loop's weight, a larger component the integer
+    system that ``_solve_linear`` solves.  Each value becomes one
+    ``Fraction``.
+    """
+    inside = comp if len(comp) == 1 else dict.fromkeys(comp)
+    positive, certain = False, True
+    for s in comp:
+        for t, p in d.trans[s]:
+            if p and t not in inside:
+                v = result[t] if t in result else known[t]
+                if v:
+                    positive = True
+                    certain = certain and v == 1
+                else:
+                    certain = False
+    if not positive or certain:
+        value = _ONE if positive else _ZERO
+        for s in comp:
+            result[s] = value
+        return
+    position = {s: i for i, s in enumerate(comp)}
+    matrix, rhs = [], []
+    for s in comp:
+        terms = []  # (position, or None for an exit, numerator, denominator)
+        for t, p in d.trans[s]:
+            if t in position:
+                terms.append((position[t], p.numerator, p.denominator))
+            elif p:
+                v = result[t] if t in result else known[t]
+                terms.append((None, p.numerator * v.numerator, p.denominator * v.denominator))
+        scale = math.lcm(*[den for _, _, den in terms])
+        row, b = [0] * len(comp), 0
+        row[position[s]] = scale
+        for j, num, den in terms:
+            if j is None:
+                b += num * (scale // den)
+            else:
+                row[j] -= num * (scale // den)
+        matrix.append(row)
+        rhs.append(b)
+    if len(comp) == 1:
+        if not matrix[0][0]:
+            raise SingularSystem(f"self-loop of probability 1 at {comp[0]!r}")
+        result[comp[0]] = Fraction(rhs[0], matrix[0][0])
+        return
+    nums, den = _solve_linear(matrix, rhs)
+    for s, num in zip(comp, nums):
+        result[s] = Fraction(num, den)
 
 
 def _solve_linear(matrix, rhs):
-    """Gaussian elimination with partial pivoting, exact over Fractions."""
+    """``(nums, den)`` with ``nums[i] / den`` the solution of the integer
+    system ``matrix x = rhs``, by fraction-free elimination (Bareiss): every
+    division is exact, and the last pivot, the determinant up to its sign,
+    is ``den``.  Integer arithmetic throughout."""
     m = len(matrix)
-    for col in range(m):
-        pivot = max(range(col, m), key=lambda r: abs(matrix[r][col]))
-        if matrix[pivot][col] == 0:
-            raise SingularSystem(f"no pivot in column {col}")
-        if pivot != col:
-            matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
-            rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = 1 / matrix[col][col]
-        for r in range(col + 1, m):
-            factor = matrix[r][col] * inv
-            if factor == 0:
-                continue
-            row_r, row_c = matrix[r], matrix[col]
-            for c in range(col, m):
-                row_r[c] -= factor * row_c[c]
-            rhs[r] -= factor * rhs[col]
-    solution = [_ZERO] * m
+    for row, b in zip(matrix, rhs):
+        row.append(b)
+    prev = 1
+    for k in range(m):
+        pivot = next((r for r in range(k, m) if matrix[r][k]), None)
+        if pivot is None:
+            raise SingularSystem(f"no pivot in column {k}")
+        matrix[k], matrix[pivot] = matrix[pivot], matrix[k]
+        head = matrix[k]
+        top, tail = head[k], head[k + 1:]
+        for r in range(k + 1, m):
+            row = matrix[r]
+            lead = row[k]
+            if lead:
+                row[k + 1:] = [(top * a - lead * b) // prev for a, b in zip(row[k + 1:], tail)]
+            else:
+                row[k + 1:] = [top * a // prev if a else 0 for a in row[k + 1:]]
+        prev = top
+    nums = [0] * m
     for r in range(m - 1, -1, -1):
-        acc = rhs[r]
         row = matrix[r]
-        for c in range(r + 1, m):
-            acc -= row[c] * solution[c]
-        solution[r] = acc / row[r]
-    return solution
+        nums[r] = (prev * row[m] - sum([row[c] * nums[c] for c in range(r + 1, m)])) // row[r]
+    return nums, prev
 
 
 def _bounded_steps(d: Dtmc, phi1: Predicate, phi2: Predicate, k1: int, k2: int, every: bool = True):

@@ -284,10 +284,16 @@ class Evaluator:
         self._fns[node, frame] = fn
         return fn
 
+    def renamed(self, node, support: Tuple[int, ...]) -> int:
+        """``node``'s ``interned_key`` with each state variable read as its
+        component's position in ``support``: equal for the same formula on
+        different variables, which the same actions give the same values."""
+        names = {v: support.index(i - 1) for v, i in self.var_index.items() if i - 1 in support}
+        return interned_key(node, names, self._keys)
+
     def _reader(self, node: ProbOf, frame):
         support = self.supports[node]
-        names = {v: support.index(i - 1) for v, i in self.var_index.items() if i - 1 in support}
-        renamed = interned_key(node.path, names, self._keys)
+        renamed = self.renamed(node.path, support)
         held = [None, None, True]  # stamp of the last bind, vector, whether no read under it missed
         seeds = ()  # the points of K that the quantifier walk may read here
         if self.domains is not None and frame is self._top and isinstance(node.path, Until):

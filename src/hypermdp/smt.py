@@ -861,8 +861,10 @@ def full_assignment(cs: ConstraintSystem, mdp: Mdp, chosen: Dict[str, SchedulerA
     on the whole product; used to cross-check that the emitted constraints
     are satisfied by the exact semantics (soundness of the encoding).  A
     bounded until takes all of its windows from one
-    ``analysis.bounded_until_windows`` call, kept by its operands' identity
-    and the window's bounds, so no window is built again, and an until its
+    ``analysis.bounded_until_windows`` call, kept as the evaluator keeps a
+    path's vectors, by its operands renamed over the support's positions
+    and the support's actions, with the support's points and the window's
+    bounds, so no window is built again, and an until its
     distances from one ``step_distances`` call, each on the support's chain
     over the projection of ``meta.tuples``.  The plan's tables are read by
     position.  Raises AssertionError if a value of the plan's fixed table
@@ -889,17 +891,18 @@ def full_assignment(cs: ConstraintSystem, mdp: Mdp, chosen: Dict[str, SchedulerA
     # per position of the plan; ``reduced_windows`` gives a window its until's operands
     fixed, points = tuple(meta.fixed.values()), tuple(meta.points.values())
     position = {id(node): i for i, node in enumerate(meta.supports)}
-    windows: Dict[tuple, dict] = {}  # (id(left), id(right), k1, k2) -> the window's vector
+    windows: Dict[tuple, dict] = {}  # (operands, actions, points, k1, k2) -> the window's vector
     values: Dict[str, object] = {}
     for idx, (node, support) in enumerate(meta.supports.items()):
         kind = "h" if isinstance(node, BODY_KINDS) else "pr"
         path = node.path if isinstance(node, ProbOf) else None
         if isinstance(path, BoundedUntil):
-            operands = (id(path.left), id(path.right))
-            if (*operands, path.k1, path.k2) not in windows:
+            solved = (ev.renamed(path.left, support), ev.renamed(path.right, support),
+                      tuple(ev.actions[c] for c in support), frozenset(chain(support).states))
+            if (*solved, path.k1, path.k2) not in windows:
                 for (k1, k2), vec in analysis.bounded_until_windows(*on_chain(path, support), path.k1, path.k2):
-                    windows.setdefault((*operands, k1, k2), vec)
-            read = windows[(*operands, path.k1, path.k2)].__getitem__
+                    windows.setdefault((*solved, k1, k2), vec)
+            read = windows[(*solved, path.k1, path.k2)].__getitem__
         else:
             read = ev.reader(node, support)
         for p, value in fixed[idx].items():

@@ -238,11 +238,11 @@ class TestSccSolver:
         assert until_probs(d, true_pred(d), pred(d, "a"))["s0"] == ZERO
 
     def test_singular_system_needs_rows_that_are_not_distributions(self):
-        """When every row is a distribution, each component left to solve has
-        an edge out of it (its states reach S_zero), so I - P restricted to
-        it is invertible and SingularSystem cannot be raised.  Chains built
-        by hand without validation can still reach it, in a component and
-        in a self-loop."""
+        """When every row is a distribution, each component that is solved
+        has an exit (else it settles to 0), so I - P restricted to it is
+        invertible and SingularSystem cannot be raised.  Chains built by
+        hand without validation can still reach it, in a component and in
+        a self-loop."""
         cycle = raw_chain({"s0": (("s1", 2), ("z", 1)),
                            "s1": (("s0", "1/2"), ("g", "1/2")),
                            "g": (("g", 1),),
@@ -316,6 +316,43 @@ class TestKnownBoundary:
         assert qualitative_sets(rest, phi1, phi2, {"b": Fraction(1, 3)}) == (frozenset(), frozenset())
         assert until_probs(rest, phi1, phi2, {"b": Fraction(1, 3)}) == {"r0": Fraction(1, 3)}
         assert until_probs(rest, phi1, phi2, {"b": ONE}) == {"r0": ONE}
+
+
+@st.composite
+def chains_with_zero_entries(draw):
+    """A chain of up to 8 states, so of components of up to 8, whose rows
+    have denominators up to 12 and may hold entries of probability 0, with
+    phi1 and phi2 drawn per state."""
+    n = draw(st.integers(1, 8))
+    states = tuple(f"s{i}" for i in range(n))
+    rows = {}
+    for s in states:
+        targets = draw(st.lists(st.sampled_from(states), min_size=1, max_size=n, unique=True))
+        den = draw(st.integers(1, 12))
+        cuts = sorted(draw(st.lists(st.integers(0, den), min_size=len(targets) - 1, max_size=len(targets) - 1)))
+        rows[s] = tuple((t, Fraction(b - a, den)) for t, a, b in zip(targets, [0, *cuts], [*cuts, den]))
+    d = Dtmc(states=states, trans=rows, ap=(), labels={s: frozenset() for s in states})
+    phi1 = dict(zip(states, draw(st.lists(st.booleans(), min_size=n, max_size=n))))
+    phi2 = dict(zip(states, draw(st.lists(st.booleans(), min_size=n, max_size=n))))
+    closed = forward_closure(d, draw(st.sets(st.sampled_from(states))))
+    return d, phi1, phi2, closed
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=chains_with_zero_entries())
+@hypothesis_example(c=(raw_chain({"s0": (("s0", "1/4"), ("g", "1/4"), ("z", "1/2"), ("s1", 0)),
+                                  "s1": (("s1", "1/2"), ("g", "1/4"), ("z", "1/4")),
+                                  "g": (("g", 1),),
+                                  "z": (("z", 1),)}, {"g"}),
+                       {"s0": True, "s1": True, "g": True, "z": False},
+                       {"s0": False, "s1": False, "g": True, "z": False}, {"g", "z"}))
+def test_zero_probability_entries_match_the_dense_solve_and_the_two_part_solve(c):
+    # an entry of probability 0 is no edge: it neither joins two states in
+    # a component nor counts as an exit of one, even to a state settled later
+    d, phi1, phi2, closed = c
+    whole = until_probs(d, phi1, phi2)
+    assert whole == dense_until(d, phi1, phi2)
+    assert solve_in_two_parts(d, phi1, phi2, closed) == whole
 
 
 class TestBounded:

@@ -982,6 +982,26 @@ def test_the_oracle_builds_no_window_again():
     assert all(evaluate_term(t, values, choices) for t in cs.constraints if t is not cs.truth)
 
 
+@pytest.mark.parametrize("same", [True, False], ids=["same-schedulers", "counterexample"])
+def test_the_oracle_solves_each_window_set_once(same):
+    # ta_m2 ``F<=20`` has four bounded untils, j=0 and j=1 on x and on y.
+    # ``full_assignment`` keys their windows by the operands renamed over
+    # the support's positions, the support's actions and its points: x's
+    # and y's are one set under one scheduler, two under the
+    # counterexample's two
+    mdp, f = cases.generate("ta", m=2).mdp, parse_formula(BOUNDED_TA)
+    cs, _ = encode_main(mdp, f)
+    if same:
+        chosen = dict.fromkeys(cs.meta.sched_names, next(enumerate_schedulers(mdp)))
+    else:
+        chosen = solve_eager(mdp, f).decoded.schedulers
+        assert len(set(map(id, chosen.values()))) == 2
+    with mock.patch.object(analysis, "bounded_until_windows", wraps=analysis.bounded_until_windows) as spy:
+        values, choices = full_assignment(cs, mdp, chosen)
+    assert spy.call_count == (2 if same else 4)
+    assert all(evaluate_term(t, values, choices) for t in cs.constraints if t is not cs.truth)
+
+
 def test_true_sweep_reuses_values_across_combinations():
     # 36 of the 64 pairs are tried, one of each mirrored pair; a value is
     # solved again only where a new combination changes a choice the value
