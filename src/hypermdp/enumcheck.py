@@ -13,15 +13,15 @@ reachable from where it is read.  A value or truth at a point depends
 only on the point's signature: per component, the actions its assignment
 takes at the choice states (two or more actions) that the MDP may reach
 from the point's state (``choice_getters``, built once per evaluator, at
-its second combination).  That is the one reuse key.  A value solved under
-one combination enters its path's table, under its signature, when the
-next is bound, and is reused under every later combination with the same
-signature; a point keeps at most 4·m^|K| signatures (m scheduler
-quantifiers, K the components the path mentions), dropping its oldest, so
-memory is bounded by the model and formula.  From the second combination
-on ``decide`` memoizes the body's truth under the composed tuple and its
-signature (``_TruthMemo``), binding the evaluator to a combination only at
-its first miss; a tuple keeps at most 4·m^n truths (n state quantifiers).
+its second bind).  That is the one reuse key, and ``Evaluator`` its one
+owner.  A value solved under one combination enters its path's table,
+under its signature, when the next is bound, and is reused under every
+later combination with the same signature; a point keeps at most 4·m^|K|
+signatures (m scheduler quantifiers, K the components the path mentions),
+dropping its oldest, so memory is bounded by the model and formula.  From
+the second bind on the body's truth is kept the same way, per composed
+tuple, K all n components (``Evaluator.holds``); ``decide`` binds the
+evaluator to every combination it tries.
 Where swapping two scheduler quantifiers, with their state variables,
 leaves the body the same up to operand order (``swappable``), each
 unordered pair of their assignments is tried once, as in symmetry
@@ -178,7 +178,11 @@ class Evaluator:
     bound once signs nothing.  A point keeps at most 4·m^|K| signatures, m
     the number of scheduler quantifiers, dropping its oldest: memory set by
     the model and formula, which one combination, reading at most m^|K|
-    assignments of K, cannot empty.
+    assignments of K, cannot empty.  The body's truth at a composed tuple
+    is kept likewise, in ``truths``, K all n components; a combination
+    whose tuples all hit there induces no chain and solves nothing.  The
+    first bind builds no getters and keeps no truth, so a formula decided
+    under its first combination pays nothing for reuse.
     """
 
     def __init__(self, mdp: Mdp, f: Formula, domains: Optional[tuple] = None):
@@ -193,8 +197,9 @@ class Evaluator:
         self.table = {}  # renamed path -> {point: {signature: value}}, oldest first
         self._keys = {}  # ``interned_key``'s table: a renamed path is its key through it
         self._solved = []  # (renamed path, actions of K, values) solved this bind, signed at the next
+        self.truths = {}  # composed tuple -> {signature: the body's truth}, oldest first
         self._schedulers = count_quantifiers(f)[0]
-        self._getters = None
+        self._getters = None  # ``choice_getters``, built at the second bind
         self._stamp = [0]  # counts binds; a reader refetches its vector when it moves
         self._fns = {}
         self._top = tuple(range(len(self.var_index)))
@@ -210,6 +215,8 @@ class Evaluator:
         self.assignments = assignments
         self.actions = tuple(_actions(states, a) for a in assignments)
         self._stamp[0] += 1
+        if self._getters is None and self._stamp[0] > 1:
+            self._getters = choice_getters(self.mdp)
         solved, self._solved = self._solved, []
         for renamed, key, values in solved:  # the previous bind's values enter the table
             self._sign(renamed, key, values)
@@ -217,15 +224,22 @@ class Evaluator:
         self.chains = {key: rows for key, rows in self.chains.items() if all(id(a) in ids for a in key)}
         self.vectors = {key: vec for key, vec in self.vectors.items() if all(id(a) in ids for a in key[1])}
 
-    def getters(self) -> dict:
-        """The model's ``choice_getters``, built at the first call."""
-        if self._getters is None:
-            self._getters = choice_getters(self.mdp)
-        return self._getters
-
     def holds(self, at: tuple) -> bool:
-        """The body at composed tuple ``at``."""
-        return self._body(at)
+        """The body at composed tuple ``at``, kept in ``truths`` from the second bind on."""
+        getters = self._getters
+        if getters is None:  # the first bind keeps no truth
+            return self._body(at)
+        row = self.truths.get(at)
+        if row is None:
+            row = self.truths[at] = {}
+        signature = tuple([getters[s](actions) for s, actions in zip(at, self.actions)])
+        truth = row.get(signature)
+        if truth is None:
+            truth = self._body(at)
+            if len(row) >= 4 * self._schedulers ** len(at):
+                del row[next(iter(row))]
+            row[signature] = truth
+        return truth
 
     def value(self, node, at: tuple):
         """A body or probability expression over the formula's state
@@ -326,7 +340,7 @@ class Evaluator:
     def _signer(self, key: tuple):
         """A point's signature under ``key``, the actions of its support's
         assignments."""
-        getters = self.getters()
+        getters = self._getters
         if len(key) == 1:
             (actions,) = key
             return lambda p: getters[p](actions)
@@ -505,43 +519,6 @@ def swappable(f: Formula, pinned: Collection[int] = ()) -> frozenset:
     return frozenset(found)
 
 
-class _TruthMemo:
-    """The body's truths, per composed tuple keyed by its signature: per
-    component, its assignment's actions at the choice states its state may
-    reach (``Evaluator.getters``).  A tuple keeps at most 4·m^n signatures
-    (m and n the scheduler and state quantifiers), dropping its oldest."""
-
-    def __init__(self, mdp: Mdp, m: int, n: int):
-        self.mdp, self.limit = mdp, 4 * m ** n
-        self.truths = {}  # composed tuple -> {signature: truth}, oldest first
-
-    def holds(self, evaluator: Evaluator, assignments: Tuple[SchedulerAssignment, ...]):
-        """The body's truth under ``assignments``; the first tuple the memo
-        lacks binds ``evaluator`` to them."""
-        actions = [_actions(self.mdp.states, a) for a in assignments]
-        truths, getters, limit = self.truths, evaluator.getters(), self.limit
-        bound = False
-
-        def holds(at: tuple) -> bool:
-            nonlocal bound
-            row = truths.get(at)
-            if row is None:
-                row = truths[at] = {}
-            key = tuple([getters[s](acts) for s, acts in zip(at, actions)])
-            truth = row.get(key)
-            if truth is None:
-                if not bound:
-                    evaluator.bind(assignments)
-                    bound = True
-                truth = evaluator.holds(at)
-                if len(row) >= limit:
-                    del row[next(iter(row))]
-                row[key] = truth
-            return truth
-
-        return holds
-
-
 def decide(mdp: Mdp, f: Formula, pinned: Optional[Mapping[int, object]] = None) -> Tuple[bool, dict]:
     """The truth of ``f`` and the values on its deciding branch.
 
@@ -551,15 +528,15 @@ def decide(mdp: Mdp, f: Formula, pinned: Optional[Mapping[int, object]] = None) 
     position i takes only ``pinned[i]`` if given.  Values are keyed by
     prefix position, so a scheduler and a state variable may share a name.
 
-    From the second combination on, the body's truth at a tuple comes from
-    a memo where an earlier combination made the same choices at every
-    choice state that each component's state may reach, which is exact:
-    the truth depends on no other choice.  The evaluator is bound to a
-    combination only at its first tuple the memo lacks.  The first
-    combination does no memo work, so a formula decided there pays
-    nothing, and the memo keeps at most 4·m^n truths per tuple (m and n
-    the scheduler and state quantifiers): memory set by the model and
-    formula, not by the scheduler space.
+    The evaluator is bound to every combination tried.  From the second
+    on, it reads the body's truth at a tuple from its table where an
+    earlier combination made the same choices at every choice state that
+    each component's state may reach, which is exact: the truth depends on
+    no other choice (``Evaluator.holds``).  The first combination does no
+    table work, so a formula decided there pays nothing, and the table
+    keeps at most 4·m^n truths per tuple (m and n the scheduler and state
+    quantifiers): memory set by the model and formula, not by the
+    scheduler space.
 
     Where the quantifiers at i and i+1 are ``swappable``, the one at i+1
     starts at the assignment chosen at i, so a true ``forall s1. forall
@@ -583,19 +560,12 @@ def decide(mdp: Mdp, f: Formula, pinned: Optional[Mapping[int, object]] = None) 
     evaluator = Evaluator(mdp, f, domains)
     chosen: Dict[str, SchedulerAssignment] = {}
     mirrored = None  # ``swappable`` positions, once an outer loop moves on
-    memo = None  # the body's truths, from the second combination on
 
     def walk(i: int):
-        nonlocal mirrored, memo
+        nonlocal mirrored
         if i == m:  # reached once per scheduler combination
-            assignments = build_composition(f, chosen)
-            if memo is None:  # the first combination does no memo work
-                memo = _TruthMemo(mdp, m, len(state_quants))
-                evaluator.bind(assignments)
-                holds = evaluator.holds
-            else:
-                holds = memo.holds(evaluator, assignments)
-            truth, picks = truth_eval(state_quants, domains, holds)
+            evaluator.bind(build_composition(f, chosen))
+            truth, picks = truth_eval(state_quants, domains, evaluator.holds)
             return truth, {m + depth: s for depth, s in picks.items()}
         q = f.prefix[i]
         if i in pinned:

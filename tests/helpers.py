@@ -586,7 +586,7 @@ def reference_decide(mdp: Mdp, f: Formula, pinned=None):
 def counting_combinations():
     """The scheduler combinations ``enumcheck.decide`` forms
     (``build_composition``), in order, while the block runs: one per
-    combination it tries, whether or not it binds the evaluator to it."""
+    combination it tries, each bound to the evaluator."""
     combos = []
 
     def counting(f, chosen):

@@ -531,16 +531,18 @@ class TestMirroredCombinations:
         assert len(set(combos)) == 36 and all(order[a] <= order[b] for a, b in combos)
 
     @pytest.mark.parametrize("engine", [check, eager])
-    def test_true_sweep_binds_the_evaluator_once_per_new_choice_pattern(self, engine):
+    def test_true_sweep_induces_and_solves_only_for_new_choice_patterns(self, engine):
         # of the 36 combinations tried, 15 find the body's truth at every
-        # tuple they read in the memo, under an earlier combination that
-        # makes the same choices wherever each component's state may reach
+        # tuple they read in the evaluator's truth table, under an earlier
+        # combination that makes the same choices wherever each component's
+        # state may reach, so they induce no chain and solve no until
         mdp = cases.generate("ts", h1=0, h2=1).mdp
-        with mock.patch.object(Evaluator, "bind", autospec=True, side_effect=Evaluator.bind) as bind, \
+        with mock.patch.object(enumcheck, "induce_dtmc", wraps=enumcheck.induce_dtmc) as induce, \
+                mock.patch.object(analysis, "until_probs", wraps=analysis.until_probs) as until, \
                 counting_combinations() as combos:
             verdict = engine(mdp, parse_formula(TS_INDEP))
         assert (verdict.truth, verdict.mode) == (True, "none")
-        assert len(combos) == 36 and bind.call_count <= 21
+        assert len(combos) == 36 and induce.call_count <= 21 and until.call_count <= 26
 
     @pytest.mark.parametrize("row, count", [
         ("ts_h0_1", 2), ("ta_m2", 3), ("pw_m2", 2), ("pc_s0", 1), ("ta_m2_bnd", 3),
@@ -604,11 +606,11 @@ def test_verdicts_decided_after_the_outer_scheduler_moves_on():
     assert late >= examples / 5, late
 
 
-class TestTruthMemo:
-    """``decide`` reads the body's truth from its memo where an earlier
-    combination made the same choices at every choice state each
-    component's state may reach, and answers as a walk that binds a fresh
-    evaluator to every combination does."""
+class TestTruthTable:
+    """From its second bind on, the evaluator reads the body's truth from
+    its table where an earlier combination made the same choices at every
+    choice state each component's state may reach, and ``decide`` answers
+    as a walk that binds a fresh evaluator to every combination does."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1), corpus=st.sampled_from(("guarded", "random", "valued")))
@@ -617,21 +619,18 @@ class TestTruthMemo:
         mdp = with_never(random_mdp(rng, max_states=3, max_actions=3))
         corpora = {"guarded": guarded_formula, "random": random_formula, "valued": lambda rng: valued_formula(rng, mdp)}
         f = corpora[corpus](rng)
-        memo_holds = enumcheck._TruthMemo.holds
+        holds, fresh = Evaluator.holds, [None, None]  # the bound assignments, an evaluator bound to them alone
 
-        def checked(memo, evaluator, assignments):
-            # every truth the memo gives, a hit or not, is a fresh evaluator's
-            holds, fresh = memo_holds(memo, evaluator, assignments), Evaluator(mdp, f)
-            fresh.bind(assignments)
+        def checked(ev, at):
+            # every truth the evaluator gives, from its table or not, is a fresh evaluator's
+            truth = holds(ev, at)
+            if fresh[0] is not ev.assignments:
+                fresh[:] = ev.assignments, Evaluator(mdp, f)
+                fresh[1].bind(ev.assignments)
+            assert truth == holds(fresh[1], at)
+            return truth
 
-            def both(at):
-                truth = holds(at)
-                assert truth == fresh.holds(at)
-                return truth
-
-            return both
-
-        with mock.patch.object(enumcheck._TruthMemo, "holds", checked):
+        with mock.patch.object(Evaluator, "holds", checked):
             result = decide(mdp, f)
         assert result == reference_decide(mdp, f)
         verdict = assemble_verdict(f, *result)
@@ -647,9 +646,9 @@ class TestTruthMemo:
     @given(seed=st.integers(0, 2 ** 32 - 1), valued=st.booleans())
     def test_every_truth_equals_a_fresh_evaluator_in_any_sweep_order(self, seed, valued):
         # ``decide`` stops where the body decides, so it reads few truths
-        # that turn; here the memo keeps every truth, and every combination
-        # reads every tuple, in random orders, so a key missing a choice
-        # that a truth depends on shows
+        # that turn; here the evaluator keeps every truth and value, and
+        # every combination reads every tuple, in random orders, so a key
+        # missing a choice that a truth depends on shows
         rng = random.Random(seed)
         mdp = random_mdp(rng, max_states=3, max_actions=3)
         f = valued_formula(rng, mdp) if valued else random_formula(rng)
@@ -658,15 +657,38 @@ class TestTruthMemo:
         schedulers = list(enumerate_schedulers(mdp))
         combos = [build_composition(f, dict(zip(names, c))) for c in itertools.product(schedulers, repeat=m)]
         rng.shuffle(combos)
-        memo, ev = enumcheck._TruthMemo(mdp, m, n), Evaluator(mdp, f)
-        tuples = list(itertools.product(mdp.states, repeat=n))
-        memo.limit = len(combos) * len(tuples)
+        ev, tuples = Evaluator(mdp, f), list(itertools.product(mdp.states, repeat=n))
+        ev._schedulers = len(combos)  # lifts the caps: 4·m^|K| then exceeds the signatures a point can see
         for assignments in combos[:40]:
-            holds, fresh = memo.holds(ev, assignments), Evaluator(mdp, f)
+            fresh = Evaluator(mdp, f)
+            ev.bind(assignments)
             fresh.bind(assignments)
             rng.shuffle(tuples)
             for at in tuples:
-                assert holds(at) == fresh.holds(at)
+                assert ev.holds(at) == fresh.holds(at)
+
+    @pytest.mark.parametrize("row, count", [("pc_s0", 1), ("ts_h0_1", 2)])
+    @pytest.mark.parametrize("engine", [check, eager])
+    def test_the_first_combination_builds_no_getters_and_keeps_no_truth(self, row, count, engine):
+        # pc_s0 decides under its one combination, ts_h0_1 at its second:
+        # only a second bind builds the getters and keeps truths
+        family, params = PUBLISHED_ROWS[row]
+        spec, made = cases.generate(family, **params), []
+
+        def recording(*args):
+            made.append(Evaluator(*args))
+            return made[-1]
+
+        with mock.patch.object(enumcheck, "Evaluator", recording), \
+                mock.patch.object(enumcheck, "choice_getters", wraps=enumcheck.choice_getters) as getters, \
+                counting_combinations() as combos:
+            verdict = engine(spec.mdp, spec.formula)
+        (ev,) = made
+        assert verdict.truth is (family == "pc") and len(combos) == count
+        if count == 1:
+            assert getters.call_count == 0 and ev.truths == {}
+        else:
+            assert getters.call_count <= 1
 
 
 # the parser's desugaring of ``=``, ``!=``, ``<=`` and ``>=``, all built on ``formula.cmp_eq``

@@ -464,27 +464,27 @@ def test_false_existential_sweep_memory_does_not_grow_with_the_scheduler_space()
 
 
 def test_true_universal_sweep_memory_does_not_grow_with_the_scheduler_space():
-    # every state is its own only successor, so the truth memo's keys are
+    # every state is its own only successor, so the truth table's keys are
     # the 12 states with their own choices: 24 keys, 2 per tuple, within its
     # 4 * 1^1 per tuple, so after the first combination, whose 12 reads it
-    # does not memoize, the body is evaluated once per key
+    # does not keep, the body is evaluated once per key
     text = "forall sched s. forall st x(s). P(X a(x)) = 0"
     _sweep_peak(8, text)
     small, large = _sweep_peak(8, text), _sweep_peak(12, text)
     assert large - small < 64 * 1024, (small, large)
-    memos = []
+    made = []
 
-    class Recording(enumcheck._TruthMemo):
-        def __init__(self, *args):
-            super().__init__(*args)
-            memos.append(self)
+    def recording(*args):
+        ev = Evaluator(*args)
+        ev._body = mock.Mock(side_effect=ev._body)  # the compiled body, which a kept truth is not read from
+        made.append(ev)
+        return ev
 
-    with mock.patch.object(enumcheck, "_TruthMemo", Recording), \
-            mock.patch.object(Evaluator, "holds", autospec=True, side_effect=Evaluator.holds) as holds:
+    with mock.patch.object(enumcheck, "Evaluator", recording):
         assert check(_loops(12), parse_formula(text)).truth is True
-    (memo,) = memos
-    assert memo.limit == 4 * 1 ** 1 and holds.call_count <= 12 + 24
-    assert len(memo.truths) == 12 and all(len(row) == 2 for row in memo.truths.values())
+    (ev,) = made
+    assert ev._body.call_count <= 12 + 24
+    assert len(ev.truths) == 12 and all(len(row) == 2 for row in ev.truths.values())
 
 
 def test_check_and_eager_free_their_evaluators_on_return():

@@ -1006,11 +1006,11 @@ def test_true_sweep_reuses_values_across_combinations():
     # 36 of the 64 pairs are tried, one of each mirrored pair; a value is
     # solved again only where a new combination changes a choice the value
     # can reach, each bind solves a path once from every point the
-    # quantifier walk may read, and a tuple whose truth the memo holds is
-    # not read: 26 until solves per check, against 42 when values were
-    # reused from the vectors of the combinations still kept, 56 when every
-    # tried combination was bound, 90 when each read that missed solved its
-    # own, 137 over all 64 pairs and 380 when every combination solved its own
+    # quantifier walk may read, and a tuple whose truth the evaluator's
+    # truth table holds is not read: 26 until solves per check, against 42
+    # when values were reused from the vectors of the combinations still
+    # kept, 56 before truths were kept, 90 when each read that missed solved
+    # its own, 137 over all 64 pairs and 380 when every combination solved its own
     mdp, f = cases.generate("ts", h1=0, h2=1).mdp, parse_formula(TS_INDEP)
     with mock.patch.object(analysis, "until_probs", wraps=analysis.until_probs) as spy:
         assert check(mdp, f).truth is True
