@@ -118,6 +118,12 @@ def _actions(states: tuple, assignment: SchedulerAssignment) -> tuple:
     return assignment.actions if assignment.states == states else tuple(map(assignment.as_dict().get, states))
 
 
+def _evict(row: dict, limit: int) -> None:
+    """Drop ``row``'s oldest signature if it holds more than ``limit``."""
+    if len(row) > limit:
+        del row[next(iter(row))]
+
+
 def choice_getters(mdp: Mdp) -> dict:
     """Per state s, the getter of s's signature: of an assignment's actions
     in model order, those at the choice states (two or more actions) that
@@ -235,10 +241,8 @@ class Evaluator:
         signature = tuple([getters[s](actions) for s, actions in zip(at, self.actions)])
         truth = row.get(signature)
         if truth is None:
-            truth = self._body(at)
-            if len(row) >= 4 * self._schedulers ** len(at):
-                del row[next(iter(row))]
-            row[signature] = truth
+            truth = row[signature] = self._body(at)
+            _evict(row, 4 * self._schedulers ** len(at))
         return truth
 
     def value(self, node, at: tuple):
@@ -351,15 +355,10 @@ class Evaluator:
         its table, each point dropping its oldest signature when full."""
         table, sign, limit = self.table.setdefault(renamed, {}), self._signer(key), 4 * self._schedulers ** len(key)
         for p, value in values.items():
-            row = table.get(p)
-            if row is None:
-                table[p] = {sign(p): value}
-                continue
-            signature = sign(p)
+            row, signature = table.setdefault(p, {}), sign(p)
             if signature not in row:
-                if len(row) >= limit:
-                    del row[next(iter(row))]
                 row[signature] = value
+                _evict(row, limit)
 
     def _solve(self, path, support, renamed, vec: dict, point, seeds=()) -> None:
         """Add to ``vec`` the values of ``path`` at ``point``, at those of

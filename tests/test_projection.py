@@ -296,7 +296,7 @@ def test_cache_stays_bounded_through_a_full_sweep():
     bound = (len(paths) + len(supports)) * 2 ** 2
     schedulers = list(enumerate_schedulers(mdp))
     assert len(schedulers) ** 2 > 4 * bound
-    largest, widths, full = 0, {}, set()
+    largest, widths, full, full_truths = 0, {}, set(), set()
     for first, second in itertools.product(schedulers, repeat=2):
         ev.bind(build_composition(f, {"s1": first, "s2": second}))
         for at in itertools.product(mdp.states, repeat=2):
@@ -311,8 +311,12 @@ def test_cache_stays_bounded_through_a_full_sweep():
             limit = 4 * 2 ** widths[renamed]
             assert all(len(row) <= limit for row in table.values())
             full.update((renamed, point) for point, row in table.items() if len(row) == limit)
+        # and at most 4 * m^n truths per composed tuple, n = 2 state variables
+        assert all(len(row) <= 4 * 2 ** 2 for row in ev.truths.values())
+        full_truths.update(at for at, row in ev.truths.items() if len(row) == 4 * 2 ** 2)
     assert largest <= bound
     assert full  # the sweep meets more signatures than a point keeps
+    assert full_truths  # and more than a composed tuple keeps
 
 
 @st.composite
