@@ -8,12 +8,14 @@ other state unable to decide the quantifier, the states that carry the
 guards.  A combination is the tuple of assignments its components run
 under (``build_composition``).  The quantifier-free body is evaluated at
 the composed tuples the state quantifiers visit, each path formula on the
-chains of only the components it mentions and only at the states
-reachable from where it is read.  A value or truth at a point depends
-only on the point's signature: per component, the actions its assignment
-takes at the choice states (two or more actions) that the MDP may reach
-from the point's state (``choice_getters``, built once per evaluator, at
-its second bind).  That is the one reuse key, and ``Evaluator`` its one
+rows of only the components it mentions, read from the MDP on first use
+(a pinned assignment is checked where it enters ``decide``), each product
+of rows built once per evaluator, and only at the states reachable from
+where it is read.  A value or truth at a point depends only on the
+point's signature: per component, the actions its assignment takes at
+the choice states (two or more actions) that the MDP may reach from the
+point's state (``choice_getters``, built once per evaluator, at its
+second bind).  That is the one reuse key, and ``Evaluator`` its one
 owner.  A value solved under one combination enters its path's table,
 under its signature, when the next is bound, and is reused under every
 later combination with the same signature; a point keeps at most 4·m^|K|
@@ -118,6 +120,17 @@ def _actions(states: tuple, assignment: SchedulerAssignment) -> tuple:
     return assignment.actions if assignment.states == states else tuple(map(assignment.as_dict().get, states))
 
 
+class _Lazy(dict):
+    """A dict that fills a missing key ``k`` with ``fn(k)``."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def _evict(row: dict, limit: int) -> None:
     """Drop ``row``'s oldest signature if it holds more than ``limit``."""
     if len(row) > limit:
@@ -155,17 +168,19 @@ class Evaluator:
     """Evaluates a formula's body at composed tuples, one scheduler
     combination (``bind``) at a time.
 
-    A path formula is solved on the chain of only the components its state
-    variables map to, its support K: one component's induced chain, or
-    ``model.JointRows`` over several, never the whole product.  Its vector
-    is filled lazily at K-local points: a read that misses at p solves the
-    points reachable from p.  Until stops at points solved before, the
-    solve's known boundary, so each point is solved once, and read in the
-    body its first miss under a bind also solves from every point of K that
-    the quantifier walk may read (``domains``).  Next reads p's row only;
-    bounded until solves the whole chain on its first miss, since its
-    windows at solved points do not cover the steps still to go (in steps
-    that stop where they settle: ``analysis.bounded_until_probs``).
+    A path formula is solved on the rows of only the components its state
+    variables map to, its support K: one component's, read from
+    ``mdp.trans`` under its assignment's actions on first use, or
+    ``model.JointRows`` over several, never the whole product, whose
+    products ``joint`` keeps for life: at most R^|K|, R the model's rows.
+    Its vector is filled lazily at K-local points: a read that misses at p
+    solves the points reachable from p.  Until stops at points solved
+    before, the solve's known boundary, so each point is solved once, and
+    read in the body its first miss under a bind also solves from every
+    point of K that the quantifier walk may read (``domains``).  Next reads
+    p's row only; bounded until solves the whole chain on its first miss,
+    since its windows at solved points do not cover the steps still to go
+    (in steps that stop where they settle: ``analysis.bounded_until_probs``).
 
     Values are kept per path renamed to positions in K, up to the operand
     order of ``&``, ``+`` and ``*`` (``formula.interned_key``), so
@@ -186,7 +201,7 @@ class Evaluator:
     the model and formula, which one combination, reading at most m^|K|
     assignments of K, cannot empty.  The body's truth at a composed tuple
     is kept likewise, in ``truths``, K all n components; a combination
-    whose tuples all hit there induces no chain and solves nothing.  The
+    whose tuples all hit there reads no row and solves nothing.  The
     first bind builds no getters and keeps no truth, so a formula decided
     under its first combination pays nothing for reuse.
     """
@@ -200,6 +215,9 @@ class Evaluator:
         self.actions: Tuple[tuple, ...] = ()  # per component, its assignment's actions in model order
         self.vectors = {}  # (renamed path, actions of K) -> vector
         self.chains = {}  # actions of K -> K's rows
+        self.keys = {}  # support K -> the actions of K under the bound combination, built on first use
+        self.joint = {}  # identities of component rows (``mdp.trans``'s) -> their joint row, kept for life
+        self._positions = {s: i for i, s in enumerate(mdp.states)}
         self.table = {}  # renamed path -> {point: {signature: value}}, oldest first
         self._keys = {}  # ``interned_key``'s table: a renamed path is its key through it
         self._solved = []  # (renamed path, actions of K, values) solved this bind, signed at the next
@@ -219,16 +237,17 @@ class Evaluator:
         table."""
         states = self.mdp.states
         self.assignments = assignments
-        self.actions = tuple(_actions(states, a) for a in assignments)
+        actions = self.actions = tuple(_actions(states, a) for a in assignments)
+        self.keys = _Lazy(lambda support: tuple([actions[c] for c in support]))
         self._stamp[0] += 1
         if self._getters is None and self._stamp[0] > 1:
             self._getters = choice_getters(self.mdp)
         solved, self._solved = self._solved, []
         for renamed, key, values in solved:  # the previous bind's values enter the table
             self._sign(renamed, key, values)
-        ids = {id(a) for a in self.actions}
-        self.chains = {key: rows for key, rows in self.chains.items() if all(id(a) in ids for a in key)}
-        self.vectors = {key: vec for key, vec in self.vectors.items() if all(id(a) in ids for a in key[1])}
+        bound = set(map(id, actions)).issuperset
+        self.chains = {key: rows for key, rows in self.chains.items() if bound(map(id, key))}
+        self.vectors = {key: vec for key, vec in self.vectors.items() if bound(map(id, key[1]))}
 
     def holds(self, at: tuple) -> bool:
         """The body at composed tuple ``at``, kept in ``truths`` from the second bind on."""
@@ -324,8 +343,7 @@ class Evaluator:
         def read(point):
             if held[0] != stamp[0]:
                 ev = this()
-                key = (renamed, tuple(ev.actions[c] for c in support))
-                held[:] = stamp[0], ev.vectors.setdefault(key, {}), True
+                held[:] = stamp[0], ev.vectors.setdefault((renamed, ev.keys[support]), {}), True
             value = held[1].get(point)
             if value is None:  # the first miss under this bind solves from every seed
                 this()._solve(node.path, support, renamed, held[1], point, seeds if held[2] else ())
@@ -348,6 +366,9 @@ class Evaluator:
         if len(key) == 1:
             (actions,) = key
             return lambda p: getters[p](actions)
+        if len(key) == 2:  # the common joint support, read without a comprehension's frame
+            first, second = key
+            return lambda p: (getters[p[0]](first), getters[p[1]](second))
         return lambda p: tuple([getters[s](actions) for s, actions in zip(p, key)])
 
     def _sign(self, renamed, key: tuple, values: Mapping) -> None:
@@ -365,7 +386,7 @@ class Evaluator:
         ``seeds`` that it lacks, and at the points their values depend on,
         taking from the table those whose signature it holds; the values
         solved are signed at the next bind."""
-        key = tuple(self.actions[c] for c in support)
+        key = self.keys[support]
         table, reuse = self.table.get(renamed), None
         if table:
             sign = self._signer(key)
@@ -384,7 +405,7 @@ class Evaluator:
         frame = support[0] if len(support) == 1 else support
         if isinstance(path, Next):
             holds = self._compile(path.operand, frame)
-            d = Dtmc(states=(point,), trans=rows, ap=(), labels={})
+            d = Dtmc((point,), rows, (), {})
             values = analysis.next_probs(d, {t: holds(t) for t, _ in rows[point]})
         else:
             if isinstance(path, Until):
@@ -394,7 +415,7 @@ class Evaluator:
                 points = list(states if isinstance(frame, int) else itertools.product(states, repeat=len(frame)))
             fn1, fn2 = self._compile(path.left, frame), self._compile(path.right, frame)
             phi1, phi2 = {q: fn1(q) for q in points}, {q: fn2(q) for q in points}
-            d = Dtmc(states=tuple(points), trans=rows, ap=(), labels={})
+            d = Dtmc(tuple(points), rows, (), {})
             if isinstance(path, Until):
                 values = analysis.until_probs(d, phi1, phi2, vec)
             else:
@@ -403,15 +424,16 @@ class Evaluator:
         self._solved.append((renamed, key, values))
 
     def rows(self, support: Tuple[int, ...]):
-        """``support``'s rows under the bound combination: one component's
-        induced chain, or ``model.JointRows`` over several."""
-        key = tuple(self.actions[c] for c in support)
+        """``support``'s rows under the bound combination, unchecked: an
+        assignment that picks a disabled action raises ``KeyError``."""
+        key = self.keys[support]
         rows = self.chains.get(key)
         if rows is None:
             if len(support) == 1:
-                rows = induce_dtmc(self.mdp, self.assignments[support[0]]).trans
+                (actions,), trans, positions = key, self.mdp.trans, self._positions
+                rows = _Lazy(lambda s: trans[s, actions[positions[s]]])
             else:
-                rows = JointRows(tuple(self.rows((c,)) for c in support))
+                rows = JointRows(tuple(self.rows((c,)) for c in support), self.joint)
             self.chains[key] = rows
         return rows
 
@@ -553,6 +575,8 @@ def decide(mdp: Mdp, f: Formula, pinned: Optional[Mapping[int, object]] = None) 
     """
     pinned = pinned or {}
     m, _ = count_quantifiers(f)
+    for i in pinned.keys() & range(m):  # the evaluator reads rows unchecked: a disabled choice raises here
+        induce_dtmc(mdp, pinned[i])
     state_quants = f.prefix[m:]
     domains = tuple((pinned[m + d],) if m + d in pinned else states
                     for d, states in enumerate(state_domains(mdp, f)))

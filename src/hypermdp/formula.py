@@ -557,27 +557,29 @@ def interned_key(node, names: dict, table: dict) -> int:
 
     ``table`` interns one key per distinct (kind, non-node fields, operand
     keys) tuple, the operand keys sorted at those three kinds, so nodes keyed
-    through one table are equal that way iff their keys are.  A loop over
-    the shared subtrees, each keyed once, so any depth is walked."""
+    through one table are equal that way iff their keys are.  One post-order
+    loop over the shared subtrees, each keyed once, so any depth is walked."""
     keys = {}  # id of a node -> its key
-    stack = [node]
+    stack = [(node, None)]
     while stack:
-        top = stack[-1]
-        if id(top) in keys:
-            stack.pop()
+        top, values = stack.pop()
+        if values is None:  # first met: read its fields, come back once its operands are keyed
+            if id(top) not in keys:
+                values = top._values
+                stack.append((top, values))
+                for v in values:
+                    if isinstance(v, Node) and id(v) not in keys:
+                        stack.append((v, None))
             continue
-        below = [v for v in top._values if isinstance(v, Node) and id(v) not in keys]
-        if below:
-            stack += below
-            continue
-        stack.pop()
-        if isinstance(top, Prop):
+        kind = type(top)
+        if kind is Prop:
             fields = (top.name, names.get(top.var, top.var))
         else:
-            fields = tuple(keys[id(v)] if isinstance(v, Node) else v for v in top._values)
-            if isinstance(top, And) or (isinstance(top, Arith) and top.op != "-"):
-                fields = fields[:-2] + tuple(sorted(fields[-2:]))
-        keys[id(top)] = table.setdefault((type(top), fields), len(table))
+            fields = tuple([keys[id(v)] if isinstance(v, Node) else v for v in values])
+            if kind is And or (kind is Arith and top.op != "-"):
+                *head, left, right = fields
+                fields = (*head, left, right) if left <= right else (*head, right, left)
+        keys[id(top)] = table.setdefault((kind, fields), len(table))
     return keys[id(node)]
 
 

@@ -296,14 +296,20 @@ def joint_row(rows: Sequence[Sequence[Tuple[StateId, Fraction]]]) -> tuple:
 
 class JointRows(dict):
     """Rows of the product of the chains whose rows are ``components``, each
-    a ``joint_row`` built on first read."""
+    read on first use from ``table``: the identities of the component rows
+    -> their ``joint_row``, built where missing.  A table shared by chains
+    whose rows outlive it builds each product of rows once."""
 
-    def __init__(self, components: Tuple[Mapping, ...]):
-        super().__init__()
-        self.components = components
+    def __init__(self, components: Tuple[Mapping, ...], table: Dict[tuple, tuple]):
+        self.components, self.table = components, table
 
     def __missing__(self, point: tuple):
-        row = self[point] = joint_row([rows[s] for rows, s in zip(self.components, point)])
+        rows = [rows[s] for rows, s in zip(self.components, point)]
+        key = tuple(map(id, rows))
+        row = self.table.get(key)
+        if row is None:
+            row = self.table[key] = joint_row(rows)
+        self[point] = row
         return row
 
 

@@ -864,7 +864,8 @@ def full_assignment(cs: ConstraintSystem, mdp: Mdp, chosen: Dict[str, SchedulerA
     ``analysis.bounded_until_windows`` call, kept as the evaluator keeps a
     path's vectors, by its operands renamed over the support's positions
     and the support's actions, with the support's points and the window's
-    bounds, so no window is built again, and an until its
+    bounds, so no window is built again, and each window enters the
+    evaluator's vector, from which the layer above reads it; an until its
     distances from one ``step_distances`` call, each on the support's chain
     over the projection of ``meta.tuples``.  The plan's tables are read by
     position.  Raises AssertionError if a value of the plan's fixed table
@@ -879,7 +880,7 @@ def full_assignment(cs: ConstraintSystem, mdp: Mdp, chosen: Dict[str, SchedulerA
     def chain(support: Support) -> Dtmc:
         rows = ev.rows(support)
         if len(support) == 1:  # one component's rows take bare states
-            rows = JointRows((rows,))
+            rows = JointRows((rows,), ev.joint)
         return Dtmc(states=projected_domain(meta.tuples, support), trans=rows, ap=(), labels={})
 
     def on_chain(path, support: Support):
@@ -892,19 +893,23 @@ def full_assignment(cs: ConstraintSystem, mdp: Mdp, chosen: Dict[str, SchedulerA
     fixed, points = tuple(meta.fixed.values()), tuple(meta.points.values())
     position = {id(node): i for i, node in enumerate(meta.supports)}
     windows: Dict[tuple, dict] = {}  # (operands, actions, points, k1, k2) -> the window's vector
+    bounded: Dict[int, dict] = {}  # position of a bounded until -> its window's vector
+    for idx, (node, support) in enumerate(meta.supports.items()):
+        path = node.path if isinstance(node, ProbOf) else None
+        if isinstance(path, BoundedUntil):
+            solved = (ev.renamed(path.left, support), ev.renamed(path.right, support),
+                      ev.keys[support], frozenset(chain(support).states))
+            if (*solved, path.k1, path.k2) not in windows:
+                for (k1, k2), vec in analysis.bounded_until_windows(*on_chain(path, support), path.k1, path.k2):
+                    windows.setdefault((*solved, k1, k2), vec)
+            vec = bounded[idx] = windows[(*solved, path.k1, path.k2)]
+            ev.vectors.setdefault((ev.renamed(path, support), ev.keys[support]), {}).update(
+                ((p[0], value) for p, value in vec.items()) if len(support) == 1 else vec)
     values: Dict[str, object] = {}
     for idx, (node, support) in enumerate(meta.supports.items()):
         kind = "h" if isinstance(node, BODY_KINDS) else "pr"
         path = node.path if isinstance(node, ProbOf) else None
-        if isinstance(path, BoundedUntil):
-            solved = (ev.renamed(path.left, support), ev.renamed(path.right, support),
-                      tuple(ev.actions[c] for c in support), frozenset(chain(support).states))
-            if (*solved, path.k1, path.k2) not in windows:
-                for (k1, k2), vec in analysis.bounded_until_windows(*on_chain(path, support), path.k1, path.k2):
-                    windows.setdefault((*solved, k1, k2), vec)
-            read = windows[(*solved, path.k1, path.k2)].__getitem__
-        else:
-            read = ev.reader(node, support)
+        read = bounded[idx].__getitem__ if idx in bounded else ev.reader(node, support)
         for p, value in fixed[idx].items():
             if read(p) != value:
                 raise AssertionError(f"{symbol(kind, p, idx)} is fixed to {value} but is {read(p)} "

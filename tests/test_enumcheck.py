@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypermdp import analysis, cases, enumcheck, formula
+from hypermdp import analysis, cases, enumcheck, formula, model
 from hypermdp.enumcheck import (
     Evaluator,
     assemble_verdict,
@@ -18,7 +18,7 @@ from hypermdp.enumcheck import (
     state_domains,
     swappable,
 )
-from hypermdp.errors import CapExceeded, IllFormed, UnknownProposition
+from hypermdp.errors import CapExceeded, IllFormed, IncompatibleScheduler, UnknownProposition
 from hypermdp.formula import (
     ARITH_OPS,
     MAX_HEIGHT,
@@ -102,6 +102,15 @@ class TestErrors:
     def test_unknown_proposition(self, m_coin):
         with pytest.raises(UnknownProposition):
             check(m_coin, parse_formula("exists sched s. exists st x(s). zzz(x)"))
+
+    @pytest.mark.parametrize("text", [REACH_ONE, "exists sched s. exists st x(s). a(x)"], ids=["path", "no-path"])
+    def test_replay_rejects_a_pinned_scheduler_with_a_disabled_action(self, m_coin, text):
+        # the evaluator reads rows from the MDP unchecked, so ``decide``
+        # checks a pinned assignment where it enters, with or without a P(...)
+        bad = SchedulerAssignment(m_coin.states, ("alpha", "beta", "tau"))  # beta is not enabled in s1
+        verdict = enumcheck.Verdict(truth=True, mode="witness", schedulers={"s": bad})
+        with pytest.raises(IncompatibleScheduler):
+            replay(m_coin, parse_formula(text), verdict)
 
     def test_validate_inputs_walks_the_body_once(self, m_coin, monkeypatch):
         # one walk gives both the bound variables' uses and the alphabet's names
@@ -531,18 +540,28 @@ class TestMirroredCombinations:
         assert len(set(combos)) == 36 and all(order[a] <= order[b] for a, b in combos)
 
     @pytest.mark.parametrize("engine", [check, eager])
-    def test_true_sweep_induces_and_solves_only_for_new_choice_patterns(self, engine):
+    def test_true_sweep_induces_no_chain_and_builds_each_joint_row_once(self, engine):
         # of the 36 combinations tried, 15 find the body's truth at every
         # tuple they read in the evaluator's truth table, under an earlier
         # combination that makes the same choices wherever each component's
-        # state may reach, so they induce no chain and solve no until
+        # state may reach, so they solve no until.  Rows are read from the
+        # MDP, so no chain is induced (21 were), and joint rows are kept for
+        # the evaluator's life, so each product of component rows is built
+        # once (75 builds of 55 products before)
         mdp = cases.generate("ts", h1=0, h2=1).mdp
+        built, joint_row = [], model.joint_row
+
+        def counting(rows):
+            built.append(tuple(map(id, rows)))
+            return joint_row(rows)
+
         with mock.patch.object(enumcheck, "induce_dtmc", wraps=enumcheck.induce_dtmc) as induce, \
                 mock.patch.object(analysis, "until_probs", wraps=analysis.until_probs) as until, \
-                counting_combinations() as combos:
+                mock.patch.object(model, "joint_row", counting), counting_combinations() as combos:
             verdict = engine(mdp, parse_formula(TS_INDEP))
         assert (verdict.truth, verdict.mode) == (True, "none")
-        assert len(combos) == 36 and induce.call_count <= 21 and until.call_count <= 26
+        assert len(combos) == 36 and induce.call_count == 0 and until.call_count <= 26
+        assert 0 < len(built) == len(set(built)) <= 55
 
     @pytest.mark.parametrize("row, count", [
         ("ts_h0_1", 2), ("ta_m2", 3), ("pw_m2", 2), ("pc_s0", 1), ("ta_m2_bnd", 3),

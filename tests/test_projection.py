@@ -314,7 +314,11 @@ def test_cache_stays_bounded_through_a_full_sweep():
         # and at most 4 * m^n truths per composed tuple, n = 2 state variables
         assert all(len(row) <= 4 * 2 ** 2 for row in ev.truths.values())
         full_truths.update(at for at, row in ev.truths.items() if len(row) == 4 * 2 ** 2)
+        # and at most R^|K| joint rows for the evaluator's life, R the model's rows
+        assert len(ev.joint) <= len(mdp.trans) ** 2
     assert largest <= bound
+    # each keyed by the identities of ``mdp.trans``'s rows, which outlive the table
+    assert ev.joint and {i for key in ev.joint for i in key} <= set(map(id, mdp.trans.values()))
     assert full  # the sweep meets more signatures than a point keeps
     assert full_truths  # and more than a composed tuple keeps
 

@@ -1002,6 +1002,29 @@ def test_the_oracle_solves_each_window_set_once(same):
     assert all(evaluate_term(t, values, choices) for t in cs.constraints if t is not cs.truth)
 
 
+def test_the_oracle_reads_the_body_s_bounded_untils_from_their_windows():
+    # the layer above each bounded until reads it from the window that
+    # ``full_assignment`` already holds; it made 4 ``bounded_until_probs``
+    # calls under the counterexample before.  Every value equals a fresh
+    # evaluator's, which solves them itself
+    mdp, f = cases.generate("ta", m=2).mdp, parse_formula(BOUNDED_TA)
+    cs, _ = encode_main(mdp, f)
+    chosen = solve_eager(mdp, f).decoded.schedulers
+    with mock.patch.object(analysis, "bounded_until_probs", wraps=analysis.bounded_until_probs) as spy:
+        values, _ = full_assignment(cs, mdp, chosen)
+    assert spy.call_count == 0
+    ev = Evaluator(mdp, cs.meta.encoded)
+    ev.bind(build_composition(cs.meta.encoded, chosen))
+    checked = 0
+    for idx, ((node, support), points) in enumerate(zip(cs.meta.supports.items(), cs.meta.points.values())):
+        kind = "h" if isinstance(node, BODY_KINDS) else "pr"
+        read = ev.reader(node, support)
+        for p in points:
+            assert values[smt.symbol(kind, p, idx)] == read(p)
+            checked += kind == "h"
+    assert checked
+
+
 def test_true_sweep_reuses_values_across_combinations():
     # 36 of the 64 pairs are tried, one of each mirrored pair; a value is
     # solved again only where a new combination changes a choice the value
