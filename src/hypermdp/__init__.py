@@ -4,26 +4,14 @@ Two engines decide formulas with scheduler and state quantifiers over
 explicit-state Markov decision processes: direct quantifier enumeration
 and an eager constraint-encoding procedure with witness extraction.
 All probability arithmetic is exact rational.
+
+``import hypermdp`` loads none of its modules.  Each public name, and
+each submodule name such as ``hypermdp.analysis``, loads its module on
+first use (PEP 562), so a process that reads only the model and the
+formula parser never compiles either engine.
 """
 
-from .analysis import bounded_until_probs, next_probs, qualitative_sets, until_probs, until_probs_vi
-from .enumcheck import Verdict, check, replay
-from .formula import Formula, check_well_formed, count_quantifiers, format_formula, parse_formula
-from .model import (
-    Dtmc,
-    Mdp,
-    SchedulerAssignment,
-    dtmc_as_mdp,
-    enumerate_schedulers,
-    format_mdp,
-    induce_dtmc,
-    load_mdp,
-    parse_mdp,
-    self_compose,
-    validate_mdp,
-)
-from .smt import SmtVerdict, decode_witness, encode_main, solve_eager
-from .constraints import emit_smtlib2
+import importlib
 
 __all__ = [
     "Dtmc",
@@ -56,3 +44,35 @@ __all__ = [
     "until_probs_vi",
     "validate_mdp",
 ]
+
+# the submodule that defines each public name
+_EXPORTS = {
+    "analysis": ("bounded_until_probs", "next_probs", "qualitative_sets", "until_probs", "until_probs_vi"),
+    "constraints": ("emit_smtlib2",),
+    "enumcheck": ("Verdict", "check", "replay"),
+    "formula": ("Formula", "check_well_formed", "count_quantifiers", "format_formula", "parse_formula"),
+    "model": ("Dtmc", "Mdp", "SchedulerAssignment", "dtmc_as_mdp", "enumerate_schedulers", "format_mdp",
+              "induce_dtmc", "load_mdp", "parse_mdp", "self_compose", "validate_mdp"),
+    "smt": ("SmtVerdict", "decode_witness", "encode_main", "solve_eager"),
+}
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
+
+_SUBMODULES = frozenset(("analysis", "cases", "cli", "constraints", "enumcheck", "errors", "formula", "model",
+                         "record", "smt"))
+
+
+def __getattr__(name: str):
+    """Import the module behind ``name`` on its first read and keep the
+    value in the package namespace, so later reads skip this hook."""
+    if name in _HOMES:
+        value = getattr(importlib.import_module("." + _HOMES[name], __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module("." + name, __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return list(__all__)

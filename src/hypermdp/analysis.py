@@ -96,7 +96,7 @@ def until_probs(d: Dtmc, phi1: Predicate, phi2: Predicate, known: Mapping = _NOT
         while work:
             v, edges = work[-1]
             for t, p in edges:
-                if p and t in live and t not in result:  # new, or on the stack
+                if t in live and t not in result and p:  # new, or on the stack
                     if t not in index:
                         index[t] = low[t] = len(index)
                         stack.append(t)
@@ -133,7 +133,7 @@ def _settle(d: Dtmc, comp: List, result: ProbVector, known: Mapping) -> None:
     positive, certain = False, True
     for s in comp:
         for t, p in d.trans[s]:
-            if p and t not in inside:
+            if t not in inside and p:
                 v = result[t] if t in result else known[t]
                 if v:
                     positive = True
