@@ -2,6 +2,10 @@
 
 Exit codes: 0 verdict true, 1 verdict false, 2 anything else: a usage or
 validation error, an undecided external solver, or an internal error.
+
+The engines (``enumcheck``, ``smt``, ``constraints``) are imported inside
+the functions that read them, so ``gen``, and ``stats`` without a formula,
+load neither.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ import traceback
 from typing import Optional
 
 from . import cases
-from .constraints import emit_smtlib2
-from .enumcheck import Verdict, check, validate_inputs
 from .errors import HyperMdpError, MixedSchedulerBlock
 from .formula import (
     Formula,
@@ -27,7 +29,6 @@ from .formula import (
     state_var_index,
 )
 from .model import load_mdp
-from .smt import check_external, encode_main, encoding_supports, solve_eager, transform_for_encoding
 
 REPORT_SCHEMA = "hypermdp-report/1"
 
@@ -44,10 +45,12 @@ def _load_formula(args) -> Formula:
 def subformula_count(f: Formula) -> int:
     """The encoder's subformula table's size: distinct subformulas of the
     body, counting the reduced-bound windows of its bounded untils."""
+    from .smt import encoding_supports
+
     return len(encoding_supports(f.body, state_var_index(f)))
 
 
-def _verdict_json(verdict: Verdict) -> dict:
+def _verdict_json(verdict) -> dict:
     return {
         "truth": verdict.truth,
         "mode": verdict.mode,
@@ -56,7 +59,7 @@ def _verdict_json(verdict: Verdict) -> dict:
     }
 
 
-def _print_human(verdict: Verdict, out):
+def _print_human(verdict, out):
     print(f"verdict: {'true' if verdict.truth else 'false'}", file=out)
     if verdict.mode != "none":
         print(f"{verdict.mode}:", file=out)
@@ -69,6 +72,10 @@ def _print_human(verdict: Verdict, out):
 
 
 def cmd_check(args, out) -> int:
+    from .constraints import emit_smtlib2
+    from .enumcheck import check, validate_inputs
+    from .smt import check_external, encode_main, solve_eager, transform_for_encoding
+
     mdp = load_mdp(args.model)
     f = _load_formula(args)
     engine = args.engine
@@ -144,6 +151,10 @@ def cmd_check(args, out) -> int:
 
 
 def cmd_encode(args, out) -> int:
+    from .constraints import emit_smtlib2
+    from .enumcheck import validate_inputs
+    from .smt import encode_main
+
     mdp = load_mdp(args.model)
     f = _load_formula(args)
     validate_inputs(mdp, f, math.inf, math.inf)  # encoding has no quantifier caps

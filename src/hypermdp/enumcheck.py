@@ -1,40 +1,36 @@
 """Reference semantics: decide formulas by direct quantifier instantiation.
 
 ``decide`` is the one quantifier walk: scheduler quantifiers range over
-the memoryless non-probabilistic assignments, and under each combination
+the memoryless non-probabilistic assignments, and under each combination,
+the tuple of assignments its components run under (``build_composition``),
 ``truth_eval`` walks the state quantifiers over their domains
 (``state_domains``): all states, or, where the body's guards make every
-other state unable to decide the quantifier, the states that carry the
-guards.  A combination is the tuple of assignments its components run
-under (``build_composition``).  The quantifier-free body is evaluated at
-the composed tuples the state quantifiers visit, each path formula on the
-rows of only the components it mentions, read from the MDP on first use
-(a pinned assignment is checked where it enters ``decide``), each product
-of rows built once per evaluator, and only at the states reachable from
-where it is read.  A value or truth at a point depends only on the
-point's signature: per component, the actions its assignment takes at
-the choice states (two or more actions) that the MDP may reach from the
-point's state (``choice_getters``, built once per evaluator, at its
-second bind).  That is the one reuse key, and ``Evaluator`` its one
-owner.  A value solved under one combination enters its path's table,
-under its signature, when the next is bound, and is reused under every
-later combination with the same signature; a point keeps at most 4·m^|K|
-signatures (m scheduler quantifiers, K the components the path mentions),
-dropping its oldest, so memory is bounded by the model and formula.  From
-the second bind on the body's truth is kept the same way, per composed
-tuple, K all n components (``Evaluator.holds``); ``decide`` binds the
-evaluator to every combination it tries.
-Where swapping two scheduler quantifiers, with their state variables,
-leaves the body the same up to operand order (``swappable``), each
-unordered pair of their assignments is tried once, as in symmetry
-reduction (Emerson & Sistla, FMSD 1996).
-``check``, ``replay`` and the eager engine (``smt.solve_eager``, on the
-encoded formula) are thin front ends to it; the encoder and the decoder
-read the same domains.  Mixed scheduler prefixes are supported here.
+other state unable to decide the quantifier, the states that carry them.
+As the components move independently, each coupled ``P(X ...)``, and each
+coupled reachability over closed targets, is first made the product of
+its marginals (``factor_joint``).  The body is evaluated at the composed
+tuples the state quantifiers visit, each path formula on the rows of only
+the components it mentions, read from the MDP on first use (a pinned
+assignment is checked where it enters ``decide``), each product of rows
+built once per evaluator, and only at the states reachable from where it
+is read.  A value or truth at a point depends only on the point's
+signature: per component, the actions its assignment takes at the choice
+states (two or more actions) that the MDP may reach from the point's
+state (``choice_getters``).  That is the one reuse key, and ``Evaluator``
+its one owner: a value is reused under every later combination with the
+same signature, a point keeping at most 4·m^|K| (m scheduler quantifiers,
+K the components the path mentions), and so is the body's truth per
+composed tuple, K all n components.  Where swapping two scheduler
+quantifiers, with their state variables, leaves the body the same up to
+operand order (``swappable``), each unordered pair of their assignments is
+tried once, as in symmetry reduction (Emerson & Sistla, FMSD 1996).
+``check``, ``replay`` and ``smt.solve_eager`` (on the encoded formula) are
+thin front ends to it, and it supports mixed scheduler prefixes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import weakref
@@ -52,6 +48,7 @@ from .errors import (
 from .formula import (
     ARITH_OPS,
     And,
+    Arith,
     Const,
     Formula,
     Less,
@@ -68,6 +65,8 @@ from .formula import (
     interned_key,
     state_var_index,
     subformula_supports,
+    subformulas,
+    substitute,
 )
 from .model import Dtmc, JointRows, Mdp, SchedulerAssignment, enumerate_schedulers, induce_dtmc
 from .model import self_compose  # noqa: F401  bench/tracing.py hooks enumcheck.self_compose
@@ -206,11 +205,11 @@ class Evaluator:
     under its first combination pays nothing for reuse.
     """
 
-    def __init__(self, mdp: Mdp, f: Formula, domains: Optional[tuple] = None):
+    def __init__(self, mdp: Mdp, f: Formula, domains: Optional[tuple] = None, supports: Optional[dict] = None):
         self.mdp = mdp
         self.domains = domains  # per state variable, the states the quantifier walk reads
         self.var_index = state_var_index(f)
-        self.supports = subformula_supports(f.body, self.var_index)
+        self.supports = subformula_supports(f.body, self.var_index) if supports is None else supports
         self.assignments: Tuple[SchedulerAssignment, ...] = ()
         self.actions: Tuple[tuple, ...] = ()  # per component, its assignment's actions in model order
         self.vectors = {}  # (renamed path, actions of K) -> vector
@@ -220,7 +219,7 @@ class Evaluator:
         self._positions = {s: i for i, s in enumerate(mdp.states)}
         self.table = {}  # renamed path -> {point: {signature: value}}, oldest first
         self._keys = {}  # ``interned_key``'s table: a renamed path is its key through it
-        self._solved = []  # (renamed path, actions of K, values) solved this bind, signed at the next
+        self._solved = []  # (renamed path, actions of K, values, probed signatures) of this bind, signed next
         self.truths = {}  # composed tuple -> {signature: the body's truth}, oldest first
         self._schedulers = count_quantifiers(f)[0]
         self._getters = None  # ``choice_getters``, built at the second bind
@@ -243,8 +242,8 @@ class Evaluator:
         if self._getters is None and self._stamp[0] > 1:
             self._getters = choice_getters(self.mdp)
         solved, self._solved = self._solved, []
-        for renamed, key, values in solved:  # the previous bind's values enter the table
-            self._sign(renamed, key, values)
+        for entry in solved:  # the previous bind's values enter the table
+            self._sign(*entry)
         bound = set(map(id, actions)).issuperset
         self.chains = {key: rows for key, rows in self.chains.items() if bound(map(id, key))}
         self.vectors = {key: vec for key, vec in self.vectors.items() if bound(map(id, key[1]))}
@@ -371,12 +370,14 @@ class Evaluator:
             return lambda p: (getters[p[0]](first), getters[p[1]](second))
         return lambda p: tuple([getters[s](actions) for s, actions in zip(p, key)])
 
-    def _sign(self, renamed, key: tuple, values: Mapping) -> None:
+    def _sign(self, renamed, key: tuple, values: Mapping, signed: Mapping) -> None:
         """Enter ``values`` of the path ``renamed``, solved under ``key``, into
-        its table, each point dropping its oldest signature when full."""
+        its table, each point dropping its oldest signature when full; a
+        point's signature is taken from ``signed`` where the solve's reuse
+        probe computed it."""
         table, sign, limit = self.table.setdefault(renamed, {}), self._signer(key), 4 * self._schedulers ** len(key)
         for p, value in values.items():
-            row, signature = table.setdefault(p, {}), sign(p)
+            row, signature = table.setdefault(p, {}), signed[p] if p in signed else sign(p)
             if signature not in row:
                 row[signature] = value
                 _evict(row, limit)
@@ -385,15 +386,15 @@ class Evaluator:
         """Add to ``vec`` the values of ``path`` at ``point``, at those of
         ``seeds`` that it lacks, and at the points their values depend on,
         taking from the table those whose signature it holds; the values
-        solved are signed at the next bind."""
+        solved are signed at the next bind, with the signatures it computed."""
         key = self.keys[support]
-        table, reuse = self.table.get(renamed), None
+        table, reuse, signed = self.table.get(renamed), None, {}
         if table:
             sign = self._signer(key)
 
             def reuse(p) -> bool:
                 row = table.get(p)
-                value = row and row.get(sign(p))
+                value = row and row.get(signed.setdefault(p, sign(p)))
                 if value is not None:
                     vec[p] = value
                 return value is not None
@@ -421,7 +422,7 @@ class Evaluator:
             else:
                 values = analysis.bounded_until_probs(d, phi1, phi2, path.k1, path.k2)
         vec.update(values)
-        self._solved.append((renamed, key, values))
+        self._solved.append((renamed, key, values, signed))
 
     def rows(self, support: Tuple[int, ...]):
         """``support``'s rows under the bound combination, unchecked: an
@@ -481,6 +482,46 @@ def state_domains(mdp: Mdp, f: Formula) -> Tuple[Tuple[str, ...], ...]:
         tuple(s for s in mdp.states if q.exists != restricted or guards.get(q.name, set()) <= mdp.labels[s])
         for q in f.prefix if isinstance(q, StateQuant)
     )
+
+
+def _holds(node, labels) -> bool:
+    """A Boolean combination of propositions at a state labelled ``labels``."""
+    if isinstance(node, NotF):
+        return not _holds(node.operand, labels)
+    if isinstance(node, And):
+        return _holds(node.left, labels) and _holds(node.right, labels)
+    return isinstance(node, TrueF) or node.name in labels
+
+
+def factor_joint(mdp: Mdp, f: Formula, supports: Mapping) -> Formula:
+    """``f`` with each ``P(X φ)``, ``P(F φ)``, ``P(F<=k φ)``, ``P(F[k1,k2] φ)`` in
+    ``supports`` whose φ conjoins Boolean combinations of propositions of two
+    or more components made the product of one ``P(...)`` per component, in
+    component order: the next step always, reachability where each one's
+    states are closed, left by no action, so reaching all is reaching each."""
+
+    def closed(target) -> bool:
+        inside = {s for s in mdp.states if _holds(target, mdp.labels[s])}
+        return all(t in inside for s in inside for a in mdp.enabled[s] for t, _ in mdp.trans[s, a])
+
+    rewrites = {}
+    for node in [node for node, support in supports.items() if len(support) > 1 and isinstance(node, ProbOf)
+                 and (isinstance(node.path, Next) or isinstance(node.path.left, TrueF))]:
+        path, target = node.path, node.path.operand if isinstance(node.path, Next) else node.path.right
+        groups, conjuncts = {}, [target]  # support of one component -> its conjuncts, in operand order
+        while conjuncts:
+            c = conjuncts.pop()
+            if isinstance(c, And) and len(supports[c]) > 1:
+                conjuncts += (c.right, c.left)
+            else:
+                groups[supports[c]] = And(groups[supports[c]], c) if supports[c] in groups else c
+        kinds = {type(n) for g in groups.values() for n in subformulas(g)}
+        if all(len(k) == 1 for k in groups) and kinds <= {TrueF, Prop, And, NotF} and (
+                isinstance(path, Next) or all(map(closed, groups.values()))):
+            marginals = [ProbOf(type(path)(*[groups[k] if v is target else v for v in path._values]))
+                         for k in sorted(groups)]
+            rewrites[node] = functools.reduce(lambda a, b: Arith("*", a, b), marginals)
+    return Formula(f.prefix, substitute(f.body, rewrites)) if rewrites else f
 
 
 def truth_eval(state_quants, domains, holds, depth: int = 0, at: tuple = ()) -> Tuple[bool, dict]:
@@ -549,15 +590,12 @@ def decide(mdp: Mdp, f: Formula, pinned: Optional[Mapping[int, object]] = None) 
     position i takes only ``pinned[i]`` if given.  Values are keyed by
     prefix position, so a scheduler and a state variable may share a name.
 
-    The evaluator is bound to every combination tried.  From the second
-    on, it reads the body's truth at a tuple from its table where an
-    earlier combination made the same choices at every choice state that
-    each component's state may reach, which is exact: the truth depends on
-    no other choice (``Evaluator.holds``).  The first combination does no
-    table work, so a formula decided there pays nothing, and the table
-    keeps at most 4·m^n truths per tuple (m and n the scheduler and state
-    quantifiers): memory set by the model and formula, not by the
-    scheduler space.
+    The body is rewritten once (``factor_joint``, from the support table
+    that the evaluator takes if nothing changed: a body with no coupled
+    ``P(...)`` costs a scan of it).  The evaluator is bound to every
+    combination tried; from the second on it reads the body's truth at a
+    tuple from its table (``Evaluator.holds``), at most 4·m^n per tuple (m
+    and n the scheduler and state quantifiers), so the first pays nothing.
 
     Where the quantifiers at i and i+1 are ``swappable``, the one at i+1
     starts at the assignment chosen at i, so a true ``forall s1. forall
@@ -580,7 +618,9 @@ def decide(mdp: Mdp, f: Formula, pinned: Optional[Mapping[int, object]] = None) 
     state_quants = f.prefix[m:]
     domains = tuple((pinned[m + d],) if m + d in pinned else states
                     for d, states in enumerate(state_domains(mdp, f)))
-    evaluator = Evaluator(mdp, f, domains)
+    supports = subformula_supports(f.body, state_var_index(f))
+    f, unfactored = factor_joint(mdp, f, supports), f
+    evaluator = Evaluator(mdp, f, domains, supports if f is unfactored else None)
     chosen: Dict[str, SchedulerAssignment] = {}
     mirrored = None  # ``swappable`` positions, once an outer loop moves on
 

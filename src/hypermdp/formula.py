@@ -541,14 +541,16 @@ def subformula_supports(body, var_index: dict) -> dict:
     return support
 
 
-def rename_vars(node, names: dict):
-    """``node`` with every state variable ``v`` replaced by ``names[v]``."""
-    if isinstance(node, Prop):
-        return Prop(node.name, names[node.var])
+def substitute(node, replacements: dict):
+    """``node`` with each subformula in ``replacements`` replaced by its value.  Those
+    met enter it, so a shared one is rebuilt once, and one left whole is not rebuilt."""
+    if node in replacements:
+        return replacements[node]
     values = []  # a loop, not a generator: one frame per level of ``node``
     for value in node._values:
-        values.append(rename_vars(value, names) if isinstance(value, Node) else value)
-    return type(node)(*values)
+        values.append(substitute(value, replacements) if isinstance(value, Node) else value)
+    replacements[node] = node if all(map(operator.is_, values, node._values)) else type(node)(*values)
+    return replacements[node]
 
 
 def interned_key(node, names: dict, table: dict) -> int:

@@ -30,6 +30,8 @@ from hypermdp.formula import (
     cmp_eq,
     f_implies,
     f_or,
+    subformulas,
+    substitute,
 )
 from hypermdp.constraints import choice_sym
 from hypermdp import enumcheck
@@ -39,6 +41,11 @@ from hypermdp.smt import full_assignment
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def rename_vars(node, names: dict):
+    """``node`` with every state variable ``v`` replaced by ``names[v]``."""
+    return substitute(node, {p: Prop(p.name, names[p.var]) for p in subformulas(node) if isinstance(p, Prop)})
 
 
 # -- path-enumeration oracles -------------------------------------------------

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypermdp import cases, cli, smt
+from hypermdp import cases, cli, enumcheck, smt
 from hypermdp.cli import main
 from hypermdp.constraints import choice_sym, emit_smtlib2, evaluate_system
 from hypermdp.enumcheck import check, replay
@@ -183,7 +183,7 @@ class TestExitCodes:
         def broken(*args, **kwargs):
             raise error("engine broke")
 
-        monkeypatch.setattr(cli, "check", broken)
+        monkeypatch.setattr(enumcheck, "check", broken)  # read by cmd_check when it runs
         code, out = run_cli("check", coin_path, "--formula", REACH_ONE, "--engine", "enum")
         assert code == 2
         assert f"internal error: {error.__name__}: engine broke" in capsys.readouterr().err
@@ -536,8 +536,7 @@ class TestExternalSolver:
             calls.append(args)
             return encode_main(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "encode_main", counting)
-        monkeypatch.setattr(smt, "encode_main", counting)
+        monkeypatch.setattr(smt, "encode_main", counting)  # read by cmd_check when it runs
         solver = self._write_fake_solver(tmp_path, "unsat\n")
         out_path = tmp_path / "out.smt2"
         code, _ = run_cli("check", coin_path, "--formula", REACH_HALF, "--engine", "smt-external",

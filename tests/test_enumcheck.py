@@ -40,7 +40,6 @@ from hypermdp.formula import (
     count_quantifiers,
     f_implies,
     parse_formula,
-    rename_vars,
 )
 from hypermdp.model import (
     SchedulerAssignment,
@@ -51,7 +50,7 @@ from hypermdp.model import (
 )
 from hypermdp.smt import VectorEvaluator, solve_eager
 from .helpers import (BOUNDED_TA, PUBLISHED_ROWS, TS_INDEP, counting_combinations, guarded_formula, late_case,
-                      random_body, random_formula, random_mdp, random_pexpr, reference_decide,
+                      random_body, random_formula, random_mdp, random_pexpr, reference_decide, rename_vars,
                       valued_formula, with_never)
 
 REACH_ONE = "exists sched s. exists st x(s). init(x) & P(F a(x)) = 1"
@@ -539,15 +538,14 @@ class TestMirroredCombinations:
         assert len(order) == 8 and len(combos) == 36  # 8 * 9 / 2, not 8 * 8
         assert len(set(combos)) == 36 and all(order[a] <= order[b] for a, b in combos)
 
-    @pytest.mark.parametrize("engine", [check, eager])
-    def test_true_sweep_induces_no_chain_and_builds_each_joint_row_once(self, engine):
-        # of the 36 combinations tried, 15 find the body's truth at every
-        # tuple they read in the evaluator's truth table, under an earlier
-        # combination that makes the same choices wherever each component's
-        # state may reach, so they solve no until.  Rows are read from the
-        # MDP, so no chain is induced (21 were), and joint rows are kept for
-        # the evaluator's life, so each product of component rows is built
-        # once (75 builds of 55 products before)
+    # true, since the components reach their targets independently
+    OPEN_SWEEP = ("forall sched s1. forall sched s2. forall st x(s1). forall st y(s2). "
+                  "(init(x) & init(y)) -> P(F (h(x) & h(y))) <= P(F h(x)) * P(F h(y))")
+
+    @staticmethod
+    def counted_sweep(engine, text):
+        """The verdict, combinations, induced chains, until solves and joint
+        rows built (by the identities of their component rows) of one run."""
         mdp = cases.generate("ts", h1=0, h2=1).mdp
         built, joint_row = [], model.joint_row
 
@@ -558,10 +556,35 @@ class TestMirroredCombinations:
         with mock.patch.object(enumcheck, "induce_dtmc", wraps=enumcheck.induce_dtmc) as induce, \
                 mock.patch.object(analysis, "until_probs", wraps=analysis.until_probs) as until, \
                 mock.patch.object(model, "joint_row", counting), counting_combinations() as combos:
-            verdict = engine(mdp, parse_formula(TS_INDEP))
+            verdict = engine(mdp, parse_formula(text))
+        return verdict, combos, induce.call_count, until.call_count, built
+
+    @pytest.mark.parametrize("engine", [check, eager])
+    def test_true_sweep_induces_no_chain_and_builds_each_joint_row_once(self, engine):
+        # a coupled operand whose target is not closed (h holds at an init
+        # state only), so it stays joint: of the 36 combinations tried, 15
+        # find the body's truth at every tuple they read in the evaluator's
+        # truth table, under an earlier combination that makes the same
+        # choices wherever each component's state may reach, so they solve
+        # no until.  Rows are read from the MDP, so no chain is induced (21
+        # were), and joint rows are kept for the evaluator's life, so each
+        # product of component rows is built once (75 builds of 55 products
+        # before).  The same counts as TS_INDEP's before its closed target
+        # was factored
+        verdict, combos, induced, solves, built = self.counted_sweep(engine, self.OPEN_SWEEP)
         assert (verdict.truth, verdict.mode) == (True, "none")
-        assert len(combos) == 36 and induce.call_count == 0 and until.call_count <= 26
+        assert len(combos) == 36 and induced == 0 and solves <= 26
         assert 0 < len(built) == len(set(built)) <= 55
+
+    @pytest.mark.parametrize("engine", [check, eager])
+    def test_true_sweep_over_closed_targets_builds_no_joint_row(self, engine):
+        # TS_INDEP's l=1 is closed, so P(F (l=1(x) & l=1(y))) is solved as
+        # P(F l=1(x)) * P(F l=1(y)): 5 until solves over 15 points and no
+        # joint row, against 26 solves over 90 points and 55 joint rows
+        # while it was solved on the joint rows
+        verdict, combos, induced, solves, built = self.counted_sweep(engine, TS_INDEP)
+        assert (verdict.truth, verdict.mode) == (True, "none")
+        assert len(combos) == 36 and induced == 0 and solves <= 5 and built == []
 
     @pytest.mark.parametrize("row, count", [
         ("ts_h0_1", 2), ("ta_m2", 3), ("pw_m2", 2), ("pc_s0", 1), ("ta_m2_bnd", 3),
@@ -619,7 +642,7 @@ def test_verdicts_decided_after_the_outer_scheduler_moves_on():
         verdict = check(mdp, f)
         assert eager(mdp, f) == verdict
         assert replay(mdp, f, verdict) is verdict.truth
-        with mock.patch.object(enumcheck, "Evaluator", lambda mdp, f, domains: Evaluator(mdp, f)):
+        with mock.patch.object(enumcheck, "Evaluator", lambda mdp, f, domains, supports: Evaluator(mdp, f)):
             assert check(mdp, f) == verdict
         late += verdict.mode != "none" and verdict.schedulers["s1"] != next(enumerate_schedulers(mdp))
     assert late >= examples / 5, late

@@ -6,11 +6,12 @@ costs import time and misleads a reader.  An import on a line marked
 ``__all__`` counts as a use.
 
 The package loads its modules on first use: ``import hypermdp`` loads
-none of them, ``import hypermdp.cases`` neither engine, and each public
-name, read from the package, is the object its module defines.  No
-module, the engines included, loads ``dataclasses``, whose classes cost
-about a millisecond each to define, or the modules that only the
-external solver run needs.  These checks run in fresh interpreters.
+none of them, ``import hypermdp.cases`` and ``import hypermdp.cli``
+neither engine, and each public name, read from the package, is the
+object its module defines.  No module, the engines included, loads
+``dataclasses``, whose classes cost about a millisecond each to define,
+or the modules that only the external solver run needs.  These checks
+run in fresh interpreters.
 """
 
 import ast
@@ -83,6 +84,13 @@ def test_case_generation_loads_no_engine():
     loaded = loaded_by("import hypermdp.cases")
     assert "hypermdp.cases" in loaded
     assert {"hypermdp.analysis", "hypermdp.enumcheck", "hypermdp.smt", "hypermdp.constraints"} & set(loaded) == set()
+
+
+def test_the_command_line_loads_no_engine_until_a_command_runs_one():
+    # ``hypermdp gen`` and ``hypermdp stats`` run neither engine
+    loaded = loaded_by("import hypermdp.cli")
+    assert "hypermdp.cli" in loaded
+    assert {"hypermdp.smt", "hypermdp.enumcheck", "hypermdp.constraints"} & set(loaded) == set()
 
 
 def test_package_serves_exactly_all_each_as_its_module_defines_it():

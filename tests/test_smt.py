@@ -1030,14 +1030,16 @@ def test_true_sweep_reuses_values_across_combinations():
     # solved again only where a new combination changes a choice the value
     # can reach, each bind solves a path once from every point the
     # quantifier walk may read, and a tuple whose truth the evaluator's
-    # truth table holds is not read: 26 until solves per check, against 42
-    # when values were reused from the vectors of the combinations still
-    # kept, 56 before truths were kept, 90 when each read that missed solved
-    # its own, 137 over all 64 pairs and 380 when every combination solved its own
+    # truth table holds is not read, and the coupled operand over closed
+    # targets is the product of its marginals: 5 until solves per check,
+    # against 26 while it was solved on the joint rows, 42 when values were
+    # reused from the vectors of the combinations still kept, 56 before
+    # truths were kept, 90 when each read that missed solved its own, 137
+    # over all 64 pairs and 380 when every combination solved its own
     mdp, f = cases.generate("ts", h1=0, h2=1).mdp, parse_formula(TS_INDEP)
     with mock.patch.object(analysis, "until_probs", wraps=analysis.until_probs) as spy:
         assert check(mdp, f).truth is True
-    assert spy.call_count <= 26
+    assert spy.call_count <= 5
 
 
 def test_bind_compares_no_assignment_by_value(monkeypatch):
@@ -1071,7 +1073,9 @@ def test_ta_m2_independence_sweep_decides_true_on_both_engines():
             mock.patch.object(analysis, "until_probs", wraps=analysis.until_probs) as spy:
         verdict = check(mdp, f)
     assert (verdict.truth, verdict.mode) == (True, "none") and len(combos) == 136
-    assert spy.call_count <= 270  # 236, where values were reused from the vectors still kept: 270
+    # 100 with the coupled operand factored over its closed targets; 236 solved on
+    # the joint rows, and 270 where values were reused from the vectors still kept
+    assert spy.call_count <= 100
     with counting_combinations() as combos:
         assert solve_eager(mdp, f).decoded == verdict
     assert len(combos) == 136
