@@ -1,13 +1,15 @@
 """Exact probability computation on discrete-time Markov chains.
 
-Qualitative reachability sets by graph analysis; unbounded until in one
-pass over the strongly connected components of its live states, sinks
-first, each settled as it closes, to 0 or 1 from its exits or by an exact
-solve in integers; bounded until by one iteration that passes through
-every reduced-bound window, stops a phase once it settles and, for the
-last window alone, squares the step map of a phase still moving after |S|
-steps; one-step probabilities; and a value-iteration oracle used only for
-cross-checking.  Every result is an exact ``Fraction``; nothing is
+One backward search over the edges of positive probability, which gives
+the fewest steps to a target and so the Prob0 set (``step_distances``,
+of which ``qualitative_sets`` is a view); unbounded until in one pass
+over the strongly connected components of its live states, sinks first,
+each settled as it closes, to 0 or 1 from its exits or by an exact solve
+in integers; bounded until by one iteration that passes through every
+reduced-bound window, stops a phase once it settles and, for the last
+window alone, squares the step map of a phase still moving after |S|
+steps; one-step probabilities; and a value-iteration oracle used only
+for cross-checking.  Every result is an exact ``Fraction``; nothing is
 computed in floating point.
 """
 
@@ -29,35 +31,32 @@ _ONE = Fraction(1)
 _NOTHING: Mapping = MappingProxyType({})  # no point outside the chain is solved
 
 
-def qualitative_sets(d: Dtmc, phi1: Predicate, phi2: Predicate,
-                     known: Mapping = _NOTHING) -> Tuple[FrozenSet, FrozenSet]:
-    """(S_zero, S_yes) for ``phi1 U phi2``.
-
-    S_yes is the phi2 states; S_zero the states with until-probability
-    exactly 0, i.e. the complement of backward reachability from phi2
-    through phi1 states.  A successor outside ``d.states`` whose ``known``
-    value is positive counts as a phi2 state.
-    """
+def step_distances(d: Dtmc, phi1: Predicate, phi2: Predicate) -> dict:
+    """Fewest steps from each state of ``d`` to a phi2 state through phi1
+    states, along edges of positive probability; the states it leaves out
+    are the Prob0 set of ``phi1 U phi2``."""
     preds: Dict = {s: [] for s in d.states}
-    s_yes = frozenset(s for s in d.states if phi2[s])
-    reach = set(s_yes)
     for s in d.states:
-        if phi1[s] and s not in s_yes:
+        if phi1[s] and not phi2[s]:
             for t, p in d.trans[s]:
                 if p:
-                    if t in preds:
-                        preds[t].append(s)
-                    elif known[t]:
-                        reach.add(s)
-    frontier = list(reach)
-    while frontier:
-        t = frontier.pop()
+                    preds[t].append(s)
+    queue = [s for s in d.states if phi2[s]]
+    dist = dict.fromkeys(queue, 0)
+    for t in queue:  # breadth first: the loop reaches what it appends
         for s in preds[t]:
-            if s not in reach:
-                reach.add(s)
-                frontier.append(s)
-    s_zero = frozenset(s for s in d.states if s not in reach)
-    return s_zero, s_yes
+            if s not in dist:
+                dist[s] = dist[t] + 1
+                queue.append(s)
+    return dist
+
+
+def qualitative_sets(d: Dtmc, phi1: Predicate, phi2: Predicate) -> Tuple[FrozenSet, FrozenSet]:
+    """(S_zero, S_yes) for ``phi1 U phi2``: the states with
+    until-probability exactly 0, which ``step_distances`` leaves out, and
+    the phi2 states."""
+    dist = step_distances(d, phi1, phi2)
+    return frozenset(s for s in d.states if s not in dist), frozenset(s for s in d.states if phi2[s])
 
 
 def until_probs(d: Dtmc, phi1: Predicate, phi2: Predicate, known: Mapping = _NOTHING) -> ProbVector:

@@ -365,9 +365,6 @@ class Evaluator:
         if len(key) == 1:
             (actions,) = key
             return lambda p: getters[p](actions)
-        if len(key) == 2:  # the common joint support, read without a comprehension's frame
-            first, second = key
-            return lambda p: (getters[p[0]](first), getters[p[1]](second))
         return lambda p: tuple([getters[s](actions) for s, actions in zip(p, key)])
 
     def _sign(self, renamed, key: tuple, values: Mapping, signed: Mapping) -> None:
@@ -498,13 +495,14 @@ def factor_joint(mdp: Mdp, f: Formula, supports: Mapping) -> Formula:
     ``supports`` whose φ conjoins Boolean combinations of propositions of two
     or more components made the product of one ``P(...)`` per component, in
     component order: the next step always, reachability where each one's
-    states are closed, left by no action, so reaching all is reaching each."""
+    states are closed, left by no action, so reaching all is reaching each.
+    A marginal equal to a node of ``supports`` is that node (by identity)."""
 
     def closed(target) -> bool:
         inside = {s for s in mdp.states if _holds(target, mdp.labels[s])}
         return all(t in inside for s in inside for a in mdp.enabled[s] for t, _ in mdp.trans[s, a])
 
-    rewrites = {}
+    rewrites, own = {}, None  # own: each node of ``supports`` by itself, once a node factors
     for node in [node for node, support in supports.items() if len(support) > 1 and isinstance(node, ProbOf)
                  and (isinstance(node.path, Next) or isinstance(node.path.left, TrueF))]:
         path, target = node.path, node.path.operand if isinstance(node.path, Next) else node.path.right
@@ -518,9 +516,11 @@ def factor_joint(mdp: Mdp, f: Formula, supports: Mapping) -> Formula:
         kinds = {type(n) for g in groups.values() for n in subformulas(g)}
         if all(len(k) == 1 for k in groups) and kinds <= {TrueF, Prop, And, NotF} and (
                 isinstance(path, Next) or all(map(closed, groups.values()))):
+            if own is None:
+                own = dict(zip(supports, supports))
             marginals = [ProbOf(type(path)(*[groups[k] if v is target else v for v in path._values]))
                          for k in sorted(groups)]
-            rewrites[node] = functools.reduce(lambda a, b: Arith("*", a, b), marginals)
+            rewrites[node] = functools.reduce(lambda a, b: Arith("*", a, b), [own.get(m, m) for m in marginals])
     return Formula(f.prefix, substitute(f.body, rewrites)) if rewrites else f
 
 

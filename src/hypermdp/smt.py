@@ -12,8 +12,10 @@ over the state quantifiers' domains (``enumcheck.state_domains``), and
 (``plan_encoding``) numbers every subformula once, with every
 reduced-bound window of a bounded until (``encoding_supports``: only this
 encoding has windows, each built once), resolves each one's operand reads
-into positions and projectors once (``resolve_operands``), and fixes three
-tables, each per position, before any constraint:
+into positions and projectors once (``resolve_operands``, kept as
+``EncodingMeta.reads``: the one operand relation, which every table, the
+encoder and ``full_assignment`` read), and fixes three tables, each per
+position, before any constraint:
 
 - ``point_table``: where a rule may read each subformula.  A node read at
   successors (an until, the operand of a ``P(X ...)``, an inner window)
@@ -22,9 +24,9 @@ tables, each per position, before any constraint:
   with the ``P``s it reads directly, only the truth term's tuples.
 - ``fixed_table``: the values there that no scheduler can change:
   propositions and constants, the Prob0 and target points of an until on
-  the "may" graph, the windows too far from a target, the next
-  probabilities that every successor agrees on, and the Boolean and
-  arithmetic nodes these decide.
+  the "may" graph (``analysis.step_distances``), the windows too far from
+  a target, the next probabilities that every successor agrees on, and
+  the Boolean and arithmetic nodes these decide.
 - ``encoded_points``: the points that are not fixed and that a rule
   reads from the truth term's open tuples down.
 
@@ -103,7 +105,6 @@ from .formula import (
     TrueF,
     Until,
     format_node,
-    operands,
     state_var_index,
     subformula_supports,
 )
@@ -137,7 +138,8 @@ class EncodingMeta(Record):
     """Everything needed to decode a model back into a verdict."""
 
     __slots__ = _fields = ("polarity", "original", "encoded", "sched_names", "state_quants", "domains",
-                           "fam_of_component", "var_index", "states", "tuples", "supports", "fixed", "points")
+                           "fam_of_component", "var_index", "states", "tuples", "supports", "fixed", "points",
+                           "reads")
     polarity: str
     original: Formula
     encoded: Formula
@@ -151,6 +153,7 @@ class EncodingMeta(Record):
     supports: Dict[object, Support]  # in registration order: index i is the i-th key
     fixed: Dict[object, Dict[tuple, object]]  # per subformula, from ``fixed_table``
     points: Dict[object, Tuple[tuple, ...]]  # per subformula, from ``encoded_points``
+    reads: List[tuple]  # per position, the entries of ``resolve_operands``
 
 
 def may_successors(mdp: Mdp) -> Dict[str, Tuple[str, ...]]:
@@ -189,24 +192,6 @@ def projected_domain(tuples, support: Support) -> Tuple[tuple, ...]:
     return tuple(dict.fromkeys(map(projector(support), tuples)))
 
 
-def step_distances(d: Dtmc, phi1, phi2) -> dict:
-    """Fewest steps from each state of ``d`` to a phi2 state through phi1
-    states; a state that cannot get there is left out."""
-    preds: Dict[object, list] = {r: [] for r in d.states}
-    for r in d.states:
-        if phi1[r] and not phi2[r]:
-            for t, _ in d.trans[r]:
-                preds[t].append(r)
-    queue = [r for r in d.states if phi2[r]]
-    dist = dict.fromkeys(queue, 0)
-    for t in queue:  # breadth first: the loop reaches what it appends
-        for r in preds[t]:
-            if r not in dist:
-                dist[r] = dist[t] + 1
-                queue.append(r)
-    return dist
-
-
 def reduced_windows(node: ProbOf):
     """The reduced-bound windows below a bounded until ``[k1,k2]``, which
     its encoding steps through, outermost first:
@@ -235,31 +220,33 @@ def encoding_supports(body, var_index: Dict[str, int]) -> Dict[object, Support]:
     return table
 
 
-def fixed_table(mdp: Mdp, succ, nodes, supports, args, tuples, reads) -> List[Dict[tuple, object]]:
+def fixed_table(mdp: Mdp, succ, nodes, supports, reads, tuples, points) -> List[Dict[tuple, object]]:
     """Each subformula's values that no scheduler choice can change, at its
-    points in ``reads`` (``point_table``): a truth value, or an exact
-    probability or arithmetic value.  Every table is per position, ``args``
-    giving the positions of each node's ``formula.operands``.
+    ``points`` (``point_table``): a truth value, or an exact probability or
+    arithmetic value.  Every table is per position, and a node reads its
+    operands through its ``reads`` entries (``resolve_operands``), as the
+    encoder does.
 
     The graph is the "may" graph on the points of a support that
     ``tuples`` reach: a point's successors are the union over all of its
-    action tuples, from each state's ``succ``.  Propositions, ``true`` and constants are fixed
-    everywhere, and Boolean and arithmetic nodes wherever their operands
-    fix them (a conjunction by one false operand, a product by one zero
-    factor).  A path formula is fixed where its operands' fixed values
-    decide it under every scheduler, an operand counting as possibly true
-    wherever it is not fixed to false:
+    action tuples, from each state's ``succ``.  Propositions, ``true`` and
+    constants are fixed everywhere, and Boolean and arithmetic nodes
+    wherever their operands fix them (a conjunction by one false operand, a
+    product by one zero factor).  A path formula is fixed where its
+    operands' fixed values decide it under every scheduler, an operand
+    counting as possibly true wherever it is not fixed to false:
 
     - ``P(X φ)`` is 0 where no successor may satisfy φ, and 1 where every
       successor is fixed to satisfy it;
     - an unbounded until is 1 where its target is fixed true, and 0 on the
       Prob0 set of the may graph: where no step distance to a target
-      through phi1 exists (one search per support and pair of operands,
-      shared with the bounded untils on them);
-    - a bounded-until window ``[k1', k2']`` is 1 where its target is fixed
-      true and ``k1' = 0``, and 0 where the fewest steps to a target
-      through phi1 exceed ``k2'`` or where phi1 is fixed false and
-      ``k1' > 0``.
+      through phi1 exists (one ``analysis.step_distances`` search per
+      support and pair of operands, shared with the bounded untils on
+      them);
+    - a bounded-until window ``[0,0]`` is its target's fixed value, and a
+      wider ``[k1', k2']`` is 1 where its target is fixed true and
+      ``k1' = 0``, and 0 where the fewest steps to a target through phi1
+      exceed ``k2'`` or where phi1 is fixed false and ``k1' > 0``.
 
     Nothing else is fixed to 1 (no Prob1 over the may graph).  Nodes go by
     ``Node.height``: operands are lower, and a window reads only its path's.
@@ -268,69 +255,63 @@ def fixed_table(mdp: Mdp, succ, nodes, supports, args, tuples, reads) -> List[Di
 
     @functools.cache
     def graph(support: Support) -> Dtmc:
-        trans = {p: tuple((t, ONE) for t in itertools.product(*(succ[s] for s in p))) for p in domain(support)}
+        trans = {p: tuple((t, 1) for t in itertools.product(*(succ[s] for s in p))) for p in domain(support)}
         return Dtmc(states=domain(support), trans=trans, ap=(), labels={})
 
-    def reader(j: int, support: Support):
-        """Operand ``j``'s fixed value (None where it is not fixed) at a point of ``support``."""
-        table = fixed[j]
-        if supports[j] == support:
-            return table.get
-        get = projector([support.index(c) for c in supports[j]])
+    def reader(ref):
+        """An entry's operand's fixed value (None where it is not fixed) at a point of the reader's support."""
+        table, get = fixed[ref[0]], ref[2]
         return lambda p: table.get(get(p))
 
-    def may_hold(j: int, support: Support) -> dict:
-        value = reader(j, support)
-        return {p: value(p) is not False for p in domain(support)}
-
     @functools.cache
-    def distances(left: int, right: int, support: Support) -> dict:
-        return step_distances(graph(support), may_hold(left, support), may_hold(right, support))
+    def distances(left, right, support: Support) -> dict:
+        source, target = reader(left), reader(right)
+        return analysis.step_distances(graph(support), {p: source(p) is not False for p in domain(support)},
+                                       {p: target(p) is not False for p in domain(support)})
 
     fixed: List[Dict[tuple, object]] = [None] * len(nodes)
     for i in sorted(range(len(nodes)), key=[node.height for node in nodes].__getitem__):  # operands first
-        node, support, points, at = nodes[i], supports[i], reads[i], args[i]
+        node, support, at, refs = nodes[i], supports[i], points[i], reads[i]
         values = {}
         if isinstance(node, TrueF):
-            values = dict.fromkeys(points, True)
+            values = dict.fromkeys(at, True)
         elif isinstance(node, Prop):
-            values = {p: node.name in mdp.labels[p[0]] for p in points}
+            values = {p: node.name in mdp.labels[p[0]] for p in at}
         elif isinstance(node, Const):
-            values = dict.fromkeys(points, node.value)
+            values = dict.fromkeys(at, node.value)
         elif isinstance(node, NotF):
-            operand = reader(at[0], support)
-            values = {p: not v for p in points if (v := operand(p)) is not None}
+            operand = reader(refs[0])
+            values = {p: not v for p in at if (v := operand(p)) is not None}
         elif isinstance(node, (And, Less, Arith)):
-            left, right = reader(at[0], support), reader(at[1], support)
+            left, right = reader(refs[0]), reader(refs[1])
             if isinstance(node, And):
                 op, absorbing = operator.and_, False  # one false conjunct decides
             elif isinstance(node, Less):
                 op, absorbing = operator.lt, None
             else:
                 op, absorbing = ARITH_OPS[node.op], ZERO if node.op == "*" else None  # so does a zero factor
-            for p in points:
+            for p in at:
                 pair = left(p), right(p)
                 if None not in pair:
                     values[p] = op(*pair)
                 elif absorbing is not None and absorbing in pair:
                     values[p] = absorbing
         elif isinstance(node.path, Next):
-            operand, trans = fixed[at[0]], graph(support).trans
-            for p in points:
-                after = {operand.get(t) for t, _ in trans[p]}
+            operand, trans = reader(refs[0]), graph(support).trans
+            for p in at:
+                after = {operand(t) for t, _ in trans[p]}
                 if after == {False} or after == {True}:
                     values[p] = ONE if True in after else ZERO
-        elif isinstance(node.path, Until):
-            target, dist = reader(at[1], support), distances(*at, support)
-            values = {p: ONE if target(p) else ZERO for p in points if target(p) or p not in dist}
-        else:
-            path = node.path
-            source, target = reader(at[0], support), reader(at[1], support)
-            dist = distances(*at, support)
-            for p in points:
-                if path.k1 == 0 and target(p):
+        elif isinstance(node.path, BoundedUntil) and node.path.k2 == 0:  # reads its target alone
+            target = reader(refs[0])
+            values = {p: ONE if v else ZERO for p in at if (v := target(p)) is not None}
+        else:  # an until is the window [0, inf]
+            k1, k2 = (node.path.k1, node.path.k2) if isinstance(node.path, BoundedUntil) else (0, math.inf)
+            source, target, dist = reader(refs[0]), reader(refs[1]), distances(*refs[:2], support)
+            for p in at:
+                if k1 == 0 and target(p):
                     values[p] = ONE
-                elif dist.get(p, math.inf) > path.k2 or (path.k1 and source(p) is False):
+                elif p not in dist or dist[p] > k2 or (k1 and source(p) is False):
                     values[p] = ZERO
         fixed[i] = values
     return fixed
@@ -361,13 +342,14 @@ def read_operands(node, windows=None) -> tuple:
     return (path.left, False), (path.right, False), (below, True)
 
 
-def resolve_operands(nodes, supports) -> Tuple[list, list]:
-    """Per position of the plan: the positions of the node's
-    ``formula.operands``, and its ``read_operands`` as entries ``(operand
-    position, read at successors, projector from the node's support onto
-    the operand's)``.  An operand is found by identity, or by equality
-    where desugaring left an equal copy of a node; after this no node is
-    hashed, compared or built again."""
+def resolve_operands(nodes, supports) -> List[tuple]:
+    """Per position of the plan, its node's ``read_operands`` as entries
+    ``(operand position, read at successors, projector from the node's
+    support onto the operand's)``: the plan's one operand relation, which
+    ``point_table``, ``fixed_table``, ``encoded_points``, the encoder and
+    ``full_assignment`` read.  An operand is found by identity, or by
+    equality where desugaring left an equal copy of a node; after this no
+    node is hashed, compared or built again."""
     at, index = {id(node): i for i, node in enumerate(nodes)}, dict(zip(nodes, itertools.count()))
     position = lambda node: at[id(node)] if id(node) in at else index[node]
     windows = {(node.path.left, node.path.right, node.path.k1, node.path.k2): node for node in nodes
@@ -377,7 +359,7 @@ def resolve_operands(nodes, supports) -> Tuple[list, list]:
     for i, node in enumerate(nodes):
         entries = [(position(operand), at_successors) for operand, at_successors in read_operands(node, windows)]
         reads.append(tuple((j, at_successors, onto(supports[i], supports[j])) for j, at_successors in entries))
-    return [tuple(map(position, operands(node))) for node in nodes], reads
+    return reads
 
 
 def point_table(supports, reads, tuples, truth_tuples) -> List[Tuple[tuple, ...]]:
@@ -427,7 +409,7 @@ def encoded_points(succ, reads, points, fixed) -> List[Tuple[tuple, ...]]:
     return [tuple(p for p in pts if p in need) for pts, need in zip(points, needed)]
 
 
-def plan_encoding(mdp: Mdp, f: Formula) -> Tuple[EncodingMeta, list]:
+def plan_encoding(mdp: Mdp, f: Formula) -> EncodingMeta:
     """What the encoding fixes before any constraint: polarity, scheduler
     families, the state quantifiers' domains, the composed tuples reachable
     from them, every subformula's support, with the reduced-bound windows
@@ -436,7 +418,7 @@ def plan_encoding(mdp: Mdp, f: Formula) -> Tuple[EncodingMeta, list]:
     encoded (``encoded_points``).  The subformulas are numbered once: every
     table is per position, and the node-keyed dicts of the result, in
     position order, are built at the end, beside each position's
-    ``resolve_operands`` entries, which the encoder reads."""
+    ``resolve_operands`` entries (``EncodingMeta.reads``)."""
     f_enc, polarity = transform_for_encoding(f)
     sched_names = tuple(q.name for q in f_enc.prefix if isinstance(q, SchedQuant))
     state_quants = tuple(q for q in f_enc.prefix if isinstance(q, StateQuant))
@@ -447,10 +429,10 @@ def plan_encoding(mdp: Mdp, f: Formula) -> Tuple[EncodingMeta, list]:
     tuples = reachable_tuples(mdp.states, succ, len(state_quants), truth_tuples)
     supports = encoding_supports(f_enc.body, var_index)
     nodes, sups = tuple(supports), tuple(supports.values())
-    args, reads_of = resolve_operands(nodes, sups)
-    reads = point_table(sups, reads_of, tuples, truth_tuples)
-    fixed = fixed_table(mdp, succ, nodes, sups, args, tuples, reads)
-    meta = EncodingMeta(
+    reads = resolve_operands(nodes, sups)
+    points = point_table(sups, reads, tuples, truth_tuples)
+    fixed = fixed_table(mdp, succ, nodes, sups, reads, tuples, points)
+    return EncodingMeta(
         polarity=polarity,
         original=f,
         encoded=f_enc,
@@ -463,9 +445,9 @@ def plan_encoding(mdp: Mdp, f: Formula) -> Tuple[EncodingMeta, list]:
         tuples=tuples,
         supports=supports,
         fixed=dict(zip(nodes, fixed)),
-        points=dict(zip(nodes, encoded_points(succ, reads_of, reads, fixed))),
+        points=dict(zip(nodes, encoded_points(succ, reads, points, fixed))),
+        reads=reads,
     )
-    return meta, reads_of
 
 
 # -- variable naming shared by encoder, eager solver and decoder -------------------
@@ -502,15 +484,14 @@ class Encoder:
     only, and an operand is read at the point's projection onto the
     operand's support: as its variable, or as the constant that
     ``meta.fixed`` gives there.  Every table is per position, and a rule
-    reads its operands through the plan's ``reads`` entries, never by
-    node.  Constants fold into the terms and linear sums that read them
+    reads its operands through the plan's entries (``meta.reads``), never
+    by node.  Constants fold into the terms and linear sums that read them
     (``constraints.t_and`` and the others).
     """
 
-    def __init__(self, mdp: Mdp, meta: EncodingMeta, reads: list):
+    def __init__(self, mdp: Mdp, meta: EncodingMeta):
         self.mdp = mdp
         self.meta = meta
-        self.reads = reads
         self.cs = ConstraintSystem()
         self.step_table: Dict[tuple, list] = {}
         # per position: the plan's dicts list each subformula once, in one order
@@ -583,7 +564,7 @@ class Encoder:
             if points:  # true, propositions and constants never have any
                 node = self.nodes[i]
                 rule = self.RULES[type(node.path) if isinstance(node, ProbOf) else type(node)]
-                rule(self, node, self.supports[i], i, points, self.reads[i])
+                rule(self, node, self.supports[i], i, points, self.meta.reads[i])
         self.encode_truth()
         self.cs.meta = self.meta
         return self.cs
@@ -715,8 +696,8 @@ class Encoder:
 def encode_main(mdp: Mdp, f: Formula) -> Tuple[ConstraintSystem, str]:
     """Build the full constraint system; polarity says whether the verdict
     must be inverted (universal scheduler block)."""
-    meta, reads = plan_encoding(mdp, f)
-    return Encoder(mdp, meta, reads).encode(), meta.polarity
+    meta = plan_encoding(mdp, f)
+    return Encoder(mdp, meta).encode(), meta.polarity
 
 
 # -- vectorized evaluation under a fixed scheduler choice ---------------------------
@@ -857,20 +838,21 @@ def full_assignment(cs: ConstraintSystem, mdp: Mdp, chosen: Dict[str, SchedulerA
     """Complete variable assignment induced by a choice of schedulers.
 
     Binds one ``enumcheck.Evaluator`` to ``chosen`` and reads each declared
-    variable at its own point, over its subformula's support only, never
-    on the whole product; used to cross-check that the emitted constraints
-    are satisfied by the exact semantics (soundness of the encoding).  A
-    bounded until takes all of its windows from one
+    variable at its own point, over its subformula's support only, never on
+    the whole product; used to cross-check that the emitted constraints are
+    satisfied by the exact semantics (soundness of the encoding).  A bounded
+    until takes all of its windows from one
     ``analysis.bounded_until_windows`` call, kept as the evaluator keeps a
-    path's vectors, by its operands renamed over the support's positions
-    and the support's actions, with the support's points and the window's
+    path's vectors, by its operands renamed over the support's positions and
+    the support's actions, with the support's points and the window's
     bounds, so no window is built again, and each window enters the
     evaluator's vector, from which the layer above reads it; an until its
-    distances from one ``step_distances`` call, each on the support's chain
-    over the projection of ``meta.tuples``.  The plan's tables are read by
-    position.  Raises AssertionError if a value of the plan's fixed table
-    differs from the one under ``chosen``, so every run also checks the
-    folding.
+    distances from one ``analysis.step_distances`` call, each on the
+    support's chain over the projection of ``meta.tuples``.  The plan's
+    tables are read by position, a ``P(X ...)``'s operand through its entry
+    (``meta.reads``).  Raises AssertionError if a value of the plan's fixed
+    table differs from the one under ``chosen``, so every run also checks
+    the folding.
     """
     meta: EncodingMeta = cs.meta
     ev = Evaluator(mdp, meta.encoded)
@@ -891,7 +873,6 @@ def full_assignment(cs: ConstraintSystem, mdp: Mdp, chosen: Dict[str, SchedulerA
 
     # per position of the plan; ``reduced_windows`` gives a window its until's operands
     fixed, points = tuple(meta.fixed.values()), tuple(meta.points.values())
-    position = {id(node): i for i, node in enumerate(meta.supports)}
     windows: Dict[tuple, dict] = {}  # (operands, actions, points, k1, k2) -> the window's vector
     bounded: Dict[int, dict] = {}  # position of a bounded until -> its window's vector
     for idx, (node, support) in enumerate(meta.supports.items()):
@@ -916,13 +897,11 @@ def full_assignment(cs: ConstraintSystem, mdp: Mdp, chosen: Dict[str, SchedulerA
                                      "under the chosen schedulers")
         values.update((symbol(kind, p, idx), read(p)) for p in points[idx])
         if points[idx] and isinstance(path, Next):
-            holds = ev.reader(path.operand, support)
-            operand = path.operand  # the plan's node, or an equal copy of it that desugaring left
-            operand = position[id(operand)] if id(operand) in position else cs.subformula_index[operand]
+            holds, ((operand, _, _),) = ev.reader(path.operand, support), meta.reads[idx]
             values.update((toint_sym(p, operand), ONE if holds(p) else ZERO) for p in points[operand])
         elif points[idx] and isinstance(path, Until):
             # where phi2 is out of reach the probability is 0, and no clause needs the distance
-            dist = step_distances(*on_chain(path, support))
+            dist = analysis.step_distances(*on_chain(path, support))
             values.update((dist_sym(p, idx), Fraction(dist.get(p, len(meta.tuples)))) for p in points[idx])
     choices = {}
     for (family, state), _ in cs.choice_domains.items():

@@ -13,6 +13,7 @@ from hypermdp.analysis import (
     bounded_until_windows,
     next_probs,
     qualitative_sets,
+    step_distances,
     until_probs,
     until_probs_vi,
 )
@@ -312,8 +313,6 @@ class TestKnownBoundary:
         d = raw_chain({"r0": (("r0", "1/2"), ("b", "1/2")), "b": (("b", 1),)}, set())
         rest = Dtmc(("r0",), d.trans, d.ap, d.labels)
         phi1, phi2 = true_pred(d), pred(d, "a")
-        assert qualitative_sets(rest, phi1, phi2, {"b": ZERO}) == (frozenset({"r0"}), frozenset())
-        assert qualitative_sets(rest, phi1, phi2, {"b": Fraction(1, 3)}) == (frozenset(), frozenset())
         assert until_probs(rest, phi1, phi2, {"b": Fraction(1, 3)}) == {"r0": Fraction(1, 3)}
         assert until_probs(rest, phi1, phi2, {"b": ONE}) == {"r0": ONE}
 
@@ -353,6 +352,26 @@ def test_zero_probability_entries_match_the_dense_solve_and_the_two_part_solve(c
     whole = until_probs(d, phi1, phi2)
     assert whole == dense_until(d, phi1, phi2)
     assert solve_in_two_parts(d, phi1, phi2, closed) == whole
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=chains_with_zero_entries())
+@hypothesis_example(c=(raw_chain({"s0": (("s1", 0), ("z", 1)),
+                                  "s1": (("s1", "1/2"), ("g", "1/2")),
+                                  "g": (("g", 1),),
+                                  "z": (("z", 1),)}, {"g"}),
+                       {"s0": True, "s1": True, "g": False, "z": True},
+                       {"s0": False, "s1": False, "g": True, "z": False}, set()))
+def test_step_distances_count_positive_steps_and_leave_out_the_prob0_set(c):
+    # a target is within k steps of positive probability exactly where the
+    # bounded until up to k is positive, and out of reach where until is 0
+    d, phi1, phi2, _ = c
+    dist = step_distances(d, phi1, phi2)
+    for k in range(len(d.states) + 2):
+        probs = bounded_until_probs(d, phi1, phi2, 0, k)
+        assert all((s in dist and dist[s] <= k) == (probs[s] > 0) for s in d.states), (k, dist, probs)
+    probs = until_probs(d, phi1, phi2)
+    assert qualitative_sets(d, phi1, phi2)[0] == {s for s in d.states if probs[s] == 0}
 
 
 class TestBounded:

@@ -107,6 +107,7 @@ def factorable(draw):
     return mdp, Formula(prefix=tuple(prefix), body=Less(Const(Fraction(0)), ProbOf(path))), per_var
 
 
+@pytest.mark.hashorder
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(case=factorable(), data=st.data())
 def test_every_factored_value_matches_the_full_composition(case, data):
@@ -141,6 +142,7 @@ FLIP_FLOP = parse_mdp("states: a b\n"
                       "action b go: a 1\n")
 
 
+@pytest.mark.hashorder
 def test_a_target_that_is_not_closed_stays_joint():
     # the two components alternate out of phase from (a, b), so they never
     # meet in a at once, though each reaches it: the product of the
@@ -167,6 +169,7 @@ def test_a_body_with_no_joint_probability_comes_back_unchanged():
         assert walks.call_count == 1
 
 
+@pytest.mark.hashorder
 @pytest.mark.parametrize("row", sorted(PUBLISHED_ROWS) + ["ts_indep", "ta_m2_indep"])
 def test_decide_agrees_with_the_unfactored_reference(row):
     # truth and the values on the deciding branch, the rewrite's two

@@ -109,6 +109,7 @@ def test_every_probability_matches_the_full_composition(seed, f):
                 assert ev.value(node, at) == full.value(node)[at], node
 
 
+@pytest.mark.hashorder
 @PROPERTY
 @given(seed=st.integers(0, 10**6), f=formulas())
 def test_engines_agree_and_verdicts_replay(seed, f):
@@ -281,6 +282,7 @@ def test_one_until_solve_per_path_and_bind(family, params, calls, states):
     assert (len(sizes), sum(sizes)) == (calls, states)
 
 
+@pytest.mark.hashorder
 def test_cache_stays_bounded_through_a_full_sweep():
     rng = random.Random(3)
     mdp = next(m for m in iter(lambda: random_mdp(rng), None) if m.scheduler_space_size() == 16)
@@ -333,6 +335,7 @@ def mixed_formulas(draw):
     return Formula(prefix=prefix, body=f.body)
 
 
+@pytest.mark.hashorder
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 10**6), f=mixed_formulas(), order_seed=st.integers(0, 10**6))
 def test_reused_values_equal_a_fresh_evaluator_in_any_sweep_order(seed, f, order_seed):
@@ -471,6 +474,7 @@ def test_false_existential_sweep_memory_does_not_grow_with_the_scheduler_space()
     assert large - small < 64 * 1024, (small, large)
 
 
+@pytest.mark.hashorder
 def test_true_universal_sweep_memory_does_not_grow_with_the_scheduler_space():
     # every state is its own only successor, so the truth table's keys are
     # the 12 states with their own choices: 24 keys, 2 per tuple, within its

@@ -768,7 +768,7 @@ def _fixed_against_semantics(cs, mdp, chosen) -> int:
         if isinstance(path, Next):
             operand = ve.holds(path.operand)
         elif isinstance(path, Until):
-            dist = smt.step_distances(composed, ve.holds(path.left), ve.holds(path.right))
+            dist = analysis.step_distances(composed, ve.holds(path.left), ve.holds(path.right))
         for r in meta.tuples:
             point = onto(r)
             if point in table:
@@ -1155,6 +1155,7 @@ class TestEmit:
         assert len(header) == len(cs.subformula_index) + 1
         assert max(len(line) for line in header) < 40
 
+    @pytest.mark.hashorder
     def test_golden_file_byte_for_byte(self, m_coin):
         import os
 
@@ -1164,6 +1165,7 @@ class TestEmit:
         with open(golden) as fh:
             assert text == fh.read()
 
+    @pytest.mark.hashorder
     def test_conformance_fixture_digest_pinned(self):
         # the full conformance encoding for the plain die fixture is too
         # large to commit; pin its SHA-256 instead (byte determinism)
@@ -1183,6 +1185,7 @@ class TestEmit:
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == "d98b2928f00022fdd509565bf94f962b0d149ff4e6fa80859a748c467a7d3b1e"
 
+    @pytest.mark.hashorder
     @pytest.mark.parametrize("row, text, digest, counts", [
         ("ts_h0_1", None, "8f654cffe6ef36cb", (95, 83, 121)),
         ("ta_m2", None, "6abd879a820ba000", (141, 114, 148)),
