@@ -248,16 +248,14 @@ def gen_conformance(tier: str) -> CaseSpec:
 # -- dispatch ----------------------------------------------------------------------
 
 
+# the families in the paper's order, each with its keyword parameters; ``hypermdp gen`` offers these
+GENERATORS = {"ta": gen_timing_attack, "pw": gen_password, "ts": gen_thread_sched, "pc": gen_conformance}
+
+
 def generate(family: str, **params) -> CaseSpec:
-    if family == "ta":
-        return gen_timing_attack(params["m"])
-    if family == "pw":
-        return gen_password(params["m"])
-    if family == "ts":
-        return gen_thread_sched(params["h1"], params["h2"])
-    if family == "pc":
-        return gen_conformance(params["tier"])
-    raise ValueError(f"unknown family {family!r}")
+    if family not in GENERATORS:
+        raise ValueError(f"unknown family {family!r}")
+    return GENERATORS[family](**params)
 
 
 def write_case(spec: CaseSpec, outdir) -> Tuple[str, str]:

@@ -105,9 +105,7 @@ def cmd_check(args, out) -> int:
         except MixedSchedulerBlock:
             notice = "notice: mixed scheduler block, falling back to the enum engine"
             engine = "enum"
-            verdict = check(mdp, f, max_sched_vars=args.max_sched_vars,
-                            max_state_vars=args.max_state_vars)
-    else:
+    if engine == "enum":
         verdict = check(mdp, f, max_sched_vars=args.max_sched_vars,
                         max_state_vars=args.max_state_vars)
     solve_ms = (time.perf_counter() - start) * 1000 - encode_ms
@@ -124,7 +122,7 @@ def cmd_check(args, out) -> int:
             "states": len(mdp.states),
             "transitions": mdp.transition_count(),
             "scheduler_space": mdp.scheduler_space_size(),
-            "composed_states": len(mdp.states) ** n if n else 1,
+            "composed_states": len(mdp.states) ** n,
         },
         "formula": {
             "scheduler_vars": m,
@@ -186,15 +184,9 @@ def cmd_gen(args, out) -> int:
         spec = cases.generate("pc", tier=args.tier)
     model_path, formula_path = cases.write_case(spec, args.out_dir)
     print(f"wrote {model_path} and {formula_path}", file=out)
-    states = len(spec.mdp.states)
-    transitions = spec.mdp.transition_count()
-    if spec.reference:
-        ref_s, ref_t = spec.reference
-        print(f"states={states} (reference: {ref_s})  transitions={transitions} "
-              f"(reference: {ref_t})", file=out)
-    else:
-        print(f"states={states} (reference: n/a)  transitions={transitions} "
-              f"(reference: n/a)", file=out)
+    ref_s, ref_t = spec.reference or ("n/a", "n/a")
+    print(f"states={len(spec.mdp.states)} (reference: {ref_s})  transitions={spec.mdp.transition_count()} "
+          f"(reference: {ref_t})", file=out)
     return 0
 
 
@@ -208,7 +200,7 @@ def cmd_stats(args, out) -> int:
         check_well_formed(f)
         m, n = count_quantifiers(f)
         print(f"scheduler-vars={m} state-vars={n} subformulas={subformula_count(f)} "
-              f"composed-states={len(mdp.states) ** n if n else 1}", file=out)
+              f"composed-states={len(mdp.states) ** n}", file=out)
     return 0
 
 
@@ -242,11 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_encode.add_argument("--emit", required=True, help="output .smt2 path")
 
     p_gen = sub.add_parser("gen", help="generate a benchmark model and formula")
-    p_gen.add_argument("family", choices=("ta", "pw", "ts", "pc"))
+    p_gen.add_argument("family", choices=cases.GENERATORS)
     p_gen.add_argument("--m", type=int, help="loop length for ta/pw")
     p_gen.add_argument("--h", dest="secrets", type=int, nargs=2, metavar=("H1", "H2"),
                        help="secret pair for ts")
-    p_gen.add_argument("--tier", choices=("s0", "s01", "s012"), help="pc tier")
+    p_gen.add_argument("--tier", choices=cases.TIER_SOURCES, help="pc tier")
     p_gen.add_argument("--out-dir", default=".")
 
     p_stats = sub.add_parser("stats", help="print model (and formula) statistics")

@@ -9,13 +9,13 @@ composed state, since the components of a self-composition move
 independently.  The truth term nests its disjunctions and conjunctions
 over the state quantifiers' domains (``enumcheck.state_domains``), and
 ``decode_witness`` walks the solver's model there.  The plan
-(``plan_encoding``) numbers every subformula once, with every
-reduced-bound window of a bounded until (``encoding_supports``: only this
-encoding has windows, each built once), resolves each one's operand reads
-into positions and projectors once (``resolve_operands``, kept as
-``EncodingMeta.reads``: the one operand relation, which every table, the
-encoder and ``full_assignment`` read), and fixes three tables, each per
-position, before any constraint:
+(``plan_encoding``) numbers every subformula once (``EncodingMeta.index``),
+with every reduced-bound window of a bounded until (``encoding_supports``:
+only this encoding has windows, each built once), resolves each one's
+operand reads (``formula.operands`` above the ``P``s) into positions once
+(``resolve_operands``, kept as ``EncodingMeta.reads``: the one operand
+relation, which every table, the encoder and ``full_assignment`` read),
+and fixes three tables, each per position, before any constraint:
 
 - ``point_table``: where a rule may read each subformula.  A node read at
   successors (an until, the operand of a ``P(X ...)``, an inner window)
@@ -105,6 +105,7 @@ from .formula import (
     TrueF,
     Until,
     format_node,
+    operands,
     state_var_index,
     subformula_supports,
 )
@@ -138,7 +139,7 @@ class EncodingMeta(Record):
     """Everything needed to decode a model back into a verdict."""
 
     __slots__ = _fields = ("polarity", "original", "encoded", "sched_names", "state_quants", "domains",
-                           "fam_of_component", "var_index", "states", "tuples", "supports", "fixed", "points",
+                           "fam_of_component", "index", "states", "tuples", "supports", "fixed", "points",
                            "reads")
     polarity: str
     original: Formula
@@ -147,7 +148,7 @@ class EncodingMeta(Record):
     state_quants: Tuple[StateQuant, ...]
     domains: Tuple[Tuple[str, ...], ...]  # per state quantifier, from ``state_domains``
     fam_of_component: Tuple[int, ...]
-    var_index: Dict[str, int]
+    index: Dict[object, int]  # the plan's numbering: subformula -> position, in position order
     states: Tuple[str, ...]
     tuples: Tuple[Tuple[str, ...], ...]
     supports: Dict[object, Support]  # in registration order: index i is the i-th key
@@ -317,20 +318,17 @@ def fixed_table(mdp: Mdp, succ, nodes, supports, reads, tuples, points) -> List[
     return fixed
 
 
-def read_operands(node, windows=None) -> tuple:
+def read_operands(node, windows) -> tuple:
     """``(operand, read at successors)`` for each node whose variables
-    ``node``'s encoding rule reads: an unbounded until reads its target at
-    the point and at its successors, and itself at the successors, a
-    bounded until its next window down, which ``windows`` holds by its
-    ``(left, right, k1, k2)``, and a ``[0,0]`` window only its target.
-    ``resolve_operands`` calls this once per node of a plan, so that the
-    windows ``encoding_supports`` built are the only ones."""
-    if isinstance(node, NotF):
-        return ((node.operand, False),)
-    if isinstance(node, (And, Less, Arith)):
-        return (node.left, False), (node.right, False)
+    ``node``'s encoding rule reads: a node other than a ``P(...)`` its
+    ``formula.operands``, an unbounded until its target at the point and at
+    its successors, and itself at the successors, a bounded until its next
+    window down, which ``windows`` holds by its ``(left, right, k1, k2)``,
+    and a ``[0,0]`` window only its target.  ``resolve_operands`` calls
+    this once per node of a plan, so that the windows ``encoding_supports``
+    built are the only ones."""
     if not isinstance(node, ProbOf):
-        return ()
+        return tuple((o, False) for o in operands(node))
     path = node.path
     if isinstance(path, Next):
         return ((path.operand, True),)
@@ -342,22 +340,20 @@ def read_operands(node, windows=None) -> tuple:
     return (path.left, False), (path.right, False), (below, True)
 
 
-def resolve_operands(nodes, supports) -> List[tuple]:
-    """Per position of the plan, its node's ``read_operands`` as entries
-    ``(operand position, read at successors, projector from the node's
-    support onto the operand's)``: the plan's one operand relation, which
-    ``point_table``, ``fixed_table``, ``encoded_points``, the encoder and
-    ``full_assignment`` read.  An operand is found by identity, or by
-    equality where desugaring left an equal copy of a node; after this no
-    node is hashed, compared or built again."""
-    at, index = {id(node): i for i, node in enumerate(nodes)}, dict(zip(nodes, itertools.count()))
-    position = lambda node: at[id(node)] if id(node) in at else index[node]
-    windows = {(node.path.left, node.path.right, node.path.k1, node.path.k2): node for node in nodes
+def resolve_operands(index: Dict[object, int], supports) -> List[tuple]:
+    """Per position of the plan's numbering ``index``, its node's
+    ``read_operands`` as entries ``(operand position, read at successors,
+    projector from the node's support onto the operand's)``: the plan's one
+    operand relation, which every table, the encoder and ``full_assignment``
+    read.  An operand is looked up in ``index``, which also finds an equal
+    copy that desugaring left; after this no node is hashed, compared or
+    built again."""
+    windows = {(node.path.left, node.path.right, node.path.k1, node.path.k2): node for node in index
                if isinstance(node, ProbOf) and isinstance(node.path, BoundedUntil)}
     onto = functools.cache(lambda outer, inner: projector([outer.index(c) for c in inner]))
     reads = []
-    for i, node in enumerate(nodes):
-        entries = [(position(operand), at_successors) for operand, at_successors in read_operands(node, windows)]
+    for i, node in enumerate(index):
+        entries = [(index[operand], at_successors) for operand, at_successors in read_operands(node, windows)]
         reads.append(tuple((j, at_successors, onto(supports[i], supports[j])) for j, at_successors in entries))
     return reads
 
@@ -415,7 +411,8 @@ def plan_encoding(mdp: Mdp, f: Formula) -> EncodingMeta:
     from them, every subformula's support, with the reduced-bound windows
     that only the encoding has (``encoding_supports``), each built once,
     its values that no scheduler changes and the points where it is
-    encoded (``encoded_points``).  The subformulas are numbered once: every
+    encoded (``encoded_points``).  The subformulas are numbered once, in
+    ``EncodingMeta.index`` (the encoder's ``cs.subformula_index``): every
     table is per position, and the node-keyed dicts of the result, in
     position order, are built at the end, beside each position's
     ``resolve_operands`` entries (``EncodingMeta.reads``)."""
@@ -423,13 +420,13 @@ def plan_encoding(mdp: Mdp, f: Formula) -> EncodingMeta:
     sched_names = tuple(q.name for q in f_enc.prefix if isinstance(q, SchedQuant))
     state_quants = tuple(q for q in f_enc.prefix if isinstance(q, StateQuant))
     domains = state_domains(mdp, f_enc)
-    var_index = state_var_index(f_enc)
     truth_tuples = tuple(itertools.product(*domains))
     succ = may_successors(mdp)
     tuples = reachable_tuples(mdp.states, succ, len(state_quants), truth_tuples)
-    supports = encoding_supports(f_enc.body, var_index)
+    supports = encoding_supports(f_enc.body, state_var_index(f_enc))
+    index = dict(zip(supports, itertools.count()))
     nodes, sups = tuple(supports), tuple(supports.values())
-    reads = resolve_operands(nodes, sups)
+    reads = resolve_operands(index, sups)
     points = point_table(sups, reads, tuples, truth_tuples)
     fixed = fixed_table(mdp, succ, nodes, sups, reads, tuples, points)
     return EncodingMeta(
@@ -440,7 +437,7 @@ def plan_encoding(mdp: Mdp, f: Formula) -> EncodingMeta:
         state_quants=state_quants,
         domains=domains,
         fam_of_component=tuple(sched_names.index(q.sched) for q in state_quants),
-        var_index=var_index,
+        index=index,
         states=mdp.states,
         tuples=tuples,
         supports=supports,
@@ -497,9 +494,9 @@ class Encoder:
         # per position: the plan's dicts list each subformula once, in one order
         self.nodes, self.supports = tuple(meta.supports), tuple(meta.supports.values())
         self.fixed, self.points = tuple(meta.fixed.values()), tuple(meta.points.values())
-        self.cs.subformula_index = dict(zip(self.nodes, itertools.count()))
+        self.cs.subformula_index = meta.index
         # one line per subformula over its operands' indices: the header grows linearly
-        index = lambda operand: f"[{self.cs.subformula_index[operand]}]"
+        index = lambda operand: f"[{meta.index[operand]}]"
         self.cs.subformula_text = [format_node(node, index) for node in self.nodes]
 
     # naming ---------------------------------------------------------------

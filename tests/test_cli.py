@@ -2,6 +2,7 @@ import functools
 import io
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -405,6 +406,18 @@ class TestGen:
         assert code == 2 and out == ""
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_choices_come_from_the_family_and_tier_tables(self, tmp_path, capsys):
+        # argparse quotes the choices on some versions and not on others
+        for argv, listed in ((("gen", "nope"), ["ta", "pw", "ts", "pc"]),
+                             (("gen", "pc", "--tier", "s9"), ["s0", "s01", "s012"])):
+            code, out = run_cli(*argv, "--out-dir", str(tmp_path))
+            assert code == 2 and out == ""
+            err = capsys.readouterr().err
+            assert re.findall(r"\w+", err.split("choose from", 1)[1]) == listed, err
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ValueError, match="unknown family 'nope'"):
+            cases.generate("nope")
 
     def test_generated_files_round_trip(self, tmp_path):
         run_cli("gen", "ts", "--h", "0", "1", "--out-dir", str(tmp_path))

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -42,7 +43,7 @@ from hypermdp.formula import (
     Until,
     parse_formula,
 )
-from hypermdp.model import SchedulerAssignment, enumerate_schedulers, parse_mdp
+from hypermdp.model import SchedulerAssignment, enumerate_schedulers, joint_row, parse_mdp
 from hypermdp.record import Record
 from hypermdp.smt import (
     decode_witness,
@@ -334,6 +335,70 @@ class TestEncodingSoundness:
                         if all(evaluate_term(a, {}, choices) for a in g.items if isinstance(a, ChoiceIs))
                     )
                     assert active >= 1
+
+
+class TestSpuriousModels:
+    """Each test plants a spurious value, which the semantics rules out,
+    among the exact values under a scheduler, and only one clause of the
+    encoder rejects it: without that clause the system would have a model
+    that the semantics does not.  Indices come from ``cs.subformula_index``."""
+
+    @staticmethod
+    def planted(model_text, text, chosen, plant) -> bool:
+        """Whether the system accepts the exact values under ``chosen`` (one
+        action per state, the first elsewhere) with ``plant(cs, body)``'s
+        declared variables overwritten."""
+        mdp, f = parse_mdp(model_text), parse_formula(text)
+        cs, _ = encode_main(mdp, f)
+        values, choices = full_assignment(cs, mdp, {"s": first_choice(mdp, **chosen)})
+        assert evaluate_system(cs, values, choices)
+        spurious = plant(cs, f.body)
+        assert set(spurious) <= set(cs.variables)
+        return evaluate_system(cs, {**values, **spurious}, choices)
+
+    @pytest.mark.parametrize("distance", [0, 1, 5])
+    def test_until_positive_only_with_progress(self, distance):
+        # under stay, s0 loops and never reaches a: pr = 1 is as much a
+        # fixed point of pr(s0) = pr(s0) as 0 is, and only the least fixed
+        # point's progress clause (pr > 0 needs a successor closer to a
+        # target) rules it out, whatever the distance
+        def plant(cs, body):
+            until, at = cs.subformula_index[body.right], ("s0",)
+            return {prob_sym(at, until): Fraction(1), smt.dist_sym(at, until): Fraction(distance),
+                    holds_sym(at, cs.subformula_index[body]): True}
+
+        model = ("states: s0 s1\nlabels: s1: a\n"
+                 "action s0 stay: s0 1\naction s0 go: s1 1\naction s1 stay: s1 1\n")
+        assert not self.planted(model, "exists sched s. exists st x(s). P(F a(x)) > 1/2", {"s0": "stay"}, plant)
+
+    def test_until_is_zero_where_neither_operand_holds(self):
+        # under x, p moves to t1, where b is out of reach: the until's left
+        # operand is false at p, and so is its target, so no step clause
+        # applies there, and only the zero rule keeps pr from 1
+        def plant(cs, body):
+            return {prob_sym(("p",), cs.subformula_index[body.right]): Fraction(1),
+                    holds_sym(("p",), cs.subformula_index[body]): True}
+
+        model = ("states: p t1 t2\nlabels: t1: a; t2: b\naction p x: t1 1\naction p y: t2 1\n"
+                 "action t1 stay: t1 1\naction t2 stay: t2 1\n")
+        text = "exists sched s. exists st x(s). P((P(F b(x)) > 1/2) U a(x)) > 1/2"
+        assert not self.planted(model, text, {"p": "x"}, plant)
+
+    def test_next_reads_its_operand_through_the_step_indicator(self):
+        # under stay, q loops, so its inner comparison is false: the step
+        # indicator ti at q is 0, and both P(X ...) values read it; only its
+        # definition (ti = 1 exactly where the operand holds) ties it there
+        def plant(cs, body):
+            nxt, inner = cs.subformula_index[body.right], cs.subformula_index[body.right.path.operand]
+            planted = {smt.toint_sym(("q",), inner): Fraction(1)}
+            for at in (("s0",), ("q",)):
+                planted.update({prob_sym(at, nxt): Fraction(1), holds_sym(at, cs.subformula_index[body]): True})
+            return planted
+
+        model = ("states: s0 q t\nlabels: t: a\naction s0 tau: q 1\naction q go: t 1\n"
+                 "action q stay: q 1\naction t stay: t 1\n")
+        text = "exists sched s. exists st x(s). P(X (P(F a(x)) > 1/2)) > 1/2"
+        assert not self.planted(model, text, {"q": "stay"}, plant)
 
 
 class TestDecode:
@@ -749,7 +814,7 @@ def _fixed_against_semantics(cs, mdp, chosen) -> int:
     is reachable through phi1; the number of values checked."""
     meta = cs.meta
     composed = full_product(mdp, build_composition(meta.encoded, chosen))
-    ve = smt.VectorEvaluator(composed, meta.var_index)
+    ve = smt.VectorEvaluator(composed, formula.state_var_index(meta.encoded))
     values, _ = full_assignment(cs, mdp, chosen)
     unchecked, checked = set(values), 0
 
@@ -1232,3 +1297,29 @@ def test_projector_takes_the_components_at_its_positions(positions, point):
     point = tuple(point)
     for given_as in (positions, tuple(positions)):
         assert smt.projector(given_as)(point) == tuple(point[i] for i in positions)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3))
+def test_reachable_tuples_are_the_closure_under_joint_rows(seed, n):
+    # the plan's tuples are every tuple that some action tuple's joint row
+    # reaches from the starts, in product order; each projection of them
+    # is closed under may-successors, which fixed_table's may graph reads
+    rng = random.Random(seed)
+    mdp = random_mdp(rng)
+    starts = [tuple(rng.choice(mdp.states) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+    succ = smt.may_successors(mdp)
+    tuples = smt.reachable_tuples(mdp.states, succ, n, starts)
+    closure, frontier = set(starts), list(starts)
+    while frontier:
+        r = frontier.pop()
+        for alpha in itertools.product(*(mdp.enabled[s] for s in r)):
+            for t, _ in joint_row([mdp.trans[(s, a)] for s, a in zip(r, alpha)]):
+                if t not in closure:
+                    closure.add(t)
+                    frontier.append(t)
+    assert tuples == tuple(r for r in itertools.product(mdp.states, repeat=n) if r in closure)
+    for k in range(n + 1):
+        for support in itertools.combinations(range(n), k):
+            domain = set(smt.projected_domain(tuples, support))
+            assert all(set(itertools.product(*(succ[s] for s in p))) <= domain for p in domain), support
