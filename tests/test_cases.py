@@ -58,8 +58,12 @@ class TestGenerators:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             gen_timing_attack(0)
+        with pytest.raises(ValueError, match="password size m must be >= 1"):
+            gen_password(0)
         with pytest.raises(ValueError):
             gen_thread_sched(3, 3)
+        with pytest.raises(ValueError, match="secrets must be nonnegative"):
+            gen_thread_sched(-1, 2)
         with pytest.raises(ValueError):
             gen_conformance("s9")
         with pytest.raises(ValueError):

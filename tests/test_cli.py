@@ -399,6 +399,12 @@ class TestGen:
         code, _ = run_cli("gen", "ta", "--m", "0", "--out-dir", str(tmp_path))
         assert code == 2
 
+    def test_bad_password_size_exits_two_with_the_message(self, tmp_path, capsys):
+        code, out = run_cli("gen", "pw", "--m", "0", "--out-dir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: password size m must be >= 1\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("family, message", [
         ("ta", "ta needs --m"), ("ts", "ts needs --h H1 H2"), ("pc", "pc needs --tier")])
     def test_missing_size_flag_exits_two(self, tmp_path, capsys, family, message):

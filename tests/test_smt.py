@@ -24,6 +24,10 @@ from hypermdp.constraints import (
     emit_smtlib2,
     evaluate_system,
     evaluate_term,
+    t_and,
+    t_implies,
+    t_not,
+    t_or,
 )
 from hypermdp.enumcheck import Evaluator, build_composition, check, replay, truth_eval
 from hypermdp.errors import IncompleteModel, MixedSchedulerBlock
@@ -399,6 +403,72 @@ class TestSpuriousModels:
                  "action q stay: q 1\naction t stay: t 1\n")
         text = "exists sched s. exists st x(s). P(X (P(F a(x)) > 1/2)) > 1/2"
         assert not self.planted(model, text, {"q": "stay"}, plant)
+
+    # q moves to p, which goes to the b state t or stays: under go the target
+    # P(F b) > 1/2 holds at p without being fixed there, under stay it fails
+    CHAIN = ("states: q p t\nlabels: t: b\naction q tau: p 1\naction p go: t 1\n"
+             "action p stay: p 1\naction t stay: t 1\n")
+    FORK = ("states: p t1 t2\nlabels: t1: a; t2: b\naction p x: t1 1\naction p y: t2 1\n"
+            "action t1 stay: t1 1\naction t2 stay: t2 1\n")
+
+    @staticmethod
+    def prob_of(body):
+        """The ``P(...)`` that the comparison ``body`` reads."""
+        return body.left if isinstance(body.left, ProbOf) else body.right
+
+    @staticmethod
+    def chain_text(path: str) -> str:
+        return f"exists sched s. exists st x(s). P({path} (P(F b(x)) > 1/2)) > 1/2"
+
+    @pytest.mark.parametrize("path", ["F", "F<=2"])
+    def test_target_forces_one_where_it_counts(self, path):
+        # under go the target holds at p, so neither step clause applies there;
+        # only the target clause (of the until, of the window [0,2]) keeps pr from 0
+        def plant(cs, body):
+            return {prob_sym(("p",), cs.meta.index[self.prob_of(body)]): Fraction(0),
+                    holds_sym(("p",), cs.meta.index[body]): False}
+
+        assert not self.planted(self.CHAIN, self.chain_text(path), {"p": "go"}, plant)
+
+    def test_last_window_is_zero_off_target(self):
+        # under stay p never reaches t: the window [0,0] reads the target alone,
+        # which fails at p, and only its zero clause keeps pr from 1 there and
+        # from lifting the window [0,1] above it at p and at q
+        def plant(cs, body):
+            path = self.prob_of(body).path
+            last, outer = ProbOf(BoundedUntil(path.left, path.right, 0, 0)), cs.meta.index[self.prob_of(body)]
+            planted = {prob_sym(("p",), cs.meta.index[last]): Fraction(1)}
+            for at in (("p",), ("q",)):
+                planted.update({prob_sym(at, outer): Fraction(1), holds_sym(at, cs.meta.index[body]): True})
+            return planted
+
+        assert not self.planted(self.CHAIN, self.chain_text("F<=1"), {"p": "stay"}, plant)
+
+    def test_last_window_is_one_on_target(self):
+        # under go the target P(X b) > 1/2 is fixed false at q and holds, open,
+        # at p: the window [0,1] at q reads the window [0,0] at p, and only the
+        # latter's target clause keeps it, and so the body at q, from 0
+        def plant(cs, body):
+            path = self.prob_of(body).path
+            last, outer = ProbOf(BoundedUntil(path.left, path.right, 0, 0)), cs.meta.index[self.prob_of(body)]
+            return {prob_sym(("p",), cs.meta.index[last]): Fraction(0), prob_sym(("q",), outer): Fraction(0),
+                    holds_sym(("q",), cs.meta.index[body]): False}
+
+        text = "exists sched s. exists st x(s). P(F<=1 (P(X b(x)) > 1/2)) > 1/2"
+        assert not self.planted(self.CHAIN, text, {"p": "go"}, plant)
+
+    @pytest.mark.parametrize("window, op, truth", [("U<=2", ">", True), ("U[1,2]", "<", False)])
+    def test_window_is_zero_off_its_left_operand(self, window, op, truth):
+        # under x, p moves to t1, where b is out of reach: the window's left
+        # operand fails at p, and so does its target, so no step clause applies;
+        # only the zero clause (where a target counts, or the left-operand one
+        # where it does not yet) keeps pr from 1
+        def plant(cs, body):
+            return {prob_sym(("p",), cs.meta.index[self.prob_of(body)]): Fraction(1),
+                    holds_sym(("p",), cs.meta.index[body]): truth}
+
+        text = f"exists sched s. exists st x(s). P((P(F b(x)) > 1/2) {window} a(x)) {op} 1/2"
+        assert not self.planted(self.FORK, text, {"p": "x"}, plant)
 
 
 class TestDecode:
@@ -1169,6 +1239,37 @@ class TestChoiceNames:
         verdict = decode_witness(cs, model, f)
         assert verdict.truth is True and verdict.states == {"x": "s"}
         assert verdict.schedulers["t"] == chosen
+
+
+def _nested_constants(term) -> bool:
+    """Whether a ``bool`` appears anywhere inside ``term``, itself excluded."""
+    children = {AndT: lambda t: t.items, OrT: lambda t: t.items, NotT: lambda t: (t.operand,),
+                ImpliesT: lambda t: (t.antecedent, t.consequent)}.get(type(term), lambda t: ())(term)
+    return any(isinstance(c, bool) or _nested_constants(c) for c in children)
+
+
+@pytest.mark.parametrize("build, meaning, arities", [
+    (lambda items: t_not(items[0]), lambda bits: not bits[0], (1,)),
+    (t_and, all, (0, 1, 2, 3)),
+    (t_or, any, (0, 1, 2, 3)),
+    (lambda items: t_implies(*items), lambda bits: not bits[0] or bits[1], (2,)),
+], ids=["not", "and", "or", "implies"])
+def test_folding_constructors_keep_the_meaning_and_fold_constants_whole(build, meaning, arities):
+    # every operand is true, false or its own Boolean variable, so the term is
+    # constant exactly when its constants decide it: only then may it fold, to a bare bool
+    for arity in arities:
+        for items in itertools.product((True, False, None), repeat=arity):
+            names = [f"v{k}" for k, item in enumerate(items) if item is None]
+            terms = tuple(BoolRef(f"v{k}") if item is None else item for k, item in enumerate(items))
+            folded = build(terms)
+            outcomes = set()
+            for bits in itertools.product((False, True), repeat=len(names)):
+                values = dict(zip(names, bits))
+                expected = meaning([values[t.name] if isinstance(t, BoolRef) else t for t in terms])
+                assert evaluate_term(folded, values, {}) == expected, (items, bits)
+                outcomes.add(expected)
+            assert isinstance(folded, bool) == (len(outcomes) == 1), (items, folded)
+            assert not _nested_constants(folded), (items, folded)
 
 
 class TestEmit:
