@@ -29,7 +29,7 @@ cs, polarity = encode_main(mdp, f)
 print(f"polarity: {polarity}")
 print(f"variables: {cs.variable_count()}  constraints: {cs.constraint_count()}  "
       f"subformulas: {len(cs.subformula_text)}")
-print(f"folded before encoding: {sum(len(v) for v in cs.meta.fixed.values())} (subformula, state) values")
+print(f"folded before encoding: {sum(len(v) for v in cs.meta.fixed)} (subformula, state) values")
 
 text = emit_smtlib2(cs)
 lines = text.splitlines()

@@ -163,7 +163,7 @@ def cmd_encode(args, out) -> int:
     print(
         f"wrote {args.emit}: polarity={polarity} variables={cs.variable_count()} "
         f"constraints={cs.constraint_count()} subformulas={len(cs.subformula_text)} "
-        f"fixed={sum(len(values) for values in cs.meta.fixed.values())}",
+        f"fixed={sum(len(values) for values in cs.meta.fixed)}",
         file=out,
     )
     return 0

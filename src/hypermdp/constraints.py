@@ -128,18 +128,16 @@ def t_implies(antecedent: Term, consequent: Term) -> Term:
 class ConstraintSystem(Record):
     """Variable pool plus constraints; the output of the encoding."""
 
-    __slots__ = _fields = ("choice_domains", "variables", "constraints", "truth", "subformula_index",
-                           "subformula_text", "meta")
-    _defaults = {"choice_domains": {}, "variables": {}, "constraints": [], "truth": None,
-                 "subformula_index": {}, "subformula_text": [], "meta": None}
+    __slots__ = _fields = ("choice_domains", "variables", "constraints", "truth", "subformula_text", "meta")
+    _defaults = {"choice_domains": {}, "variables": {}, "constraints": [], "truth": None, "subformula_text": [],
+                 "meta": None}
     # (family, state) -> enabled actions, in order
     choice_domains: Dict[Tuple[int, str], Tuple[str, ...]]
     # name -> kind: 'holds' | 'prob' | 'value' | 'toint' | 'dist'
     variables: Dict[str, str]
     constraints: List[Term]
     truth: Optional[Term]
-    # subformula bookkeeping: node -> index, plus printable forms
-    subformula_index: Dict[object, int]
+    # each subformula's printable form, by its position in the plan's numbering
     subformula_text: List[str]
     # decode metadata, filled by the encoder
     meta: Optional[object]

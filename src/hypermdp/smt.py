@@ -9,13 +9,14 @@ composed state, since the components of a self-composition move
 independently.  The truth term nests its disjunctions and conjunctions
 over the state quantifiers' domains (``enumcheck.state_domains``), and
 ``decode_witness`` walks the solver's model there.  The plan
-(``plan_encoding``) numbers every subformula once (``EncodingMeta.index``),
-with every reduced-bound window of a bounded until (``encoding_supports``:
-only this encoding has windows, each built once), resolves each one's
-operand reads (``formula.operands`` above the ``P``s) into positions once
-(``resolve_operands``, kept as ``EncodingMeta.reads``: the one operand
-relation, which every table, the encoder and ``full_assignment`` read),
-and fixes three tables, each per position, before any constraint:
+(``plan_encoding``) numbers every subformula once (``EncodingMeta.index``,
+its one node-keyed map), with every reduced-bound window of a bounded
+until (``encoding_supports``: only this encoding has windows, each built
+once), resolves each one's operand reads (``formula.operands`` above the
+``P``s) into positions once (``resolve_operands``, kept as
+``EncodingMeta.reads``: the one operand relation, which every table, the
+encoder and ``full_assignment`` read), and fixes three tables, each kept
+per position, before any constraint:
 
 - ``point_table``: where a rule may read each subformula.  A node read at
   successors (an until, the operand of a ``P(X ...)``, an inner window)
@@ -31,9 +32,9 @@ and fixes three tables, each per position, before any constraint:
   reads from the truth term's open tuples down.
 
 The encoder makes one pass over the subformula table, with one rule per
-node kind and no recursion, declares variables only at the encoded
-points and folds the fixed values into the terms and linear sums that
-read them.
+node kind (an until and a bounded until's windows share the reachability
+rule) and no recursion, declares variables only at the encoded points
+and folds the fixed values into the terms and linear sums that read them.
 A universal scheduler block is encoded as the existential
 encoding of the negated body with flipped state quantifiers and the final
 verdict inverted.
@@ -136,7 +137,9 @@ def transform_for_encoding(f: Formula) -> Tuple[Formula, str]:
 
 
 class EncodingMeta(Record):
-    """Everything needed to decode a model back into a verdict."""
+    """Everything needed to decode a model back into a verdict.  ``index``
+    numbers the subformulas and is the one node-keyed map; every other
+    table is per position."""
 
     __slots__ = _fields = ("polarity", "original", "encoded", "sched_names", "state_quants", "domains",
                            "fam_of_component", "index", "states", "tuples", "supports", "fixed", "points",
@@ -151,10 +154,10 @@ class EncodingMeta(Record):
     index: Dict[object, int]  # the plan's numbering: subformula -> position, in position order
     states: Tuple[str, ...]
     tuples: Tuple[Tuple[str, ...], ...]
-    supports: Dict[object, Support]  # in registration order: index i is the i-th key
-    fixed: Dict[object, Dict[tuple, object]]  # per subformula, from ``fixed_table``
-    points: Dict[object, Tuple[tuple, ...]]  # per subformula, from ``encoded_points``
-    reads: List[tuple]  # per position, the entries of ``resolve_operands``
+    supports: Tuple[Support, ...]  # per position, the body first, as are the three tables below
+    fixed: List[Dict[tuple, object]]
+    points: List[Tuple[tuple, ...]]
+    reads: List[tuple]
 
 
 def may_successors(mdp: Mdp) -> Dict[str, Tuple[str, ...]]:
@@ -202,6 +205,11 @@ def reduced_windows(node: ProbOf):
     while k2 > 0:
         k1, k2 = max(k1 - 1, 0), k2 - 1
         yield ProbOf(BoundedUntil(path.left, path.right, k1, k2))
+
+
+def window(path) -> Tuple[int, float]:
+    """A bounded until's ``(k1, k2)``; an until is the window [0, inf]."""
+    return (path.k1, path.k2) if isinstance(path, BoundedUntil) else (0, math.inf)
 
 
 def encoding_supports(body, var_index: Dict[str, int]) -> Dict[object, Support]:
@@ -306,8 +314,8 @@ def fixed_table(mdp: Mdp, succ, nodes, supports, reads, tuples, points) -> List[
         elif isinstance(node.path, BoundedUntil) and node.path.k2 == 0:  # reads its target alone
             target = reader(refs[0])
             values = {p: ONE if v else ZERO for p in at if (v := target(p)) is not None}
-        else:  # an until is the window [0, inf]
-            k1, k2 = (node.path.k1, node.path.k2) if isinstance(node.path, BoundedUntil) else (0, math.inf)
+        else:
+            k1, k2 = window(node.path)
             source, target, dist = reader(refs[0]), reader(refs[1]), distances(*refs[:2], support)
             for p in at:
                 if k1 == 0 and target(p):
@@ -412,9 +420,8 @@ def plan_encoding(mdp: Mdp, f: Formula) -> EncodingMeta:
     that only the encoding has (``encoding_supports``), each built once,
     its values that no scheduler changes and the points where it is
     encoded (``encoded_points``).  The subformulas are numbered once, in
-    ``EncodingMeta.index`` (the encoder's ``cs.subformula_index``): every
-    table is per position, and the node-keyed dicts of the result, in
-    position order, are built at the end, beside each position's
+    ``EncodingMeta.index``, the plan's one node-keyed map; every other
+    table is kept per position, as it is computed, beside each position's
     ``resolve_operands`` entries (``EncodingMeta.reads``)."""
     f_enc, polarity = transform_for_encoding(f)
     sched_names = tuple(q.name for q in f_enc.prefix if isinstance(q, SchedQuant))
@@ -423,12 +430,12 @@ def plan_encoding(mdp: Mdp, f: Formula) -> EncodingMeta:
     truth_tuples = tuple(itertools.product(*domains))
     succ = may_successors(mdp)
     tuples = reachable_tuples(mdp.states, succ, len(state_quants), truth_tuples)
-    supports = encoding_supports(f_enc.body, state_var_index(f_enc))
-    index = dict(zip(supports, itertools.count()))
-    nodes, sups = tuple(supports), tuple(supports.values())
-    reads = resolve_operands(index, sups)
-    points = point_table(sups, reads, tuples, truth_tuples)
-    fixed = fixed_table(mdp, succ, nodes, sups, reads, tuples, points)
+    table = encoding_supports(f_enc.body, state_var_index(f_enc))
+    index = dict(zip(table, itertools.count()))
+    supports = tuple(table.values())
+    reads = resolve_operands(index, supports)
+    points = point_table(supports, reads, tuples, truth_tuples)
+    fixed = fixed_table(mdp, succ, tuple(table), supports, reads, tuples, points)
     return EncodingMeta(
         polarity=polarity,
         original=f,
@@ -441,8 +448,8 @@ def plan_encoding(mdp: Mdp, f: Formula) -> EncodingMeta:
         states=mdp.states,
         tuples=tuples,
         supports=supports,
-        fixed=dict(zip(nodes, fixed)),
-        points=dict(zip(nodes, encoded_points(succ, reads, points, fixed))),
+        fixed=fixed,
+        points=encoded_points(succ, reads, points, fixed),
         reads=reads,
     )
 
@@ -471,7 +478,8 @@ class Encoder:
     ``encode`` walks the plan's subformula table once, by position, from
     the last, so each subformula comes after its operands; the table
     already lists every reduced-bound window of a bounded until, each built
-    once.  Each node kind has one rule, which constrains the node at every
+    once.  Each node kind has one rule, an until and every window the one
+    reachability rule ``encode_reach``, which constrains the node at every
     point of its domain and reads its operands by name, so the order of the
     nodes does not change what the system means.
 
@@ -491,10 +499,7 @@ class Encoder:
         self.meta = meta
         self.cs = ConstraintSystem()
         self.step_table: Dict[tuple, list] = {}
-        # per position: the plan's dicts list each subformula once, in one order
-        self.nodes, self.supports = tuple(meta.supports), tuple(meta.supports.values())
-        self.fixed, self.points = tuple(meta.fixed.values()), tuple(meta.points.values())
-        self.cs.subformula_index = meta.index
+        self.nodes, self.fixed = tuple(meta.index), meta.fixed  # by position; ``read`` hits the fixed table most
         # one line per subformula over its operands' indices: the header grows linearly
         index = lambda operand: f"[{meta.index[operand]}]"
         self.cs.subformula_text = [format_node(node, index) for node in self.nodes]
@@ -557,11 +562,11 @@ class Encoder:
                 self.cs.choice_domains[(family, s)] = self.mdp.enabled[s]
                 self.cs.add(OrT(tuple(ChoiceIs(family, s, a) for a in self.mdp.enabled[s])))
         for i in reversed(range(len(self.nodes))):
-            points = self.points[i]
+            points = self.meta.points[i]
             if points:  # true, propositions and constants never have any
                 node = self.nodes[i]
                 rule = self.RULES[type(node.path) if isinstance(node, ProbOf) else type(node)]
-                rule(self, node, self.supports[i], i, points, self.meta.reads[i])
+                rule(self, node, self.meta.supports[i], i, points, self.meta.reads[i])
         self.encode_truth()
         self.cs.meta = self.meta
         return self.cs
@@ -606,7 +611,7 @@ class Encoder:
         """The step indicator ``ti`` of the operand at the operand's points,
         every successor it may be read at; ``pr`` at the node's own."""
         (operand,) = refs  # on the node's support, so its projector keeps a point
-        for p in self.points[operand[0]]:
+        for p in self.meta.points[operand[0]]:
             ti, h = var(self.declare("ti", operand[0], p, "toint")), self.holds(operand, p)
             self.cs.add(OrT((AndT((eq(ti, const(1)), h)), AndT((eq(ti, const(0)), NotT(h))))))
         for p in points:
@@ -614,54 +619,42 @@ class Encoder:
             for guard, succs in self.steps(support, p):
                 self.cs.add(t_implies(t_and(guard), eq(pr, self.expectation("ti", operand, succs))))
 
-    def encode_until(self, node, support, i, points, refs):
-        left, right, _, own = refs  # own: the until itself, read at successors
+    def encode_reach(self, node, support, i, points, refs):
+        """An until is the ``window`` [0, inf] that reads itself one step on,
+        a wider window of a bounded until the next window down (``refs``'
+        last), and [0,0] is the target indicator.  Where a target counts
+        (k1 = 0) it forces 1, and a point off both operands is 0; otherwise
+        a point off phi1 is.  Only the until adds its distance variable and
+        the least fixed point's progress conjunct."""
+        until, (k1, k2) = isinstance(node.path, Until), window(node.path)
+        left, right, on = (refs[0], refs[1], refs[-1]) if k2 else (None, refs[0], None)
         fixed = self.fixed[i]
         for p in points:
-            pr, d_p = var(self.declare("pr", i, p, "prob")), var(self.declare("d", i, p, "dist"))
-            h1, h2 = self.holds(left, p), self.holds(right, p)
-            self.cs.add(t_implies(h2, eq(pr, const(1))))
-            self.cs.add(t_implies(t_and((t_not(h1), t_not(h2))), eq(pr, const(0))))
-            for guard, succs in self.steps(support, p):
-                # least fixed point: positive probability needs a successor
-                # that is a target or strictly closer to one; one fixed to 0
-                # is neither in the least solution, one fixed to 1 a target
-                progress = t_or(tuple(
-                    t_or((self.holds(right, succ), Cmp(">", d_p, var(symbol("d", succ, i)))))
-                    if fixed.get(succ) is None else bool(fixed[succ])
-                    for succ, _ in succs
-                ))
-                self.cs.add(t_implies(
-                    t_and((h1, t_not(h2)) + guard),
-                    t_and((eq(pr, self.expectation("pr", own, succs)),
-                           t_implies(Cmp(">", pr, const(0)), progress))),
-                ))
-
-    def encode_window(self, node, support, i, points, refs):
-        """One window of a bounded until: at [0,0] the target indicator,
-        otherwise one step to the next window down, ``reduced_windows``'s
-        first, which the plan's table lists and ``refs`` reads last."""
-        path = node.path
-        left, right, child = refs if path.k2 else (None, *refs, None)
-        for p in points:
-            pr, h2 = var(self.declare("pr", i, p, "prob")), self.holds(right, p)
-            if path.k2 == 0:
+            pr = var(self.declare("pr", i, p, "prob"))
+            d_p = var(self.declare("d", i, p, "dist")) if until else None
+            h1, h2 = self.holds(left, p) if k2 else False, self.holds(right, p)
+            if k1 == 0:  # a target counts
                 self.cs.add(t_implies(h2, eq(pr, const(1))))
-                self.cs.add(t_implies(t_not(h2), eq(pr, const(0))))
-                continue
-            h1 = self.holds(left, p)
-            if path.k1 == 0:  # windowed step: a target now counts
-                self.cs.add(t_implies(h2, eq(pr, const(1))))
-                self.cs.add(t_implies(t_and((t_not(h1), t_not(h2))), eq(pr, const(0))))
-                active = (h1, t_not(h2))
-            else:
-                self.cs.add(t_implies(t_not(h1), eq(pr, const(0))))
-                active = (h1,)
-            for guard, succs in self.steps(support, p):
-                self.cs.add(t_implies(t_and(active + guard), eq(pr, self.expectation("pr", child, succs))))
+            # pr is 0 off phi1, where a target counts off phi2 too, and at [0,0], which reads phi2 alone, off phi2
+            off = t_not(h1) if k1 else t_and((t_not(h1), t_not(h2))) if k2 else t_not(h2)
+            self.cs.add(t_implies(off, eq(pr, const(0))))
+            active = (h1,) if k1 else (h1, t_not(h2))
+            for guard, succs in self.steps(support, p) if k2 else ():
+                step = eq(pr, self.expectation("pr", on, succs))
+                if until:
+                    # least fixed point: positive probability needs a successor
+                    # that is a target or strictly closer to one; one fixed to 0
+                    # is neither in the least solution, one fixed to 1 a target
+                    progress = t_or(tuple(
+                        t_or((self.holds(right, succ), Cmp(">", d_p, var(symbol("d", succ, i)))))
+                        if fixed.get(succ) is None else bool(fixed[succ])
+                        for succ, _ in succs
+                    ))
+                    step = t_and((step, t_implies(Cmp(">", pr, const(0)), progress)))
+                self.cs.add(t_implies(t_and(active + guard), step))
 
     RULES = {And: encode_and, NotF: encode_not, Less: encode_less, Arith: encode_arith,
-             Next: encode_next, Until: encode_until, BoundedUntil: encode_window}
+             Next: encode_next, Until: encode_reach, BoundedUntil: encode_reach}
 
     # truth of the input formula -------------------------------------------------
 
@@ -673,7 +666,7 @@ class Encoder:
         deciding constant, since ``decode_witness`` walks the quantifiers in
         order."""
         quants, domains = self.meta.state_quants, self.meta.domains
-        body_ref = (0, False, projector(self.supports[0]))
+        body_ref = (0, False, projector(self.meta.supports[0]))
 
         def level(at: tuple) -> Term:
             if len(at) == len(quants):
@@ -813,14 +806,13 @@ def decode_witness(cs: ConstraintSystem, model: dict, f: Formula) -> Verdict:
         for family in range(m)
     }
 
-    body = meta.encoded.body
-    onto_body, body_index, body_fixed = projector(meta.supports[body]), cs.subformula_index[body], meta.fixed[body]
+    onto_body, body_fixed = projector(meta.supports[0]), meta.fixed[0]  # the body is position 0
 
     def body_holds(r):
         point = onto_body(r)
         if point in body_fixed:
             return body_fixed[point]
-        key = holds_sym(point, body_index)
+        key = holds_sym(point, 0)
         if key not in model:
             raise IncompleteModel(f"missing truth value {key}")
         return bool(model[key])
@@ -869,10 +861,9 @@ def full_assignment(cs: ConstraintSystem, mdp: Mdp, chosen: Dict[str, SchedulerA
         return d, {p: left(p) for p in d.states}, {p: right(p) for p in d.states}
 
     # per position of the plan; ``reduced_windows`` gives a window its until's operands
-    fixed, points = tuple(meta.fixed.values()), tuple(meta.points.values())
     windows: Dict[tuple, dict] = {}  # (operands, actions, points, k1, k2) -> the window's vector
     bounded: Dict[int, dict] = {}  # position of a bounded until -> its window's vector
-    for idx, (node, support) in enumerate(meta.supports.items()):
+    for idx, (node, support) in enumerate(zip(meta.index, meta.supports)):
         path = node.path if isinstance(node, ProbOf) else None
         if isinstance(path, BoundedUntil):
             solved = (ev.renamed(path.left, support), ev.renamed(path.right, support),
@@ -884,22 +875,22 @@ def full_assignment(cs: ConstraintSystem, mdp: Mdp, chosen: Dict[str, SchedulerA
             ev.vectors.setdefault((ev.renamed(path, support), ev.keys[support]), {}).update(
                 ((p[0], value) for p, value in vec.items()) if len(support) == 1 else vec)
     values: Dict[str, object] = {}
-    for idx, (node, support) in enumerate(meta.supports.items()):
+    for idx, (node, support) in enumerate(zip(meta.index, meta.supports)):
         kind = "h" if isinstance(node, BODY_KINDS) else "pr"
         path = node.path if isinstance(node, ProbOf) else None
         read = bounded[idx].__getitem__ if idx in bounded else ev.reader(node, support)
-        for p, value in fixed[idx].items():
+        for p, value in meta.fixed[idx].items():
             if read(p) != value:
                 raise AssertionError(f"{symbol(kind, p, idx)} is fixed to {value} but is {read(p)} "
                                      "under the chosen schedulers")
-        values.update((symbol(kind, p, idx), read(p)) for p in points[idx])
-        if points[idx] and isinstance(path, Next):
+        values.update((symbol(kind, p, idx), read(p)) for p in meta.points[idx])
+        if meta.points[idx] and isinstance(path, Next):
             holds, ((operand, _, _),) = ev.reader(path.operand, support), meta.reads[idx]
-            values.update((toint_sym(p, operand), ONE if holds(p) else ZERO) for p in points[operand])
-        elif points[idx] and isinstance(path, Until):
+            values.update((toint_sym(p, operand), ONE if holds(p) else ZERO) for p in meta.points[operand])
+        elif meta.points[idx] and isinstance(path, Until):
             # where phi2 is out of reach the probability is 0, and no clause needs the distance
             dist = analysis.step_distances(*on_chain(path, support))
-            values.update((dist_sym(p, idx), Fraction(dist.get(p, len(meta.tuples)))) for p in points[idx])
+            values.update((dist_sym(p, idx), Fraction(dist.get(p, len(meta.tuples)))) for p in meta.points[idx])
     choices = {}
     for (family, state), _ in cs.choice_domains.items():
         choices[(family, state)] = chosen[meta.sched_names[family]].choice(state)

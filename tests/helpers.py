@@ -604,7 +604,14 @@ def counting_combinations():
         yield combos
 
 
-# -- solver models ------------------------------------------------------------------
+# -- plan tables and solver models ---------------------------------------------------
+
+def at_node(cs, table: str, node):
+    """``node``'s row of the plan table ``table`` of ``cs`` (``"fixed"``,
+    ``"points"`` or ``"supports"``, each per position), found through the
+    plan's numbering ``cs.meta.index``."""
+    return getattr(cs.meta, table)[cs.meta.index[node]]
+
 
 def solver_model(cs, mdp: Mdp, schedulers) -> dict:
     """The model a QF_LRA solver returns for ``cs`` when it picks

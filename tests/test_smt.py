@@ -59,8 +59,8 @@ from hypermdp.smt import (
     solve_eager,
     transform_for_encoding,
 )
-from .helpers import (BOUNDED_TA, PUBLISHED_ROWS, TS_INDEP, counting_combinations, full_product, guarded_formula,
-                      random_body, random_mdp, solver_model, with_never)
+from .helpers import (BOUNDED_TA, PUBLISHED_ROWS, TS_INDEP, at_node, counting_combinations, full_product,
+                      guarded_formula, random_body, random_mdp, solver_model, with_never)
 
 REACH_ONE = "exists sched s. exists st x(s). init(x) & P(F a(x)) = 1"
 REACH_A = ProbOf(Until(TRUE, Prop("a", "x")))  # the until node of P(F a(x))
@@ -99,8 +99,8 @@ class TestEncodeSemantics:
         # complement of the labels at every state, and nothing is emitted
         f = parse_formula("exists sched s. exists st x(s). !a(x)")
         cs, _ = encode_main(m_coin, f)
-        assert cs.meta.fixed[f.body] == {("s0",): True, ("s1",): False, ("s2",): True}
-        assert cs.meta.fixed[Prop("a", "x")] == {("s0",): False, ("s1",): True, ("s2",): False}
+        assert at_node(cs, "fixed", f.body) == {("s0",): True, ("s1",): False, ("s2",): True}
+        assert at_node(cs, "fixed", Prop("a", "x")) == {("s0",): False, ("s1",): True, ("s2",): False}
         assert not [t for t in cs.constraints if isinstance(t, XorT)]
         prop_facts = [
             t for t in cs.constraints
@@ -113,13 +113,13 @@ class TestEncodeSemantics:
         f = parse_formula("exists sched s. exists st x(s). exists st y(s). P(X a(x)) < 1/2")
         cs, _ = encode_main(m_coin, f)
         const_idx = None
-        for node, idx in cs.subformula_index.items():
+        for node, idx in cs.meta.index.items():
             if cs.subformula_text[idx] == "1/2":
                 const_idx = idx
         # a constant has the empty support: fixed at its one point for all
         # |S|^2 tuples, it declares no variable and folds into every
         # comparison that reads it
-        assert cs.meta.fixed[Const(Fraction(1, 2))] == {(): Fraction(1, 2)}
+        assert at_node(cs, "fixed", Const(Fraction(1, 2))) == {(): Fraction(1, 2)}
         assert not [name for name in cs.variables if name.endswith(f"_{const_idx}")]
         compared = [cmp for t in cs.constraints if isinstance(t, OrT)
                     for branch in t.items if isinstance(branch, AndT)
@@ -130,7 +130,7 @@ class TestEncodeSemantics:
         f = parse_formula("exists sched s. exists st x(s). P(X a(x)) < 1")
         cs, _ = encode_main(m_coin, f)
         text = emit_smtlib2(cs)
-        next_idx = cs.subformula_index[ProbOf(Next(Prop("a", "x")))]
+        next_idx = cs.meta.index[ProbOf(Next(Prop("a", "x")))]
         # a(x) is fixed at every state, so each step indicator is a
         # constant: alpha's sum 1/2 * [a(s0)] + 1/2 * [a(s1)] folds to 1/2,
         # beta's [a(s2)] to 0, and no indicator is declared
@@ -140,7 +140,7 @@ class TestEncodeSemantics:
         assert beta_line in text
         assert not [kind for kind in cs.variables.values() if kind == "toint"]
         # P(X a(x)) itself is fixed where every successor agrees on a(x)
-        assert cs.meta.fixed[ProbOf(Next(Prop("a", "x")))] == {("s1",): 1, ("s2",): 0}
+        assert at_node(cs, "fixed", ProbOf(Next(Prop("a", "x")))) == {("s1",): 1, ("s2",): 0}
 
     def test_until_pins_target_tuples(self, m_coin):
         f = parse_formula(REACH_ONE)
@@ -149,8 +149,8 @@ class TestEncodeSemantics:
         # fixed to 1 there (s2, which never reaches it, to 0), and
         # full_assignment checks both against the exact values
         values, choices = full_assignment(cs, m_coin, {"s": first_choice(m_coin)})
-        until_idx = cs.subformula_index[REACH_A]
-        assert cs.meta.fixed[REACH_A] == {("s1",): 1, ("s2",): 0}
+        until_idx = cs.meta.index[REACH_A]
+        assert at_node(cs, "fixed", REACH_A) == {("s1",): 1, ("s2",): 0}
         assert prob_sym(("s1",), until_idx) not in values
         assert evaluate_system(cs, values, choices)
 
@@ -158,7 +158,7 @@ class TestEncodeSemantics:
         f = parse_formula("exists sched s. exists st x(s). P(true U[2,3] a(x)) > 0")
         cs, _ = encode_main(m_coin, f)
         windows = []
-        for node in cs.subformula_index:
+        for node in cs.meta.index:
             if isinstance(node, ProbOf) and isinstance(node.path, BoundedUntil):
                 windows.append((node.path.k1, node.path.k2))
         assert sorted(windows) == [(0, 0), (0, 1), (1, 2), (2, 3)]
@@ -176,7 +176,7 @@ class TestTruth:
         # their conjuncts fold away
         assert isinstance(cs.truth, AndT)
         assert cs.truth.items == (BoolRef(holds_sym(("s0",), 0)),)
-        assert cs.meta.fixed[f.body] == {("s1",): True, ("s2",): True}
+        assert at_node(cs, "fixed", f.body) == {("s1",): True, ("s2",): True}
 
     def test_exists_forall_nesting(self, m_coin):
         f = parse_formula("exists sched s. exists st x(s). forall st y(s). P(X a(x)) <= P(X a(y))")
@@ -309,7 +309,7 @@ class TestEncodingSoundness:
         beta = SchedulerAssignment(m_coin.states, ("beta", "tau", "tau"))
         values, choices = full_assignment(cs, m_coin, {"s": beta})
         assert evaluate_system(cs, values, choices)
-        until_idx = cs.subformula_index[REACH_A]
+        until_idx = cs.meta.index[REACH_A]
         tampered = dict(values)
         tampered[prob_sym(("s0",), until_idx)] = Fraction(1)
         tampered[prob_sym(("s2",), until_idx)] = Fraction(1)
@@ -345,7 +345,7 @@ class TestSpuriousModels:
     """Each test plants a spurious value, which the semantics rules out,
     among the exact values under a scheduler, and only one clause of the
     encoder rejects it: without that clause the system would have a model
-    that the semantics does not.  Indices come from ``cs.subformula_index``."""
+    that the semantics does not.  Indices come from ``cs.meta.index``."""
 
     @staticmethod
     def planted(model_text, text, chosen, plant) -> bool:
@@ -367,9 +367,9 @@ class TestSpuriousModels:
         # point's progress clause (pr > 0 needs a successor closer to a
         # target) rules it out, whatever the distance
         def plant(cs, body):
-            until, at = cs.subformula_index[body.right], ("s0",)
+            until, at = cs.meta.index[body.right], ("s0",)
             return {prob_sym(at, until): Fraction(1), smt.dist_sym(at, until): Fraction(distance),
-                    holds_sym(at, cs.subformula_index[body]): True}
+                    holds_sym(at, cs.meta.index[body]): True}
 
         model = ("states: s0 s1\nlabels: s1: a\n"
                  "action s0 stay: s0 1\naction s0 go: s1 1\naction s1 stay: s1 1\n")
@@ -380,8 +380,8 @@ class TestSpuriousModels:
         # operand is false at p, and so is its target, so no step clause
         # applies there, and only the zero rule keeps pr from 1
         def plant(cs, body):
-            return {prob_sym(("p",), cs.subformula_index[body.right]): Fraction(1),
-                    holds_sym(("p",), cs.subformula_index[body]): True}
+            return {prob_sym(("p",), cs.meta.index[body.right]): Fraction(1),
+                    holds_sym(("p",), cs.meta.index[body]): True}
 
         model = ("states: p t1 t2\nlabels: t1: a; t2: b\naction p x: t1 1\naction p y: t2 1\n"
                  "action t1 stay: t1 1\naction t2 stay: t2 1\n")
@@ -393,10 +393,10 @@ class TestSpuriousModels:
         # indicator ti at q is 0, and both P(X ...) values read it; only its
         # definition (ti = 1 exactly where the operand holds) ties it there
         def plant(cs, body):
-            nxt, inner = cs.subformula_index[body.right], cs.subformula_index[body.right.path.operand]
+            nxt, inner = cs.meta.index[body.right], cs.meta.index[body.right.path.operand]
             planted = {smt.toint_sym(("q",), inner): Fraction(1)}
             for at in (("s0",), ("q",)):
-                planted.update({prob_sym(at, nxt): Fraction(1), holds_sym(at, cs.subformula_index[body]): True})
+                planted.update({prob_sym(at, nxt): Fraction(1), holds_sym(at, cs.meta.index[body]): True})
             return planted
 
         model = ("states: s0 q t\nlabels: t: a\naction s0 tau: q 1\naction q go: t 1\n"
@@ -488,7 +488,7 @@ class TestDecode:
         f = parse_formula(REACH_ONE)
         cs, _ = encode_main(m_coin, f)
         broken = solver_model(cs, m_coin, solve_eager(m_coin, f).decoded.schedulers)
-        del broken[holds_sym(("s0",), cs.subformula_index[f.body])]
+        del broken[holds_sym(("s0",), cs.meta.index[f.body])]
         with pytest.raises(IncompleteModel, match=r"^missing truth value h_s0_0$"):
             decode_witness(cs, broken, f)
 
@@ -555,7 +555,7 @@ class TestGuardCollapse:
         # the bypass action (agreement with the linear solver)
         f = parse_formula("exists sched s. exists st x(s). P(F a(x)) = 1")
         cs, _ = encode_main(m_coin, f)
-        until_idx = cs.subformula_index[REACH_A]
+        until_idx = cs.meta.index[REACH_A]
         alpha = SchedulerAssignment(m_coin.states, ("alpha", "tau", "tau"))
         beta = SchedulerAssignment(m_coin.states, ("beta", "tau", "tau"))
         alpha_values, alpha_choices = full_assignment(cs, m_coin, {"s": alpha})
@@ -570,7 +570,7 @@ class TestGuardCollapse:
         cs, _ = encode_main(d_half, f)
         only = SchedulerAssignment(d_half.states, ("tau", "tau", "tau"))
         values, choices = full_assignment(cs, d_half, {"s": only})
-        win_idx = cs.subformula_index[ProbOf(BoundedUntil(TRUE, Prop("a", "x"), 1, 1))]
+        win_idx = cs.meta.index[ProbOf(BoundedUntil(TRUE, Prop("a", "x"), 1, 1))]
         assert values[prob_sym(("u0",), win_idx)] == Fraction(1, 2)
         assert evaluate_system(cs, values, choices)
         assert solve_eager(d_half, f).sat is True
@@ -594,8 +594,8 @@ class TestGuardedTuples:
         assert len(full_cs.meta.tuples) == 3
         assert not any("_s2_" in name for name in guarded_cs.variables)
         # the unguarded encoding reaches s2, where the until is fixed to 0
-        assert ("s2",) not in guarded_cs.meta.fixed[REACH_A]
-        assert full_cs.meta.fixed[REACH_A][("s2",)] == 0
+        assert ("s2",) not in at_node(guarded_cs, "fixed", REACH_A)
+        assert at_node(full_cs, "fixed", REACH_A)[("s2",)] == 0
 
     def test_guard_off_init_keeps_its_witness(self):
         # the witness state carries a but not init: the encoding must still
@@ -727,8 +727,8 @@ class TestProjection:
         # one point per state, not per tuple: s1 (target) and s2 (no path)
         # are fixed, s0 declares its probability and its distance
         cs, _ = encode_main(m_coin, parse_formula(text))
-        until_idx = cs.subformula_index[REACH_A]
-        assert sorted(cs.meta.fixed[REACH_A]) == [("s1",), ("s2",)]
+        until_idx = cs.meta.index[REACH_A]
+        assert sorted(at_node(cs, "fixed", REACH_A)) == [("s1",), ("s2",)]
         for kind, sym in (("prob", prob_sym), ("dist", smt.dist_sym)):
             declared = [name for name, k in cs.variables.items()
                         if k == kind and name.endswith(f"_{until_idx}")]
@@ -740,7 +740,7 @@ class TestProjection:
         alpha = SchedulerAssignment(m_coin.states, ("alpha", "tau", "tau"))
         values, choices = full_assignment(cs, m_coin, {"s": alpha})
         assert evaluate_system(cs, values, choices)
-        until_idx = cs.subformula_index[ProbOf(Until(TRUE, Prop("a", "y")))]
+        until_idx = cs.meta.index[ProbOf(Until(TRUE, Prop("a", "y")))]
         assert values[prob_sym(("s0",), until_idx)] == 1
         tampered = dict(values)
         tampered[prob_sym(("s0",), until_idx)] = Fraction(1, 2)
@@ -839,7 +839,7 @@ class TestPointTable:
         # a [0,0] window reads only its target: b(x) has no variable at all
         f = parse_formula("exists sched s. exists st x(s). P(b(x) U[0,0] a(x)) > 0")
         cs, _ = encode_main(m_coin, f)
-        assert cs.meta.points[Prop("b", "x")] == ()
+        assert at_node(cs, "points", Prop("b", "x")) == ()
         assert _unread_truth_variables(cs) == set()
         _assert_subsystem(m_coin, f, cs)
 
@@ -895,8 +895,8 @@ def _fixed_against_semantics(cs, mdp, chosen) -> int:
             unchecked.discard(name)
             checked += 1
 
-    for node, idx in cs.subformula_index.items():
-        onto, table = smt.projector(meta.supports[node]), meta.fixed[node]
+    for node, idx in cs.meta.index.items():
+        onto, table = smt.projector(meta.supports[idx]), meta.fixed[idx]
         holds = isinstance(node, BODY_KINDS)
         vec = ve.holds(node) if holds else ve.value(node)
         path = node.path if isinstance(node, ProbOf) else None
@@ -911,7 +911,7 @@ def _fixed_against_semantics(cs, mdp, chosen) -> int:
                 checked += 1
             check_value((holds_sym if holds else prob_sym)(point, idx), vec[r])
             if isinstance(path, Next):
-                check_value(smt.toint_sym(point, cs.subformula_index[path.operand]), int(operand[r]))
+                check_value(smt.toint_sym(point, cs.meta.index[path.operand]), int(operand[r]))
             elif isinstance(path, Until) and r in dist:
                 check_value(smt.dist_sym(point, idx), dist[r])
     assert {cs.variables[name] for name in unchecked} <= {"dist"}, unchecked
@@ -986,7 +986,7 @@ class TestFolding:
         alpha = SchedulerAssignment(m_coin.states, ("alpha", "tau", "tau"))
         assert _fixed_against_semantics(cs, m_coin, {"s": alpha}) > 0
         full_assignment(cs, m_coin, {"s": alpha})
-        cs.meta.fixed[REACH_A][("s2",)] = Fraction(1, 2)  # truly 0: s2 never reaches a
+        at_node(cs, "fixed", REACH_A)[("s2",)] = Fraction(1, 2)  # truly 0: s2 never reaches a
         with pytest.raises(AssertionError, match="fixed to 1/2"):
             full_assignment(cs, m_coin, {"s": alpha})
 
@@ -1033,8 +1033,8 @@ def test_windows_follow_their_bounded_until_once(text, order):
     cs, _ = encode_main(mdp, f)
     body = f.body
     named = {"a": Prop("a", "x"), "b": Prop("b", "x"), "0": Const(Fraction(0)), "-": body.right}
-    assert list(cs.subformula_index) == [body] + [named[k] if isinstance(k, str) else _window(k) for k in order]
-    assert list(cs.subformula_index.values()) == list(range(len(order) + 1))
+    assert list(cs.meta.index) == [body] + [named[k] if isinstance(k, str) else _window(k) for k in order]
+    assert list(cs.meta.index.values()) == list(range(len(order) + 1))
     eager = solve_eager(mdp, f)
     assert eager.decoded == check(mdp, f) and eager.decoded.mode == "witness"
     values, choices = full_assignment(cs, mdp, eager.decoded.schedulers)
@@ -1047,7 +1047,7 @@ def test_zero_window_is_its_target_indicator(m_coin):
     f = parse_formula("exists sched s. exists st x(s). P(F<=2 (P(X a(x)) > 1/3)) > 0")
     cs, _ = encode_main(m_coin, f)
     path = f.body.right.path
-    window = prob_sym(("s0",), cs.subformula_index[ProbOf(BoundedUntil(path.left, path.right, 0, 0))])
+    window = prob_sym(("s0",), cs.meta.index[ProbOf(BoundedUntil(path.left, path.right, 0, 0))])
     assert cs.variables[window] == "prob"
     for assignment in enumerate_schedulers(m_coin):
         values, choices = full_assignment(cs, m_coin, {"s": assignment})
@@ -1087,7 +1087,7 @@ def test_no_library_path_builds_the_product():
         values, choices = full_assignment(cs, mdp, chosen)
         decoded = decode_witness(cs, solver_model(cs, mdp, chosen), f)
     assert hooked.call_count == 0 and product.call_count == 0
-    assert (0, 1) in {support for node, support in cs.meta.supports.items() if isinstance(node, ProbOf)}
+    assert (0, 1) in {support for node, support in zip(cs.meta.index, cs.meta.supports) if isinstance(node, ProbOf)}
     assert all(evaluate_term(t, values, choices) for t in cs.constraints if t is not cs.truth)
     assert eager.decoded.truth is True and decoded == eager.decoded
 
@@ -1151,7 +1151,7 @@ def test_the_oracle_reads_the_body_s_bounded_untils_from_their_windows():
     ev = Evaluator(mdp, cs.meta.encoded)
     ev.bind(build_composition(cs.meta.encoded, chosen))
     checked = 0
-    for idx, ((node, support), points) in enumerate(zip(cs.meta.supports.items(), cs.meta.points.values())):
+    for idx, (node, support, points) in enumerate(zip(cs.meta.index, cs.meta.supports, cs.meta.points)):
         kind = "h" if isinstance(node, BODY_KINDS) else "pr"
         read = ev.reader(node, support)
         for p in points:
@@ -1307,7 +1307,7 @@ class TestEmit:
         cs, _ = encode_main(m_coin, f)
         text = emit_smtlib2(cs)
         assert text.startswith("; subformulas:")
-        index = cs.subformula_index
+        index = cs.meta.index
         true_idx, a_idx = index[TRUE], index[Prop("a", "x")]
         assert f";   [{index[REACH_A]}] P([{true_idx}] U [{a_idx}])" in text.splitlines()
         assert f";   [{a_idx}] a(x)" in text.splitlines()
@@ -1318,7 +1318,7 @@ class TestEmit:
         body = " <-> ".join(f"P(X a(x)) > {i}/20" for i in range(14))
         cs, _ = encode_main(m_coin, parse_formula("exists sched s. exists st x(s). " + body))
         header = [line for line in emit_smtlib2(cs).splitlines() if line.startswith(";")]
-        assert len(header) == len(cs.subformula_index) + 1
+        assert len(header) == len(cs.meta.index) + 1
         assert max(len(line) for line in header) < 40
 
     @pytest.mark.hashorder
@@ -1368,7 +1368,7 @@ class TestEmit:
         spec = cases.generate(family, **params)
         cs, _ = encode_main(spec.mdp, spec.formula if text is None else parse_formula(text))
         assert hashlib.sha256(emit_smtlib2(cs).encode()).hexdigest()[:16] == digest
-        folded = sum(len(values) for values in cs.meta.fixed.values())
+        folded = sum(len(values) for values in cs.meta.fixed)
         assert (cs.variable_count(), cs.constraint_count(), folded) == counts
 
 
@@ -1387,7 +1387,7 @@ def test_plan_builds_each_window_once_and_reads_operands_by_position():
             mock.patch.object(formula.Node, "__eq__", counting("compared", formula.Node.__eq__)), \
             mock.patch.object(formula.Node, "__hash__", counting("hashed", formula.Node.__hash__)):
         cs, _ = encode_main(spec.mdp, f)
-    windows = sum(isinstance(getattr(node, "path", None), BoundedUntil) for node in cs.meta.supports) - 4
+    windows = sum(isinstance(getattr(node, "path", None), BoundedUntil) for node in cs.meta.index) - 4
     assert calls["built"] == windows == 80
     assert calls["compared"] == 0
     assert calls["hashed"] < 2000  # a fixed number per node: none per point
